@@ -29,7 +29,6 @@ from .forms import (
     FormsReport,
     InteriorField,
     check_mean_form,
-    check_multiplicative,
     equality_witness,
     form_BL,
     form_I,

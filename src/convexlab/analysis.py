@@ -190,7 +190,6 @@ def coercivity_report(body, u, N=DEFAULT_N, Q=DEFAULT_Q, deltas=(1.0, 0.1, 0.01,
 def random_coefficients(rng, dim, decay=2.0):
     """Coefficient vector with 1/(1+k^decay) falloff (smooth random field)."""
     c = rng.standard_normal(dim)
-    c[0] *= 1.0
     for k in range(1, (dim - 1) // 2 + 1):
         w = 1.0 / (1.0 + float(k) ** decay)
         c[2 * k - 1] *= w

@@ -22,6 +22,9 @@ Unknown keys are rejected.  Every numeric lands in the report with 15
 significant digits, outputs are written atomically, and identical config +
 seed produces bit-identical files.  Exit codes: 0 pass, 1 assertion failure,
 2 config error, 3 numerical failure.
+
+solve, forms-check, flow, spectral and scan call the acceptance criteria's
+checks (``acceptance``), so their tolerances and failure messages are shared.
 """
 
 import argparse
@@ -37,19 +40,16 @@ from . import acceptance
 from .analysis import (
     SpectralReport,
     bm_check,
-    coercivity_report,
     interpolation_constant,
-    lambda1,
     pinching_bounds,
     reformulation_check,
 )
 from .errors import ConfigError, ConvexLabError, NotStrictlyConvex
-from .flow import FlowConfig, marginal_S, mean_form_from_flow, shape_derivatives, marginal_value
-from .forms import BoundaryField, check_mean_form
+from .flow import FlowConfig, mean_form_from_flow
+from .forms import BoundaryField
 from .geometry import make_body
 from .measure import ConjugatePerturbation, QuadraticPerturbation, make_potential
 from .pde import concavity_power, solve_report
-from .suite import random_boundary_field, random_interior_field
 
 __all__ = ["main", "run"]
 
@@ -304,9 +304,7 @@ def _cmd_solve(cfg, ctx):
     u = _build_potential(cfg)
     rep = solve_report(body, u, N=ctx["N"], Q=ctx["Q"])
     p_refined = concavity_power(body, u, N=ctx["N"] + 4, Q=ctx["Q"])
-    failures = []
-    if rep["strong_residual"] > 1e-7:
-        failures.append(f"strong residual {rep['strong_residual']:.3e} > 1e-7")
+    failures = acceptance.residual_check(rep)
     if abs(p_refined - rep["p"]) > 1e-8 * max(1.0, abs(rep["p"])):
         failures.append("p not converged under basis refinement")
     results = {"p": rep["p"], "p_refined": p_refined,
@@ -324,18 +322,8 @@ def _cmd_forms_check(cfg, ctx):
     body = _build_body(cfg, ctx["M"])
     u = _build_potential(cfg)
     pairs = int(cfg.get("forms.pairs", 200))
-    rng = np.random.default_rng(ctx["seed"])
-    worst_mean, worst_mult = np.inf, np.inf
-    failures = []
-    for i in range(pairs):
-        rho = random_boundary_field(rng, ctx["M"])
-        phi = random_interior_field(rng)
-        rep = check_mean_form(body, u, rho, phi, Q=ctx["Q"])
-        worst_mean = min(worst_mean, rep.slack_mean / rep.scale)
-        worst_mult = min(worst_mult, rep.slack_mult / rep.scale**2)
-        if not (rep.passed_mean and rep.passed_mult):
-            failures.append(f"pair {i}: mean slack {rep.slack_mean:.3e}, "
-                            f"mult slack {rep.slack_mult:.3e}")
+    worst_mean, worst_mult, failures = acceptance.random_pairs_check(
+        body, u, pairs, ctx["seed"], ctx["Q"])
     results = {"pairs": pairs, "min_relative_mean_slack": worst_mean,
                "min_relative_mult_slack": worst_mult}
     return results, {}, failures, {}
@@ -348,29 +336,15 @@ def _cmd_flow(cfg, ctx):
     psi = _build_psi(cfg, u)
     fc = FlowConfig(f=f, psi=psi, eps=float(cfg.get("flow.eps", 0.1)),
                     n_t=int(cfg.get("flow.points", 21)))
-    tab = marginal_S(body, u, fc, Q=ctx["Q"])
-    d = shape_derivatives(body, u, f, psi, Q=ctx["Q"])
-    failures = []
-    if tab["max_second_difference"] > 1e-7:
-        failures.append(f"S(t) second difference {tab['max_second_difference']:.3e} > 1e-7")
-    h1, h2 = 1e-4, 1e-3
-    fd1 = (marginal_value(body, u, f, psi, h1, ctx["Q"])
-           - marginal_value(body, u, f, psi, -h1, ctx["Q"])) / (2 * h1)
-    fd2 = (marginal_value(body, u, f, psi, h2, ctx["Q"]) - 2 * d["I0"]
-           + marginal_value(body, u, f, psi, -h2, ctx["Q"])) / h2**2
-    e1 = abs(fd1 - d["I1"]) / max(1.0, abs(d["I1"]))
-    e2 = abs(fd2 - d["I2"]) / max(1.0, abs(d["I2"]))
-    if e1 > 1e-6:
-        failures.append(f"I'(0) finite-difference mismatch {e1:.3e} > 1e-6")
-    if e2 > 1e-4:
-        failures.append(f"I''(0) finite-difference mismatch {e2:.3e} > 1e-4")
+    tab, failures = acceptance.concavity_check(body, u, fc, ctx["Q"])
+    d, fd_failures = acceptance.shape_derivative_check(body, u, f, psi, ctx["Q"])
+    failures += fd_failures
     cross = {}
     if psi is not None:
         cross = mean_form_from_flow(body, u, f, psi, Q=ctx["Q"])
         if not cross["passed"]:
             failures.append(f"cross-module identity mismatch {cross['mismatch']:.3e}")
-    results = {"eps": tab["eps"], "I0": d["I0"], "I1": d["I1"], "I2": d["I2"],
-               "S2": d["S2"], "I1_fd_error": e1, "I2_fd_error": e2,
+    results = {"eps": tab["eps"], **d,
                "max_second_difference": tab["max_second_difference"],
                **({f"cross_{k}": v for k, v in cross.items() if k != "passed"})}
     tables = {"marginal.csv": (("t", "I", "S"),
@@ -382,22 +356,13 @@ def _cmd_flow(cfg, ctx):
 def _cmd_spectral(cfg, ctx):
     body = _build_body(cfg, ctx["M"])
     u = _build_potential(cfg)
-    lam, lam_res, note = lambda1(body, u, N=ctx["N"], Q=ctx["Q"])
-    stab = coercivity_report(body, u, N=ctx["N"], Q=ctx["Q"], seed=ctx["seed"])
+    (lam, lam_res, note), stab, failures = acceptance.spectral_check(
+        body, u, ctx["N"], ctx["Q"], ctx["seed"])
     samples = int(cfg.get("spectral.samples", 1000))
     c_small = interpolation_constant(body, u, sample_size=samples,
                                      N=ctx["N"], Q=ctx["Q"], seed=ctx["seed"])
     c_big = interpolation_constant(body, u, sample_size=2 * samples,
                                    N=ctx["N"], Q=ctx["Q"], seed=ctx["seed"])
-    failures = []
-    if not (lam > 1.0 or np.isinf(lam)):
-        failures.append(f"lambda1 = {lam:.6g} <= 1")
-    if stab["C"] <= 0:
-        failures.append(f"coercivity constant {stab['C']:.6g} <= 0")
-    if abs(stab["slope"] - 0.5) > 1e-12:
-        failures.append(f"stability slope {stab['slope']} != 0.5")
-    if not stab["bound_holds"]:
-        failures.append("deficit bound 1/sqrt(C) violated on the delta family")
     if c_big > 1.2 * c_small:
         failures.append("interpolation constant unstable under sample doubling")
     report = SpectralReport(
@@ -446,17 +411,7 @@ def _cmd_scan(cfg, ctx):
     radii = cfg.get("scan.radii", [0.25, 0.5, 1.0, 1.5, 2.0, 3.0])
     if not isinstance(radii, list):
         radii = [radii]
-    rows = []
-    failures = []
-    gaussian_disk = u.kind == "gaussian"
-    for R in radii:
-        R = float(R)
-        body = make_body({"kind": "disk", "radius": R}, M=ctx["M"])
-        p = concavity_power(body, u, N=ctx["N"], Q=ctx["Q"])
-        oracle = acceptance.disk_power_oracle(R) if gaussian_disk else float("nan")
-        rows.append((R, p, oracle))
-        if gaussian_disk and abs(p - oracle) > 1e-7:
-            failures.append(f"R = {R}: |p - oracle| = {abs(p - oracle):.3e} > 1e-7")
+    rows, failures = acceptance.disk_scan(u, radii, ctx["M"], ctx["N"], ctx["Q"])
     results = {"radii": [r[0] for r in rows], "p": [r[1] for r in rows],
                "oracle": [r[2] for r in rows]}
     tables = {"scan.csv": (("R", "p", "closed_form"), rows)}

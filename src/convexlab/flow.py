@@ -58,19 +58,19 @@ class FlowConfig:
         return np.linspace(-self.eps, self.eps, self.n_t)
 
 
-def flow_setup(body, u, f, psi, t, method="auto"):
+def flow_setup(body, u, f, psi, t):
     """(K_t, u_t) for one admissible t."""
     body_t = wulff_perturb(body, f, t) if t != 0.0 else body
     if psi is None or t == 0.0:
         u_t = u
     else:
-        u_t = flow_potential(u, psi, t, method=method)
+        u_t = flow_potential(u, psi, t)
     return body_t, u_t
 
 
-def marginal_value(body, u, f, psi, t, Q=DEFAULT_Q, method="auto"):
+def marginal_value(body, u, f, psi, t, Q=DEFAULT_Q):
     """I(t) = mu_t(K_t) for one admissible t (the flow's marginal)."""
-    body_t, u_t = flow_setup(body, u, f, psi, t, method=method)
+    body_t, u_t = flow_setup(body, u, f, psi, t)
     body_t.require_interior_origin()
     return interior_integral(body_t, u_t, 1.0, Q=Q)
 
@@ -82,7 +82,6 @@ def select_epsilon(body, u, cfg, Q=DEFAULT_Q, max_halvings=12):
     h + t*f is linear in t; convexity of u* + t*psi holds on an interval), so
     testing the endpoints suffices.
     """
-    cfg = cfg if isinstance(cfg, FlowConfig) else FlowConfig(*cfg)
     eps = float(cfg.eps)
     for _ in range(max_halvings):
         try:
@@ -118,7 +117,7 @@ def vector_field_X(body, f, t, x):
     return out.reshape(lead + (2,))
 
 
-def marginal_S(body, u, cfg, Q=DEFAULT_Q, method="auto"):
+def marginal_S(body, u, cfg, Q=DEFAULT_Q):
     """Tabulate (t, I(t), S(t)) over the config's grid with concavity data.
 
     Returns a dict with the grid, the marginal, S = log I, the centered
@@ -126,8 +125,7 @@ def marginal_S(body, u, cfg, Q=DEFAULT_Q, method="auto"):
     """
     cfg = select_epsilon(body, u, cfg, Q=Q)
     t_grid = cfg.t_grid()
-    I_vals = np.array([marginal_value(body, u, cfg.f, cfg.psi, t, Q, method=method)
-                       for t in t_grid])
+    I_vals = np.array([marginal_value(body, u, cfg.f, cfg.psi, t, Q) for t in t_grid])
     S_vals = np.log(I_vals)
     dt = t_grid[1] - t_grid[0]
     d2 = (S_vals[2:] - 2.0 * S_vals[1:-1] + S_vals[:-2]) / dt**2

@@ -31,7 +31,6 @@ __all__ = [
     "form_BL",
     "form_I",
     "check_mean_form",
-    "check_multiplicative",
     "equality_witness",
     "translation_witness",
 ]
@@ -77,9 +76,6 @@ class BoundaryField:
 
     def eval(self, theta, order=0):
         return spectral.evaluate(self.coeffs(), self.M, theta, order)
-
-    def mean_zero_part(self):
-        return BoundaryField(self.values - self.values.mean())
 
     # linear structure (bilinearity tests build combinations)
     def __add__(self, other):
@@ -252,7 +248,8 @@ def form_I(body, u, rho, phi, Q=DEFAULT_Q):
     return cross - means
 
 
-def _report(body, u, rho, phi, Q):
+def check_mean_form(body, u, rho, phi, Q=DEFAULT_Q):
+    """Report on the mean and the multiplicative inequality for one (rho, phi)."""
     rho = _as_boundary_field(rho, body.M)
     if not isinstance(phi, InteriorField):
         phi = InteriorField(phi)
@@ -269,16 +266,6 @@ def _report(body, u, rho, phi, Q):
         passed_mult=bool(slack_mult >= -SLACK_RTOL * scale**2),
         flags={"bl_gradient_fd": not phi.has_gradient},
     )
-
-
-def check_mean_form(body, u, rho, phi, Q=DEFAULT_Q):
-    """Report on <rho,phi>_I <= (<rho,rho>_P + <phi,phi>_BL)/2."""
-    return _report(body, u, rho, phi, Q)
-
-
-def check_multiplicative(body, u, rho, phi, Q=DEFAULT_Q):
-    """Report on <rho,phi>_I^2 <= <rho,rho>_P * <phi,phi>_BL."""
-    return _report(body, u, rho, phi, Q)
 
 
 def equality_witness(body, u, alpha, x0=(0.0, 0.0), z=0.0):

@@ -244,7 +244,7 @@ def translate_potential(u, v):
         return u._hess(p - v)
 
     even = u.is_even and np.all(v == 0.0)
-    return Potential("translated", value, grad, hess, is_even=even,
+    return Potential("zero" if u.is_zero else "translated", value, grad, hess, is_even=even,
                      pinching=u.pinching, params={"base": u, "v": v},
                      descriptor={"kind": "translated", "base": u.descriptor, "v": v.tolist()})
 
@@ -500,11 +500,13 @@ def _flow_closed_form(u, psi, t):
             raise FlowNotConvex(
                 f"A^{{-1}} + t*B has eigenvalues {eigs}; dual lost convexity")
         Minv = np.linalg.inv(Mt)
-        tb, tc = t * psi.b, t * psi.c
+        tb = t * psi.b
+        # u = <Ax, x>/2 + u(0), possibly shifted, and (u + s)* = u* - s
+        const = u._value(np.zeros((1, 2)))[0] - t * psi.c
 
         def value(p):
             q = p - tb
-            return 0.5 * np.einsum("ij,jk,ik->i", q, Minv, q) - tc
+            return 0.5 * np.einsum("ij,jk,ik->i", q, Minv, q) + const
 
         def grad(p):
             return (p - tb) @ Minv.T
@@ -592,17 +594,14 @@ def conjugate_flow(u, psi, t, x, method="auto"):
     return val.reshape(lead), g.reshape(lead + (2,)), H.reshape(lead + (2, 2))
 
 
-def flow_potential(u, psi, t, method="auto"):
+def flow_potential(u, psi, t):
     """The flowed potential u_t = (u* + t*psi)* wrapped as a Potential."""
     u.require_strictly_convex("the conjugate flow")
     t = float(t)
-    closed = None if method == "newton" else _flow_closed_form(u, psi, t)
+    closed = _flow_closed_form(u, psi, t)
     if closed is not None:
         value, grad, hess = closed
     else:
-        if method == "closed":
-            raise ValueError("no closed-form path for this (u, psi) pair")
-
         def value(p):
             return _flow_newton(u, psi, t, p)[0]
 

@@ -19,8 +19,6 @@ from .measure import (
 __all__ = [
     "standard_bodies",
     "standard_potentials",
-    "body_potential_matrix",
-    "symmetric_matrix",
     "random_boundary_field",
     "random_interior_field",
 ]
@@ -49,28 +47,6 @@ def standard_potentials():
         "quartic": even_quartic_potential(0.1),
         "zero": zero_potential(),
     }
-
-
-def body_potential_matrix(M=256):
-    """The 3 x 3 generic matrix used by the identity and inequality checks."""
-    bodies = standard_bodies(M)
-    pots = standard_potentials()
-    out = []
-    for bname in ("disk1", "ellipse21", "blob"):
-        for pname in ("gaussian", "quad14", "quartic"):
-            out.append((bname, pname, bodies[bname], pots[pname]))
-    return out
-
-
-def symmetric_matrix(M=256):
-    """Origin-symmetric bodies x even potentials (conjecture hypotheses)."""
-    bodies = standard_bodies(M)
-    pots = standard_potentials()
-    out = []
-    for bname in ("disk1", "ellipse21", "peanut"):
-        for pname in ("gaussian", "quad14", "quartic"):
-            out.append((bname, pname, bodies[bname], pots[pname]))
-    return out
 
 
 def random_boundary_field(rng, M, order=6, decay=2.0):

@@ -4,7 +4,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from convexlab import measure
+from convexlab import forms, measure, pde
 from convexlab.errors import (
     FlowNotConvex,
     LebesgueModeRestriction,
@@ -230,6 +230,32 @@ def test_translate_and_shift(gaussian, rng):
     assert not ut.is_even
     us = measure.shift_potential(gaussian, 2.0)
     npt.assert_allclose(us.value(pts), gaussian.value(pts) + 2.0, atol=1e-14)
+
+
+def test_shifted_flow_closed_form_keeps_constant(gaussian, quad14, rng):
+    # (u + c)* = u* - c, so the flowed potential of u + c is u_t + c
+    x = rng.normal(size=(30, 2))
+    psi = measure.QuadraticPerturbation(B=[[0.4, 0.1], [0.1, 0.2]], b=[0.1, 0.0], c=0.3)
+    for u in (gaussian, quad14):
+        us = measure.shift_potential(measure.shift_potential(u, 0.5), 0.2)
+        v1, g1, H1 = measure.conjugate_flow(us, psi, 0.1, x, method="closed")
+        v2, g2, H2 = measure.conjugate_flow(us, psi, 0.1, x, method="newton")
+        npt.assert_allclose(v1, v2, atol=1e-10)
+        npt.assert_allclose(g1, g2, atol=1e-10)
+        npt.assert_allclose(H1, H2, atol=1e-8)
+
+
+@pytest.mark.parametrize("derive", [
+    lambda u: measure.translate_potential(u, [0.2, -0.1]),
+    lambda u: measure.shift_potential(u, 0.7),
+], ids=["translated", "shifted"])
+def test_derived_zero_potential_stays_lebesgue_restricted(disk1, lebesgue, derive):
+    u = derive(lebesgue)
+    phi = forms.InteriorField.coordinate(0)
+    with pytest.raises(LebesgueModeRestriction):
+        forms.form_BL(disk1, u, phi, phi)
+    with pytest.raises(LebesgueModeRestriction):
+        pde.concavity_power(disk1, u)
 
 
 def test_make_potential_dispatch():
