@@ -47,7 +47,7 @@ print("=" * 70)
 
 ellipse = cl.ellipse(2.0, 1.0)
 rep = cl.solve_report(ellipse, gaussian)
-coeffs = rep["rho_bar"].coeffs
+coeffs = rep["rho_bar"].galerkin_coeffs
 odd = max(max(abs(coeffs[2 * k - 1]), abs(coeffs[2 * k])) for k in range(1, 17, 2))
 print(f"symmetric body + even measure: largest odd harmonic of rho_bar = {odd:.2e}")
 p_even = cl.concavity_power(ellipse, gaussian, even_only=True)

@@ -25,7 +25,7 @@ print("1. lambda1 on gaussian disks: closed form 1/(1 - R^2) for R < 1")
 print("=" * 70)
 
 for R in (0.3, 0.5, 0.8, 1.0, 2.0):
-    lam, lam_res, note = cl.lambda1(cl.disk(R), gaussian)
+    lam, lam_res, note = cl.lambda1(cl.assemble(cl.disk(R), gaussian))
     oracle = 1 / (1 - R * R) if R < 1 else np.inf
     print(f"R = {R:4.1f}: lambda1 = {lam if np.isfinite(lam) else np.inf:>12.8f}  "
           f"closed form {oracle:>12.8f}  {note}")
@@ -37,11 +37,11 @@ print("2. coercivity constant: closed form R^3/(R^2 + 1) on gaussian disks")
 print("=" * 70)
 
 for R in (0.5, 1.0, 1.6):
-    C = cl.coercivity_constant(cl.disk(R), gaussian)
+    C = cl.coercivity_constant(cl.assemble(cl.disk(R), gaussian))
     print(f"R = {R:4.1f}: C = {C:.12f}  closed form {R**3 / (R * R + 1):.12f}")
 
 ellipse = cl.ellipse(2.0, 1.0)
-rep = cl.coercivity_report(ellipse, gaussian)
+rep = cl.coercivity_report(cl.assemble(ellipse, gaussian))
 print(f"\nellipse(2,1): C = {rep['C']:.8f}, stability constant 1/sqrt(C) = "
       f"{rep['stability_constant']:.8f}")
 print(f"deficit scaling on delta-families: slope {rep['slope']:.15f} (exact 1/2)")
@@ -51,8 +51,9 @@ print("\n" + "=" * 70)
 print("3. interpolation constant (empirical sup over random fields)")
 print("=" * 70)
 
-for n in (500, 1000):
-    c = cl.interpolation_constant(cl.disk(1.0), gaussian, sample_size=n)
+sizes = (500, 1000)
+sups = cl.interpolation_constant(cl.assemble(cl.disk(1.0), gaussian), sample_size=sizes)
+for n, c in zip(sizes, sups):
     print(f"sample {n:5d}: sup ratio = {c:.8f}")
 print(f"constant-field ratio sqrt(mu(K)/mu(dK)) = "
       f"{np.sqrt((1 - np.exp(-0.5)) / np.exp(-0.5)):.8f}")

@@ -78,7 +78,7 @@ from .pde import (
     solve_rho_bar,
     support_identity_check,
 )
-from .quad import QuadratureConfig, boundary_integral, interior_integral
+from .quad import boundary_integral, interior_integral
 from .flow import (
     FlowConfig,
     marginal_S,
@@ -90,7 +90,6 @@ from .flow import (
 )
 from .analysis import (
     BMReport,
-    SpectralReport,
     bm_check,
     coercivity_constant,
     coercivity_report,

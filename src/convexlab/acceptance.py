@@ -53,7 +53,7 @@ from .forms import (
 )
 from .geometry import disk
 from .measure import ConjugatePerturbation, QuadraticPerturbation
-from .pde import concavity_power, solve_report, support_identity_check
+from .pde import assemble, concavity_power, solve_report, support_identity_check
 from .quad import interior_integral
 from .suite import (
     random_boundary_field,
@@ -147,10 +147,10 @@ def shape_derivative_check(body, u, f, psi, Q):
     return {**d, "I1_fd_error": e1, "I2_fd_error": e2}, failures
 
 
-def spectral_check(body, u, N, Q, seed):
+def spectral_check(system, seed):
     """``lambda1``, ``coercivity_report`` and their failures (criterion 6)."""
-    lam = lambda1(body, u, N=N, Q=Q)
-    stab = coercivity_report(body, u, N=N, Q=Q, seed=seed)
+    lam = lambda1(system)
+    stab = coercivity_report(system, seed=seed)
     failures = []
     if not (lam[0] > 1.0 or np.isinf(lam[0])):
         failures.append(f"lambda1 = {lam[0]:.6g} <= 1")
@@ -416,9 +416,9 @@ def criterion_6(M=256, Q=32, N=16):
     ok = True
     for bname, pname in _SPECTRAL_CONFIGS:
         body, u = bodies[bname], pots[pname]
-        (lam, _, note), stab, failures = spectral_check(body, u, N, Q, 7)
+        (lam, _, note), stab, failures = spectral_check(assemble(body, u, N=N, Q=Q), 7)
         C1 = stab["C"]
-        C2 = coercivity_constant(body, u, N=N + 4, Q=Q)
+        C2 = coercivity_constant(assemble(body, u, N=N + 4, Q=Q))
         drift = abs(C1 - C2) / max(1.0, abs(C1))
         c_stable = drift <= 1e-6
         ok = ok and not failures and (c_stable or not bname.startswith("disk"))
@@ -452,7 +452,7 @@ def criterion_7(M=256, Q=32, N=16):
     ok = True
     for bname, pname, body, u in _matrix(M, _SYMMETRIC):
         rep = solve_report(body, u, N=N, Q=Q)
-        coeffs = rep["rho_bar"].coeffs
+        coeffs = rep["rho_bar"].galerkin_coeffs
         odd = [abs(coeffs[2 * k - 1]) for k in range(1, N + 1, 2)]
         odd += [abs(coeffs[2 * k]) for k in range(1, N + 1, 2)]
         odd_max = float(max(odd))
@@ -533,10 +533,11 @@ def _reported_scalars(M, Q, N=16):
     out["form_P"] = form_P(bodies["ellipse21"], q14, rho, rho, Q=Q)
     out["form_BL"] = form_BL(bodies["ellipse21"], q14, phi, phi, Q=Q)
     out["form_I"] = form_I(bodies["ellipse21"], q14, rho, phi, Q=Q)
-    out["lambda1_disk05"] = lambda1(bodies["disk05"], g, N=N, Q=Q)[0]
-    out["coercivity_ellipse"] = coercivity_constant(bodies["ellipse21"], g, N=N, Q=Q)
-    out["interpolation_disk1"] = interpolation_constant(bodies["disk1"], g,
-                                                        sample_size=200, N=N, Q=Q)
+    out["lambda1_disk05"] = lambda1(assemble(bodies["disk05"], g, N=N, Q=Q))[0]
+    out["coercivity_ellipse"] = coercivity_constant(
+        assemble(bodies["ellipse21"], g, N=N, Q=Q))
+    out["interpolation_disk1"] = interpolation_constant(
+        assemble(bodies["disk1"], g, N=N, Q=Q), sample_size=200)
     f = BoundaryField.from_function(lambda t: np.cos(2 * t), M)
     psi = QuadraticPerturbation(B=[[0.3, 0.1], [0.1, 0.2]], b=[0.1, -0.05])
     out["flow_S2"] = shape_derivatives(bodies["ellipse21"], q14, f, psi, Q=Q)["S2"]

@@ -1,6 +1,7 @@
 """Spectral constants, Brunn-Minkowski segment checks, and moment bounds.
 
-Quantities computed here, all at the discretized (Galerkin) level:
+Quantities computed here, all at the discretized (Galerkin) level; the
+three spectral constants read an assembled ``pde.PoincareSystem``:
 
   * lambda1:   best constant with  energy <= (1/lambda1) * stiffness, where
                stiffness(rho) = int <II^{-1} grad rho, grad rho> dmu and
@@ -26,19 +27,16 @@ from dataclasses import dataclass, field
 import numpy as np
 import scipy.linalg
 
-from . import spectral
 from .errors import CoercivityFailure, PinchingUndeclared
 from .forms import form_I
 from .geometry import minkowski_combine, wulff_perturb
 from .measure import _inv_2x2
-from .pde import DEFAULT_N, assemble, radial_moment_field, solve_report
+from .pde import DEFAULT_N, radial_moment_field, solve_report
 from .quad import DEFAULT_Q, boundary_integral, interior_integral, interior_nodes
 
 __all__ = [
-    "SpectralReport",
     "BMReport",
     "lambda1",
-    "h1_gram",
     "coercivity_constant",
     "coercivity_report",
     "interpolation_constant",
@@ -48,25 +46,6 @@ __all__ = [
     "pinching_bounds",
     "random_coefficients",
 ]
-
-
-@dataclass
-class SpectralReport:
-    lambda1: float
-    lambda1_restricted: float
-    coercivity_C: float
-    stability_constant: float
-    interpolation_c: float
-    notes: dict = field(default_factory=dict)
-
-    def to_dict(self):
-        out = {"lambda1": self.lambda1,
-               "lambda1_restricted": self.lambda1_restricted,
-               "coercivity_C": self.coercivity_C,
-               "stability_constant": self.stability_constant,
-               "interpolation_c": self.interpolation_c}
-        out.update({f"note_{k}": v for k, v in self.notes.items()})
-        return out
 
 
 @dataclass
@@ -90,29 +69,23 @@ class BMReport:
                 **{f"note_{k}": v for k, v in self.notes.items()}}
 
 
-def _energy_matrix(system):
-    """E = B - m m^T / mu(K): the quadratic form bounded by stiffness/lambda1."""
-    return system.B - np.outer(system.m, system.m) / system.muK
-
-
-def lambda1(body, u, N=DEFAULT_N, Q=DEFAULT_Q):
+def lambda1(system):
     """Best constant in energy <= (1/lambda1) stiffness on the Galerkin space.
 
-    The stiffness A vanishes exactly on constants, and the energy of a
-    constant is always <= 0 (it equals -<1,1>_P); the supremum of
-    energy/stiffness therefore maximizes over the constant component first,
-    which replaces the non-constant energy block by its Schur complement.
-    Returns (lambda1, lambda1_restricted, note); +inf when no discretized
-    field has positive energy.
+    The energy matrix is B - m m^T / mu(K).  The stiffness A vanishes
+    exactly on constants, and the energy of a constant is always <= 0 (it
+    equals -<1,1>_P); the supremum of energy/stiffness therefore maximizes
+    over the constant component first, which replaces the non-constant energy
+    block by its Schur complement.  Returns (lambda1, lambda1_restricted,
+    note); +inf when no discretized field has positive energy.
     """
-    system = assemble(body, u, N=N, Q=Q)
-    E = _energy_matrix(system)
+    energy = system.B - np.outer(system.m, system.m) / system.muK
     A_nc = system.A[1:, 1:]
-    E_nc = E[1:, 1:]
-    e0 = E[1:, 0]
-    E00 = E[0, 0]
+    E_nc = energy[1:, 1:]
+    e0 = energy[1:, 0]
+    E00 = energy[0, 0]
     note = ""
-    if E00 < -1e-14 * max(1.0, abs(E[0, 0])):
+    if E00 < -1e-14 * max(1.0, abs(E00)):
         E_eff = E_nc - np.outer(e0, e0) / E00
     else:
         E_eff = E_nc
@@ -133,33 +106,13 @@ def lambda1(body, u, N=DEFAULT_N, Q=DEFAULT_Q):
     return lam1, lam1_res, note
 
 
-def h1_gram(body, u, N=DEFAULT_N, even_only=False):
-    """H^1(dK, mu) Gram matrix S_jk = int (e_j e_k + e_j' e_k' / r^2) dmu."""
-    theta = body.theta_grid
-    w_theta = 2.0 * np.pi / body.M
-    wu = u.weight(body.boundary_grid)
-    r = body.radius_grid
-    E = spectral.basis_matrix(N, theta, 0)
-    D = spectral.basis_matrix(N, theta, 1)
-    if even_only:
-        from .pde import _even_mask
-
-        mask = _even_mask(N)
-        E, D = E[mask], D[mask]
-    S = (E * (wu * r)) @ E.T * w_theta + (D * (wu / r)) @ D.T * w_theta
-    return 0.5 * (S + S.T)
-
-
-def coercivity_constant(body, u, N=DEFAULT_N, Q=DEFAULT_Q):
+def coercivity_constant(system):
     """C = smallest eigenvalue of the pencil (G, S); positive iff coercive."""
-    system = assemble(body, u, N=N, Q=Q)
-    S = h1_gram(body, u, N=N)
-    eigs = scipy.linalg.eigh(system.G, S, eigvals_only=True)
+    eigs = scipy.linalg.eigh(system.G, system.S, eigvals_only=True)
     return float(eigs[0])
 
 
-def coercivity_report(body, u, N=DEFAULT_N, Q=DEFAULT_Q, deltas=(1.0, 0.1, 0.01, 0.001),
-                      seed=7):
+def coercivity_report(system, deltas=(1.0, 0.1, 0.01, 0.001), seed=7):
     """Coercivity constant plus the square-root stability scaling audit.
 
     On the family rho_delta = delta * rho_0 the deficit is delta^2 <rho0,rho0>_P
@@ -167,16 +120,14 @@ def coercivity_report(body, u, N=DEFAULT_N, Q=DEFAULT_Q, deltas=(1.0, 0.1, 0.01,
     log(deficit) has slope exactly 1/2; the content is the constant 1/sqrt(C)
     bounding norm / sqrt(deficit) from above.
     """
-    system = assemble(body, u, N=N, Q=Q)
-    S = h1_gram(body, u, N=N)
-    C = float(scipy.linalg.eigh(system.G, S, eigvals_only=True)[0])
+    C = coercivity_constant(system)
     rng = np.random.default_rng(seed)
     c0 = random_coefficients(rng, system.dim)
     deficits, norms = [], []
     for d in deltas:
         c = d * c0
         deficits.append(float(c @ system.G @ c))
-        norms.append(float(np.sqrt(c @ S @ c)))
+        norms.append(float(np.sqrt(c @ system.S @ c)))
     deficits = np.array(deficits)
     norms = np.array(norms)
     slope = np.polyfit(np.log(deficits), np.log(norms), 1)[0]
@@ -198,33 +149,33 @@ def random_coefficients(rng, dim, decay=2.0):
     return c
 
 
-def interpolation_constant(body, u, sample_size=1000, N=DEFAULT_N, Q=DEFAULT_Q, seed=11):
+def interpolation_constant(system, sample_size=1000, seed=11):
     """Empirical sup of ||rho||_{L2}^2 / (<rho,rho>_P^{1/2} ||rho||_{H1}).
 
     All three quantities are quadratic/linear in the coefficient vector, so
     the scan runs on the assembled matrices.  The ratio is 0-homogeneous in
     rho; finiteness and stability under sample growth is the pass criterion.
+    ``sample_size`` may also be a sequence of sizes: one seeded scan of the
+    largest size then returns the sup over each prefix, one per size, equal
+    to separate scans of those sizes.
     """
-    system = assemble(body, u, N=N, Q=Q)
-    S = h1_gram(body, u, N=N)
-    theta = body.theta_grid
-    w_theta = 2.0 * np.pi / body.M
-    wu = u.weight(body.boundary_grid)
-    E = spectral.basis_matrix(N, theta, 0)
-    mass = (E * (wu * body.radius_grid)) @ E.T * w_theta
+    sizes = [int(n) for n in np.atleast_1d(sample_size)]
+    if min(sizes) < 0:
+        raise ValueError("sample_size must be >= 0")
     rng = np.random.default_rng(seed)
     constant = np.zeros(system.dim)
     constant[0] = 1.0
-    worst = 0.0
-    for i in range(int(sample_size) + 1):
+    worst, prefix = 0.0, []
+    for i in range(max(sizes) + 1):
         c = constant if i == 0 else random_coefficients(rng, system.dim)
-        l2sq = c @ mass @ c
+        l2sq = c @ system.mass @ c
         P = c @ system.G @ c
-        h1 = np.sqrt(c @ S @ c)
-        if P <= 0 or h1 == 0:
-            continue
-        worst = max(worst, l2sq / (np.sqrt(P) * h1))
-    return float(worst)
+        h1 = np.sqrt(c @ system.S @ c)
+        if P > 0 and h1 != 0:
+            worst = max(worst, l2sq / (np.sqrt(P) * h1))
+        prefix.append(float(worst))
+    sups = tuple(prefix[n] for n in sizes)
+    return sups if np.ndim(sample_size) else sups[0]
 
 
 def bm_check(bodyK, bodyL, u, p, t_nodes=21, Q=DEFAULT_Q, local_probe=False,

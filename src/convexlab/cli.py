@@ -37,19 +37,13 @@ import tempfile
 import numpy as np
 
 from . import acceptance
-from .analysis import (
-    SpectralReport,
-    bm_check,
-    interpolation_constant,
-    pinching_bounds,
-    reformulation_check,
-)
+from .analysis import bm_check, interpolation_constant, pinching_bounds, reformulation_check
 from .errors import ConfigError, ConvexLabError, NotStrictlyConvex
 from .flow import FlowConfig, mean_form_from_flow
 from .forms import BoundaryField
 from .geometry import make_body
 from .measure import ConjugatePerturbation, QuadraticPerturbation, make_potential
-from .pde import concavity_power, solve_report
+from .pde import assemble, concavity_power, solve_report
 
 __all__ = ["main", "run"]
 
@@ -118,7 +112,11 @@ def parse_config(path, command):
             raise ConfigError(f"{path}:{ln}: unknown key {key!r} for command {command!r}")
         if key in cfg:
             raise ConfigError(f"{path}:{ln}: duplicate key {key!r}")
-        cfg[key] = _parse_value(raw)
+        value = _parse_value(raw)
+        items = value if isinstance(value, list) else [value]
+        if any(isinstance(v, float) and not np.isfinite(v) for v in items):
+            raise ConfigError(f"{path}:{ln}: {key} must be finite, got {raw!r}")
+        cfg[key] = value
     return cfg
 
 
@@ -162,6 +160,8 @@ def _build_body(cfg, M, prefix="body"):
         raise ConfigError(
             f"{prefix} descriptor is not strictly convex: h + h'' = "
             f"{exc.value:.6g} at theta = {exc.theta:.6g}") from exc
+    except ValueError as exc:
+        raise ConfigError(f"{prefix}: {exc}") from exc
 
 
 def _build_potential(cfg):
@@ -308,7 +308,7 @@ def _cmd_solve(cfg, ctx):
     if abs(p_refined - rep["p"]) > 1e-8 * max(1.0, abs(rep["p"])):
         failures.append("p not converged under basis refinement")
     results = {"p": rep["p"], "p_refined": p_refined,
-               "rho_bar_coefficients": rep["rho_bar"].coeffs.tolist(),
+               "rho_bar_coefficients": rep["rho_bar"].galerkin_coeffs.tolist(),
                "p_form_identity": rep["p_form_identity"],
                "strong_residual": rep["strong_residual"],
                "condition_estimate": rep["condition_estimate"],
@@ -322,6 +322,8 @@ def _cmd_forms_check(cfg, ctx):
     body = _build_body(cfg, ctx["M"])
     u = _build_potential(cfg)
     pairs = int(cfg.get("forms.pairs", 200))
+    if pairs < 1:
+        raise ConfigError("forms.pairs must be >= 1")
     worst_mean, worst_mult, failures = acceptance.random_pairs_check(
         body, u, pairs, ctx["seed"], ctx["Q"])
     results = {"pairs": pairs, "min_relative_mean_slack": worst_mean,
@@ -356,22 +358,19 @@ def _cmd_flow(cfg, ctx):
 def _cmd_spectral(cfg, ctx):
     body = _build_body(cfg, ctx["M"])
     u = _build_potential(cfg)
-    (lam, lam_res, note), stab, failures = acceptance.spectral_check(
-        body, u, ctx["N"], ctx["Q"], ctx["seed"])
+    system = assemble(body, u, N=ctx["N"], Q=ctx["Q"])
+    (lam, lam_res, note), stab, failures = acceptance.spectral_check(system, ctx["seed"])
     samples = int(cfg.get("spectral.samples", 1000))
-    c_small = interpolation_constant(body, u, sample_size=samples,
-                                     N=ctx["N"], Q=ctx["Q"], seed=ctx["seed"])
-    c_big = interpolation_constant(body, u, sample_size=2 * samples,
-                                   N=ctx["N"], Q=ctx["Q"], seed=ctx["seed"])
+    if samples < 1:
+        raise ConfigError("spectral.samples must be >= 1")
+    c_small, c_big = interpolation_constant(system, sample_size=(samples, 2 * samples),
+                                            seed=ctx["seed"])
     if c_big > 1.2 * c_small:
         failures.append("interpolation constant unstable under sample doubling")
-    report = SpectralReport(
-        lambda1=lam, lambda1_restricted=lam_res, coercivity_C=stab["C"],
-        stability_constant=stab["stability_constant"], interpolation_c=c_small,
-        notes={"lambda1": note} if note else {})
-    results = report.to_dict()
-    results.update({"stability_slope": stab["slope"],
-                    "interpolation_constant_doubled": c_big})
+    results = {"lambda1": lam, "lambda1_restricted": lam_res, "coercivity_C": stab["C"],
+               "stability_constant": stab["stability_constant"], "interpolation_c": c_small,
+               **({"note_lambda1": note} if note else {}),
+               "stability_slope": stab["slope"], "interpolation_constant_doubled": c_big}
     return results, {}, failures, {}
 
 
@@ -495,6 +494,8 @@ def run(command, config_path=None, out_dir="convexlab-out", seed=None,
         raise ConfigError("quad.M must be even and >= 64")
     if ctx["Q"] < 16:
         raise ConfigError("quad.Q must be >= 16")
+    if ctx["N"] < 4:
+        raise ConfigError("pde.N must be >= 4")
     results, tables, failures, plots = _COMMANDS[command](cfg, ctx)
     report = {
         "command": command,

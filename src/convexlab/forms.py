@@ -168,14 +168,6 @@ class FormsReport:
     passed_mult: bool
     flags: dict = field(default_factory=dict)
 
-    def to_dict(self):
-        out = {"P": self.P, "BL": self.BL, "I": self.I,
-               "slack_mean": self.slack_mean, "slack_mult": self.slack_mult,
-               "scale": self.scale, "passed_mean": self.passed_mean,
-               "passed_mult": self.passed_mult}
-        out.update({f"flag_{k}": v for k, v in self.flags.items()})
-        return out
-
 
 def _as_boundary_field(rho, M):
     if isinstance(rho, BoundaryField):

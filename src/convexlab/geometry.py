@@ -115,11 +115,6 @@ class SupportFunction2D:
         return self.values[:, None] * self.normals_grid + self.d1_grid[:, None] * self.tangents_grid
 
     @property
-    def modes(self):
-        """Truncation order of the trigonometric representation (Nyquist)."""
-        return self.M // 2
-
-    @property
     def m1(self):
         """Minimal curvature min 1/r over the grid."""
         return float((1.0 / self.radius_grid).min())

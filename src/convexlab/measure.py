@@ -175,8 +175,8 @@ def even_quartic_potential(eps, pinching=None):
     nodes, not globally).
     """
     eps = float(eps)
-    if eps < 0:
-        raise NotConvexPotential("even-quartic needs eps >= 0")
+    if not 0 <= eps < np.inf:
+        raise NotConvexPotential("even-quartic needs a finite eps >= 0")
 
     def value(p):
         n2 = np.einsum("ij,ij->i", p, p)

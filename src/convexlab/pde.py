@@ -24,6 +24,7 @@ and rho_bar satisfies L(rho_bar) = 1.
 """
 
 from dataclasses import dataclass
+from functools import cached_property
 
 import numpy as np
 import scipy.linalg
@@ -59,12 +60,20 @@ def _even_mask(N):
 
 @dataclass(frozen=True)
 class PoincareSystem:
-    """Assembled Galerkin matrices of <.,.>_P on the trigonometric basis."""
+    """Assembled Galerkin matrices of <.,.>_P on the trigonometric basis.
+
+    Also keeps the boundary discretization they were built from: the basis
+    samples E (values) and D (derivatives) on the body grid, one row per basis
+    function, and the boundary density wu = e^{-u(x(theta))}.
+    """
 
     body: object
     potential: object
     N: int
     even_only: bool
+    E: np.ndarray
+    D: np.ndarray
+    wu: np.ndarray
     A: np.ndarray
     B: np.ndarray
     m: np.ndarray
@@ -76,12 +85,18 @@ class PoincareSystem:
     def dim(self):
         return self.G.shape[0]
 
-    def basis_on_grid(self, order=0):
-        E = spectral.basis_matrix(self.N, self.body.theta_grid, order)
-        return E[_even_mask(self.N)] if self.even_only else E
+    @cached_property
+    def mass(self):
+        """L^2(dK, mu) Gram matrix int e_j e_k dmu."""
+        w_theta = 2.0 * np.pi / self.body.M
+        return (self.E * (self.wu * self.body.radius_grid)) @ self.E.T * w_theta
 
-    def condition_estimate(self):
-        return float(np.linalg.cond(self.G))
+    @cached_property
+    def S(self):
+        """H^1(dK, mu) Gram matrix S_jk = int (e_j e_k + e_j' e_k' / r^2) dmu."""
+        w_theta = 2.0 * np.pi / self.body.M
+        S = self.mass + (self.D * (self.wu / self.body.radius_grid)) @ self.D.T * w_theta
+        return 0.5 * (S + S.T)
 
 
 def assemble(body, u, N=DEFAULT_N, Q=DEFAULT_Q, even_only=False):
@@ -134,14 +149,14 @@ def assemble(body, u, N=DEFAULT_N, Q=DEFAULT_Q, even_only=False):
                 f"Cholesky of the P-form Gram matrix failed at N={N}: {exc}"
             ) from exc
     return PoincareSystem(body=body, potential=u, N=N, even_only=even_only,
-                          A=A, B=B, m=m, muK=muK, G=G, chol=chol)
+                          E=E, D=D, wu=wu, A=A, B=B, m=m, muK=muK, G=G, chol=chol)
 
 
 def solve_rho_bar(system):
     """Weak solution of <rho_bar, rho>_P = int rho dmu for all basis rho.
 
-    Returns a BoundaryField on the body grid with the coefficient vector
-    attached as ``.coeffs``; uniqueness follows from G > 0.
+    Returns a BoundaryField on the body grid with the Galerkin coefficient
+    vector attached as ``.galerkin_coeffs``; uniqueness follows from G > 0.
     """
     if system.chol is None:
         from .errors import LebesgueModeRestriction
@@ -150,16 +165,15 @@ def solve_rho_bar(system):
             "the Euler-Lagrange solve needs a strictly convex potential; "
             "for u == 0 the form has translation null directions")
     c = scipy.linalg.cho_solve(system.chol, system.m)
-    values = system.basis_on_grid(0).T @ c
-    field = BoundaryField(values)
-    field.coeffs = c
+    field = BoundaryField(system.E.T @ c)
+    field.galerkin_coeffs = c
     return field
 
 
 def concavity_power(body, u, N=DEFAULT_N, Q=DEFAULT_Q, even_only=False):
     """p(mu, K) = mu(K) / int_dK rho_bar dmu  (= mu(K) / <rho_bar, rho_bar>_P)."""
     system = assemble(body, u, N=N, Q=Q, even_only=even_only)
-    c = solve_rho_bar(system).coeffs
+    c = solve_rho_bar(system).galerkin_coeffs
     return float(system.muK / (system.m @ c))
 
 
@@ -238,7 +252,7 @@ def solve_report(body, u, N=DEFAULT_N, Q=DEFAULT_Q, even_only=False):
     """Full solve: rho_bar, p, strong residual, and conditioning data."""
     system = assemble(body, u, N=N, Q=Q, even_only=even_only)
     rho_bar = solve_rho_bar(system)
-    mc = system.m @ rho_bar.coeffs
+    mc = system.m @ rho_bar.galerkin_coeffs
     p = float(system.muK / mc)
     strong = apply_L(body, u, rho_bar, Q=Q)
     residual = float(np.abs(strong.values - 1.0).max())
@@ -248,7 +262,7 @@ def solve_report(body, u, N=DEFAULT_N, Q=DEFAULT_Q, even_only=False):
         "system": system,
         "p_form_identity": float(mc),  # equals <rho_bar, rho_bar>_P
         "strong_residual": residual,
-        "condition_estimate": system.condition_estimate(),
+        "condition_estimate": float(np.linalg.cond(system.G)),
         "muK": system.muK,
         "mu_boundary": boundary_integral(body, u, 1.0),
     }

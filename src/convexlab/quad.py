@@ -13,27 +13,11 @@ over s in [0, 1] (Gauss-Legendre) and theta (trapezoid).  The map has Jacobian
 so  int_K g dmu = int_0^1 int_0^{2pi} g(s*x) e^{-u(s*x)} s*h*r  dtheta ds.
 """
 
-from dataclasses import dataclass
-
 import numpy as np
 
-__all__ = ["QuadratureConfig", "boundary_integral", "interior_integral", "interior_nodes"]
+__all__ = ["boundary_integral", "interior_integral", "interior_nodes"]
 
 DEFAULT_Q = 32
-
-
-@dataclass(frozen=True)
-class QuadratureConfig:
-    """M boundary nodes (trapezoid in theta), Q radial Gauss-Legendre nodes."""
-
-    M: int = 256
-    Q: int = DEFAULT_Q
-
-    def __post_init__(self):
-        if self.M < 64 or self.M % 2:
-            raise ValueError("M must be even and >= 64")
-        if self.Q < 16:
-            raise ValueError("Q must be >= 16")
 
 
 def _field_on_grid(g, body):

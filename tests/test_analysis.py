@@ -7,7 +7,7 @@ from convexlab.errors import PinchingUndeclared
 
 
 def test_lambda1_gaussian_unit_disk_is_infinite(disk1, gaussian):
-    lam, lam_res, note = analysis.lambda1(disk1, gaussian)
+    lam, lam_res, note = analysis.lambda1(pde.assemble(disk1, gaussian))
     assert np.isinf(lam) and np.isinf(lam_res)
     assert "nonpositive" in note
 
@@ -16,7 +16,7 @@ def test_lambda1_small_disk_closed_form(gaussian):
     # energy/stiffness for cos(k t) on disk(R) is (1 - R^2)/k^2: the best
     # constant is attained at k = 1, so lambda1 = 1/(1 - R^2)
     for R in (0.3, 0.5, 0.8):
-        lam, _, _ = analysis.lambda1(geometry.disk(R), gaussian)
+        lam, _, _ = analysis.lambda1(pde.assemble(geometry.disk(R), gaussian))
         assert lam == pytest.approx(1.0 / (1.0 - R * R), abs=1e-9)
         assert lam > 1.0
 
@@ -24,8 +24,8 @@ def test_lambda1_small_disk_closed_form(gaussian):
 def test_lambda1_dual_rayleigh_scan(gaussian, peanut, quartic, rng):
     # no random field may beat the computed constant
     for body, u in ((geometry.disk(0.5), gaussian), (peanut, quartic)):
-        lam = analysis.lambda1(body, u)[0]
         system = pde.assemble(body, u)
+        lam = analysis.lambda1(system)[0]
         E = system.B - np.outer(system.m, system.m) / system.muK
         for _ in range(1000):
             c = analysis.random_coefficients(rng, system.dim)
@@ -38,14 +38,14 @@ def test_lambda1_dual_rayleigh_scan(gaussian, peanut, quartic, rng):
 def test_coercivity_disk_closed_forms(gaussian):
     # pencil minimum at the k = 1 harmonic: C = R^3/(R^2 + 1)
     for R in (0.5, 1.0, 1.6):
-        C = analysis.coercivity_constant(geometry.disk(R), gaussian)
+        C = analysis.coercivity_constant(pde.assemble(geometry.disk(R), gaussian))
         assert C == pytest.approx(R**3 / (R * R + 1.0), abs=1e-9)
 
 
 def test_coercivity_randomized_lower_bound(ellipse21, gaussian, rng):
-    C = analysis.coercivity_constant(ellipse21, gaussian)
     system = pde.assemble(ellipse21, gaussian)
-    S = analysis.h1_gram(ellipse21, gaussian)
+    C = analysis.coercivity_constant(system)
+    S = system.S
     assert C > 0
     for _ in range(500):
         c = analysis.random_coefficients(rng, system.dim)
@@ -53,7 +53,7 @@ def test_coercivity_randomized_lower_bound(ellipse21, gaussian, rng):
 
 
 def test_stability_scaling_report(ellipse21, gaussian):
-    rep = analysis.coercivity_report(ellipse21, gaussian)
+    rep = analysis.coercivity_report(pde.assemble(ellipse21, gaussian))
     assert rep["slope"] == pytest.approx(0.5, abs=1e-12)
     assert rep["bound_holds"]
     assert rep["stability_constant"] == pytest.approx(1 / np.sqrt(rep["C"]), rel=1e-12)
@@ -65,14 +65,14 @@ def test_interpolation_constant_closed_form_start(disk1, gaussian):
     muK = 2 * np.pi * (1 - np.exp(-0.5))
     P = muBd**2 / muK
     ratio = muBd / (np.sqrt(P) * np.sqrt(muBd))
-    worst = analysis.interpolation_constant(disk1, gaussian, sample_size=400)
+    worst = analysis.interpolation_constant(pde.assemble(disk1, gaussian), sample_size=400)
     assert worst >= ratio - 1e-12
     assert np.isfinite(worst)
 
 
 def test_interpolation_constant_sample_stability(ellipse21, quad14):
-    a = analysis.interpolation_constant(ellipse21, quad14, sample_size=500)
-    b = analysis.interpolation_constant(ellipse21, quad14, sample_size=1000)
+    a = analysis.interpolation_constant(pde.assemble(ellipse21, quad14), sample_size=500)
+    b = analysis.interpolation_constant(pde.assemble(ellipse21, quad14), sample_size=1000)
     assert b <= 1.2 * a + 1e-12
     assert b >= a - 1e-12  # larger seeded sample extends the smaller scan
 
@@ -81,8 +81,8 @@ def test_interpolation_ratio_scale_invariance(disk1, gaussian):
     # all three quantities are homogeneous (degrees 2 = 1 + 1): delta scaling
     # leaves the ratio unchanged
     system = pde.assemble(disk1, gaussian)
-    S = analysis.h1_gram(disk1, gaussian)
-    E = system.basis_on_grid(0)
+    S = system.S
+    E = system.E
     rng = np.random.default_rng(5)
     c = analysis.random_coefficients(rng, system.dim)
     mass = (E * (np.exp(-gaussian.value(disk1.boundary_grid)) * disk1.radius_grid)) @ E.T

@@ -1,5 +1,7 @@
 import re
 
+import pytest
+
 from convexlab import cli
 
 
@@ -170,3 +172,24 @@ def test_quad_m_override(tmp_path):
     out = tmp_path / "out"
     assert cli.run("solve", cfg, out_dir=str(out), quad_m=128) == 0
     assert '"quad.M": 128' in (out / "report.json").read_text()
+
+
+@pytest.mark.parametrize("command, lines", [
+    ("solve", "body.radius = -1"),
+    ("solve", "body.radius = nan"),
+    ("solve", "body.kind = ellipse\nbody.a = inf"),
+    ("solve", "potential.kind = even-quartic\npotential.eps = nan"),
+    ("solve", "potential.kind = even-quartic\npotential.eps = inf"),
+    ("solve", "quad.M = nan"),
+    ("solve", "pde.N = 3"),
+    ("forms-check", "forms.pairs = 0"),
+    ("spectral", "spectral.samples = -1"),
+], ids=["negative-radius", "nan-radius", "inf-axis", "nan-eps", "inf-eps", "nan-M",
+        "N-below-4", "zero-pairs", "negative-samples"])
+def test_bad_numeric_value_is_config_error(tmp_path, capsys, command, lines):
+    # each line overrides the matching key of a valid disk + gaussian config
+    cfg = {"body.kind": "disk", "potential.kind": "gaussian"}
+    cfg.update(line.split(" = ") for line in lines.splitlines())
+    path = write(tmp_path / "bad.cfg", "".join(f"{k} = {v}\n" for k, v in cfg.items()))
+    assert cli.main([command, "--config", path, "--out", str(tmp_path / "o")]) == 2
+    assert "config error" in capsys.readouterr().err

@@ -25,7 +25,6 @@ def test_curvature_extremes(ellipse21):
     # curvature of the 2x1 ellipse ranges over [b/a^2, a/b^2] = [1/4, 2]
     assert ellipse21.m1 == pytest.approx(0.25, abs=1e-9)
     assert ellipse21.m2 == pytest.approx(2.0, abs=1e-9)
-    assert ellipse21.modes == ellipse21.M // 2
 
 
 def test_ellipse_curvature_radius_at_zero(ellipse21):

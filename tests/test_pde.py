@@ -2,7 +2,7 @@ import numpy as np
 import numpy.testing as npt
 import pytest
 
-from convexlab import forms, geometry, measure, pde, quad
+from convexlab import flow, forms, geometry, measure, pde, quad
 from convexlab.errors import ZeroMean
 from convexlab.suite import random_boundary_field
 
@@ -150,7 +150,7 @@ def test_rayleigh_zero_mean_guard(disk1, gaussian):
 
 def test_gram_matrix_reconstructs_form(ellipse21, quartic, rng):
     sys = pde.assemble(ellipse21, quartic, N=10)
-    E = sys.basis_on_grid(0)
+    E = sys.E
     for _ in range(4):
         a = rng.standard_normal(sys.dim) / (1 + np.arange(sys.dim))
         b = rng.standard_normal(sys.dim) / (1 + np.arange(sys.dim))
@@ -195,7 +195,15 @@ def test_even_basis_consistency(peanut, quad14):
 
 def test_even_solution_odd_coefficients_vanish(ellipse21, gaussian):
     rep = pde.solve_report(ellipse21, gaussian, N=16)
-    c = rep["rho_bar"].coeffs
+    c = rep["rho_bar"].galerkin_coeffs
     for k in range(1, 17, 2):
         assert abs(c[2 * k - 1]) < 1e-10
         assert abs(c[2 * k]) < 1e-10
+
+
+def test_rho_bar_stays_a_boundary_field(ellipse21, gaussian):
+    # the attached Galerkin vector must not shadow BoundaryField.coeffs()
+    rho_bar = pde.solve_report(ellipse21, gaussian)["rho_bar"]
+    npt.assert_allclose(rho_bar.eval(ellipse21.theta_grid), rho_bar.values, atol=1e-12)
+    x = np.array([[0.3, 0.2], [-0.5, 0.1]])
+    assert np.all(np.isfinite(flow.vector_field_X(ellipse21, rho_bar, 0.01, x)))

@@ -7,16 +7,6 @@ from convexlab.geometry import ellipse, fourier_body
 from convexlab.measure import zero_potential
 
 
-def test_quadrature_config_validation():
-    quad.QuadratureConfig(256, 32)
-    with pytest.raises(ValueError):
-        quad.QuadratureConfig(50, 32)
-    with pytest.raises(ValueError):
-        quad.QuadratureConfig(255, 32)
-    with pytest.raises(ValueError):
-        quad.QuadratureConfig(256, 8)
-
-
 def test_boundary_integrals_closed_forms(disk1, gaussian, lebesgue):
     assert quad.boundary_integral(disk1, gaussian, 1.0) == pytest.approx(
         2 * np.pi * np.exp(-0.5), abs=1e-12)
