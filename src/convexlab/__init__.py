@@ -16,6 +16,7 @@ from .errors import (
     FlowNotConvex,
     LebesgueModeRestriction,
     NewtonDivergence,
+    NonFiniteIntegral,
     NotConvexPotential,
     NotStrictlyConvex,
     OriginOutside,

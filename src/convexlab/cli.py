@@ -38,7 +38,7 @@ import numpy as np
 
 from . import acceptance
 from .analysis import bm_check, interpolation_constant, pinching_bounds, reformulation_check
-from .errors import ConfigError, ConvexLabError, NotStrictlyConvex
+from .errors import ConfigError, ConvexLabError, NotConvexPotential, NotStrictlyConvex
 from .flow import FlowConfig, mean_form_from_flow
 from .forms import BoundaryField
 from .geometry import make_body
@@ -120,6 +120,14 @@ def parse_config(path, command):
     return cfg
 
 
+def _int_key(cfg, key, default):
+    """The integer value of a config key; any other value is a config error."""
+    value = cfg.get(key, default)
+    if isinstance(value, bool) or not isinstance(value, int):
+        raise ConfigError(f"{key} must be an integer, got {value!r}")
+    return value
+
+
 def _section(cfg, prefix):
     plen = len(prefix) + 1
     return {k[plen:]: v for k, v in cfg.items() if k.startswith(prefix + ".")}
@@ -190,7 +198,7 @@ def _build_potential(cfg):
         raise ConfigError(f"keys {sorted(sec)} do not apply to potential kind {kind!r}")
     try:
         u = make_potential(desc)
-    except ValueError as exc:
+    except (ValueError, NotConvexPotential) as exc:
         raise ConfigError(str(exc)) from exc
     if pinching is not None and kind != "even-quartic":
         u.pinching = pinching
@@ -321,7 +329,7 @@ def _cmd_solve(cfg, ctx):
 def _cmd_forms_check(cfg, ctx):
     body = _build_body(cfg, ctx["M"])
     u = _build_potential(cfg)
-    pairs = int(cfg.get("forms.pairs", 200))
+    pairs = _int_key(cfg, "forms.pairs", 200)
     if pairs < 1:
         raise ConfigError("forms.pairs must be >= 1")
     worst_mean, worst_mult, failures = acceptance.random_pairs_check(
@@ -337,7 +345,7 @@ def _cmd_flow(cfg, ctx):
     f = _build_flow_field(cfg, ctx["M"])
     psi = _build_psi(cfg, u)
     fc = FlowConfig(f=f, psi=psi, eps=float(cfg.get("flow.eps", 0.1)),
-                    n_t=int(cfg.get("flow.points", 21)))
+                    n_t=_int_key(cfg, "flow.points", 21))
     tab, failures = acceptance.concavity_check(body, u, fc, ctx["Q"])
     d, fd_failures = acceptance.shape_derivative_check(body, u, f, psi, ctx["Q"])
     failures += fd_failures
@@ -360,7 +368,7 @@ def _cmd_spectral(cfg, ctx):
     u = _build_potential(cfg)
     system = assemble(body, u, N=ctx["N"], Q=ctx["Q"])
     (lam, lam_res, note), stab, failures = acceptance.spectral_check(system, ctx["seed"])
-    samples = int(cfg.get("spectral.samples", 1000))
+    samples = _int_key(cfg, "spectral.samples", 1000)
     if samples < 1:
         raise ConfigError("spectral.samples must be >= 1")
     c_small, c_big = interpolation_constant(system, sample_size=(samples, 2 * samples),
@@ -379,7 +387,7 @@ def _cmd_bm(cfg, ctx):
     bodyL = _build_body(cfg, ctx["M"], prefix="body2")
     u = _build_potential(cfg)
     p = float(cfg.get("bm.p", 0.5))
-    nodes = int(cfg.get("bm.nodes", 21))
+    nodes = _int_key(cfg, "bm.nodes", 21)
     probe = bool(cfg.get("bm.local_probe", False))
     rep = bm_check(bodyK, bodyL, u, p, t_nodes=nodes, Q=ctx["Q"],
                    local_probe=probe, N=ctx["N"])
@@ -485,10 +493,10 @@ def run(command, config_path=None, out_dir="convexlab-out", seed=None,
     if config_path is None and command != "all":
         raise ConfigError(f"command {command!r} requires --config")
     ctx = {
-        "M": int(quad_m if quad_m is not None else cfg.get("quad.M", 256)),
-        "Q": int(cfg.get("quad.Q", 32)),
-        "N": int(modes if modes is not None else cfg.get("pde.N", 16)),
-        "seed": int(seed if seed is not None else cfg.get("seed", 0)),
+        "M": int(quad_m) if quad_m is not None else _int_key(cfg, "quad.M", 256),
+        "Q": _int_key(cfg, "quad.Q", 32),
+        "N": int(modes) if modes is not None else _int_key(cfg, "pde.N", 16),
+        "seed": int(seed) if seed is not None else _int_key(cfg, "seed", 0),
     }
     if ctx["M"] < 64 or ctx["M"] % 2:
         raise ConfigError("quad.M must be even and >= 64")

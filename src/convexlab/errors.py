@@ -63,5 +63,9 @@ class PinchingViolation(ConvexLabError):
     """Declared Hessian pinching fails at a quadrature node."""
 
 
+class NonFiniteIntegral(ConvexLabError):
+    """A quadrature result is NaN or infinite (e.g. a NaN-valued potential)."""
+
+
 class ConfigError(ConvexLabError):
     """Invalid experiment configuration."""

@@ -152,27 +152,26 @@ def psi_composed_field(u, psi):
 def shape_derivatives(body, u, f, psi=None, Q=DEFAULT_Q):
     """I(0), I'(0), I''(0), S''(0) from the explicit formulas."""
     f = _as_boundary_field(f, body.M)
-    I0 = interior_integral(body, u, 1.0, Q=Q)
     hmu = weighted_mean_curvature(body, u)
     wu = u.weight(body.boundary_grid)
     w_theta = 2.0 * np.pi / body.M
 
     if psi is None:
+        I0 = interior_integral(body, u, 1.0, Q=Q)
         psi_int = 0.0
         psi_sq = 0.0
         psi_grad = 0.0
         psi_bd = np.zeros(body.M)
     else:
         phi = psi_composed_field(u, psi)
-        psi_int = interior_integral(body, u, phi, Q=Q)
-        psi_sq = interior_integral(
-            body, u, InteriorField(lambda p: phi.value(p) ** 2), Q=Q)
 
         def carre(pts):
             g = psi.grad(u.grad(pts))
             return np.einsum("...ij,...j,...i->...", u.hess(pts), g, g)
 
-        psi_grad = interior_integral(body, u, InteriorField(carre), Q=Q)
+        I0, psi_int, psi_sq, psi_grad = interior_integral(
+            body, u, (1.0, phi, InteriorField(lambda p: phi.value(p) ** 2),
+                      InteriorField(carre)), Q=Q)
         psi_bd = phi.value(body.boundary_grid)
 
     f_bd = boundary_integral(body, u, f.values)

@@ -206,8 +206,10 @@ def form_BL(body, u, phi0, phi1, Q=DEFAULT_Q, fd_step=None):
     u.require_strictly_convex("the interior variance form")
     from .measure import _inv_2x2
 
+    same = phi1 is phi0
     if not isinstance(phi0, InteriorField):
         phi0 = InteriorField(phi0)
+    phi1 = phi0 if same else phi1
     if not isinstance(phi1, InteriorField):
         phi1 = InteriorField(phi1)
     step = _fd_step(body) if fd_step is None else fd_step
@@ -218,10 +220,10 @@ def form_BL(body, u, phi0, phi1, Q=DEFAULT_Q, fd_step=None):
     wmu = (wts * u.weight(pts)).reshape(-1)
     Hinv = _inv_2x2(u.hess(flat).reshape(-1, 2, 2))
     g0 = phi0.gradient(flat, step=step)
-    g1 = phi1.gradient(flat, step=step)
+    g1 = g0 if same else phi1.gradient(flat, step=step)
     grad_term = float(np.sum(wmu * np.einsum("ijk,ik,ij->i", Hinv, g0, g1)))
     v0 = phi0.value(flat)
-    v1 = phi1.value(flat)
+    v1 = v0 if same else phi1.value(flat)
     prod_term = float(np.sum(wmu * v0 * v1))
     muK = float(np.sum(wmu))
     mean_term = float(np.sum(wmu * v0)) * float(np.sum(wmu * v1)) / muK
@@ -234,9 +236,9 @@ def form_I(body, u, rho, phi, Q=DEFAULT_Q):
     if not isinstance(phi, InteriorField):
         phi = InteriorField(phi)
     phi_on_boundary = phi.value(body.boundary_grid)
-    muK = interior_integral(body, u, 1.0, Q=Q)
+    muK, phi_int = interior_integral(body, u, (1.0, phi), Q=Q)
     cross = boundary_integral(body, u, r.values * phi_on_boundary)
-    means = boundary_integral(body, u, r.values) * interior_integral(body, u, phi, Q=Q) / muK
+    means = boundary_integral(body, u, r.values) * phi_int / muK
     return cross - means
 
 

@@ -201,8 +201,7 @@ def support_identity_check(body, u, Q=DEFAULT_Q):
     """
     xb = body.boundary_grid
     moment = radial_moment_field(u)
-    int_moment = interior_integral(body, u, moment, Q=Q)
-    muK = interior_integral(body, u, 1.0, Q=Q)
+    int_moment, muK = interior_integral(body, u, (moment, 1.0), Q=Q)
     lhs = apply_L(body, u, BoundaryField(body.values), Q=Q).values
     rhs = 1.0 + np.einsum("ij,ij->i", u.grad(xb), xb) - int_moment / muK
     scale_pw = max(1.0, float(np.abs(rhs).max()))

@@ -11,9 +11,19 @@ over s in [0, 1] (Gauss-Legendre) and theta (trapezoid).  The map has Jacobian
     det d(s*x)/d(s, theta) = det[x, s*r*tau] = s * r(theta) * <x, nu> = s*h*r,
 
 so  int_K g dmu = int_0^1 int_0^{2pi} g(s*x) e^{-u(s*x)} s*h*r  dtheta ds.
+
+The radial Gauss-Legendre rule depends on Q alone, so it is built once per Q
+per process and shared read-only.  ``interior_integral`` also takes a tuple of
+integrands and then returns the tuple of their integrals from one node set and
+one evaluation of e^{-u}; each entry equals the single-integrand call bit for
+bit.  A result that is not finite raises ``NonFiniteIntegral``.
 """
 
+import functools
+
 import numpy as np
+
+from .errors import NonFiniteIntegral
 
 __all__ = ["boundary_integral", "interior_integral", "interior_nodes"]
 
@@ -40,6 +50,17 @@ def boundary_integral(body, u, g=1.0):
     return float(np.sum(vals * w) * 2.0 * np.pi / body.M)
 
 
+@functools.lru_cache(maxsize=16)
+def _radial_rule(Q):
+    """Gauss-Legendre nodes s and weights sw on [0, 1], as read-only arrays."""
+    sq, sw = np.polynomial.legendre.leggauss(Q)
+    s = 0.5 * (sq + 1.0)
+    sw = 0.5 * sw
+    s.flags.writeable = False
+    sw.flags.writeable = False
+    return s, sw
+
+
 def interior_nodes(body, Q=DEFAULT_Q):
     """Tensor nodes s_q * x(theta_j) with weights for integration against dx.
 
@@ -48,9 +69,7 @@ def interior_nodes(body, Q=DEFAULT_Q):
     int_K F dx = sum(weights * F(points)).
     """
     body.require_interior_origin()
-    sq, sw = np.polynomial.legendre.leggauss(int(Q))
-    s = 0.5 * (sq + 1.0)
-    sw = 0.5 * sw
+    s, sw = _radial_rule(int(Q))
     pts = s[:, None, None] * body.boundary_grid[None, :, :]
     jac = body.values * body.radius_grid  # h*r on the grid
     weights = (sw * s)[:, None] * jac[None, :] * (2.0 * np.pi / body.M)
@@ -65,7 +84,21 @@ def _field_on_points(g, pts):
 
 
 def interior_integral(body, u, g=1.0, Q=DEFAULT_Q):
-    """Integral of g over K against mu = e^{-u} dx."""
+    """Integral of g over K against mu = e^{-u} dx.
+
+    With a tuple g, the tuple of the integrals of its entries.
+    """
+    grouped = isinstance(g, tuple)
+    group = g if grouped else (g,)
     pts, weights = interior_nodes(body, Q)
-    vals = _field_on_points(g, pts)
-    return float(np.sum(weights * vals * u.weight(pts)))
+    w = u.weight(pts)
+    out = []
+    for k, gk in enumerate(group):
+        val = float(np.sum(weights * _field_on_points(gk, pts) * w))
+        if not np.isfinite(val):
+            name = repr(getattr(gk, "descriptor", gk))
+            if grouped:
+                name = f"integrand {k} of {len(group)} ({name})"
+            raise NonFiniteIntegral(f"interior integral of {name} against {u!r} is {val}")
+        out.append(val)
+    return tuple(out) if grouped else out[0]

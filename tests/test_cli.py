@@ -184,8 +184,21 @@ def test_quad_m_override(tmp_path):
     ("solve", "pde.N = 3"),
     ("forms-check", "forms.pairs = 0"),
     ("spectral", "spectral.samples = -1"),
+    ("solve", "potential.kind = even-quartic\npotential.eps = -1"),
+    ("solve", "potential.kind = quadratic\npotential.a = 1, 0, 0, -1"),
+    ("solve", "quad.Q = abc"),
+    ("solve", "quad.Q = 32.5"),
+    ("forms-check", "forms.pairs = true"),
+    ("solve", "pde.N = 16, 18"),
+    ("solve", "seed = x"),
+    ("forms-check", "forms.pairs = x"),
+    ("spectral", "spectral.samples = 20.0"),
+    ("bm", "body2.kind = disk\nbm.nodes = abc"),
+    ("flow", "flow.points = 2.5"),
 ], ids=["negative-radius", "nan-radius", "inf-axis", "nan-eps", "inf-eps", "nan-M",
-        "N-below-4", "zero-pairs", "negative-samples"])
+        "N-below-4", "zero-pairs", "negative-samples", "negative-eps", "indefinite-A",
+        "text-Q", "fractional-Q", "bool-pairs", "list-N", "text-seed", "text-pairs",
+        "float-samples", "text-nodes", "fractional-points"])
 def test_bad_numeric_value_is_config_error(tmp_path, capsys, command, lines):
     # each line overrides the matching key of a valid disk + gaussian config
     cfg = {"body.kind": "disk", "potential.kind": "gaussian"}

@@ -244,3 +244,21 @@ def test_scaling_covariance(t):
     It = forms.form_I(body, u, t * rho, phi)
     assert Pt == pytest.approx(t * t * P, rel=1e-10, abs=1e-10)
     assert It == pytest.approx(t * I, rel=1e-10, abs=1e-10)
+
+
+def test_mean_form_check_reuses_nodes_and_radial_rule(ellipse21, quad14, monkeypatch):
+    nodes, rules = [], []
+    build_nodes, leggauss = quad.interior_nodes, np.polynomial.legendre.leggauss
+    monkeypatch.setattr(quad, "interior_nodes",
+                        lambda body, Q=quad.DEFAULT_Q: nodes.append(Q) or build_nodes(body, Q))
+    monkeypatch.setattr(np.polynomial.legendre, "leggauss",
+                        lambda deg: rules.append(deg) or leggauss(deg))
+    quad._radial_rule.cache_clear()
+    rng = np.random.default_rng(5)
+    forms.check_mean_form(ellipse21, quad14, random_boundary_field(rng, ellipse21.M),
+                          random_interior_field(rng))
+    assert len(nodes) <= 3
+    for k in range(50):
+        forms.check_mean_form(ellipse21, quad14, random_boundary_field(rng, ellipse21.M),
+                              random_interior_field(rng), Q=(24, 32)[k % 2])
+    assert sorted(rules) == [24, 32]

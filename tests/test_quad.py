@@ -98,3 +98,43 @@ def test_interior_requires_interior_origin(gaussian):
     body = SupportFunction2D(1.0 + 1.5 * np.cos(t))
     with pytest.raises(OriginOutside):
         quad.interior_integral(body, gaussian, 1.0)
+
+
+def test_radial_rule_is_the_leggauss_transform():
+    for Q in (16, 32, 64):
+        x, w = np.polynomial.legendre.leggauss(Q)
+        s, sw = quad._radial_rule(Q)
+        assert np.array_equal(s, 0.5 * (x + 1.0)) and np.array_equal(sw, 0.5 * w)
+        assert quad._radial_rule(Q) is quad._radial_rule(Q)
+        assert not s.flags.writeable and not sw.flags.writeable
+        with pytest.raises(ValueError):
+            s[0] = 0.0
+
+
+def test_tuple_integrand_equals_separate_calls(ellipse21, blob, quad14, quartic):
+    moment = InteriorField(lambda p: np.einsum("...i,...i->...", quad14.grad(p), p))
+    group = (1.0, InteriorField.coordinate(0), moment, lambda p: p[..., 1] ** 2)
+    for body in (ellipse21, blob):
+        for u in (quad14, quartic):
+            together = quad.interior_integral(body, u, group, Q=24)
+            apart = tuple(quad.interior_integral(body, u, g, Q=24) for g in group)
+            assert together == apart and all(type(v) is float for v in together)
+    assert quad.interior_integral(blob, quad14, (moment,)) == (
+        quad.interior_integral(blob, quad14, moment),)
+
+
+def test_non_finite_integral_names_the_integrand(disk1, gaussian):
+    from convexlab.errors import ConvexLabError, NonFiniteIntegral
+    from convexlab.measure import Potential
+    from convexlab.pde import concavity_power
+
+    nan_u = Potential("nan", lambda p: np.full(len(p), np.nan), lambda p: np.zeros(p.shape),
+                      lambda p: np.broadcast_to(np.eye(2), (len(p), 2, 2)).copy())
+    with pytest.raises(NonFiniteIntegral, match="'nan'"):
+        quad.interior_integral(disk1, nan_u, 1.0)
+    blowup = InteriorField(lambda p: np.where(p[..., 0] > 0, np.inf, 0.0),
+                           descriptor={"kind": "blow-up"})
+    with pytest.raises(NonFiniteIntegral, match="integrand 1 of 2 .*blow-up"):
+        quad.interior_integral(disk1, gaussian, (1.0, blowup))
+    with pytest.raises(ConvexLabError):
+        concavity_power(disk1, nan_u)
