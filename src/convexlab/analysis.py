@@ -30,7 +30,7 @@ import scipy.linalg
 from .errors import CoercivityFailure, PinchingUndeclared
 from .forms import form_I
 from .geometry import minkowski_combine, wulff_perturb
-from .measure import _inv_2x2
+from .measure import _hgg, _inv_2x2
 from .pde import DEFAULT_N, radial_moment_field, solve_report
 from .quad import DEFAULT_Q, boundary_integral, interior_integral, interior_nodes
 
@@ -290,7 +290,7 @@ def pinching_bounds(body, u, N=DEFAULT_N, Q=DEFAULT_Q):
     g = u.grad(flat)
     Hinv = _inv_2x2(u.hess(flat))
     muK = float(np.sum(wmu))
-    moment = float(np.sum(wmu * np.einsum("ijk,ik,ij->i", Hinv, g, g))) / muK
+    moment = float(np.sum(wmu * _hgg(Hinv, g, g))) / muK
     p = solve_report(body, u, N=N, Q=Q)["p"]
     tol = 1e-9
     checks = {

@@ -29,7 +29,7 @@ import numpy as np
 from .errors import FlowNotConvex, OriginOutside, PerturbationTooLarge
 from .forms import InteriorField, form_BL, form_I, form_P, _as_boundary_field
 from .geometry import gauge_angle, wulff_perturb
-from .measure import flow_potential, weighted_mean_curvature
+from .measure import _dot2, _hgg, flow_potential, weighted_mean_curvature
 from .quad import DEFAULT_Q, boundary_integral, interior_integral
 
 __all__ = [
@@ -143,7 +143,7 @@ def psi_composed_field(u, psi):
         return psi.value(u.grad(pts))
 
     def grad(pts):
-        return np.einsum("...ij,...j->...i", u.hess(pts), psi.grad(u.grad(pts)))
+        return _dot2(u.hess(pts), psi.grad(u.grad(pts))[..., None, :])
 
     return InteriorField(value, grad, descriptor={"kind": "psi-composed",
                                                   "psi": psi.descriptor})
@@ -167,7 +167,7 @@ def shape_derivatives(body, u, f, psi=None, Q=DEFAULT_Q):
 
         def carre(pts):
             g = psi.grad(u.grad(pts))
-            return np.einsum("...ij,...j,...i->...", u.hess(pts), g, g)
+            return _hgg(u.hess(pts), g, g)
 
         I0, psi_int, psi_sq, psi_grad = interior_integral(
             body, u, (1.0, phi, InteriorField(lambda p: phi.value(p) ** 2),

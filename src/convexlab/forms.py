@@ -21,6 +21,7 @@ from dataclasses import dataclass, field
 import numpy as np
 
 from . import spectral
+from .measure import _dot2, _hgg, _inv_2x2
 from .quad import DEFAULT_Q, boundary_integral, interior_integral
 
 __all__ = [
@@ -204,8 +205,6 @@ def form_P(body, u, rho0, rho1, Q=DEFAULT_Q):
 def form_BL(body, u, phi0, phi1, Q=DEFAULT_Q, fd_step=None):
     """Interior (variance-type) form <phi0, phi1>_BL; needs del^2 u > 0."""
     u.require_strictly_convex("the interior variance form")
-    from .measure import _inv_2x2
-
     same = phi1 is phi0
     if not isinstance(phi0, InteriorField):
         phi0 = InteriorField(phi0)
@@ -221,7 +220,7 @@ def form_BL(body, u, phi0, phi1, Q=DEFAULT_Q, fd_step=None):
     Hinv = _inv_2x2(u.hess(flat).reshape(-1, 2, 2))
     g0 = phi0.gradient(flat, step=step)
     g1 = g0 if same else phi1.gradient(flat, step=step)
-    grad_term = float(np.sum(wmu * np.einsum("ijk,ik,ij->i", Hinv, g0, g1)))
+    grad_term = float(np.sum(wmu * _hgg(Hinv, g0, g1)))
     v0 = phi0.value(flat)
     v1 = v0 if same else phi1.value(flat)
     prod_term = float(np.sum(wmu * v0 * v1))
@@ -281,11 +280,11 @@ def equality_witness(body, u, alpha, x0=(0.0, 0.0), z=0.0):
 
     def phi_fn(pts):
         y = pts - x0
-        return alpha * (np.einsum("...i,...i->...", y, u.grad(y)) - u.value(y)) + z
+        return alpha * (_dot2(y, u.grad(y)) - u.value(y)) + z
 
     def phi_grad(pts):
         y = pts - x0
-        return alpha * np.einsum("...ij,...j->...i", u.hess(y), y)
+        return alpha * _dot2(u.hess(y), y[..., None, :])
 
     phi = InteriorField(phi_fn, phi_grad,
                         descriptor={"kind": "scaling-witness", "alpha": alpha,
@@ -306,10 +305,10 @@ def translation_witness(body, u, x0, z=0.0):
     rho = BoundaryField(body.normals_grid @ x0)
 
     def phi_fn(pts):
-        return np.einsum("...i,...i->...", u.grad(pts), np.broadcast_to(x0, pts.shape)) + z
+        return _dot2(u.grad(pts), x0) + z
 
     def phi_grad(pts):
-        return np.einsum("...ij,...j->...i", u.hess(pts), np.broadcast_to(x0, pts.shape))
+        return _dot2(u.hess(pts), x0)
 
     phi = InteriorField(phi_fn, phi_grad,
                         descriptor={"kind": "translation-witness",

@@ -76,6 +76,62 @@ def _inv_2x2(H):
     return out
 
 
+# Per-point 2x2 algebra written out in np.einsum's own order, so each kernel
+# equals the einsum it names bit for bit: products left to right, the first
+# summed index outer and the second inner, accumulated onto +0.0 as einsum's
+# zeroed output is (the leading ``0.0 +`` turns an all -0.0 sum into +0.0).
+# On a stack of one point (up to two for _qform) einsum's iterator moves the
+# short point axis out of the inner loop and sums each row of a 4-term form
+# apart, so _qform and _hgg group their sums the same way there.
+
+
+def _dot2(a, b):
+    """einsum("...i,...i->...", a, b); broadcasting gives H v and v C as well."""
+    return 0.0 + a[..., 0] * b[..., 0] + a[..., 1] * b[..., 1]
+
+
+def _qform(p, A, q):
+    """einsum("ij,jk,ik->i", p, A, q) for one (2, 2) matrix A, any leading shape."""
+    p0, p1, q0, q1 = p[..., 0], p[..., 1], q[..., 0], q[..., 1]
+    t00, t01 = p0 * A[0, 0] * q0, p0 * A[0, 1] * q1
+    t10, t11 = p1 * A[1, 0] * q0, p1 * A[1, 1] * q1
+    if t00.size <= 2:
+        return 0.0 + ((t00 + t01) + (t10 + t11))
+    return 0.0 + t00 + t01 + t10 + t11
+
+
+def _hgg(H, a, b):
+    """einsum("ijk,ik,ij->i", H, a, b), i.e. <H a, b> per point.
+
+    Any leading shape.  Exact for a C-ordered H stack only: with an F-ordered
+    H, einsum sums k outer and j inner, and the result moves by an ulp.
+    """
+    a0, a1, b0, b1 = a[..., 0], a[..., 1], b[..., 0], b[..., 1]
+    t00, t01 = H[..., 0, 0] * a0 * b0, H[..., 0, 1] * a1 * b0
+    t10, t11 = H[..., 1, 0] * a0 * b1, H[..., 1, 1] * a1 * b1
+    if t00.size == 1:
+        return 0.0 + ((t00 + t01) + (t10 + t11))
+    return 0.0 + t00 + t01 + t10 + t11
+
+
+def _matmul_2x2(A, B):
+    """einsum("ijk,ikl->ijl", A, B) for two (..., 2, 2) stacks."""
+    out = np.empty(np.broadcast_shapes(A.shape, B.shape))
+    for j in range(2):
+        for l in range(2):
+            out[..., j, l] = 0.0 + A[..., j, 0] * B[..., 0, l] + A[..., j, 1] * B[..., 1, l]
+    return out
+
+
+def _outer2(p):
+    """einsum("ij,ik->ijk", p, p) for a (..., 2) stack."""
+    out = np.empty(p.shape + (2,))
+    for j in range(2):
+        for k in range(2):
+            out[..., j, k] = 0.0 + p[..., j] * p[..., k]
+    return out
+
+
 class Potential:
     """Smooth convex potential with vectorized value/gradient/Hessian."""
 
@@ -129,7 +185,7 @@ class Potential:
 def gaussian_potential():
     """u = |x|^2 / 2; self-dual, pinching k1 = k2 = 1."""
     def value(p):
-        return 0.5 * np.einsum("ij,ij->i", p, p)
+        return 0.5 * _dot2(p, p)
 
     def grad(p):
         return p.copy()
@@ -154,7 +210,7 @@ def quadratic_potential(A):
         raise NotConvexPotential(f"matrix eigenvalues {eigs} are not all positive")
 
     def value(p):
-        return 0.5 * np.einsum("ij,jk,ik->i", p, A, p)
+        return 0.5 * _qform(p, A, p)
 
     def grad(p):
         return p @ A.T
@@ -179,16 +235,16 @@ def even_quartic_potential(eps, pinching=None):
         raise NotConvexPotential("even-quartic needs a finite eps >= 0")
 
     def value(p):
-        n2 = np.einsum("ij,ij->i", p, p)
+        n2 = _dot2(p, p)
         return 0.5 * n2 + eps * n2**2
 
     def grad(p):
-        n2 = np.einsum("ij,ij->i", p, p)
+        n2 = _dot2(p, p)
         return p * (1.0 + 4.0 * eps * n2)[:, None]
 
     def hess(p):
-        n2 = np.einsum("ij,ij->i", p, p)
-        out = np.einsum("ij,ik->ijk", p, p) * (8.0 * eps)
+        n2 = _dot2(p, p)
+        out = _outer2(p) * (8.0 * eps)
         diag = 1.0 + 4.0 * eps * n2
         out[:, 0, 0] += diag
         out[:, 1, 1] += diag
@@ -301,10 +357,11 @@ def verify_pinching(u, points, tol=1e-9):
     tr = H[:, 0, 0] + H[:, 1, 1]
     det = H[:, 0, 0] * H[:, 1, 1] - H[:, 0, 1] * H[:, 1, 0]
     lam_min = 0.5 * (tr - np.sqrt(np.maximum(tr**2 - 4 * det, 0.0)))
-    if lam_min.min() < k1 - tol:
+    # negated comparisons, so that a NaN Hessian fails instead of passing
+    if not lam_min.min() >= k1 - tol:
         raise PinchingViolation(
             f"min Hessian eigenvalue {lam_min.min():.6g} < declared k1 = {k1:.6g}")
-    if tr.max() > 2.0 * k2 + tol:
+    if not tr.max() <= 2.0 * k2 + tol:
         raise PinchingViolation(
             f"max Laplacian {tr.max():.6g} > declared 2*k2 = {2 * k2:.6g}")
 
@@ -335,14 +392,14 @@ def _conjugate_newton(u, y):
         d = -_solve_2x2(H, g)
         # Armijo backtracking on q(z) = u(z) - <y, z>; the floor term keeps
         # rounding noise in q from rejecting converged full steps
-        q0 = u._value(zi) - np.einsum("ij,ij->i", yi, zi)
-        gd = np.einsum("ij,ij->i", g, d)
+        q0 = u._value(zi) - _dot2(yi, zi)
+        gd = _dot2(g, d)
         floor = 1e-14 * (np.abs(q0) + 1.0)
         step = np.ones(len(idx))
         pending = np.ones(len(idx), dtype=bool)
         for _ in range(60):
             zt = zi + step[:, None] * d
-            qt = u._value(zt) - np.einsum("ij,ij->i", yi, zt)
+            qt = u._value(zt) - _dot2(yi, zt)
             ok = qt <= q0 + ARMIJO * step * gd + floor
             pending &= ~ok
             if not pending.any():
@@ -352,7 +409,7 @@ def _conjugate_newton(u, y):
     if active.any():
         raise NewtonDivergence(
             f"conjugate Newton failed to converge for {int(active.sum())} point(s)")
-    val = np.einsum("ij,ij->i", y, z) - u._value(z)
+    val = _dot2(y, z) - u._value(z)
     return val, z
 
 
@@ -427,7 +484,7 @@ class QuadraticPerturbation(Perturbation):
 
     def value(self, y):
         flat, lead = _flatten(y)
-        out = 0.5 * np.einsum("ij,jk,ik->i", flat, self.B, flat) + flat @ self.b + self.c
+        out = 0.5 * _qform(flat, self.B, flat) + flat @ self.b + self.c
         return out.reshape(lead)
 
     def grad(self, y):
@@ -506,7 +563,7 @@ def _flow_closed_form(u, psi, t):
 
         def value(p):
             q = p - tb
-            return 0.5 * np.einsum("ij,jk,ik->i", q, Minv, q) + const
+            return 0.5 * _qform(q, Minv, q) + const
 
         def grad(p):
             return (p - tb) @ Minv.T
@@ -541,7 +598,7 @@ def _flow_newton(u, psi, t, x):
         keep = ~done
         idx, zi, xi, R = idx[keep], zi[keep], xi[keep], R[keep]
         y = y[keep]
-        J = t * np.einsum("ijk,ikl->ijl", psi.hess(y), u._hess(zi))
+        J = t * _matmul_2x2(psi.hess(y), u._hess(zi))
         J[:, 0, 0] += 1.0
         J[:, 1, 1] += 1.0
         det = J[:, 0, 0] * J[:, 1, 1] - J[:, 0, 1] * J[:, 1, 0]
@@ -556,7 +613,7 @@ def _flow_newton(u, psi, t, x):
         for _ in range(60):
             zt = zi + step[:, None] * d
             Rt = zt + t * psi.grad(u._grad(zt)) - xi
-            phit = 0.5 * np.einsum("ij,ij->i", Rt, Rt)
+            phit = 0.5 * _dot2(Rt, Rt)
             ok = phit <= (1.0 - 2.0 * ARMIJO * step) * phi0 + floor
             pending &= ~ok
             if not pending.any():
@@ -570,7 +627,7 @@ def _flow_newton(u, psi, t, x):
     Hdual = _inv_2x2(u._hess(z)) + t * psi.hess(y)  # Hessian of u* + t*psi at y
     if not _spd_2x2(Hdual).all():
         raise FlowNotConvex("u* + t*psi is not strictly convex at the maximizer")
-    val = np.einsum("ij,ij->i", x - z, y) + u._value(z) - t * psi.value(y)
+    val = _dot2(x - z, y) + u._value(z) - t * psi.value(y)
     return val, y, _inv_2x2(Hdual)
 
 
@@ -634,7 +691,7 @@ def flow_derivatives(u, psi, t, x, method="auto"):
     first = -psi.value(flatg)
     gp = psi.grad(flatg)
     Hf = H.reshape(-1, 2, 2)
-    second = np.einsum("ijk,ik,ij->i", Hf, gp, gp)
+    second = _hgg(Hf, gp, gp)
     return first.reshape(lead), second.reshape(lead)
 
 
@@ -648,7 +705,7 @@ def weighted_mean_curvature(body, u, theta=None):
     """
     if theta is None:
         kappa = 1.0 / body.radius_grid
-        return kappa - np.einsum("ij,ij->i", u.grad(body.boundary_grid), body.normals_grid)
+        return kappa - _dot2(u.grad(body.boundary_grid), body.normals_grid)
     from .geometry import boundary_point
 
     bp = boundary_point(body, theta)

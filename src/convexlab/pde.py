@@ -32,7 +32,7 @@ import scipy.linalg
 from . import spectral
 from .errors import CoercivityFailure, ZeroMean
 from .forms import BoundaryField, _as_boundary_field
-from .measure import verify_pinching, weighted_mean_curvature
+from .measure import _dot2, verify_pinching, weighted_mean_curvature
 from .quad import DEFAULT_Q, boundary_integral, interior_integral, interior_nodes
 
 __all__ = [
@@ -185,7 +185,7 @@ def apply_L(body, u, rho, Q=DEFAULT_Q):
     """
     rho = _as_boundary_field(rho, body.M)
     r = body.radius_grid
-    drift = np.einsum("ij,ij->i", u.grad(body.boundary_grid), body.tangents_grid)
+    drift = _dot2(u.grad(body.boundary_grid), body.tangents_grid)
     hmu = weighted_mean_curvature(body, u)
     muK = interior_integral(body, u, 1.0, Q=Q)
     mean = boundary_integral(body, u, rho.values) / muK
@@ -203,7 +203,7 @@ def support_identity_check(body, u, Q=DEFAULT_Q):
     moment = radial_moment_field(u)
     int_moment, muK = interior_integral(body, u, (moment, 1.0), Q=Q)
     lhs = apply_L(body, u, BoundaryField(body.values), Q=Q).values
-    rhs = 1.0 + np.einsum("ij,ij->i", u.grad(xb), xb) - int_moment / muK
+    rhs = 1.0 + _dot2(u.grad(xb), xb) - int_moment / muK
     scale_pw = max(1.0, float(np.abs(rhs).max()))
     resid_pointwise = float(np.abs(lhs - rhs).max())
 
@@ -226,10 +226,10 @@ def radial_moment_field(u):
     from .forms import InteriorField
 
     def value(pts):
-        return np.einsum("...i,...i->...", u.grad(pts), pts)
+        return _dot2(u.grad(pts), pts)
 
     def grad(pts):
-        return np.einsum("...ij,...j->...i", u.hess(pts), pts) + u.grad(pts)
+        return _dot2(u.hess(pts), pts[..., None, :]) + u.grad(pts)
 
     return InteriorField(value, grad, descriptor={"kind": "radial-moment"})
 

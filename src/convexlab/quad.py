@@ -16,7 +16,8 @@ The radial Gauss-Legendre rule depends on Q alone, so it is built once per Q
 per process and shared read-only.  ``interior_integral`` also takes a tuple of
 integrands and then returns the tuple of their integrals from one node set and
 one evaluation of e^{-u}; each entry equals the single-integrand call bit for
-bit.  A result that is not finite raises ``NonFiniteIntegral``.
+bit.  A boundary or interior result that is not finite raises
+``NonFiniteIntegral``.
 """
 
 import functools
@@ -47,7 +48,10 @@ def boundary_integral(body, u, g=1.0):
     """Integral of g over the boundary of K against mu."""
     vals = _field_on_grid(g, body)
     w = u.weight(body.boundary_grid) * body.radius_grid
-    return float(np.sum(vals * w) * 2.0 * np.pi / body.M)
+    val = float(np.sum(vals * w) * 2.0 * np.pi / body.M)
+    if not np.isfinite(val):
+        raise NonFiniteIntegral(f"boundary integral against {u!r} is {val}")
+    return val
 
 
 @functools.lru_cache(maxsize=16)

@@ -10,6 +10,8 @@ import numpy as np
 from .forms import BoundaryField, InteriorField
 from .geometry import disk, ellipse, fourier_body
 from .measure import (
+    _dot2,
+    _qform,
     even_quartic_potential,
     gaussian_potential,
     quadratic_potential,
@@ -69,10 +71,10 @@ def random_interior_field(rng):
         c = rng.standard_normal()
 
         def value(p, C=C, b=b, c=c):
-            return 0.5 * np.einsum("...i,ij,...j->...", p, C, p) + p @ b + c
+            return 0.5 * _qform(p, C, p) + p @ b + c
 
         def grad(p, C=C, b=b):
-            return np.einsum("...j,ij->...i", p, C) + b
+            return _dot2(p[..., None, :], C) + b
 
         return InteriorField(value, grad, descriptor={"kind": "random-quadratic"})
     a = rng.standard_normal()

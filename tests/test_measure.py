@@ -222,6 +222,15 @@ def test_pinching_verification(quartic, rng):
     measure.verify_pinching(ok, pts)  # no raise
 
 
+@pytest.mark.parametrize("bad", [np.nan, np.inf])
+def test_pinching_verification_rejects_non_finite_hessian(bad, rng):
+    pts = rng.normal(size=(40, 2))
+    u = measure.Potential("broken", lambda p: np.zeros(len(p)), lambda p: np.zeros(p.shape),
+                          lambda p: np.full((len(p), 2, 2), bad), pinching=(1.0, 2.0))
+    with pytest.raises(PinchingViolation):
+        measure.verify_pinching(u, pts)
+
+
 def test_translate_and_shift(gaussian, rng):
     v = np.array([0.3, -0.1])
     ut = measure.translate_potential(gaussian, v)

@@ -138,3 +138,17 @@ def test_non_finite_integral_names_the_integrand(disk1, gaussian):
         quad.interior_integral(disk1, gaussian, (1.0, blowup))
     with pytest.raises(ConvexLabError):
         concavity_power(disk1, nan_u)
+
+
+def test_non_finite_boundary_integral_raises(disk1, gaussian):
+    from convexlab.errors import NonFiniteIntegral
+    from convexlab.measure import Potential
+
+    nan_u = Potential("nan", lambda p: np.full(len(p), np.nan), lambda p: np.zeros(p.shape),
+                      lambda p: np.broadcast_to(np.eye(2), (len(p), 2, 2)).copy())
+    with pytest.raises(NonFiniteIntegral, match="boundary integral .*'nan'"):
+        quad.boundary_integral(disk1, nan_u, 1.0)
+    spike = np.zeros(disk1.M)
+    spike[3] = np.inf
+    with pytest.raises(NonFiniteIntegral, match="boundary integral"):
+        quad.boundary_integral(disk1, gaussian, spike)
