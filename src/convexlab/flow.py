@@ -103,18 +103,14 @@ def vector_field_X(body, f, t, x):
     """
     f = _as_boundary_field(f, body.M)
     pts = np.asarray(x, dtype=float)
-    lead = pts.shape[:-1]
     flat = pts.reshape(-1, 2)
-    out = flat.copy()
-    for i, xi in enumerate(flat):
-        s, theta = gauge_angle(body, xi)
-        if s == 0.0:
-            continue
-        nu = np.array([np.cos(theta), np.sin(theta)])
-        tau = np.array([-np.sin(theta), np.cos(theta)])
-        grad_f = float(f.eval(theta, 1)) * tau + float(f.eval(theta)) * nu
-        out[i] = xi + t * s * grad_f
-    return out.reshape(lead + (2,))
+    s, theta = gauge_angle(body, flat)
+    c, sn = np.cos(theta)[:, None], np.sin(theta)[:, None]
+    grad_f = (f.eval(theta, 1)[:, None] * np.hstack([-sn, c])
+              + f.eval(theta)[:, None] * np.hstack([c, sn]))
+    # the origin (s = 0) stays put exactly, signed zeros included
+    out = np.where((s == 0.0)[:, None], flat, flat + t * s[:, None] * grad_f)
+    return out.reshape(pts.shape[:-1] + (2,))
 
 
 def marginal_S(body, u, cfg, Q=DEFAULT_Q):

@@ -318,58 +318,71 @@ def center(body):
     return out
 
 
-def _gauge_objective(body, x, theta):
-    """g = <x, nu>/h and its first two angular derivatives."""
-    c, s = np.cos(theta), np.sin(theta)
-    num = x[0] * c + x[1] * s
-    num1 = -x[0] * s + x[1] * c
-    num2 = -num
-    h0 = body.h(theta)
-    h1 = body.h(theta, 1)
-    h2 = body.h(theta, 2)
-    g = num / h0
-    g1 = num1 / h0 - num * h1 / h0**2
-    g2 = (num2 / h0 - 2.0 * num1 * h1 / h0**2
-          - num * h2 / h0**2 + 2.0 * num * h1**2 / h0**3)
-    return g, g1, g2
-
-
 def gauge_angle(body, x, newton_steps=20, tol=1e-12):
-    """Gauge ||x||_K with the maximizing normal angle.
+    """Gauge ||x||_K with the maximizing normal angle, for points of shape (..., 2).
 
-    Dual formula over supporting halfspaces: ||x||_K = sup_theta <x, nu>/h.
-    Coarse grid argmax refined by a clamped Newton iteration on the angle.
+    Dual formula over supporting halfspaces: ||x||_K = sup_theta g(theta),
+    g = <x, nu>/h.  Coarse grid argmax refined by a clamped Newton iteration
+    on the angle, run on all points at once; each point stops on its own
+    g'' >= 0 or |step| < tol test.  One point (2,) gives (float, float), a
+    stack gives two arrays of the leading shape; the origin gives (0, 0).
+    Each point's result is bit-identical to its one-point call: the coarse
+    grid is one matrix-vector product per point (one matrix product for the
+    stack rounds some entries differently), and the powers of h go through
+    libm's pow as the scalar ``**`` does (np.power's SIMD loop does not).
     """
     body.require_interior_origin()
     x = np.asarray(x, dtype=float)
+    if x.shape[-1:] != (2,):
+        raise ValueError("gauge needs points of shape (..., 2)")
     if not np.all(np.isfinite(x)):
         raise ValueError("gauge of a non-finite point")
-    if np.hypot(x[0], x[1]) == 0.0:
-        return 0.0, 0.0
-    g_grid = (body.normals_grid @ x) / body.values
-    j = int(np.argmax(g_grid))
+    X = x.reshape(-1, 2)
+    g_grid = np.matmul(body.normals_grid[None], X[:, :, None])[..., 0] / body.values
+    j = np.argmax(g_grid, axis=1)
     theta = body.theta_grid[j]
-    best_g, best_t = g_grid[j], theta
+    best_g, best_t = g_grid[np.arange(len(X)), j], theta.copy()
+    active = np.hypot(X[:, 0], X[:, 1]) != 0.0
+    best_g[~active] = best_t[~active] = 0.0
+    last = np.zeros(len(X), dtype=bool)  # stepped below tol: one more evaluation
     step_cap = 2.0 * (2.0 * np.pi / body.M)
-    for _ in range(newton_steps):
-        g, g1, g2 = _gauge_objective(body, x, theta)
-        if g > best_g:
-            best_g, best_t = g, theta
-        if g2 >= 0.0:
+    for it in range(newton_steps + 1):
+        if it == newton_steps:
+            active &= last
+        idx = np.flatnonzero(active)
+        if not idx.size:
             break
-        step = -g1 / g2
-        step = float(np.clip(step, -step_cap, step_cap))
-        theta += step
-        if abs(step) < tol:
-            g = _gauge_objective(body, x, theta)[0]
-            if g > best_g:
-                best_g, best_t = g, theta
-            break
-    return float(best_g), float(best_t % (2.0 * np.pi))
+        th, x0, x1 = theta[idx], X[idx, 0], X[idx, 1]
+        c, s = np.cos(th), np.sin(th)
+        num = x0 * c + x1 * s
+        num1 = -x0 * s + x1 * c
+        h0, h1, h2 = body.h(th), body.h(th, 1), body.h(th, 2)
+        h0_2, h0_3 = np.float_power(h0, 2), np.float_power(h0, 3)
+        g = num / h0
+        g1 = num1 / h0 - num * h1 / h0_2
+        g2 = (-num / h0 - 2.0 * num1 * h1 / h0_2
+              - num * h2 / h0_2 + 2.0 * num * np.float_power(h1, 2) / h0_3)
+        up = g > best_g[idx]
+        best_g[idx[up]] = g[up]
+        best_t[idx[up]] = th[up]
+        stop = last[idx] | (g2 >= 0.0)
+        active[idx[stop]] = False
+        go = idx[~stop]
+        step = np.clip(-g1[~stop] / g2[~stop], -step_cap, step_cap)
+        theta[go] = th[~stop] + step
+        last[go] = np.abs(step) < tol
+    best_t %= 2.0 * np.pi
+    if x.ndim == 1:
+        return float(best_g[0]), float(best_t[0])
+    return best_g.reshape(x.shape[:-1]), best_t.reshape(x.shape[:-1])
 
 
 def gauge(body, x):
-    """Gauge function ||x||_K = inf{tau >= 0 : x in tau*K}."""
+    """Gauge function ||x||_K = inf{tau >= 0 : x in tau*K}.
+
+    Takes points of shape (..., 2) like ``gauge_angle``: a float for one
+    point, an array of the leading shape for a stack.
+    """
     return gauge_angle(body, x)[0]
 
 

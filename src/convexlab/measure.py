@@ -12,6 +12,7 @@ All evaluation is pure; points may be passed with any leading shape (..., 2).
 import numpy as np
 
 from .errors import (
+    ConvexLabError,
     FlowNotConvex,
     LebesgueModeRestriction,
     NewtonDivergence,
@@ -353,6 +354,8 @@ def verify_pinching(u, points, tol=1e-9):
         return
     k1, k2 = u.pinching
     pts, _ = _flatten(points)
+    if not len(pts):
+        raise ConvexLabError("no points to check the declared pinching at")
     H = u._hess(pts)
     tr = H[:, 0, 0] + H[:, 1, 1]
     det = H[:, 0, 0] * H[:, 1, 1] - H[:, 0, 1] * H[:, 1, 0]

@@ -2,7 +2,7 @@ import numpy as np
 import numpy.testing as npt
 import pytest
 
-from convexlab import flow, forms, geometry, measure, pde
+from convexlab import flow, forms, geometry, measure, pde, spectral
 from convexlab.errors import PerturbationTooLarge
 from convexlab.flow import FlowConfig
 
@@ -46,6 +46,76 @@ def test_vector_field_respects_scaled_boundaries(blob):
             x = s * blob.boundary_grid[j]
             y = flow.vector_field_X(blob, f, t, x)
             assert abs(geometry.gauge(body_t, y) - s) < 1e-7
+
+
+def _per_point_X(body, f, t, x):
+    """Reference X_t: the per-point loop that the batched gauge replaced."""
+    pts = np.asarray(x, dtype=float)
+    flat = pts.reshape(-1, 2)
+    out = flat.copy()
+    for i, xi in enumerate(flat):
+        s, theta = geometry.gauge_angle(body, xi)
+        if s == 0.0:
+            continue
+        nu = np.array([np.cos(theta), np.sin(theta)])
+        tau = np.array([-np.sin(theta), np.cos(theta)])
+        grad_f = float(f.eval(theta, 1)) * tau + float(f.eval(theta)) * nu
+        out[i] = xi + t * s * grad_f
+    return out.reshape(pts.shape[:-1] + (2,))
+
+
+def _seeded_f(rng, M=256):
+    t = spectral.grid(M)
+    vals = np.full(M, rng.uniform(-0.1, 0.1))
+    for k in (2, 3):
+        vals += rng.uniform(-1.0, 1.0) * np.cos(k * t) + rng.uniform(-0.2, 0.2) * np.sin(k * t)
+    return forms.BoundaryField(vals)
+
+
+@pytest.mark.parametrize("name", ["disk1", "ellipse21", "blob"])
+@pytest.mark.parametrize("t", [-0.05, 0.05])
+def test_vector_field_matches_per_point_loop(name, t, request):
+    body = request.getfixturevalue(name)
+    rng = np.random.default_rng(7 + body.M + int(100 * t))
+    f = _seeded_f(rng)
+    j = rng.integers(0, body.M, size=40)
+    on_rays = rng.uniform(0.1, 1.2, size=40)[:, None] * body.boundary_grid[j]
+    x = np.vstack([on_rays, rng.normal(size=(40, 2)), [[0.0, 0.0], [-0.0, 0.0]]])
+    assert flow.vector_field_X(body, f, t, x).tobytes() == _per_point_X(body, f, t, x).tobytes()
+    grid = x[:78].reshape(6, 13, 2)
+    assert flow.vector_field_X(body, f, t, grid).tobytes() == _per_point_X(body, f, t, grid).tobytes()
+    for one in (x[0], x[50], x[-1]):
+        y = flow.vector_field_X(body, f, t, one)
+        assert y.shape == (2,) and y.tobytes() == _per_point_X(body, f, t, one).tobytes()
+    assert flow.vector_field_X(body, f, t, np.zeros((0, 2))).shape == (0, 2)
+
+
+def test_vector_field_has_no_per_point_loop(ellipse21, monkeypatch):
+    gauge_calls, evaluate_calls = [], []
+    gauge_angle, evaluate = geometry.gauge_angle, spectral.evaluate
+
+    def counted_gauge(*args, **kwargs):
+        gauge_calls.append(1)
+        return gauge_angle(*args, **kwargs)
+
+    def counted_evaluate(*args, **kwargs):
+        evaluate_calls.append(1)
+        return evaluate(*args, **kwargs)
+
+    for module in (geometry, flow):  # every namespace that binds the name
+        monkeypatch.setattr(module, "gauge_angle", counted_gauge)
+    monkeypatch.setattr(spectral, "evaluate", counted_evaluate)
+    rng = np.random.default_rng(3)
+    f = _seeded_f(rng)
+    x = rng.normal(size=(100, 2))
+    counts = {}
+    for n in (10, 100):
+        gauge_calls.clear()
+        evaluate_calls.clear()
+        flow.vector_field_X(ellipse21, f, 0.05, x[:n])
+        assert len(gauge_calls) == 1
+        counts[n] = len(evaluate_calls)
+    assert counts[100] <= counts[10]
 
 
 def test_marginal_constant_without_perturbation(disk1, gaussian):

@@ -3,8 +3,9 @@ import numpy.testing as npt
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
+from hypothesis.extra import numpy as hnp
 
-from convexlab import geometry, spectral
+from convexlab import geometry, spectral, suite
 from convexlab.errors import NotStrictlyConvex, OriginOutside, PerturbationTooLarge
 from convexlab.forms import BoundaryField
 
@@ -159,6 +160,99 @@ def test_gauge_homogeneity_on_rays(s, j):
     body = geometry.ellipse(2.0, 1.0)
     x = s * body.boundary_grid[j]
     assert abs(geometry.gauge(body, x) - s) < 1e-8
+
+
+STANDARD_BODIES = suite.standard_bodies()
+
+
+def _scalar_gauge_angle(body, x, newton_steps=20, tol=1e-12):
+    """One-point reference: the scalar Newton that the batched gauge replaced."""
+    if np.hypot(x[0], x[1]) == 0.0:
+        return 0.0, 0.0
+
+    def objective(theta):
+        c, s = np.cos(theta), np.sin(theta)
+        num, num1 = x[0] * c + x[1] * s, -x[0] * s + x[1] * c
+        h0, h1, h2 = body.h(theta), body.h(theta, 1), body.h(theta, 2)
+        g1 = num1 / h0 - num * h1 / h0**2
+        g2 = (-num / h0 - 2.0 * num1 * h1 / h0**2
+              - num * h2 / h0**2 + 2.0 * num * h1**2 / h0**3)
+        return num / h0, g1, g2
+
+    g_grid = (body.normals_grid @ x) / body.values
+    j = int(np.argmax(g_grid))
+    theta = body.theta_grid[j]
+    best_g, best_t = g_grid[j], theta
+    step_cap = 2.0 * (2.0 * np.pi / body.M)
+    for _ in range(newton_steps):
+        g, g1, g2 = objective(theta)
+        if g > best_g:
+            best_g, best_t = g, theta
+        if g2 >= 0.0:
+            break
+        step = float(np.clip(-g1 / g2, -step_cap, step_cap))
+        theta += step
+        if abs(step) < tol:
+            g = objective(theta)[0]
+            if g > best_g:
+                best_g, best_t = g, theta
+            break
+    return float(best_g), float(best_t % (2.0 * np.pi))
+
+
+_coords = st.floats(min_value=-3.0, max_value=3.0, allow_nan=False)
+
+
+@settings(max_examples=60, deadline=None)
+@given(name=st.sampled_from(sorted(STANDARD_BODIES)),
+       X=hnp.arrays(float, st.one_of(st.tuples(st.integers(0, 30), st.just(2)),
+                                     st.tuples(st.integers(0, 4), st.integers(0, 4),
+                                               st.just(2))),
+                    elements=_coords),
+       data=st.data())
+def test_gauge_angle_batch_equals_single_point_calls(name, X, data):
+    body = STANDARD_BODIES[name]
+    flat = X.reshape(-1, 2)
+    origin = data.draw(hnp.arrays(bool, len(flat)))
+    flat[origin] = 0.0  # rows at the origin give (0, 0)
+    s, theta = geometry.gauge_angle(body, X)
+    ref = np.array([geometry.gauge_angle(body, x) for x in flat], dtype=float)
+    ref = ref.reshape(X.shape)  # (..., 2) stack of one-point (s, theta)
+    assert s.shape == theta.shape == X.shape[:-1]
+    assert s.tobytes() == ref[..., 0].tobytes()
+    assert theta.tobytes() == ref[..., 1].tobytes()
+    assert np.all(s.reshape(-1)[origin] == 0.0) and np.all(theta.reshape(-1)[origin] == 0.0)
+
+
+@settings(max_examples=60, deadline=None)
+@given(name=st.sampled_from(sorted(STANDARD_BODIES)),
+       X=hnp.arrays(float, st.tuples(st.integers(1, 8), st.just(2)), elements=_coords),
+       newton_steps=st.one_of(st.integers(0, 4), st.just(20)),
+       tol=st.sampled_from([1e-12, 1e-6, 1e-2]))
+def test_gauge_angle_matches_scalar_newton(name, X, newton_steps, tol):
+    body = STANDARD_BODIES[name]
+    ref = np.array([_scalar_gauge_angle(body, x, newton_steps, tol) for x in X])
+    s, theta = geometry.gauge_angle(body, X, newton_steps, tol)
+    assert s.tobytes() == ref[:, 0].tobytes() and theta.tobytes() == ref[:, 1].tobytes()
+    one = geometry.gauge_angle(body, X[0], newton_steps, tol)
+    assert all(type(v) is float for v in one)
+    assert np.array(one).tobytes() == ref[0].tobytes()
+
+
+def test_gauge_angle_stack_edge_cases(ellipse21, rng):
+    s, theta = geometry.gauge_angle(ellipse21, np.zeros((0, 2)))
+    assert s.shape == theta.shape == (0,)
+    assert geometry.gauge_angle(ellipse21, np.zeros(2)) == (0.0, 0.0)
+    X = rng.normal(size=(3, 4, 2))
+    s, theta = geometry.gauge_angle(ellipse21, X)
+    assert s.shape == theta.shape == (3, 4)
+    assert geometry.gauge(ellipse21, X).tobytes() == s.tobytes()
+    for bad in (np.nan, np.inf):
+        X[1, 2, 0] = bad
+        with pytest.raises(ValueError, match="non-finite"):
+            geometry.gauge_angle(ellipse21, X)
+    with pytest.raises(ValueError, match=r"\(\.\.\., 2\)"):
+        geometry.gauge_angle(ellipse21, np.ones(4))
 
 
 def test_make_body_dispatch_and_errors():

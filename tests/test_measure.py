@@ -6,6 +6,7 @@ from hypothesis import strategies as st
 
 from convexlab import forms, measure, pde
 from convexlab.errors import (
+    ConvexLabError,
     FlowNotConvex,
     LebesgueModeRestriction,
     NotConvexPotential,
@@ -220,6 +221,12 @@ def test_pinching_verification(quartic, rng):
         measure.verify_pinching(wrong, pts * 3.0)
     ok = measure.even_quartic_potential(0.0, pinching=(1.0, 1.0))
     measure.verify_pinching(ok, pts)  # no raise
+
+
+def test_pinching_verification_rejects_empty_point_set(quad14):
+    assert quad14.pinching is not None
+    with pytest.raises(ConvexLabError, match="no points to check"):
+        measure.verify_pinching(quad14, np.zeros((0, 2)))
 
 
 @pytest.mark.parametrize("bad", [np.nan, np.inf])
