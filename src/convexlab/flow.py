@@ -106,8 +106,8 @@ def vector_field_X(body, f, t, x):
     flat = pts.reshape(-1, 2)
     s, theta = gauge_angle(body, flat)
     c, sn = np.cos(theta)[:, None], np.sin(theta)[:, None]
-    grad_f = (f.eval(theta, 1)[:, None] * np.hstack([-sn, c])
-              + f.eval(theta)[:, None] * np.hstack([c, sn]))
+    f0, f1 = f.eval(theta, (0, 1))
+    grad_f = f1[:, None] * np.hstack([-sn, c]) + f0[:, None] * np.hstack([c, sn])
     # the origin (s = 0) stays put exactly, signed zeros included
     out = np.where((s == 0.0)[:, None], flat, flat + t * s[:, None] * grad_f)
     return out.reshape(pts.shape[:-1] + (2,))

@@ -133,11 +133,15 @@ class SupportFunction2D:
     # -- pointwise evaluation -------------------------------------------------
 
     def h(self, theta, order=0):
-        """Evaluate h (or an angular derivative) at arbitrary angles."""
+        """Evaluate h (or angular derivatives) at arbitrary angles.
+
+        ``order`` is one order or a sequence of them, as in spectral.evaluate.
+        """
         return spectral.evaluate(self._coeffs, self.M, theta, order)
 
     def radius(self, theta):
-        return self.h(theta) + self.h(theta, 2)
+        h0, h2 = self.h(theta, (0, 2))
+        return h0 + h2
 
     def require_interior_origin(self):
         if self.values.min() <= 0.0:
@@ -256,9 +260,7 @@ def make_body(descriptor, M=DEFAULT_M):
 def boundary_point(body, theta):
     """Boundary point, frame, and curvature radius at normal angle theta."""
     theta = float(theta) % (2.0 * np.pi)
-    h0 = float(body.h(theta))
-    h1 = float(body.h(theta, 1))
-    h2 = float(body.h(theta, 2))
+    h0, h1, h2 = (float(v) for v in body.h(theta, (0, 1, 2)))
     nu = np.array([np.cos(theta), np.sin(theta)])
     tau = np.array([-np.sin(theta), np.cos(theta)])
     return BoundaryPoint(theta=theta, x=h0 * nu + h1 * tau, nu=nu, tau=tau, r=h0 + h2)
@@ -356,7 +358,7 @@ def gauge_angle(body, x, newton_steps=20, tol=1e-12):
         c, s = np.cos(th), np.sin(th)
         num = x0 * c + x1 * s
         num1 = -x0 * s + x1 * c
-        h0, h1, h2 = body.h(th), body.h(th, 1), body.h(th, 2)
+        h0, h1, h2 = body.h(th, (0, 1, 2))
         h0_2, h0_3 = np.float_power(h0, 2), np.float_power(h0, 3)
         g = num / h0
         g1 = num1 / h0 - num * h1 / h0_2

@@ -372,23 +372,40 @@ def verify_pinching(u, points, tol=1e-9):
 # -- Fenchel-Legendre conjugate ---------------------------------------------------
 
 
+def _require_finite(points, what):
+    """Raise a ConvexLabError naming the non-finite rows of an (m, 2) stack."""
+    if not np.isfinite(points).all():
+        bad = np.flatnonzero(~np.isfinite(points).all(axis=1))
+        raise ConvexLabError(
+            f"{what} got {len(bad)} non-finite point(s), the first "
+            f"{points[bad[0]].tolist()} at row {bad[0]}")
+
+
+# Both Newton loops (_conjugate_newton, _flow_newton) keep compact working
+# arrays of the unfinished rows (their indices idx into the output z).  A row
+# is written to z and dropped on the iteration it meets its tolerance; on other
+# iterations the arrays are carried as they are.  So each kernel call gets
+# exactly the rows unfinished at that point, in input order, which fixes its
+# rounding: the kernels round by array length (_qform groups one- and two-row
+# sums apart, BLAS takes another path for a one-row ``@``).
+
+
 def _conjugate_newton(u, y):
     """Solve grad u(z) = y for each row of y; returns (u*(y), z)."""
-    z = y.copy()
-    m = len(y)
-    active = np.ones(m, dtype=bool)
+    _require_finite(y, "conjugate Newton")
     tol = NEWTON_TOL * (1.0 + np.hypot(y[:, 0], y[:, 1]))
+    idx, zi, yi = np.arange(len(y)), y.copy(), y
+    z = np.empty_like(zi)
     for _ in range(NEWTON_CAP):
-        idx = np.flatnonzero(active)
-        zi, yi = z[idx], y[idx]
         g = u._grad(zi) - yi
         err = np.hypot(g[:, 0], g[:, 1])
-        done = err <= tol[idx]
-        active[idx[done]] = False
-        if done.all():
+        done = err <= tol
+        if done.any():
+            z[idx[done]] = zi.compress(done, axis=0)
+            keep = ~done
+            idx, zi, yi, g, tol = (a.compress(keep, axis=0) for a in (idx, zi, yi, g, tol))
+        if not len(idx):
             break
-        keep = ~done
-        idx, zi, yi, g = idx[keep], zi[keep], yi[keep], g[keep]
         H = u._hess(zi)
         if not _spd_2x2(H).all():
             raise NotConvexPotential("Hessian lost positive definiteness during conjugation")
@@ -408,10 +425,10 @@ def _conjugate_newton(u, y):
             if not pending.any():
                 break
             step[pending] *= 0.5
-        z[idx] = zi + step[:, None] * d
-    if active.any():
+        zi = zi + step[:, None] * d
+    if len(idx):
         raise NewtonDivergence(
-            f"conjugate Newton failed to converge for {int(active.sum())} point(s)")
+            f"conjugate Newton failed to converge for {len(idx)} point(s)")
     val = _dot2(y, z) - u._value(z)
     return val, z
 
@@ -583,24 +600,27 @@ def _flow_newton(u, psi, t, x):
 
     This is the stationarity condition of sup_y <x,y> - u*(y) - t*psi(y)
     after the substitution y = grad u(z); the maximizer is y = grad u(z).
+    A line search that accepts every row has evaluated grad u and the
+    residual at the next iterate already, and those seed the next iteration.
     """
-    z = x.copy()
-    m = len(x)
-    active = np.ones(m, dtype=bool)
-    scale = 1.0 + np.abs(x).max()
+    _require_finite(x, "flow Newton")
+    scale = 1.0 + np.abs(x).max(initial=0.0)  # initial: an empty x has no max
+    idx, zi, xi = np.arange(len(x)), x.copy(), x
+    z = np.empty_like(zi)
+    y = None
     for _ in range(NEWTON_CAP):
-        idx = np.flatnonzero(active)
-        zi, xi = z[idx], x[idx]
-        y = u._grad(zi)
-        R = zi + t * psi.grad(y) - xi
+        if y is None:
+            y = u._grad(zi)
+            R = zi + t * psi.grad(y) - xi
         err = np.hypot(R[:, 0], R[:, 1])
         done = err <= NEWTON_TOL * scale
-        active[idx[done]] = False
-        if done.all():
+        if done.any():
+            z[idx[done]] = zi.compress(done, axis=0)
+            keep = ~done
+            idx, zi, xi, y, R, err = (a.compress(keep, axis=0)
+                                      for a in (idx, zi, xi, y, R, err))
+        if not len(idx):
             break
-        keep = ~done
-        idx, zi, xi, R = idx[keep], zi[keep], xi[keep], R[keep]
-        y = y[keep]
         J = t * _matmul_2x2(psi.hess(y), u._hess(zi))
         J[:, 0, 0] += 1.0
         J[:, 1, 1] += 1.0
@@ -609,23 +629,28 @@ def _flow_newton(u, psi, t, x):
             raise FlowNotConvex("flow Jacobian became singular; t is past the window")
         d = -_solve_2x2(J, R)
         # backtracking on the residual merit 0.5*|R|^2, with a rounding floor
-        phi0 = 0.5 * err[keep] ** 2
+        phi0 = 0.5 * err ** 2
         floor = 0.5 * (1e-14 * scale) ** 2
         step = np.ones(len(idx))
         pending = np.ones(len(idx), dtype=bool)
         for _ in range(60):
             zt = zi + step[:, None] * d
-            Rt = zt + t * psi.grad(u._grad(zt)) - xi
+            yt = u._grad(zt)
+            Rt = zt + t * psi.grad(yt) - xi
             phit = 0.5 * _dot2(Rt, Rt)
             ok = phit <= (1.0 - 2.0 * ARMIJO * step) * phi0 + floor
             pending &= ~ok
             if not pending.any():
                 break
             step[pending] *= 0.5
-        z[idx] = zi + step[:, None] * d
-    if active.any():
+        if pending.any():
+            # the halvings ran out: z takes a step that was never evaluated
+            zi, y = zi + step[:, None] * d, None
+        else:
+            zi, y, R = zt, yt, Rt
+    if len(idx):
         raise NewtonDivergence(
-            f"flow Newton failed to converge for {int(active.sum())} point(s)")
+            f"flow Newton failed to converge for {len(idx)} point(s)")
     y = u._grad(z)
     Hdual = _inv_2x2(u._hess(z)) + t * psi.hess(y)  # Hessian of u* + t*psi at y
     if not _spd_2x2(Hdual).all():

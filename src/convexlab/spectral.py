@@ -53,9 +53,11 @@ def evaluate(coeffs, M, theta, order=0):
 
     ``coeffs`` are unnormalized rfft coefficients of M samples.  At grid
     nodes and order 0 this reproduces the samples to machine precision.
+    ``order`` may also be a sequence of orders: the phase matrix is built once
+    for all of them, and a list with one array per order comes back.
     """
     theta = np.asarray(theta, dtype=float)
-    c = coeffs * _derivative_factor(M, order) if order else coeffs
+    orders = order if np.ndim(order) else [order]
     k = np.arange(len(coeffs))
     # weights: DC and (even-M) Nyquist count once, interior modes twice
     w = np.full(len(coeffs), 2.0)
@@ -63,8 +65,11 @@ def evaluate(coeffs, M, theta, order=0):
     if M % 2 == 0:
         w[-1] = 1.0
     phase = np.exp(1j * np.multiply.outer(theta, k))
-    out = (phase * (w * c)).real.sum(axis=-1) / M
-    return out
+    out = []
+    for o in orders:
+        c = coeffs * _derivative_factor(M, o) if o else coeffs
+        out.append((phase * (w * c)).real.sum(axis=-1) / M)
+    return out if np.ndim(order) else out[0]
 
 
 def basis_matrix(N, theta, order=0):

@@ -4,11 +4,12 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from convexlab import forms, measure, pde
+from convexlab import forms, measure, pde, quad
 from convexlab.errors import (
     ConvexLabError,
     FlowNotConvex,
     LebesgueModeRestriction,
+    NewtonDivergence,
     NotConvexPotential,
     PinchingViolation,
 )
@@ -289,3 +290,333 @@ def test_young_equality_everywhere(x1, x2):
     g = u.grad(x)
     val, z = measure.conjugate(u, g)
     assert abs(float(val) - (float(x @ g) - float(u.value(x)))) < 1e-10
+
+
+# -- the Newton loops against the loops they replaced ------------------------------
+
+
+def _reference_conjugate_newton(u, y):
+    """The conjugate Newton that gathered its active set afresh every iteration."""
+    z = y.copy()
+    m = len(y)
+    active = np.ones(m, dtype=bool)
+    tol = measure.NEWTON_TOL * (1.0 + np.hypot(y[:, 0], y[:, 1]))
+    for _ in range(measure.NEWTON_CAP):
+        idx = np.flatnonzero(active)
+        zi, yi = z[idx], y[idx]
+        g = u._grad(zi) - yi
+        err = np.hypot(g[:, 0], g[:, 1])
+        done = err <= tol[idx]
+        active[idx[done]] = False
+        if done.all():
+            break
+        keep = ~done
+        idx, zi, yi, g = idx[keep], zi[keep], yi[keep], g[keep]
+        H = u._hess(zi)
+        if not measure._spd_2x2(H).all():
+            raise NotConvexPotential("Hessian lost positive definiteness during conjugation")
+        d = -measure._solve_2x2(H, g)
+        q0 = u._value(zi) - measure._dot2(yi, zi)
+        gd = measure._dot2(g, d)
+        floor = 1e-14 * (np.abs(q0) + 1.0)
+        step = np.ones(len(idx))
+        pending = np.ones(len(idx), dtype=bool)
+        for _ in range(60):
+            zt = zi + step[:, None] * d
+            qt = u._value(zt) - measure._dot2(yi, zt)
+            ok = qt <= q0 + measure.ARMIJO * step * gd + floor
+            pending &= ~ok
+            if not pending.any():
+                break
+            step[pending] *= 0.5
+        z[idx] = zi + step[:, None] * d
+    if active.any():
+        raise NewtonDivergence(
+            f"conjugate Newton failed to converge for {int(active.sum())} point(s)")
+    val = measure._dot2(y, z) - u._value(z)
+    return val, z
+
+
+def _reference_flow_newton(u, psi, t, x):
+    """The flow Newton that gathered its active set afresh every iteration and
+    evaluated the residual again at the point its line search had accepted."""
+    z = x.copy()
+    m = len(x)
+    active = np.ones(m, dtype=bool)
+    scale = 1.0 + np.abs(x).max()
+    for _ in range(measure.NEWTON_CAP):
+        idx = np.flatnonzero(active)
+        zi, xi = z[idx], x[idx]
+        y = u._grad(zi)
+        R = zi + t * psi.grad(y) - xi
+        err = np.hypot(R[:, 0], R[:, 1])
+        done = err <= measure.NEWTON_TOL * scale
+        active[idx[done]] = False
+        if done.all():
+            break
+        keep = ~done
+        idx, zi, xi, R = idx[keep], zi[keep], xi[keep], R[keep]
+        y = y[keep]
+        J = t * measure._matmul_2x2(psi.hess(y), u._hess(zi))
+        J[:, 0, 0] += 1.0
+        J[:, 1, 1] += 1.0
+        det = J[:, 0, 0] * J[:, 1, 1] - J[:, 0, 1] * J[:, 1, 0]
+        if np.any(np.abs(det) < 1e-14):
+            raise FlowNotConvex("flow Jacobian became singular; t is past the window")
+        d = -measure._solve_2x2(J, R)
+        phi0 = 0.5 * err[keep] ** 2
+        floor = 0.5 * (1e-14 * scale) ** 2
+        step = np.ones(len(idx))
+        pending = np.ones(len(idx), dtype=bool)
+        for _ in range(60):
+            zt = zi + step[:, None] * d
+            Rt = zt + t * psi.grad(u._grad(zt)) - xi
+            phit = 0.5 * measure._dot2(Rt, Rt)
+            ok = phit <= (1.0 - 2.0 * measure.ARMIJO * step) * phi0 + floor
+            pending &= ~ok
+            if not pending.any():
+                break
+            step[pending] *= 0.5
+        z[idx] = zi + step[:, None] * d
+    if active.any():
+        raise NewtonDivergence(
+            f"flow Newton failed to converge for {int(active.sum())} point(s)")
+    y = u._grad(z)
+    Hdual = measure._inv_2x2(u._hess(z)) + t * psi.hess(y)
+    if not measure._spd_2x2(Hdual).all():
+        raise FlowNotConvex("u* + t*psi is not strictly convex at the maximizer")
+    val = measure._dot2(x - z, y) + u._value(z) - t * psi.value(y)
+    return val, y, measure._inv_2x2(Hdual)
+
+
+def _outcome(fn, *args):
+    """The bytes of every output array, or the type and message of the error."""
+    try:
+        return [a.tobytes() for a in fn(*args)]
+    except Exception as exc:
+        return type(exc).__name__, str(exc)
+
+
+_QUAD14 = measure.quadratic_potential([[1.0, 0.0], [0.0, 4.0]])
+_QUARTIC = measure.even_quartic_potential(0.1)
+_POTENTIALS = {
+    "gaussian": measure.gaussian_potential(),
+    "quad14": _QUAD14,
+    "quad_mixed": measure.quadratic_potential([[2.0, 0.6], [0.6, 1.0]]),
+    "quartic": _QUARTIC,
+    "translated": measure.translate_potential(_QUARTIC, [0.15, -0.1]),
+    "shifted": measure.shift_potential(_QUAD14, 0.7),
+}
+
+_PSI = measure.QuadraticPerturbation(B=[[0.3, 0.1], [0.1, 0.2]], b=[0.1, -0.05])
+_T = 0.05
+
+# 0-3 points reach the kernels' one- and two-row paths; larger clouds the rest
+_cloud_sizes = st.one_of(st.integers(0, 3), st.integers(4, 3000))
+
+
+def _cloud(seed, n, radius):
+    rng = np.random.default_rng(seed)
+    x = rng.normal(size=(n, 2)) * radius
+    if n > 4:
+        x[rng.integers(n)] = 0.0  # a point already at its solution
+    return x
+
+
+@settings(max_examples=60, deadline=None)
+@given(pot=st.sampled_from(sorted(_POTENTIALS)), n=_cloud_sizes,
+       seed=st.integers(0, 2**32 - 1), radius=st.floats(0.05, 3.0))
+def test_conjugate_newton_matches_reference_bytes(pot, n, seed, radius):
+    u = _POTENTIALS[pot]
+    y = _cloud(seed, n, radius)
+    assert (_outcome(measure._conjugate_newton, u, y)
+            == _outcome(_reference_conjugate_newton, u, y))
+
+
+@settings(max_examples=60, deadline=None)
+@given(pot=st.sampled_from(sorted(_POTENTIALS)), n=_cloud_sizes,
+       seed=st.integers(0, 2**32 - 1), radius=st.floats(0.05, 1.5),
+       t=st.floats(-0.1, 0.1), dual=st.sampled_from(["quadratic", "conjugate"]))
+def test_flow_newton_matches_reference_bytes(pot, n, seed, radius, t, dual):
+    u = _POTENTIALS[pot]
+    if dual == "quadratic":
+        psi = _PSI
+    else:
+        # a different base keeps the homothety closed form out of reach
+        base = _POTENTIALS["quad_mixed" if pot == "gaussian" else "gaussian"]
+        psi = measure.ConjugatePerturbation(base, 0.8)
+    x = _cloud(seed, n, radius)
+    got = _outcome(measure._flow_newton, u, psi, t, x)
+    if n == 0:
+        assert got == [np.zeros(0).tobytes(), np.zeros((0, 2)).tobytes(),
+                       np.zeros((0, 2, 2)).tobytes()]
+    else:
+        assert got == _outcome(_reference_flow_newton, u, psi, t, x)
+
+
+def _misfit_quad14(wrong, stretch, t=_T):
+    """quad14 whose Hessian disagrees with its gradient where wrong(z) holds.
+
+    There the flow Jacobian I + t B H (with _PSI) is the true one
+    divided by ``stretch``, so the Newton direction is ``stretch`` times the
+    true one.  With stretch 3 the line search accepts its second pass.  With
+    stretch -1e6 the direction climbs the residual merit: the line search
+    rejects all 60 halvings, and z still moves by 2^-60 of that direction,
+    far more than an ulp.
+    """
+    tB = t * _PSI.B
+    true_J = np.eye(2) + tB @ np.diag([1.0, 4.0])
+    bad = np.linalg.solve(tB, true_J / stretch - np.eye(2))
+
+    def hess(p):
+        out = _QUAD14._hess(p)
+        out[wrong(p)] = bad
+        return out
+
+    return measure.Potential("quadratic", _QUAD14._value, _QUAD14._grad, hess)
+
+
+def _at_rows(x):
+    """Predicate: z equals one of the rows of x, where the flow Newton starts."""
+    start = {row.tobytes() for row in x}
+    return lambda p: np.array([row.tobytes() in start for row in p], dtype=bool)
+
+
+def _line_search_passes(u, x, t=_T):
+    """Passes of each line search of _flow_newton(u, _PSI, t, x).
+
+    Each iteration takes one Hessian, then its line search takes one gradient
+    per pass (a search that runs out makes 60).
+    """
+    runs = [0]
+
+    def grad(p):
+        runs[-1] += 1
+        return u._grad(p)
+
+    def hess(p):
+        runs.append(0)
+        return u._hess(p)
+
+    counted = measure.Potential(u.kind, u._value, grad, hess)
+    try:
+        measure._flow_newton(counted, _PSI, t, x)
+    except NewtonDivergence:
+        return runs[1:]  # runs[0] is the first residual
+    # on convergence, grad u(z) and the Hessian at the end close the list
+    return runs[1:-2] + [runs[-2] - 1]
+
+
+def test_flow_newton_recovers_after_an_exhausted_line_search(rng):
+    # the Hessian is wrong only at the cloud's own points, where Newton starts:
+    # the first line search runs out, and the next iterate must be evaluated
+    # afresh rather than read from the last rejected trial
+    x = rng.normal(size=(40, 2)) * 0.6
+    u = _misfit_quad14(_at_rows(x), -1e6)
+    assert _line_search_passes(u, x)[0] >= 60
+    got = _outcome(measure._flow_newton, u, _PSI, _T, x)
+    assert got == _outcome(_reference_flow_newton, u, _PSI, _T, x)
+    assert len(got) == 3  # every point converged
+
+
+def test_flow_newton_one_straggler_matches_reference_bytes(rng):
+    # one point of each cloud needs a second line-search pass, which it takes
+    # alone, and then lags the rest by a Newton step, which it also takes
+    # alone.  psi.grad's ``@`` rounds a one-row array apart from a longer one,
+    # so the row must reach each kernel in an array of the same length as in
+    # the reference; t = 1 makes that rounding show in z.
+    for _ in range(16):
+        x = rng.normal(size=(20, 2)) * 0.6
+        u = _misfit_quad14(_at_rows(x[rng.integers(20)][None]), 3.0, t=1.0)
+        assert _line_search_passes(u, x, t=1.0) == [2, 1]
+        assert (_outcome(measure._flow_newton, u, _PSI, 1.0, x)
+                == _outcome(_reference_flow_newton, u, _PSI, 1.0, x))
+
+
+def test_newton_straggler_runs_alone_matches_reference_bytes(rng):
+    # one far point takes two half steps while z_0 > edge (there its Hessian
+    # is doubled, or its flow Jacobian halved), so it still needs a full
+    # Newton step after the rest of the cloud has finished, and takes it
+    # alone.  One-row arrays take their own BLAS path in ``@``, so the point
+    # must not be carried along in the full-length arrays.
+    mixed = _POTENTIALS["quad_mixed"]
+    for k in range(12):
+        far_point = [7.8 + 0.15 * k, 0.05 * k]
+        x = np.vstack([rng.normal(size=(19, 2)) * 0.6, [far_point]])
+        edge = far_point[0] - 1.2
+        u = _misfit_quad14(lambda p: p[:, 0] > edge, 0.5, t=1.0)
+        assert _line_search_passes(u, x, t=1.0) == [1, 1, 1]
+        assert (_outcome(measure._flow_newton, u, _PSI, 1.0, x)
+                == _outcome(_reference_flow_newton, u, _PSI, 1.0, x))
+
+        def hess(p):
+            out = mixed._hess(p)
+            out[p[:, 0] > edge - 1.0] *= 2.0
+            return out
+
+        v = measure.Potential("quadratic", mixed._value, mixed._grad, hess)
+        got = _outcome(measure._conjugate_newton, v, x)
+        assert len(got) == 2
+        assert got == _outcome(_reference_conjugate_newton, v, x)
+
+
+def test_newton_divergence_counts_the_stuck_points(rng):
+    # flow: the Hessian is wrong on the half-plane z_0 > 0, so the points that
+    # start there exhaust every line search and never converge
+    x = rng.normal(size=(30, 2)) * 0.5
+    x[:, 0] = np.where(x[:, 0] > 0, x[:, 0] + 0.2, x[:, 0] - 0.2)
+    stuck = int((x[:, 0] > 0).sum())
+    u = _misfit_quad14(lambda p: p[:, 0] > 0, -1e6)
+    assert max(_line_search_passes(u, x)) >= 60
+    got = _outcome(measure._flow_newton, u, _PSI, _T, x)
+    assert got == ("NewtonDivergence", f"flow Newton failed to converge for {stuck} point(s)")
+    assert got == _outcome(_reference_flow_newton, u, _PSI, _T, x)
+
+    # conjugate: the value (NaN on z_0 > 0) disagrees with the gradient, so
+    # no trial point passes the Armijo test there
+    def value(p):
+        return np.where(p[:, 0] > 0, np.nan, _QUAD14._value(p))
+
+    v = measure.Potential("quadratic", value, _QUAD14._grad, _QUAD14._hess)
+    got = _outcome(measure._conjugate_newton, v, x)
+    assert got == ("NewtonDivergence", f"conjugate Newton failed to converge for {stuck} point(s)")
+    assert got == _outcome(_reference_conjugate_newton, v, x)
+
+
+def test_flow_newton_evaluates_fewer_gradient_rows(blob, quartic):
+    x = quad.interior_nodes(blob)[0].reshape(-1, 2)
+    rows = []
+
+    def grad(p):
+        rows.append(len(p))
+        return quartic._grad(p)
+
+    counted = measure.Potential("even-quartic", quartic._value, grad, quartic._hess)
+    new = measure._flow_newton(counted, _PSI, _T, x)
+    new_rows, rows[:] = sum(rows), []
+    ref = _reference_flow_newton(counted, _PSI, _T, x)
+    assert [a.tobytes() for a in new] == [a.tobytes() for a in ref]
+    assert new_rows < sum(rows)
+
+
+def test_newton_flow_path_on_empty_input(quartic):
+    psi = measure.QuadraticPerturbation(B=[[0.3, 0.1], [0.1, 0.2]])
+    empty = np.zeros((0, 2))
+    val, g, H = measure.conjugate_flow(quartic, psi, 0.05, empty)
+    assert val.shape == (0,) and g.shape == (0, 2) and H.shape == (0, 2, 2)
+    assert measure.flow_potential(quartic, psi, 0.05).value(empty).shape == (0,)
+    d1, d2 = measure.flow_derivatives(quartic, psi, 0.05, empty)
+    assert d1.shape == d2.shape == (0,)
+
+
+@pytest.mark.parametrize("bad", [np.nan, np.inf, -np.inf])
+def test_newton_loops_name_non_finite_input(quartic, bad):
+    psi = measure.QuadraticPerturbation(B=[[0.3, 0.1], [0.1, 0.2]])
+    x = np.array([[0.3, 0.1], [bad, 0.0], [0.2, -0.4]])
+    with pytest.raises(ConvexLabError, match=r"non-finite point\(s\)") as info:
+        measure.conjugate_flow(quartic, psi, 0.05, x)
+    assert type(info.value) is ConvexLabError
+    assert "1 non-finite point(s)" in str(info.value) and "row 1" in str(info.value)
+    with pytest.raises(ConvexLabError, match="non-finite") as info:
+        measure.conjugate(quartic, [[bad, 0.0]])
+    assert type(info.value) is ConvexLabError

@@ -64,3 +64,33 @@ def test_basis_coefficients_round_trip(rng):
     c = spectral.basis_coefficients(vals)
     E = spectral.basis_matrix((64 - 1) // 2 if 64 % 2 else 64 // 2, t)
     npt.assert_allclose(E.T @ c, vals, atol=1e-12)
+
+
+def test_evaluate_several_orders_matches_one_order_calls(rng):
+    # one phase matrix serves every order of the sequence, bit for bit
+    for M in (64, 65):
+        _, vals = smooth_samples(M, rng)
+        c = spectral.coefficients(vals)
+        theta = rng.uniform(-1.0, 8.0, size=(5, 7))
+        together = spectral.evaluate(c, M, theta, (2, 0, 3, 1))
+        assert len(together) == 4
+        for got, order in zip(together, (2, 0, 3, 1)):
+            assert got.tobytes() == spectral.evaluate(c, M, theta, order).tobytes()
+        one, = spectral.evaluate(c, M, 0.3, [1])
+        assert one.shape == () and one == spectral.evaluate(c, M, 0.3, 1)
+
+
+def test_gauge_takes_one_evaluation_per_newton_iteration(monkeypatch):
+    from convexlab import geometry
+
+    calls = []
+    evaluate = spectral.evaluate
+
+    def counted(*args, **kwargs):
+        calls.append(1)
+        return evaluate(*args, **kwargs)
+
+    monkeypatch.setattr(spectral, "evaluate", counted)
+    body = geometry.ellipse(2.0, 1.0)
+    geometry.gauge_angle(body, np.random.default_rng(4).normal(size=(50, 2)), newton_steps=5)
+    assert 1 <= len(calls) <= 6
