@@ -29,6 +29,7 @@ checks (``acceptance``), so their tolerances and failure messages are shared.
 
 import argparse
 import json
+import math
 import os
 import re
 import sys
@@ -251,9 +252,9 @@ def _json_token(x):
         return str(int(x))
     if isinstance(x, (float, np.floating)):
         x = float(x)
-        if not np.isfinite(x):
-            return json.dumps("inf" if x > 0 else "-inf") if not np.isnan(x) else json.dumps("nan")
-        return f"{x:.15g}"
+        if math.isfinite(x):
+            return f"{x:.15g}"
+        return json.dumps("nan" if math.isnan(x) else "inf" if x > 0 else "-inf")
     return json.dumps(str(x))
 
 

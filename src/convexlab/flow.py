@@ -60,11 +60,9 @@ class FlowConfig:
 
 def flow_setup(body, u, f, psi, t):
     """(K_t, u_t) for one admissible t."""
+    # u_t first: flow_potential rejects a non-finite t by name
+    u_t = u if psi is None or t == 0.0 else flow_potential(u, psi, t)
     body_t = wulff_perturb(body, f, t) if t != 0.0 else body
-    if psi is None or t == 0.0:
-        u_t = u
-    else:
-        u_t = flow_potential(u, psi, t)
     return body_t, u_t
 
 

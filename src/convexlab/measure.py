@@ -659,17 +659,26 @@ def _flow_newton(u, psi, t, x):
     return val, y, _inv_2x2(Hdual)
 
 
+def _flow_time(u, t):
+    """t as a float, once u and t are checked: a NaN or infinite t raises."""
+    u.require_strictly_convex("the conjugate flow")
+    t = float(t)
+    if not np.isfinite(t):
+        raise ConvexLabError(f"the conjugate flow needs a finite t, got t = {t}")
+    return t
+
+
 def conjugate_flow(u, psi, t, x, method="auto"):
     """u_t(x), grad u_t(x), and hess u_t(x) for u_t = (u* + t*psi)*.
 
     ``method`` is "auto" (closed form when available, Newton otherwise),
     "newton", or "closed" (raises if no closed form applies).
     """
-    u.require_strictly_convex("the conjugate flow")
-    t = float(t)
+    t = _flow_time(u, t)
     flat, lead = _flatten(x)
     closed = None if method == "newton" else _flow_closed_form(u, psi, t)
     if closed is not None:
+        _require_finite(flat, "flow closed form")
         value, grad, hess = closed
         val, g, H = value(flat), grad(flat), hess(flat)
     elif method == "closed":
@@ -681,8 +690,7 @@ def conjugate_flow(u, psi, t, x, method="auto"):
 
 def flow_potential(u, psi, t):
     """The flowed potential u_t = (u* + t*psi)* wrapped as a Potential."""
-    u.require_strictly_convex("the conjugate flow")
-    t = float(t)
+    t = _flow_time(u, t)
     closed = _flow_closed_form(u, psi, t)
     if closed is not None:
         value, grad, hess = closed

@@ -125,8 +125,7 @@ def assemble(body, u, N=DEFAULT_N, Q=DEFAULT_Q, even_only=False):
     r = body.radius_grid
     hmu = weighted_mean_curvature(body, u)
 
-    E = spectral.basis_matrix(N, theta, 0)
-    D = spectral.basis_matrix(N, theta, 1)
+    E, D = spectral.basis_matrix(N, theta, (0, 1))
     if even_only:
         mask = _even_mask(N)
         E, D = E[mask], D[mask]

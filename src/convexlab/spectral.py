@@ -76,29 +76,25 @@ def basis_matrix(N, theta, order=0):
     """Rows e_0 = 1, e_{2k-1} = cos k*theta, e_{2k} = sin k*theta, k <= N.
 
     Returns the (2N+1, len(theta)) matrix of basis values, spectrally
-    differentiated ``order`` times.
+    differentiated ``order`` times.  ``order`` may also be a sequence of
+    orders: cos and sin are computed once per k for all of them, and a list
+    with one matrix per order comes back.
     """
     theta = np.asarray(theta, dtype=float)
-    d = 2 * N + 1
-    out = np.empty((d, theta.size))
-    out[0] = 0.0 if order else 1.0
+    orders = order if np.ndim(order) else [order]
+    out = [np.empty((2 * N + 1, theta.size)) for _ in orders]
+    for B, o in zip(out, orders):
+        B[0] = 0.0 if o else 1.0
     for k in range(1, N + 1):
         kt = k * theta
         c, s = np.cos(kt), np.sin(kt)
-        # d/dtheta rotates the pair: (cos, sin) -> k*(-sin, cos)
-        rem = order % 4
-        scale = float(k) ** order
-        if rem == 0:
-            dc, ds = c, s
-        elif rem == 1:
-            dc, ds = -s, c
-        elif rem == 2:
-            dc, ds = -c, -s
-        else:
-            dc, ds = s, -c
-        out[2 * k - 1] = scale * dc
-        out[2 * k] = scale * ds
-    return out
+        for B, o in zip(out, orders):
+            # d/dtheta rotates the pair: (cos, sin) -> k*(-sin, cos)
+            dc, ds = ((c, s), (s, c))[o % 2]
+            sign_c, sign_s = ((1.0, 1.0), (-1.0, 1.0), (-1.0, -1.0), (1.0, -1.0))[o % 4]
+            B[2 * k - 1] = sign_c * float(k) ** o * dc
+            B[2 * k] = sign_s * float(k) ** o * ds
+    return out if np.ndim(order) else out[0]
 
 
 def basis_coefficients(values):

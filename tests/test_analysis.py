@@ -1,8 +1,12 @@
+from types import SimpleNamespace
+
 import numpy as np
 import numpy.testing as npt
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
-from convexlab import analysis, forms, geometry, pde
+from convexlab import analysis, forms, geometry, pde, suite
 from convexlab.errors import PinchingUndeclared
 
 
@@ -209,3 +213,143 @@ def test_pinching_scan_inverse_power_bound(gaussian):
 def test_pinching_requires_declaration(disk1, quartic):
     with pytest.raises(PinchingUndeclared):
         analysis.pinching_bounds(disk1, quartic)
+
+
+# -- the batched interpolation-constant scan against the per-draw loop --------
+
+
+def _reference_random_coefficients(rng, dim, decay=2.0):
+    c = rng.standard_normal(dim)
+    for k in range(1, (dim - 1) // 2 + 1):
+        w = 1.0 / (1.0 + float(k) ** decay)
+        c[2 * k - 1] *= w
+        if 2 * k < dim:
+            c[2 * k] *= w
+    return c
+
+
+def _reference_interpolation_constant(system, sample_size=1000, seed=11):
+    sizes = [int(n) for n in np.atleast_1d(sample_size)]
+    rng = np.random.default_rng(seed)
+    constant = np.zeros(system.dim)
+    constant[0] = 1.0
+    worst, prefix = 0.0, []
+    for i in range(max(sizes) + 1):
+        c = constant if i == 0 else _reference_random_coefficients(rng, system.dim)
+        l2sq = c @ system.mass @ c
+        P = c @ system.G @ c
+        h1 = np.sqrt(c @ system.S @ c)
+        if P > 0 and h1 != 0:
+            worst = max(worst, l2sq / (np.sqrt(P) * h1))
+        prefix.append(float(worst))
+    sups = tuple(prefix[n] for n in sizes)
+    return sups if np.ndim(sample_size) else sups[0]
+
+
+_BODIES = suite.standard_bodies()
+_POTENTIALS = {k: v for k, v in suite.standard_potentials().items() if k != "zero"}
+_SYSTEMS = {}
+
+
+def _system(body, pot, N, even_only):
+    key = (body, pot, N, even_only)
+    if key not in _SYSTEMS:
+        _SYSTEMS[key] = pde.assemble(_BODIES[body], _POTENTIALS[pot], N=N,
+                                     even_only=even_only)
+    return _SYSTEMS[key]
+
+
+def _hex(sups):
+    return [float(s).hex() for s in np.atleast_1d(sups)]
+
+
+@settings(max_examples=60, deadline=None)
+@given(body=st.sampled_from(sorted(_BODIES)), pot=st.sampled_from(sorted(_POTENTIALS)),
+       N=st.integers(4, 44), even_only=st.booleans(), seed=st.integers(0, 2**32 - 1),
+       sizes=st.lists(st.integers(0, 300), min_size=1, max_size=5),
+       as_tuple=st.booleans(), block=st.sampled_from([1, 2, 3, 7, 64, 4096]))
+def test_interpolation_constant_matches_per_draw_loop_bytes(body, pot, N, even_only, seed,
+                                                            sizes, as_tuple, block):
+    # unsorted and repeated sizes, 0 and 1, and scans that cross block bounds
+    system = _system(body, pot, N, even_only)
+    sample_size = tuple(sizes) if as_tuple or len(sizes) > 1 else sizes[0]
+    with pytest.MonkeyPatch.context() as mp:
+        mp.setattr(analysis, "_SCAN_BLOCK", block)
+        got = analysis.interpolation_constant(system, sample_size, seed=seed)
+    want = _reference_interpolation_constant(system, sample_size, seed=seed)
+    assert type(got) is type(want)
+    assert _hex(got) == _hex(want)
+
+
+@settings(max_examples=60, deadline=None)
+@given(dim=st.integers(1, 9), seed=st.integers(0, 2**32 - 1),
+       special=st.sampled_from(["indefinite", "zero G", "zero S", "nan G", "inf mass",
+                                "nan S"]),
+       sizes=st.lists(st.integers(0, 40), min_size=1, max_size=4))
+def test_interpolation_constant_skips_draws_like_per_draw_loop(dim, seed, special, sizes):
+    # skipped draws (P <= 0, h1 == 0, NaN) stay neutral in the running sup
+    rng = np.random.default_rng(seed)
+    X = rng.standard_normal((3, dim, dim))
+    mass, S = X[0] @ X[0].T, X[1] @ X[1].T
+    G = X[2] + X[2].T if special == "indefinite" else X[2] @ X[2].T
+    if special == "zero G":
+        G = np.zeros((dim, dim))
+    elif special == "zero S":
+        S = np.zeros((dim, dim))
+    elif special == "nan G":
+        G[0, -1] = G[-1, 0] = np.nan
+    elif special == "inf mass":
+        mass[-1, -1] = np.inf
+    elif special == "nan S":
+        S[-1, -1] = np.nan
+    system = SimpleNamespace(dim=dim, mass=mass, G=G, S=S)
+    with pytest.MonkeyPatch.context() as mp, np.errstate(all="ignore"):
+        mp.setattr(analysis, "_SCAN_BLOCK", 3)
+        got = analysis.interpolation_constant(system, tuple(sizes), seed=seed)
+        want = _reference_interpolation_constant(system, tuple(sizes), seed=seed)
+    assert _hex(got) == _hex(want)
+
+
+def test_interpolation_constant_matches_per_draw_loop_past_one_block():
+    system = _system("peanut", "quartic", 44, False)
+    sizes = (analysis._SCAN_BLOCK + 1, 7, 2 * analysis._SCAN_BLOCK + 3, 0, 1)
+    assert (_hex(analysis.interpolation_constant(system, sizes, seed=5))
+            == _hex(_reference_interpolation_constant(system, sizes, seed=5)))
+
+
+@settings(max_examples=60, deadline=None)
+@given(dim=st.integers(0, 95), seed=st.integers(0, 2**32 - 1),
+       decay=st.sampled_from([2.0, 1.0, 1.5, 3.0, 0.5]))
+def test_random_coefficients_matches_per_pair_loop_bytes(dim, seed, decay):
+    got = analysis.random_coefficients(np.random.default_rng(seed), dim, decay)
+    want = _reference_random_coefficients(np.random.default_rng(seed), dim, decay)
+    assert got.tobytes() == want.tobytes()
+
+
+def test_interpolation_constant_draws_in_blocks(monkeypatch):
+    # at most ceil(n / block) normal draws and no per-field random_coefficients
+    system = _system("ellipse21", "gaussian", 16, False)
+    calls, fields = [], []
+    default_rng = np.random.default_rng
+
+    class Counted:
+        def __init__(self, seed):
+            self.rng = default_rng(seed)
+
+        def standard_normal(self, *args, **kwargs):
+            calls.append(args)
+            return self.rng.standard_normal(*args, **kwargs)
+
+    def no_fields(*args, **kwargs):
+        fields.append(args)
+        return _reference_random_coefficients(*args, **kwargs)
+
+    monkeypatch.setattr(np.random, "default_rng", Counted)
+    monkeypatch.setattr(analysis, "random_coefficients", no_fields)
+    monkeypatch.setattr(analysis, "_SCAN_BLOCK", 100)
+    sups = analysis.interpolation_constant(system, (250, 120, 0), seed=9)
+    assert not fields
+    assert len(calls) <= 3
+    assert sum(np.prod(shape) for shape, in calls) == 250 * system.dim
+    monkeypatch.undo()
+    assert _hex(sups) == _hex(_reference_interpolation_constant(system, (250, 120, 0), seed=9))

@@ -1,6 +1,10 @@
+import json
 import re
 
+import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from convexlab import cli
 
@@ -206,3 +210,43 @@ def test_bad_numeric_value_is_config_error(tmp_path, capsys, command, lines):
     path = write(tmp_path / "bad.cfg", "".join(f"{k} = {v}\n" for k, v in cfg.items()))
     assert cli.main([command, "--config", path, "--out", str(tmp_path / "o")]) == 2
     assert "config error" in capsys.readouterr().err
+
+
+def _reference_json_token(x):
+    # the numpy-ufunc version that wrote every golden report
+    if isinstance(x, (bool, np.bool_)):
+        return "true" if x else "false"
+    if x is None:
+        return "null"
+    if isinstance(x, (int, np.integer)):
+        return str(int(x))
+    if isinstance(x, (float, np.floating)):
+        x = float(x)
+        if not np.isfinite(x):
+            return json.dumps("inf" if x > 0 else "-inf") if not np.isnan(x) else json.dumps("nan")
+        return f"{x:.15g}"
+    return json.dumps(str(x))
+
+
+_TOKEN_CASES = [0.0, -0.0, 5e-324, -5e-324, 1e-310, -2.2250738585072014e-308,
+                1.7976931348623157e308, float("inf"), float("-inf"), float("nan"),
+                -float("nan"), 0.1, -1 / 3, 1e16, 123456789012345678.0,
+                np.float64(-0.0), np.float64(np.inf), np.float64(np.nan), np.float64(2 / 3),
+                np.float32(0.1), np.float32(-0.0), np.float32(1e-45), np.float32(np.inf),
+                np.float32(-np.inf), np.float32(np.nan), np.float16(0.3),
+                0, -7, 2**70, np.int64(-3), np.int32(12), np.uint8(255),
+                True, False, np.bool_(True), np.bool_(False), None, "text", "nan"]
+
+
+@pytest.mark.parametrize("x", _TOKEN_CASES, ids=repr)
+def test_json_token_matches_numpy_ufunc_version(x):
+    assert cli._json_token(x) == _reference_json_token(x)
+
+
+@settings(max_examples=200, deadline=None)
+@given(x=st.floats(allow_nan=True, allow_infinity=True, allow_subnormal=True),
+       kind=st.sampled_from([float, np.float64, np.float32]))
+def test_json_token_matches_numpy_ufunc_version_on_any_float(x, kind):
+    with np.errstate(over="ignore"):
+        x = kind(x)
+    assert cli._json_token(x) == _reference_json_token(x)

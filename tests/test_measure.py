@@ -4,7 +4,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from convexlab import forms, measure, pde, quad
+from convexlab import flow, forms, measure, pde, quad
 from convexlab.errors import (
     ConvexLabError,
     FlowNotConvex,
@@ -620,3 +620,45 @@ def test_newton_loops_name_non_finite_input(quartic, bad):
     with pytest.raises(ConvexLabError, match="non-finite") as info:
         measure.conjugate(quartic, [[bad, 0.0]])
     assert type(info.value) is ConvexLabError
+
+
+def _flow_pairs(gaussian, quartic):
+    quad_psi = measure.QuadraticPerturbation(B=[[0.3, 0.1], [0.1, 0.2]])
+    return {"closed quadratic": (gaussian, quad_psi),
+            "closed conjugate": (gaussian, measure.ConjugatePerturbation(gaussian, 0.7)),
+            "newton": (quartic, quad_psi)}
+
+
+@pytest.mark.parametrize("bad", [np.nan, np.inf, -np.inf])
+@pytest.mark.parametrize("path", ["closed quadratic", "closed conjugate", "newton"])
+def test_flow_rejects_non_finite_t_before_any_work(gaussian, quartic, disk1, monkeypatch,
+                                                   bad, path):
+    u, psi = _flow_pairs(gaussian, quartic)[path]
+
+    def no_work(*args, **kwargs):
+        raise AssertionError("flow work started for a non-finite t")
+
+    monkeypatch.setattr(measure, "_flow_closed_form", no_work)
+    monkeypatch.setattr(measure, "_flow_newton", no_work)
+    x = np.array([[0.3, 0.1], [0.2, -0.4]])
+    f = forms.BoundaryField.from_function(lambda s: np.cos(2 * s), disk1.M)
+    calls = (lambda: measure.conjugate_flow(u, psi, bad, x),
+             lambda: measure.flow_potential(u, psi, bad),
+             lambda: measure.flow_derivatives(u, psi, bad, x),
+             lambda: flow.flow_setup(disk1, u, f, psi, bad))
+    for call in calls:
+        with pytest.raises(ConvexLabError, match=rf"finite t, got t = {float(bad)}$") as info:
+            call()
+        assert type(info.value) is ConvexLabError
+
+
+@pytest.mark.parametrize("bad", [np.nan, np.inf, -np.inf])
+@pytest.mark.parametrize("path", ["closed quadratic", "closed conjugate"])
+def test_flow_closed_form_names_non_finite_rows(gaussian, quartic, bad, path):
+    u, psi = _flow_pairs(gaussian, quartic)[path]
+    x = np.array([[0.2, 0.1], [bad, 0.0]])
+    with pytest.raises(ConvexLabError, match=r"flow closed form got 1 non-finite "
+                                             r"point\(s\), the first .* at row 1"):
+        measure.conjugate_flow(u, psi, 0.1, x)
+    with pytest.raises(ConvexLabError, match="non-finite"):
+        measure.flow_derivatives(u, psi, 0.1, x, method="closed")

@@ -80,6 +80,42 @@ def test_evaluate_several_orders_matches_one_order_calls(rng):
         assert one.shape == () and one == spectral.evaluate(c, M, 0.3, 1)
 
 
+def test_basis_matrix_several_orders_matches_one_order_calls(rng):
+    # cos and sin once per k serve every order of the sequence, bit for bit
+    for N, theta in ((4, spectral.grid(64)), (7, rng.uniform(-1.0, 8.0, size=33)),
+                     (44, spectral.grid(256))):
+        orders = (2, 0, 3, 1, 4, 5)
+        together = spectral.basis_matrix(N, theta, orders)
+        assert len(together) == len(orders)
+        for got, order in zip(together, orders):
+            assert got.tobytes() == spectral.basis_matrix(N, theta, order).tobytes()
+            if N < 32:
+                # and each order is the spectral derivative of the values
+                fd = spectral.grid_derivative(spectral.basis_matrix(N, spectral.grid(64)), order)
+                npt.assert_allclose(spectral.basis_matrix(N, spectral.grid(64), order), fd,
+                                    atol=1e-10 * N**order)
+        one, = spectral.basis_matrix(N, theta, [1])
+        assert one.tobytes() == spectral.basis_matrix(N, theta, 1).tobytes()
+
+
+def test_assemble_builds_the_basis_once(monkeypatch):
+    from convexlab import geometry, measure, pde
+
+    calls = []
+    basis_matrix = spectral.basis_matrix
+
+    def counted(*args, **kwargs):
+        calls.append(args)
+        return basis_matrix(*args, **kwargs)
+
+    monkeypatch.setattr(spectral, "basis_matrix", counted)
+    system = pde.assemble(geometry.ellipse(2.0, 1.0), measure.gaussian_potential(), N=12)
+    assert len(calls) == 1
+    theta = system.body.theta_grid
+    assert system.E.tobytes() == basis_matrix(12, theta, 0).tobytes()
+    assert system.D.tobytes() == basis_matrix(12, theta, 1).tobytes()
+
+
 def test_gauge_takes_one_evaluation_per_newton_iteration(monkeypatch):
     from convexlab import geometry
 
