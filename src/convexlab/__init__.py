@@ -53,7 +53,6 @@ from .geometry import (
 )
 from .measure import (
     ConjugatePerturbation,
-    Perturbation,
     Potential,
     QuadraticPerturbation,
     conjugate,

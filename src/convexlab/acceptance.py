@@ -1,13 +1,16 @@
 """The acceptance suite: every quantitative claim, at its pinned tolerance.
 
-Each criterion function returns a record
+Each criterion is declared once, by ``@_criterion(id, name, time budget)`` on a
+body that takes no arguments and returns ``(passed, details)``.  ``CRITERIA``
+holds ``(id, run)`` in definition order, where ``run()`` returns the record
 
     {"id", "name", "passed": bool, "elapsed": seconds, "time_limit": s or None,
      "details": {...}}
 
-and ``run_all`` executes all of them in order.  Oracles are closed forms or
-independent numerical routes computed inside the checks; nothing is tuned to
-the implementation under test.
+and ``run_all`` executes them in that order.  Every criterion works at the
+module's fixed resolution ``M``, ``Q``, ``N`` (criterion 11 doubles M and Q).
+Oracles are closed forms or independent numerical routes computed inside the
+checks; nothing is tuned to the implementation under test.
 
 The CLI commands call the checks of criteria 1, 2, 4a, 5a, 5b and 6 (``disk_scan``
 and the ``*_check`` functions, each against one tolerance constant below).
@@ -22,6 +25,7 @@ has S''(0) = Var_{mu|K}(u) - n != 0.  The translation family does saturate
 the inequality and is verified as a control (4c, 5c-control).
 """
 
+import functools
 import time
 
 import numpy as np
@@ -44,6 +48,7 @@ from .flow import (
 )
 from .forms import (
     BoundaryField,
+    InteriorField,
     check_mean_form,
     equality_witness,
     form_BL,
@@ -70,11 +75,25 @@ CONCAVITY_TOL = 1e-7  # largest centred second difference of S(t)
 FD1_TOL, FD2_TOL = 1e-6, 1e-4  # relative errors of I'(0), I''(0) vs finite differences
 SLOPE_TOL = 1e-12  # |stability slope - 1/2|
 
+M, Q, N = 256, 32, 16  # boundary grid, quadrature order and Galerkin modes of the criteria
+PAIRS, SEED = 200, 42  # random pairs per configuration of criterion 4a, and their seed
 
-def _record(cid, name, limit, started, passed, details):
-    return {"id": cid, "name": name, "passed": bool(passed),
-            "elapsed": time.perf_counter() - started, "time_limit": limit,
-            "details": details}
+CRITERIA = []  # (id, callable returning the record), in definition order
+
+
+def _criterion(cid, name, limit):
+    """Declare criterion ``cid``: time a body returning (passed, details) into a record."""
+    def register(body):
+        @functools.wraps(body)
+        def run():
+            started = time.perf_counter()
+            passed, details = body()
+            return {"id": cid, "name": name, "passed": bool(passed),
+                    "elapsed": time.perf_counter() - started, "time_limit": limit,
+                    "details": details}
+        CRITERIA.append((cid, run))
+        return run
+    return register
 
 
 def _exceeds(label, value, tol):
@@ -163,75 +182,72 @@ def spectral_check(system, seed):
     return lam, stab, failures
 
 
-def criterion_1(M=256, Q=32, N=16):
+@_criterion("1", "gaussian unit disk solve", 1.0)
+def criterion_1():
     """Gaussian unit disk: p = 1, rho_bar = e^{1/2} - 1, strong residual."""
-    t0 = time.perf_counter()
     rep = solve_report(disk(1.0, M=M), standard_potentials()["gaussian"], N=N, Q=Q)
     rho_const = np.exp(0.5) - 1.0
     p_err = abs(rep["p"] - 1.0)
     rho_err = float(np.abs(rep["rho_bar"].values - rho_const).max())
-    details = {"p": rep["p"], "p_error": p_err,
-               "rho_bar_error": rho_err, "rho_bar_target": rho_const,
-               "strong_residual": rep["strong_residual"]}
     ok = p_err <= 1e-8 and rho_err <= 1e-8 and not residual_check(rep)
-    return _record("1", "gaussian unit disk solve", 1.0, t0, ok, details)
+    return ok, {"p": rep["p"], "p_error": p_err,
+                "rho_bar_error": rho_err, "rho_bar_target": rho_const,
+                "strong_residual": rep["strong_residual"]}
 
 
-def criterion_2(M=256, Q=32, N=16):
+@_criterion("2", "gaussian disk radius scan", 5.0)
+def criterion_2():
     """Gaussian disk scan against the closed-form power; p >= 1/2 throughout."""
-    t0 = time.perf_counter()
     g = standard_potentials()["gaussian"]
     rows, failures = disk_scan(g, (0.25, 0.5, 1.0, 1.5, 2.0, 3.0), M, N, Q)
     ok = not failures and all(p >= 0.5 for _, p, _ in rows)
     rows = [{"R": R, "p": p, "oracle": oracle, "error": abs(p - oracle)}
             for R, p, oracle in rows]
-    return _record("2", "gaussian disk radius scan", 5.0, t0, ok, {"rows": rows})
+    return ok, {"rows": rows}
 
 
 _GENERIC = ("disk1", "ellipse21", "blob")
 _SYMMETRIC = ("disk1", "ellipse21", "peanut")  # the conjecture's hypotheses
 
 
-def _matrix(M, body_names):
+def _matrix(body_names):
     """(body name, potential name, body, u) for body_names x the even potentials."""
     bodies, pots = standard_bodies(M), standard_potentials()
     return [(b, p, bodies[b], pots[p])
             for b in body_names for p in ("gaussian", "quad14", "quartic")]
 
 
-def criterion_3(M=256, Q=32):
+@_criterion("3", "divergence identity on the test matrix", 5.0)
+def criterion_3():
     """Divergence identity int h dmu = 2 mu(K) - int <grad u, x> dmu, 9 pairs."""
-    t0 = time.perf_counter()
     rows = []
     ok = True
-    for bname, pname, body, u in _matrix(M, _GENERIC):
+    for bname, pname, body, u in _matrix(_GENERIC):
         rep = support_identity_check(body, u, Q=Q)
         rel = rep["integral_residual"] / rep["integral_scale"]
         ok = ok and rel <= 1e-9
         rows.append({"body": bname, "potential": pname, "relative_residual": rel})
-    return _record("3", "divergence identity on the test matrix", 5.0, t0, ok,
-                   {"rows": rows})
+    return ok, {"rows": rows}
 
 
 _SUITE_CONFIGS = (("disk1", "gaussian"), ("ellipse21", "quad14"), ("blob", "quartic"))
 
 
-def criterion_4a(M=256, Q=32, pairs=200, seed=42):
+@_criterion("4a", "inequality suites on random pairs", 30.0)
+def criterion_4a():
     """Mean and multiplicative inequalities on seeded random pairs."""
-    t0 = time.perf_counter()
     bodies, pots = standard_bodies(M), standard_potentials()
     ok = True
     per_config = {}
     for bname, pname in _SUITE_CONFIGS:
-        wm, wx, failures = random_pairs_check(bodies[bname], pots[pname], pairs, seed, Q)
+        wm, wx, failures = random_pairs_check(bodies[bname], pots[pname], PAIRS, SEED, Q)
         ok = ok and not failures
         per_config[f"{bname}+{pname}"] = {"min_mean_slack": wm, "min_mult_slack": wx}
     worst_mean = min(c["min_mean_slack"] for c in per_config.values())
     worst_mult = min(c["min_mult_slack"] for c in per_config.values())
-    details = {"pairs_per_config": pairs, "seed": seed,
-               "min_relative_mean_slack": worst_mean,
-               "min_relative_mult_slack": worst_mult, "per_config": per_config}
-    return _record("4a", "inequality suites on random pairs", 30.0, t0, ok, details)
+    return ok, {"pairs_per_config": PAIRS, "seed": SEED,
+                "min_relative_mean_slack": worst_mean,
+                "min_relative_mult_slack": worst_mult, "per_config": per_config}
 
 
 _WITNESS_SETTINGS = (
@@ -243,14 +259,14 @@ _WITNESS_SETTINGS = (
 )
 
 
-def criterion_4b(M=256, Q=32):
+@_criterion("4b", "scaling-family equality witnesses (knowingly red)", 30.0)
+def criterion_4b():
     """Scaling-family witnesses: claimed |mean slack| <= 1e-8 * scale.
 
     Knowingly red for alpha > 0: the claim fails on direct computation.  The
     measured slacks are reported and the translation control (4c) shows the
     pipeline resolves genuine equality at 1e-12 scale.
     """
-    t0 = time.perf_counter()
     bodies, pots = standard_bodies(M), standard_potentials()
     rows = []
     ok = True
@@ -266,13 +282,12 @@ def criterion_4b(M=256, Q=32):
     note = ("scaling witnesses with alpha > 0 do not saturate the mean form; "
             "slack is alpha^2 * (2 - Var_{mu|K}(u + gauge terms)) > 0 on generic "
             "data -- see the translation control in 4c")
-    return _record("4b", "scaling-family equality witnesses (knowingly red)",
-                   30.0, t0, ok, {"rows": rows, "note": note})
+    return ok, {"rows": rows, "note": note}
 
 
-def criterion_4c(M=256, Q=32):
+@_criterion("4c", "translation-family equality control", 30.0)
+def criterion_4c():
     """Translation-family control: exact equality P = BL = I."""
-    t0 = time.perf_counter()
     bodies, pots = standard_bodies(M), standard_potentials()
     rows = []
     ok = True
@@ -290,14 +305,13 @@ def criterion_4c(M=256, Q=32):
         ok = ok and rel <= 1e-8 and rel_mult <= 1e-8
         rows.append({"body": bname, "potential": pname, "x0": list(x0), "z": z,
                      "relative_mean_slack": rel, "relative_mult_slack": rel_mult})
-    return _record("4c", "translation-family equality control", 30.0, t0, ok,
-                   {"rows": rows})
+    return ok, {"rows": rows}
 
 
-def _flow_matrix(M):
+def _flow_matrix():
     f = BoundaryField.from_function(lambda t: np.cos(2 * t) + 0.1 * np.sin(3 * t), M)
     configs = []
-    for bname, pname, body, u in _matrix(M, _GENERIC):
+    for bname, pname, body, u in _matrix(_GENERIC):
         psi_q = QuadraticPerturbation(B=[[0.3, 0.1], [0.1, 0.2]], b=[0.1, -0.05], c=0.2)
         psi_c = ConjugatePerturbation(u, 0.4)
         configs.append((f"{bname}+{pname}+quadratic", body, u, f, psi_q))
@@ -305,70 +319,63 @@ def _flow_matrix(M):
     return configs
 
 
-def criterion_5a(M=256, Q=32):
+@_criterion("5a", "log-marginal concavity over the flow matrix", 60.0)
+def criterion_5a():
     """Concavity of the log-marginal: centered second differences <= 1e-7."""
-    t0 = time.perf_counter()
     rows = []
     ok = True
-    for name, body, u, f, psi in _flow_matrix(M):
+    for name, body, u, f, psi in _flow_matrix():
         tab, failures = concavity_check(body, u, FlowConfig(f=f, psi=psi, eps=0.08, n_t=21), Q)
         ok = ok and not failures
         rows.append({"config": name, "eps": tab["eps"],
                      "max_second_difference": tab["max_second_difference"]})
-    return _record("5a", "log-marginal concavity over the flow matrix", 60.0,
-                   t0, ok, {"rows": rows})
+    return ok, {"rows": rows}
 
 
-def criterion_5b(M=256, Q=32):
+@_criterion("5b", "shape derivatives vs finite-difference oracles", 60.0)
+def criterion_5b():
     """I'(0) and I''(0) against central finite differences of the marginal."""
-    t0 = time.perf_counter()
     rows = []
     ok = True
-    for name, body, u, f, psi in _flow_matrix(M):
+    for name, body, u, f, psi in _flow_matrix():
         d, failures = shape_derivative_check(body, u, f, psi, Q)
         ok = ok and not failures
         rows.append({"config": name, "I1_rel_error": d["I1_fd_error"],
                      "I2_rel_error": d["I2_fd_error"]})
-    return _record("5b", "shape derivatives vs finite-difference oracles", 60.0,
-                   t0, ok, {"rows": rows})
+    return ok, {"rows": rows}
 
 
-def criterion_5c(M=256, Q=32):
+@_criterion("5c", "homothety flow linearity (knowingly red)", 60.0)
+def criterion_5c():
     """Homothety flow linearity claim |S''(0)| <= 1e-8 (knowingly red).
 
     S''(0) for f = h, psi = u* equals Var_{mu|K}(u) - n, which is about
     -1.979 on the Gaussian unit disk.  The genuinely linear flow is the
     translation one, checked as the control below.
     """
-    t0 = time.perf_counter()
     bodies, pots = standard_bodies(M), standard_potentials()
     body, u = bodies["disk1"], pots["gaussian"]
     f = BoundaryField(body.values.copy())
     psi = ConjugatePerturbation(u, 1.0)
     d = shape_derivatives(body, u, f, psi, Q=Q)
     # independent oracle: Var_{mu|K}(u) - 2
-    from .forms import InteriorField
-
     uval = InteriorField(lambda p: u.value(p))
     usq = InteriorField(lambda p: u.value(p) ** 2)
     muK, int_u, int_usq = interior_integral(body, u, (1.0, uval, usq), Q=Q)
     var = int_usq / muK - (int_u / muK) ** 2
-    details = {"S2": d["S2"], "variance_oracle": var - 2.0,
-               "oracle_agreement": abs(d["S2"] - (var - 2.0)),
-               "note": "claimed linear; actual S''(0) = Var(u) - n != 0"}
     ok = abs(d["S2"]) <= 1e-8
-    return _record("5c", "homothety flow linearity (knowingly red)", 60.0, t0,
-                   ok, details)
+    return ok, {"S2": d["S2"], "variance_oracle": var - 2.0,
+                "oracle_agreement": abs(d["S2"] - (var - 2.0)),
+                "note": "claimed linear; actual S''(0) = Var(u) - n != 0"}
 
 
-def criterion_5c_control(M=256, Q=32):
+@_criterion("5c-control", "translation flow linearity control", 60.0)
+def criterion_5c_control():
     """Translation flow is exactly linear: |S''(0)| at rounding level."""
-    t0 = time.perf_counter()
     bodies, pots = standard_bodies(M), standard_potentials()
     rows = []
     ok = True
-    for bname, pname in (("disk1", "gaussian"), ("ellipse21", "quad14"),
-                         ("blob", "quartic")):
+    for bname, pname in _SUITE_CONFIGS:
         body, u = bodies[bname], pots[pname]
         x0 = np.array([0.3, -0.2])
         f = BoundaryField(body.normals_grid @ x0)
@@ -376,22 +383,20 @@ def criterion_5c_control(M=256, Q=32):
         d = shape_derivatives(body, u, f, psi, Q=Q)
         ok = ok and abs(d["S2"]) <= 1e-8
         rows.append({"config": f"{bname}+{pname}", "S2": d["S2"]})
-    return _record("5c-control", "translation flow linearity control", 60.0,
-                   t0, ok, {"rows": rows})
+    return ok, {"rows": rows}
 
 
-def criterion_5d(M=256, Q=32):
+@_criterion("5d", "flow vs forms cross-module identity", 60.0)
+def criterion_5d():
     """Cross-module identity I(0) S''(0) = -(P + BL - 2 I)."""
-    t0 = time.perf_counter()
     rows = []
     ok = True
-    for name, body, u, f, psi in _flow_matrix(M):
+    for name, body, u, f, psi in _flow_matrix():
         rep = mean_form_from_flow(body, u, f, psi, Q=Q)
         ok = ok and rep["passed"]
         rows.append({"config": name,
                      "relative_mismatch": rep["mismatch"] / rep["scale"]})
-    return _record("5d", "flow vs forms cross-module identity", 60.0, t0, ok,
-                   {"rows": rows})
+    return ok, {"rows": rows}
 
 
 _SPECTRAL_CONFIGS = (("disk1", "gaussian"), ("disk05", "gaussian"),
@@ -399,7 +404,8 @@ _SPECTRAL_CONFIGS = (("disk1", "gaussian"), ("disk05", "gaussian"),
                      ("peanut", "quartic"))
 
 
-def criterion_6(M=256, Q=32, N=16):
+@_criterion("6", "spectral constants and stability scaling", 10.0)
+def criterion_6():
     """Spectral constants: coercivity, lambda1 > 1 (or inf), stability scaling.
 
     The +-1e-6 stability of C under N -> N+4 is asserted on the disk configs,
@@ -409,7 +415,6 @@ def criterion_6(M=256, Q=32, N=16):
     toward min_theta r(theta), so the discretized C keeps drifting downward
     with N; the drift is reported, not asserted away.
     """
-    t0 = time.perf_counter()
     bodies, pots = standard_bodies(M), standard_potentials()
     rows = []
     ok = True
@@ -437,19 +442,18 @@ def criterion_6(M=256, Q=32, N=16):
                  and abs(C_disk1 - 0.5) <= 1e-9
                  and abs(C_disk05 - 0.5**3 / 1.25) <= 1e-9)
     ok = ok and oracle_ok
-    return _record("6", "spectral constants and stability scaling", 10.0, t0, ok,
-                   {"rows": rows, "lambda1_disk05": lam05,
-                    "lambda1_disk05_oracle": lam_oracle,
-                    "C_disk1": C_disk1, "C_disk1_oracle": 0.5,
-                    "C_disk05": C_disk05, "C_disk05_oracle": 0.5**3 / 1.25})
+    return ok, {"rows": rows, "lambda1_disk05": lam05,
+                "lambda1_disk05_oracle": lam_oracle,
+                "C_disk1": C_disk1, "C_disk1_oracle": 0.5,
+                "C_disk05": C_disk05, "C_disk05_oracle": 0.5**3 / 1.25}
 
 
-def criterion_7(M=256, Q=32, N=16):
+@_criterion("7", "even symmetry of the minimizer", 2.0)
+def criterion_7():
     """Symmetry: odd harmonics of rho_bar vanish; even-only basis matches p."""
-    t0 = time.perf_counter()
     rows = []
     ok = True
-    for bname, pname, body, u in _matrix(M, _SYMMETRIC):
+    for bname, pname, body, u in _matrix(_SYMMETRIC):
         rep = solve_report(body, u, N=N, Q=Q)
         coeffs = rep["rho_bar"].galerkin_coeffs
         odd = [abs(coeffs[2 * k - 1]) for k in range(1, N + 1, 2)]
@@ -460,16 +464,16 @@ def criterion_7(M=256, Q=32, N=16):
         ok = ok and odd_max <= 1e-10 and dp <= 1e-9
         rows.append({"config": f"{bname}+{pname}", "max_odd_coefficient": odd_max,
                      "p_even_minus_p": dp})
-    return _record("7", "even symmetry of the minimizer", 2.0, t0, ok, {"rows": rows})
+    return ok, {"rows": rows}
 
 
-def criterion_8(M=256, Q=32, N=16):
+@_criterion("8", "dimensional reformulation checks", 10.0)
+def criterion_8():
     """Reformulation: intermediate identity and sign biconditional."""
-    t0 = time.perf_counter()
     rows = []
     ok = True
     g = standard_potentials()["gaussian"]
-    cases = [(f"{b}+{p}", body, u) for b, p, body, u in _matrix(M, _SYMMETRIC)]
+    cases = [(f"{b}+{p}", body, u) for b, p, body, u in _matrix(_SYMMETRIC)]
     cases += [(f"disk({R})+gaussian", disk(R, M=M), g) for R in (0.25, 0.5, 1.0, 2.0, 3.0)]
     for name, body, u in cases:
         rep = reformulation_check(body, u, N=N, Q=Q)
@@ -478,7 +482,7 @@ def criterion_8(M=256, Q=32, N=16):
                      "identity_relative_residual": rep["identity_residual"] / rep["identity_scale"],
                      "p": rep["p"], "quantity": rep["quantity"],
                      "sign_consistent": rep["sign_consistent"]})
-    return _record("8", "dimensional reformulation checks", 10.0, t0, ok, {"rows": rows})
+    return ok, {"rows": rows}
 
 
 _PINCHED_CONFIGS = (("disk1", "gaussian"), ("ellipse21", "gaussian"),
@@ -486,9 +490,9 @@ _PINCHED_CONFIGS = (("disk1", "gaussian"), ("ellipse21", "gaussian"),
                     ("ellipse21", "quad14"), ("peanut", "quad_mixed"))
 
 
-def criterion_9(M=256, Q=32, N=16):
+@_criterion("9", "pinched-Hessian moment and power bounds", 10.0)
+def criterion_9():
     """Moment and power bounds under Hessian pinching (r = k2/k1)."""
-    t0 = time.perf_counter()
     bodies, pots = standard_bodies(M), standard_potentials()
     rows = []
     ok = True
@@ -499,16 +503,15 @@ def criterion_9(M=256, Q=32, N=16):
                      "moment": rep["moment"], "moment_limit": rep["moment_limit"],
                      "p": rep["p"], "power_floor": rep["power_floor"],
                      "passed": rep["passed"]})
-    return _record("9", "pinched-Hessian moment and power bounds", 10.0, t0, ok,
-                   {"rows": rows})
+    return ok, {"rows": rows}
 
 
 _BM_PAIRS = (("disk05", "disk15"), ("ellipse21", "disk1"), ("ellipse21", "ellipse12"))
 
 
-def criterion_10(M=256, Q=32):
+@_criterion("10", "Brunn-Minkowski segments at p = 1/2", 10.0)
+def criterion_10():
     """Direct 1/2-power concavity along Minkowski segments, Gaussian measure."""
-    t0 = time.perf_counter()
     bodies = standard_bodies(M)
     g = standard_potentials()["gaussian"]
     rows = []
@@ -517,43 +520,39 @@ def criterion_10(M=256, Q=32):
         rep = bm_check(bodies[k], bodies[l], g, p=0.5, t_nodes=21, Q=Q)
         ok = ok and rep.passed
         rows.append({"pair": f"{k},{l}", "min_slack": rep.min_slack})
-    return _record("10", "Brunn-Minkowski segments at p = 1/2", 10.0, t0, ok,
-                   {"rows": rows})
+    return ok, {"rows": rows}
 
 
-def _reported_scalars(M, Q, N=16):
+def _reported_scalars(M, Q):
     bodies, pots = standard_bodies(M), standard_potentials()
-    g, q14 = pots["gaussian"], pots["quad14"]
-    out = {}
-    out["p_disk1"] = concavity_power(bodies["disk1"], g, N=N, Q=Q)
-    out["p_ellipse_quad"] = concavity_power(bodies["ellipse21"], q14, N=N, Q=Q)
+    g, q14, ell = pots["gaussian"], pots["quad14"], bodies["ellipse21"]
     rho = BoundaryField.from_function(lambda t: np.cos(2 * t) + 0.3 * np.sin(t), M)
     phi = random_interior_field(np.random.default_rng(3))
-    out["form_P"] = form_P(bodies["ellipse21"], q14, rho, rho, Q=Q)
-    out["form_BL"] = form_BL(bodies["ellipse21"], q14, phi, phi, Q=Q)
-    out["form_I"] = form_I(bodies["ellipse21"], q14, rho, phi, Q=Q)
-    out["lambda1_disk05"] = lambda1(assemble(bodies["disk05"], g, N=N, Q=Q))[0]
-    out["coercivity_ellipse"] = coercivity_constant(
-        assemble(bodies["ellipse21"], g, N=N, Q=Q))
-    out["interpolation_disk1"] = interpolation_constant(
-        assemble(bodies["disk1"], g, N=N, Q=Q), sample_size=200)
     f = BoundaryField.from_function(lambda t: np.cos(2 * t), M)
     psi = QuadraticPerturbation(B=[[0.3, 0.1], [0.1, 0.2]], b=[0.1, -0.05])
-    out["flow_S2"] = shape_derivatives(bodies["ellipse21"], q14, f, psi, Q=Q)["S2"]
-    out["bm_min_slack"] = bm_check(bodies["disk05"], bodies["disk15"], g, p=0.5,
-                                   t_nodes=11, Q=Q).min_slack
-    out["reformulation_quantity"] = reformulation_check(bodies["ellipse21"], g,
-                                                        N=N, Q=Q)["quantity"]
-    out["moment_ellipse_quad"] = pinching_bounds(bodies["ellipse21"], q14,
-                                                 N=N, Q=Q)["moment"]
-    return out
+    return {
+        "p_disk1": concavity_power(bodies["disk1"], g, N=N, Q=Q),
+        "p_ellipse_quad": concavity_power(ell, q14, N=N, Q=Q),
+        "form_P": form_P(ell, q14, rho, rho, Q=Q),
+        "form_BL": form_BL(ell, q14, phi, phi, Q=Q),
+        "form_I": form_I(ell, q14, rho, phi, Q=Q),
+        "lambda1_disk05": lambda1(assemble(bodies["disk05"], g, N=N, Q=Q))[0],
+        "coercivity_ellipse": coercivity_constant(assemble(ell, g, N=N, Q=Q)),
+        "interpolation_disk1": interpolation_constant(assemble(bodies["disk1"], g, N=N, Q=Q),
+                                                      sample_size=200),
+        "flow_S2": shape_derivatives(ell, q14, f, psi, Q=Q)["S2"],
+        "bm_min_slack": bm_check(bodies["disk05"], bodies["disk15"], g, p=0.5, t_nodes=11,
+                                 Q=Q).min_slack,
+        "reformulation_quantity": reformulation_check(ell, g, N=N, Q=Q)["quantity"],
+        "moment_ellipse_quad": pinching_bounds(ell, q14, N=N, Q=Q)["moment"],
+    }
 
 
+@_criterion("11", "quadrature doubling gate", None)
 def criterion_11():
     """Quadrature gate: doubling M and Q moves no reported scalar by 1e-9."""
-    t0 = time.perf_counter()
-    base = _reported_scalars(256, 32)
-    fine = _reported_scalars(512, 64)
+    base = _reported_scalars(M, Q)
+    fine = _reported_scalars(2 * M, 2 * Q)
     rows = []
     ok = True
     for key, v in base.items():
@@ -561,37 +560,12 @@ def criterion_11():
         ok = ok and rel <= 1e-9
         rows.append({"scalar": key, "coarse": v, "fine": fine[key],
                      "relative_change": rel})
-    return _record("11", "quadrature doubling gate", None, t0, ok, {"rows": rows})
+    return ok, {"rows": rows}
 
-
-CRITERIA = (
-    ("1", criterion_1),
-    ("2", criterion_2),
-    ("3", criterion_3),
-    ("4a", criterion_4a),
-    ("4b", criterion_4b),
-    ("4c", criterion_4c),
-    ("5a", criterion_5a),
-    ("5b", criterion_5b),
-    ("5c", criterion_5c),
-    ("5c-control", criterion_5c_control),
-    ("5d", criterion_5d),
-    ("6", criterion_6),
-    ("7", criterion_7),
-    ("8", criterion_8),
-    ("9", criterion_9),
-    ("10", criterion_10),
-    ("11", criterion_11),
-)
 
 KNOWN_RED = {"4b", "5c"}
 
 
 def run_all(ids=None):
     """Run the acceptance criteria (optionally a subset of ids) in order."""
-    records = []
-    for cid, fn in CRITERIA:
-        if ids is not None and cid not in ids:
-            continue
-        records.append(fn())
-    return records
+    return [fn() for cid, fn in CRITERIA if ids is None or cid in ids]

@@ -48,6 +48,10 @@ __all__ = [
     "random_coefficients",
 ]
 
+STABILITY_DELTAS = (1.0, 0.1, 0.01, 0.001)  # scales delta of coercivity_report's family
+CONCAVITY_FD_STEP = 1e-3  # t step of local_concavity_fd
+SIGN_DEAD_ZONE = 1e-8  # reformulation_check: |p - 1/2| or relative |quantity| taken as 0
+
 
 @dataclass
 class BMReport:
@@ -113,7 +117,7 @@ def coercivity_constant(system):
     return float(eigs[0])
 
 
-def coercivity_report(system, deltas=(1.0, 0.1, 0.01, 0.001), seed=7):
+def coercivity_report(system, seed=7):
     """Coercivity constant plus the square-root stability scaling audit.
 
     On the family rho_delta = delta * rho_0 the deficit is delta^2 <rho0,rho0>_P
@@ -125,7 +129,7 @@ def coercivity_report(system, deltas=(1.0, 0.1, 0.01, 0.001), seed=7):
     rng = np.random.default_rng(seed)
     c0 = random_coefficients(rng, system.dim)
     deficits, norms = [], []
-    for d in deltas:
+    for d in STABILITY_DELTAS:
         c = d * c0
         deficits.append(float(c @ system.G @ c))
         norms.append(float(np.sqrt(c @ system.S @ c)))
@@ -226,7 +230,7 @@ def bm_check(bodyK, bodyL, u, p, t_nodes=21, Q=DEFAULT_Q, local_probe=False,
                     local_powers=local_powers, notes=notes)
 
 
-def local_concavity_fd(body, u, f, p, step=1e-3, Q=DEFAULT_Q):
+def local_concavity_fd(body, u, f, p, Q=DEFAULT_Q):
     """Central second difference of t -> mu([h + t f])^p at t = 0.
 
     p = 0 is the log-concavity limit and tests log mu instead.
@@ -239,10 +243,11 @@ def local_concavity_fd(body, u, f, p, step=1e-3, Q=DEFAULT_Q):
         mu = interior_integral(body_t, u, 1.0, Q=Q)
         return np.log(mu) if p == 0 else mu**p
 
-    return float((g(step) - 2.0 * g(0.0) + g(-step)) / step**2)
+    h = CONCAVITY_FD_STEP
+    return float((g(h) - 2.0 * g(0.0) + g(-h)) / h**2)
 
 
-def reformulation_check(body, u, N=DEFAULT_N, Q=DEFAULT_Q, dead_zone=1e-8):
+def reformulation_check(body, u, N=DEFAULT_N, Q=DEFAULT_Q):
     """Sign test p >= 1/2  <=>  <rho_bar, <grad u, x>>_I + int <grad u, x> dmu >= 0.
 
     Also verifies the intermediate identity
@@ -266,7 +271,7 @@ def reformulation_check(body, u, N=DEFAULT_N, Q=DEFAULT_Q, dead_zone=1e-8):
     quantity = interaction + moment_int
     p = rep["p"]
     q_scale = max(1.0, abs(moment_int))
-    if abs(p - 0.5) <= dead_zone or abs(quantity) <= dead_zone * q_scale:
+    if abs(p - 0.5) <= SIGN_DEAD_ZONE or abs(quantity) <= SIGN_DEAD_ZONE * q_scale:
         sign_consistent = True
     else:
         sign_consistent = (p - 0.5 > 0) == (quantity > 0)

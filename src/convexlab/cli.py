@@ -59,22 +59,6 @@ _COMMON_KEYS = [
     r"quad\.M", r"quad\.Q", r"pde\.N", r"seed",
 ]
 
-_COMMAND_KEYS = {
-    "forms-check": [r"forms\.pairs"],
-    "solve": [],
-    "flow": [r"flow\.eps", r"flow\.points", r"flow\.f\.c0", r"flow\.f\.cos\d+",
-             r"flow\.f\.sin\d+", r"flow\.psi\.kind", r"flow\.psi\.B",
-             r"flow\.psi\.b", r"flow\.psi\.c", r"flow\.psi\.alpha"],
-    "spectral": [r"spectral\.samples"],
-    "bm": [r"body2\.kind", r"body2\.radius", r"body2\.a", r"body2\.b",
-           r"body2\.c0", r"body2\.cos\d+", r"body2\.sin\d+",
-           r"bm\.p", r"bm\.nodes", r"bm\.local_probe"],
-    "bounds": [],
-    "scan": [r"scan\.radii"],
-    "all": [r"accept\.ids"],
-}
-
-
 def _parse_value(raw):
     raw = raw.strip()
     if "," in raw:
@@ -96,7 +80,7 @@ def _parse_value(raw):
 def parse_config(path, command):
     """Read a dotted-key config file, rejecting keys unknown to the command."""
     allowed = [re.compile(f"^(?:{pat})$")
-               for pat in _COMMON_KEYS + _COMMAND_KEYS[command]]
+               for pat in _COMMON_KEYS + _COMMANDS[command][1]]
     cfg = {}
     try:
         lines = open(path, encoding="utf-8").read().splitlines()
@@ -144,11 +128,8 @@ def _body_descriptor(sec):
         return {"kind": "ellipse", "a": float(sec.pop("a", 1.0)),
                 "b": float(sec.pop("b", 1.0)), **_leftover(sec)}
     if kind == "fourier":
-        cos = {int(k[3:]): float(v) for k, v in list(sec.items()) if k.startswith("cos")}
-        sin = {int(k[3:]): float(v) for k, v in list(sec.items()) if k.startswith("sin")}
-        for k in list(sec):
-            if k.startswith(("cos", "sin")):
-                sec.pop(k)
+        cos = {int(k[3:]): float(sec.pop(k)) for k in list(sec) if k.startswith("cos")}
+        sin = {int(k[3:]): float(sec.pop(k)) for k in list(sec) if k.startswith("sin")}
         return {"kind": "fourier", "c0": float(sec.pop("c0", 1.0)),
                 "cos": cos, "sin": sin, **_leftover(sec)}
     raise ConfigError(f"unknown body.kind {kind!r}")
@@ -227,7 +208,7 @@ def _build_psi(cfg, u):
 
 
 def _build_flow_field(cfg, M):
-    sec = {k: v for k, v in _section(cfg, "flow.f").items()}
+    sec = _section(cfg, "flow.f")
     t = 2.0 * np.pi * np.arange(M) / M
     vals = np.full(M, float(sec.pop("c0", 0.0)))
     for k, v in list(sec.items()):
@@ -443,15 +424,20 @@ def _cmd_all(cfg, ctx):
     return results, {}, failures, {}
 
 
+# command -> (function, patterns of the config keys it reads beyond _COMMON_KEYS)
 _COMMANDS = {
-    "solve": _cmd_solve,
-    "forms-check": _cmd_forms_check,
-    "flow": _cmd_flow,
-    "spectral": _cmd_spectral,
-    "bm": _cmd_bm,
-    "bounds": _cmd_bounds,
-    "scan": _cmd_scan,
-    "all": _cmd_all,
+    "solve": (_cmd_solve, []),
+    "forms-check": (_cmd_forms_check, [r"forms\.pairs"]),
+    "flow": (_cmd_flow, [r"flow\.eps", r"flow\.points", r"flow\.f\.c0", r"flow\.f\.cos\d+",
+                         r"flow\.f\.sin\d+", r"flow\.psi\.kind", r"flow\.psi\.B",
+                         r"flow\.psi\.b", r"flow\.psi\.c", r"flow\.psi\.alpha"]),
+    "spectral": (_cmd_spectral, [r"spectral\.samples"]),
+    "bm": (_cmd_bm, [r"body2\.kind", r"body2\.radius", r"body2\.a", r"body2\.b",
+                     r"body2\.c0", r"body2\.cos\d+", r"body2\.sin\d+",
+                     r"bm\.p", r"bm\.nodes", r"bm\.local_probe"]),
+    "bounds": (_cmd_bounds, []),
+    "scan": (_cmd_scan, [r"scan\.radii"]),
+    "all": (_cmd_all, [r"accept\.ids"]),
 }
 
 
@@ -505,7 +491,7 @@ def run(command, config_path=None, out_dir="convexlab-out", seed=None,
         raise ConfigError("quad.Q must be >= 16")
     if ctx["N"] < 4:
         raise ConfigError("pde.N must be >= 4")
-    results, tables, failures, plots = _COMMANDS[command](cfg, ctx)
+    results, tables, failures, plots = _COMMANDS[command][0](cfg, ctx)
     report = {
         "command": command,
         "config": {k: cfg[k] for k in sorted(cfg)},

@@ -60,7 +60,7 @@ class FlowConfig:
 
 def flow_setup(body, u, f, psi, t):
     """(K_t, u_t) for one admissible t."""
-    # u_t first: flow_potential rejects a non-finite t by name
+    # flow_potential and wulff_perturb each reject a non-finite t by name
     u_t = u if psi is None or t == 0.0 else flow_potential(u, psi, t)
     body_t = wulff_perturb(body, f, t) if t != 0.0 else body
     return body_t, u_t

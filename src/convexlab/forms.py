@@ -182,11 +182,6 @@ def _as_boundary_field(rho, M):
     return f
 
 
-def _fd_step(body):
-    # central-difference step for gradient fallback: 1e-5 * body diameter
-    return 1e-5 * 2.0 * float(body.values.max())
-
-
 def form_P(body, u, rho0, rho1, Q=DEFAULT_Q):
     """Boundary form <rho0, rho1>_P (valid for the zero potential too)."""
     from .measure import weighted_mean_curvature
@@ -202,7 +197,7 @@ def form_P(body, u, rho0, rho1, Q=DEFAULT_Q):
     return grad_term - curv_term + mean_term
 
 
-def form_BL(body, u, phi0, phi1, Q=DEFAULT_Q, fd_step=None):
+def form_BL(body, u, phi0, phi1, Q=DEFAULT_Q):
     """Interior (variance-type) form <phi0, phi1>_BL; needs del^2 u > 0."""
     u.require_strictly_convex("the interior variance form")
     same = phi1 is phi0
@@ -211,7 +206,7 @@ def form_BL(body, u, phi0, phi1, Q=DEFAULT_Q, fd_step=None):
     phi1 = phi0 if same else phi1
     if not isinstance(phi1, InteriorField):
         phi1 = InteriorField(phi1)
-    step = _fd_step(body) if fd_step is None else fd_step
+    step = 1e-5 * 2.0 * float(body.values.max())  # gradient fallback: 1e-5 * diameter
     from .quad import interior_nodes
 
     pts, wts = interior_nodes(body, Q)

@@ -17,7 +17,7 @@ from functools import cached_property
 import numpy as np
 
 from . import spectral
-from .errors import NotStrictlyConvex, OriginOutside, PerturbationTooLarge
+from .errors import ConvexLabError, NotStrictlyConvex, OriginOutside, PerturbationTooLarge
 
 __all__ = [
     "SupportFunction2D",
@@ -273,12 +273,15 @@ def wulff_perturb(body, f, t):
     support function is exactly h + t*f; outside that window the construction
     raises PerturbationTooLarge rather than forming a lower envelope.
     """
+    t = float(t)
+    if not np.isfinite(t):
+        raise ConvexLabError(f"the Wulff shape needs a finite t, got t = {t}")
     fv = np.asarray(getattr(f, "values", f), dtype=float)
     if fv.shape != body.values.shape:
         raise ValueError("perturbation grid does not match the body grid")
-    vals = body.values + float(t) * fv
+    vals = body.values + t * fv
     try:
-        return SupportFunction2D(vals, descriptor={"kind": "wulff", "base": body.descriptor, "t": float(t)})
+        return SupportFunction2D(vals, descriptor={"kind": "wulff", "base": body.descriptor, "t": t})
     except NotStrictlyConvex as exc:
         raise PerturbationTooLarge(
             f"t = {t:.6g} exceeds the admissible Wulff window: {exc}"

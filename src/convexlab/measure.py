@@ -33,7 +33,6 @@ __all__ = [
     "verify_pinching",
     "conjugate",
     "conjugate_potential",
-    "Perturbation",
     "QuadraticPerturbation",
     "ConjugatePerturbation",
     "conjugate_flow",
@@ -45,6 +44,8 @@ __all__ = [
 NEWTON_CAP = 100
 NEWTON_TOL = 1e-12
 ARMIJO = 1e-4
+CONSISTENCY_STEP = 1e-6  # central-difference step of gradient_consistency
+PINCHING_TOL = 1e-9  # slack of verify_pinching's eigenvalue and trace tests
 
 
 def _flatten(points):
@@ -325,7 +326,7 @@ def shift_potential(u, const):
 # -- validation helpers ----------------------------------------------------------
 
 
-def gradient_consistency(u, points, step=1e-6):
+def gradient_consistency(u, points):
     """Max relative mismatch of grad/hess against central differences of u.
 
     Guards custom potentials: both returned numbers should sit below ~1e-6
@@ -338,17 +339,18 @@ def gradient_consistency(u, points, step=1e-6):
     scale_h = np.abs(H).max() + 1.0
     worst_g = 0.0
     worst_h = 0.0
+    h = CONSISTENCY_STEP
     for axis in range(2):
         e = np.zeros(2)
-        e[axis] = step
+        e[axis] = h
         vp, vm = u._value(pts + e), u._value(pts - e)
-        worst_g = max(worst_g, np.abs((vp - vm) / (2 * step) - g[:, axis]).max() / scale_g)
+        worst_g = max(worst_g, np.abs((vp - vm) / (2 * h) - g[:, axis]).max() / scale_g)
         gp, gm = u._grad(pts + e), u._grad(pts - e)
-        worst_h = max(worst_h, np.abs((gp - gm) / (2 * step) - H[:, :, axis]).max() / scale_h)
+        worst_h = max(worst_h, np.abs((gp - gm) / (2 * h) - H[:, :, axis]).max() / scale_h)
     return worst_g, worst_h
 
 
-def verify_pinching(u, points, tol=1e-9):
+def verify_pinching(u, points):
     """Check k1*Id <= del^2 u and tr(del^2 u) <= 2*k2 at the given nodes."""
     if u.pinching is None:
         return
@@ -361,10 +363,10 @@ def verify_pinching(u, points, tol=1e-9):
     det = H[:, 0, 0] * H[:, 1, 1] - H[:, 0, 1] * H[:, 1, 0]
     lam_min = 0.5 * (tr - np.sqrt(np.maximum(tr**2 - 4 * det, 0.0)))
     # negated comparisons, so that a NaN Hessian fails instead of passing
-    if not lam_min.min() >= k1 - tol:
+    if not lam_min.min() >= k1 - PINCHING_TOL:
         raise PinchingViolation(
             f"min Hessian eigenvalue {lam_min.min():.6g} < declared k1 = {k1:.6g}")
-    if not tr.max() <= 2.0 * k2 + tol:
+    if not tr.max() <= 2.0 * k2 + PINCHING_TOL:
         raise PinchingViolation(
             f"max Laplacian {tr.max():.6g} > declared 2*k2 = {2 * k2:.6g}")
 
@@ -468,26 +470,10 @@ def conjugate_potential(u):
 
 
 # -- dual perturbations psi -------------------------------------------------------
+# A psi has value, grad and hess on points (..., 2), and kind, is_even, descriptor.
 
 
-class Perturbation:
-    """C^2 dual-side perturbation psi with analytic gradient and Hessian."""
-
-    kind = "abstract"
-    is_even = False
-    descriptor = {"kind": "abstract"}
-
-    def value(self, y):
-        raise NotImplementedError
-
-    def grad(self, y):
-        raise NotImplementedError
-
-    def hess(self, y):
-        raise NotImplementedError
-
-
-class QuadraticPerturbation(Perturbation):
+class QuadraticPerturbation:
     """psi(y) = <By, y>/2 + <b, y> + c (B symmetric, possibly indefinite)."""
 
     kind = "quadratic"
@@ -516,7 +502,7 @@ class QuadraticPerturbation(Perturbation):
         return np.broadcast_to(self.B, (len(flat), 2, 2)).reshape(lead + (2, 2)).copy()
 
 
-class ConjugatePerturbation(Perturbation):
+class ConjugatePerturbation:
     """psi = alpha * u*; the homothety direction of the conjugate flow."""
 
     kind = "conjugate"
@@ -552,7 +538,8 @@ def _flow_closed_form(u, psi, t):
     """Closed-form (value, grad, hess) callables where the algebra allows.
 
     Returns None when no fast path applies.  Raises FlowNotConvex when the
-    requested t leaves the admissible window of the fast path.
+    requested t leaves the admissible window of the fast path.  The callables
+    name non-finite rows of their (m, 2) stacks, as the Newton path does.
     """
     if isinstance(psi, ConjugatePerturbation) and psi.base is u:
         s = 1.0 + t * psi.alpha
@@ -560,12 +547,15 @@ def _flow_closed_form(u, psi, t):
             raise FlowNotConvex(f"1 + t*alpha = {s:.6g} <= 0")
 
         def value(p):
+            _require_finite(p, "flow closed form")
             return s * u._value(p / s)
 
         def grad(p):
+            _require_finite(p, "flow closed form")
             return u._grad(p / s)
 
         def hess(p):
+            _require_finite(p, "flow closed form")
             return u._hess(p / s) / s
 
         return value, grad, hess
@@ -582,13 +572,16 @@ def _flow_closed_form(u, psi, t):
         const = u._value(np.zeros((1, 2)))[0] - t * psi.c
 
         def value(p):
+            _require_finite(p, "flow closed form")
             q = p - tb
             return 0.5 * _qform(q, Minv, q) + const
 
         def grad(p):
+            _require_finite(p, "flow closed form")
             return (p - tb) @ Minv.T
 
         def hess(p):
+            _require_finite(p, "flow closed form")
             return np.broadcast_to(Minv, (len(p), 2, 2)).copy()
 
         return value, grad, hess
@@ -678,7 +671,6 @@ def conjugate_flow(u, psi, t, x, method="auto"):
     flat, lead = _flatten(x)
     closed = None if method == "newton" else _flow_closed_form(u, psi, t)
     if closed is not None:
-        _require_finite(flat, "flow closed form")
         value, grad, hess = closed
         val, g, H = value(flat), grad(flat), hess(flat)
     elif method == "closed":

@@ -77,23 +77,25 @@ def basis_matrix(N, theta, order=0):
 
     Returns the (2N+1, len(theta)) matrix of basis values, spectrally
     differentiated ``order`` times.  ``order`` may also be a sequence of
-    orders: cos and sin are computed once per k for all of them, and a list
-    with one matrix per order comes back.
+    orders: cos and sin are computed once for all of them, and a list with
+    one matrix per order comes back.
     """
-    theta = np.asarray(theta, dtype=float)
+    theta = np.asarray(theta, dtype=float).ravel()
     orders = order if np.ndim(order) else [order]
-    out = [np.empty((2 * N + 1, theta.size)) for _ in orders]
-    for B, o in zip(out, orders):
+    k = np.arange(1, N + 1)
+    kt = np.multiply.outer(k, theta)
+    c, s = np.cos(kt), np.sin(kt)
+    out = []
+    for o in orders:
+        B = np.empty((2 * N + 1, theta.size))
         B[0] = 0.0 if o else 1.0
-    for k in range(1, N + 1):
-        kt = k * theta
-        c, s = np.cos(kt), np.sin(kt)
-        for B, o in zip(out, orders):
-            # d/dtheta rotates the pair: (cos, sin) -> k*(-sin, cos)
-            dc, ds = ((c, s), (s, c))[o % 2]
-            sign_c, sign_s = ((1.0, 1.0), (-1.0, 1.0), (-1.0, -1.0), (1.0, -1.0))[o % 4]
-            B[2 * k - 1] = sign_c * float(k) ** o * dc
-            B[2 * k] = sign_s * float(k) ** o * ds
+        # d/dtheta rotates the pair: (cos, sin) -> k*(-sin, cos)
+        dc, ds = ((c, s), (s, c))[o % 2]
+        sign_c, sign_s = ((1.0, 1.0), (-1.0, 1.0), (-1.0, -1.0), (1.0, -1.0))[o % 4]
+        ko = (k.astype(float) ** o)[:, None]
+        B[1::2] = sign_c * ko * dc
+        B[2::2] = sign_s * ko * ds
+        out.append(B)
     return out if np.ndim(order) else out[0]
 
 

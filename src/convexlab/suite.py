@@ -25,6 +25,8 @@ __all__ = [
     "random_interior_field",
 ]
 
+FIELD_ORDER, FIELD_DECAY = 6, 2.0  # harmonics and falloff of random_boundary_field
+
 
 def standard_bodies(M=256):
     return {
@@ -51,12 +53,12 @@ def standard_potentials():
     }
 
 
-def random_boundary_field(rng, M, order=6, decay=2.0):
-    """Smooth random field: Fourier coefficients with 1/(1+k^decay) falloff."""
+def random_boundary_field(rng, M):
+    """Smooth random field: harmonics k <= FIELD_ORDER, 1/(1+k^FIELD_DECAY) falloff."""
     t = 2.0 * np.pi * np.arange(M) / M
     vals = np.full(M, rng.standard_normal())
-    for k in range(1, order + 1):
-        w = 1.0 / (1.0 + float(k) ** decay)
+    for k in range(1, FIELD_ORDER + 1):
+        w = 1.0 / (1.0 + float(k) ** FIELD_DECAY)
         vals += w * rng.standard_normal() * np.cos(k * t)
         vals += w * rng.standard_normal() * np.sin(k * t)
     return BoundaryField(vals)

@@ -63,3 +63,27 @@ def test_everything_except_known_red_passes(records):
     unexpected = [cid for cid, rec in records.items()
                   if not rec["passed"] and cid not in acceptance.KNOWN_RED]
     assert not unexpected, f"unexpected failures: {unexpected}"
+
+
+def test_registry_ids_names_and_budgets(records):
+    assert [(rec["id"], rec["name"], rec["time_limit"]) for rec in records.values()] == [
+        ("1", "gaussian unit disk solve", 1.0),
+        ("2", "gaussian disk radius scan", 5.0),
+        ("3", "divergence identity on the test matrix", 5.0),
+        ("4a", "inequality suites on random pairs", 30.0),
+        ("4b", "scaling-family equality witnesses (knowingly red)", 30.0),
+        ("4c", "translation-family equality control", 30.0),
+        ("5a", "log-marginal concavity over the flow matrix", 60.0),
+        ("5b", "shape derivatives vs finite-difference oracles", 60.0),
+        ("5c", "homothety flow linearity (knowingly red)", 60.0),
+        ("5c-control", "translation flow linearity control", 60.0),
+        ("5d", "flow vs forms cross-module identity", 60.0),
+        ("6", "spectral constants and stability scaling", 10.0),
+        ("7", "even symmetry of the minimizer", 2.0),
+        ("8", "dimensional reformulation checks", 10.0),
+        ("9", "pinched-Hessian moment and power bounds", 10.0),
+        ("10", "Brunn-Minkowski segments at p = 1/2", 10.0),
+        ("11", "quadrature doubling gate", None),
+    ]
+    for rec in records.values():
+        assert list(rec) == ["id", "name", "passed", "elapsed", "time_limit", "details"]

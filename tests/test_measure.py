@@ -626,11 +626,12 @@ def _flow_pairs(gaussian, quartic):
     quad_psi = measure.QuadraticPerturbation(B=[[0.3, 0.1], [0.1, 0.2]])
     return {"closed quadratic": (gaussian, quad_psi),
             "closed conjugate": (gaussian, measure.ConjugatePerturbation(gaussian, 0.7)),
-            "newton": (quartic, quad_psi)}
+            "newton": (quartic, quad_psi),
+            "no psi": (gaussian, None)}
 
 
 @pytest.mark.parametrize("bad", [np.nan, np.inf, -np.inf])
-@pytest.mark.parametrize("path", ["closed quadratic", "closed conjugate", "newton"])
+@pytest.mark.parametrize("path", ["closed quadratic", "closed conjugate", "newton", "no psi"])
 def test_flow_rejects_non_finite_t_before_any_work(gaussian, quartic, disk1, monkeypatch,
                                                    bad, path):
     u, psi = _flow_pairs(gaussian, quartic)[path]
@@ -642,10 +643,12 @@ def test_flow_rejects_non_finite_t_before_any_work(gaussian, quartic, disk1, mon
     monkeypatch.setattr(measure, "_flow_newton", no_work)
     x = np.array([[0.3, 0.1], [0.2, -0.4]])
     f = forms.BoundaryField.from_function(lambda s: np.cos(2 * s), disk1.M)
-    calls = (lambda: measure.conjugate_flow(u, psi, bad, x),
-             lambda: measure.flow_potential(u, psi, bad),
-             lambda: measure.flow_derivatives(u, psi, bad, x),
-             lambda: flow.flow_setup(disk1, u, f, psi, bad))
+    calls = [lambda: flow.flow_setup(disk1, u, f, psi, bad),
+             lambda: flow.marginal_value(disk1, u, f, psi, bad)]
+    if psi is not None:  # with psi = None only the Wulff shape sees t
+        calls += [lambda: measure.conjugate_flow(u, psi, bad, x),
+                  lambda: measure.flow_potential(u, psi, bad),
+                  lambda: measure.flow_derivatives(u, psi, bad, x)]
     for call in calls:
         with pytest.raises(ConvexLabError, match=rf"finite t, got t = {float(bad)}$") as info:
             call()
@@ -662,3 +665,9 @@ def test_flow_closed_form_names_non_finite_rows(gaussian, quartic, bad, path):
         measure.conjugate_flow(u, psi, 0.1, x)
     with pytest.raises(ConvexLabError, match="non-finite"):
         measure.flow_derivatives(u, psi, 0.1, x, method="closed")
+    # the flowed potential's own callables follow the same policy
+    u_t = measure.flow_potential(u, psi, 0.1)
+    for evaluate in (u_t.value, u_t.grad, u_t.hess):
+        with pytest.raises(ConvexLabError, match=r"flow closed form got 1 non-finite "
+                                                 r"point\(s\), the first .* at row 1"):
+            evaluate(x)

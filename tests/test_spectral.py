@@ -1,5 +1,7 @@
 import numpy as np
 import numpy.testing as npt
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from convexlab import spectral
 
@@ -96,6 +98,36 @@ def test_basis_matrix_several_orders_matches_one_order_calls(rng):
                                     atol=1e-10 * N**order)
         one, = spectral.basis_matrix(N, theta, [1])
         assert one.tobytes() == spectral.basis_matrix(N, theta, 1).tobytes()
+
+
+def _reference_basis_matrix(N, theta, order):
+    """The per-k loop basis_matrix replaced: one cos/sin pair and two row writes per k."""
+    theta = np.asarray(theta, dtype=float)
+    B = np.empty((2 * N + 1, theta.size))
+    B[0] = 0.0 if order else 1.0
+    for k in range(1, N + 1):
+        kt = k * theta
+        c, s = np.cos(kt), np.sin(kt)
+        dc, ds = ((c, s), (s, c))[order % 2]
+        sign_c, sign_s = ((1.0, 1.0), (-1.0, 1.0), (-1.0, -1.0), (1.0, -1.0))[order % 4]
+        B[2 * k - 1] = sign_c * float(k) ** order * dc
+        B[2 * k] = sign_s * float(k) ** order * ds
+    return B
+
+
+@settings(max_examples=80, deadline=None)
+@given(N=st.integers(0, 48), orders=st.lists(st.integers(0, 5), min_size=1, max_size=4),
+       grid=st.sampled_from([0, 64, 256, 512]), seed=st.integers(0, 2**32 - 1),
+       size=st.integers(0, 97))
+def test_basis_matrix_matches_per_k_loop_bytes(N, orders, grid, seed, size):
+    # one outer product k*theta and one cos/sin round exactly as the per-k loop
+    theta = (spectral.grid(grid) if grid
+             else np.random.default_rng(seed).uniform(-10.0, 20.0, size=size))
+    together = spectral.basis_matrix(N, theta, orders)
+    for got, order in zip(together, orders):
+        assert got.tobytes() == _reference_basis_matrix(N, theta, order).tobytes()
+    assert (spectral.basis_matrix(N, theta, orders[0]).tobytes()
+            == _reference_basis_matrix(N, theta, orders[0]).tobytes())
 
 
 def test_assemble_builds_the_basis_once(monkeypatch):
