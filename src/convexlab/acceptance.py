@@ -233,7 +233,7 @@ def criterion_3():
 _SUITE_CONFIGS = (("disk1", "gaussian"), ("ellipse21", "quad14"), ("blob", "quartic"))
 
 
-@_criterion("4a", "inequality suites on random pairs", 30.0)
+@_criterion("4a", "inequality suites on random pairs", 5.0)
 def criterion_4a():
     """Mean and multiplicative inequalities on seeded random pairs."""
     bodies, pots = standard_bodies(M), standard_potentials()

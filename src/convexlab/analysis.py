@@ -29,11 +29,11 @@ import numpy as np
 import scipy.linalg
 
 from .errors import CoercivityFailure, PinchingUndeclared
-from .forms import form_I
+from .forms import _bl_nodes, form_I
 from .geometry import minkowski_combine, wulff_perturb
-from .measure import _hgg, _inv_2x2
+from .measure import _hgg
 from .pde import DEFAULT_N, radial_moment_field, solve_report
-from .quad import DEFAULT_Q, boundary_integral, interior_integral, interior_nodes
+from .quad import DEFAULT_Q, boundary_integral, interior_integral
 
 __all__ = [
     "BMReport",
@@ -302,11 +302,8 @@ def pinching_bounds(body, u, N=DEFAULT_N, Q=DEFAULT_Q):
         raise ValueError("pinching bounds require an even potential")
     k1, k2 = u.pinching
     r = k2 / k1
-    pts, wts = interior_nodes(body, Q)
-    flat = pts.reshape(-1, 2)
-    wmu = (wts * u.weight(pts)).reshape(-1)
+    flat, wmu, Hinv = _bl_nodes(body, u, Q)
     g = u.grad(flat)
-    Hinv = _inv_2x2(u.hess(flat))
     muK = float(np.sum(wmu))
     moment = float(np.sum(wmu * _hgg(Hinv, g, g))) / muK
     p = solve_report(body, u, N=N, Q=Q)["p"]

@@ -191,6 +191,9 @@ def _build_psi(cfg, u):
     sec = _section(cfg, "flow.psi")
     kind = sec.pop("kind", "none")
     if kind == "none":
+        if sec:
+            raise ConfigError(f"flow.psi keys {sorted(sec)} need flow.psi.kind "
+                              "quadratic or conjugate")
         return None
     if kind == "quadratic":
         B = sec.pop("B", [0.0, 0.0, 0.0, 0.0])

@@ -14,6 +14,10 @@ e^{-u(x(theta))} dtheta.
 
 Two inequalities are checked:  <r,f>_I <= (P + BL)/2  (mean form) and
 <r,f>_I^2 <= P*BL (multiplicative form).
+
+What depends only on (K, u, Q), namely e^{-u} on the boundary and at the
+interior nodes, H_mu and (del^2 u)^{-1} at the nodes, is evaluated once and
+read from the store in ``quad`` by every later pair on the same (K, u, Q).
 """
 
 from dataclasses import dataclass, field
@@ -21,8 +25,16 @@ from dataclasses import dataclass, field
 import numpy as np
 
 from . import spectral
-from .measure import _dot2, _hgg, _inv_2x2
-from .quad import DEFAULT_Q, boundary_integral, interior_integral
+from .measure import _dot2, _hgg, _inv_2x2, weighted_mean_curvature
+from .quad import (
+    DEFAULT_Q,
+    _boundary_weight,
+    _node_weight,
+    _shared,
+    boundary_integral,
+    interior_integral,
+    interior_nodes,
+)
 
 __all__ = [
     "BoundaryField",
@@ -184,17 +196,29 @@ def _as_boundary_field(rho, M):
 
 def form_P(body, u, rho0, rho1, Q=DEFAULT_Q):
     """Boundary form <rho0, rho1>_P (valid for the zero potential too)."""
-    from .measure import weighted_mean_curvature
-
+    same = rho1 is rho0
     r0 = _as_boundary_field(rho0, body.M)
-    r1 = _as_boundary_field(rho1, body.M)
-    w_pts = u.weight(body.boundary_grid)
-    grad_term = float(np.sum(r0.deriv() * r1.deriv() * w_pts) * 2.0 * np.pi / body.M)
-    hmu = weighted_mean_curvature(body, u)
+    r1 = r0 if same else _as_boundary_field(rho1, body.M)
+    d0 = r0.deriv()
+    d1 = d0 if same else r1.deriv()
+    grad_term = float(np.sum(d0 * d1 * _boundary_weight(body, u)) * 2.0 * np.pi / body.M)
+    hmu = _shared(body, u, "hmu", lambda: weighted_mean_curvature(body, u))
     curv_term = boundary_integral(body, u, hmu * r0.values * r1.values)
     muK = interior_integral(body, u, 1.0, Q=Q)
-    mean_term = boundary_integral(body, u, r0.values) * boundary_integral(body, u, r1.values) / muK
+    m0 = boundary_integral(body, u, r0.values)
+    m1 = m0 if same else boundary_integral(body, u, r1.values)
+    mean_term = m0 * m1 / muK
     return grad_term - curv_term + mean_term
+
+
+def _bl_nodes(body, u, Q):
+    """The (Q*M, 2) interior nodes, the mu-weights there and (del^2 u)^{-1} there."""
+    pts, wts = interior_nodes(body, Q)
+    flat = pts.reshape(-1, 2)
+    wmu, Hinv = _shared(body, u, ("BL", len(pts)), lambda: (
+        (wts * _node_weight(body, u, pts)).reshape(-1),
+        _inv_2x2(u.hess(flat).reshape(-1, 2, 2))))
+    return flat, wmu, Hinv
 
 
 def form_BL(body, u, phi0, phi1, Q=DEFAULT_Q):
@@ -207,12 +231,7 @@ def form_BL(body, u, phi0, phi1, Q=DEFAULT_Q):
     if not isinstance(phi1, InteriorField):
         phi1 = InteriorField(phi1)
     step = 1e-5 * 2.0 * float(body.values.max())  # gradient fallback: 1e-5 * diameter
-    from .quad import interior_nodes
-
-    pts, wts = interior_nodes(body, Q)
-    flat = pts.reshape(-1, 2)
-    wmu = (wts * u.weight(pts)).reshape(-1)
-    Hinv = _inv_2x2(u.hess(flat).reshape(-1, 2, 2))
+    flat, wmu, Hinv = _bl_nodes(body, u, Q)
     g0 = phi0.gradient(flat, step=step)
     g1 = g0 if same else phi1.gradient(flat, step=step)
     grad_term = float(np.sum(wmu * _hgg(Hinv, g0, g1)))

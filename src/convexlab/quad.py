@@ -13,14 +13,19 @@ over s in [0, 1] (Gauss-Legendre) and theta (trapezoid).  The map has Jacobian
 so  int_K g dmu = int_0^1 int_0^{2pi} g(s*x) e^{-u(s*x)} s*h*r  dtheta ds.
 
 The radial Gauss-Legendre rule depends on Q alone, so it is built once per Q
-per process and shared read-only.  ``interior_integral`` also takes a tuple of
-integrands and then returns the tuple of their integrals from one node set and
-one evaluation of e^{-u}; each entry equals the single-integrand call bit for
-bit.  A boundary or interior result that is not finite raises
-``NonFiniteIntegral``.
+per process.  What depends only on (body, Q) or (body, u, Q) is computed once
+and shared by every caller: the interior nodes and weights, e^{-u} at the
+nodes, and e^{-u} (alone and times r) on the boundary grid.  The shared
+arrays are read-only and are held through weak references to the body and
+the potential, so they go when either object does; ``forms`` keeps its own
+per-(body, u, Q) quantities in the same store.  ``interior_integral`` also
+takes a tuple of integrands and then returns the tuple of their integrals;
+each entry equals the single-integrand call bit for bit.  A boundary or
+interior result that is not finite raises ``NonFiniteIntegral``.
 """
 
 import functools
+import weakref
 
 import numpy as np
 
@@ -29,6 +34,40 @@ from .errors import NonFiniteIntegral
 __all__ = ["boundary_integral", "interior_integral", "interior_nodes"]
 
 DEFAULT_Q = 32
+
+# body -> (its own entries, WeakKeyDictionary of potential -> entries).  Bodies
+# and potentials do not change after construction, so an entry holds while
+# both objects live, and the weak keys drop it when either goes.
+_SHARED = weakref.WeakKeyDictionary()
+
+
+def _shared(body, u, key, build):
+    """build(), made once per live body (u None) or (body, u) and key; read-only."""
+    entry = _SHARED.get(body)
+    if entry is None:
+        entry = _SHARED[body] = ({}, weakref.WeakKeyDictionary())
+    table, per_u = entry
+    if u is not None:
+        table = per_u.get(u)
+        if table is None:
+            table = per_u[u] = {}
+    value = table.get(key)
+    if value is None:
+        value = build()
+        for a in value if isinstance(value, tuple) else (value,):
+            a.flags.writeable = False
+        table[key] = value
+    return value
+
+
+def _boundary_weight(body, u):
+    """e^{-u} on the boundary grid."""
+    return _shared(body, u, "boundary_weight", lambda: u.weight(body.boundary_grid))
+
+
+def _node_weight(body, u, pts):
+    """e^{-u} at the interior nodes ``pts`` = interior_nodes(body, Q)[0]."""
+    return _shared(body, u, ("node_weight", len(pts)), lambda: u.weight(pts))
 
 
 def _field_on_grid(g, body):
@@ -47,7 +86,8 @@ def _field_on_grid(g, body):
 def boundary_integral(body, u, g=1.0):
     """Integral of g over the boundary of K against mu."""
     vals = _field_on_grid(g, body)
-    w = u.weight(body.boundary_grid) * body.radius_grid
+    w = _shared(body, u, "boundary_measure",
+                lambda: _boundary_weight(body, u) * body.radius_grid)
     val = float(np.sum(vals * w) * 2.0 * np.pi / body.M)
     if not np.isfinite(val):
         raise NonFiniteIntegral(f"boundary integral against {u!r} is {val}")
@@ -68,12 +108,17 @@ def _radial_rule(Q):
 def interior_nodes(body, Q=DEFAULT_Q):
     """Tensor nodes s_q * x(theta_j) with weights for integration against dx.
 
-    Returns (points, weights) with points of shape (Q, M, 2); the weights
-    include the Jacobian s*h*r and both quadrature weights, so that
+    Returns read-only (points, weights) with points of shape (Q, M, 2); the
+    weights include the Jacobian s*h*r and both quadrature weights, so that
     int_K F dx = sum(weights * F(points)).
     """
     body.require_interior_origin()
-    s, sw = _radial_rule(int(Q))
+    Q = int(Q)
+    return _shared(body, None, ("nodes", Q), lambda: _build_nodes(body, Q))
+
+
+def _build_nodes(body, Q):
+    s, sw = _radial_rule(Q)
     pts = s[:, None, None] * body.boundary_grid[None, :, :]
     jac = body.values * body.radius_grid  # h*r on the grid
     weights = (sw * s)[:, None] * jac[None, :] * (2.0 * np.pi / body.M)
@@ -95,7 +140,7 @@ def interior_integral(body, u, g=1.0, Q=DEFAULT_Q):
     grouped = isinstance(g, tuple)
     group = g if grouped else (g,)
     pts, weights = interior_nodes(body, Q)
-    w = u.weight(pts)
+    w = _node_weight(body, u, pts)
     out = []
     for k, gk in enumerate(group):
         val = float(np.sum(weights * _field_on_points(gk, pts) * w))

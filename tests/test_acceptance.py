@@ -70,7 +70,7 @@ def test_registry_ids_names_and_budgets(records):
         ("1", "gaussian unit disk solve", 1.0),
         ("2", "gaussian disk radius scan", 5.0),
         ("3", "divergence identity on the test matrix", 5.0),
-        ("4a", "inequality suites on random pairs", 30.0),
+        ("4a", "inequality suites on random pairs", 5.0),
         ("4b", "scaling-family equality witnesses (knowingly red)", 30.0),
         ("4c", "translation-family equality control", 30.0),
         ("5a", "log-marginal concavity over the flow matrix", 60.0),

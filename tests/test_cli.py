@@ -250,3 +250,16 @@ def test_json_token_matches_numpy_ufunc_version_on_any_float(x, kind):
     with np.errstate(over="ignore"):
         x = kind(x)
     assert cli._json_token(x) == _reference_json_token(x)
+
+
+@pytest.mark.parametrize("lines", [
+    "flow.psi.B = 0.3, 0.1, 0.1, 0.2",
+    "flow.psi.kind = none\nflow.psi.alpha = 0.5",
+], ids=["no-kind", "kind-none"])
+def test_flow_psi_keys_without_a_kind_are_config_error(tmp_path, capsys, lines):
+    # without a psi kind the keys would be dropped and the flow run with psi = None
+    path = write(tmp_path / "psi.cfg", "body.kind = disk\npotential.kind = gaussian\n"
+                                       f"flow.f.cos2 = 1.0\n{lines}\n")
+    assert cli.main(["flow", "--config", path, "--out", str(tmp_path / "o")]) == 2
+    err = capsys.readouterr().err
+    assert "config error" in err and "flow.psi.kind" in err

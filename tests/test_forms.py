@@ -1,11 +1,14 @@
+import gc
+import weakref
+
 import numpy as np
 import numpy.testing as npt
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from convexlab import forms, geometry, measure, quad
-from convexlab.errors import LebesgueModeRestriction
+from convexlab import forms, geometry, measure, quad, suite
+from convexlab.errors import LebesgueModeRestriction, OriginOutside
 from convexlab.suite import random_boundary_field, random_interior_field
 
 
@@ -246,19 +249,236 @@ def test_scaling_covariance(t):
     assert It == pytest.approx(t * I, rel=1e-10, abs=1e-10)
 
 
-def test_mean_form_check_reuses_nodes_and_radial_rule(ellipse21, quad14, monkeypatch):
-    nodes, rules = [], []
-    build_nodes, leggauss = quad.interior_nodes, np.polynomial.legendre.leggauss
-    monkeypatch.setattr(quad, "interior_nodes",
-                        lambda body, Q=quad.DEFAULT_Q: nodes.append(Q) or build_nodes(body, Q))
+def test_mean_form_check_reuses_nodes_and_radial_rule(monkeypatch):
+    # each Q's radial rule is built at most once per process and the nodes at
+    # most once per (body, Q); fresh bodies keep other tests' entries out
+    builds, rules = [], []
+    build_nodes, leggauss = quad._build_nodes, np.polynomial.legendre.leggauss
+    monkeypatch.setattr(quad, "_build_nodes",
+                        lambda body, Q: builds.append((body, Q)) or build_nodes(body, Q))
     monkeypatch.setattr(np.polynomial.legendre, "leggauss",
                         lambda deg: rules.append(deg) or leggauss(deg))
     quad._radial_rule.cache_clear()
+    bodies = (geometry.ellipse(2.0, 1.0), geometry.ellipse(2.0, 1.0))
+    u = measure.quadratic_potential([[1.0, 0.0], [0.0, 4.0]])
     rng = np.random.default_rng(5)
-    forms.check_mean_form(ellipse21, quad14, random_boundary_field(rng, ellipse21.M),
-                          random_interior_field(rng))
-    assert len(nodes) <= 3
     for k in range(50):
-        forms.check_mean_form(ellipse21, quad14, random_boundary_field(rng, ellipse21.M),
-                              random_interior_field(rng), Q=(24, 32)[k % 2])
+        body = bodies[k % 2]
+        forms.check_mean_form(body, u, random_boundary_field(rng, body.M),
+                              random_interior_field(rng), Q=(24, 32)[k // 2 % 2])
     assert sorted(rules) == [24, 32]
+    assert len(builds) == len(set(builds)) == 4
+
+
+# -- the per-(body, u, Q) store against the forms as computed without it --------
+
+
+def _ref_nodes(body, Q):
+    body.require_interior_origin()
+    sq, sw = np.polynomial.legendre.leggauss(Q)
+    s, sw = 0.5 * (sq + 1.0), 0.5 * sw
+    pts = s[:, None, None] * body.boundary_grid[None, :, :]
+    jac = body.values * body.radius_grid
+    return pts, (sw * s)[:, None] * jac[None, :] * (2.0 * np.pi / body.M)
+
+
+def _ref_boundary_integral(body, u, vals):
+    w = u.weight(body.boundary_grid) * body.radius_grid
+    return float(np.sum(vals * w) * 2.0 * np.pi / body.M)
+
+
+def _ref_interior_integral(body, u, phi, Q):
+    """(mu(K), int phi dmu) from one node set."""
+    pts, weights = _ref_nodes(body, Q)
+    w = u.weight(pts)
+    return (float(np.sum(weights * np.full(pts.shape[:-1], 1.0) * w)),
+            None if phi is None else float(np.sum(weights * phi.value(pts) * w)))
+
+
+def _ref_form_P(body, u, r0, r1, Q):
+    w_pts = u.weight(body.boundary_grid)
+    grad_term = float(np.sum(r0.deriv() * r1.deriv() * w_pts) * 2.0 * np.pi / body.M)
+    hmu = measure.weighted_mean_curvature(body, u)
+    curv_term = _ref_boundary_integral(body, u, hmu * r0.values * r1.values)
+    muK, _ = _ref_interior_integral(body, u, None, Q)
+    mean_term = (_ref_boundary_integral(body, u, r0.values)
+                 * _ref_boundary_integral(body, u, r1.values) / muK)
+    return grad_term - curv_term + mean_term
+
+
+def _ref_form_BL(body, u, phi0, phi1, Q):
+    u.require_strictly_convex("the interior variance form")
+    step = 1e-5 * 2.0 * float(body.values.max())
+    pts, wts = _ref_nodes(body, Q)
+    flat = pts.reshape(-1, 2)
+    wmu = (wts * u.weight(pts)).reshape(-1)
+    Hinv = measure._inv_2x2(u.hess(flat).reshape(-1, 2, 2))
+    g0 = phi0.gradient(flat, step=step)
+    g1 = g0 if phi1 is phi0 else phi1.gradient(flat, step=step)
+    grad_term = float(np.sum(wmu * measure._hgg(Hinv, g0, g1)))
+    v0 = phi0.value(flat)
+    v1 = v0 if phi1 is phi0 else phi1.value(flat)
+    prod_term = float(np.sum(wmu * v0 * v1))
+    muK = float(np.sum(wmu))
+    mean_term = float(np.sum(wmu * v0)) * float(np.sum(wmu * v1)) / muK
+    return grad_term - prod_term + mean_term
+
+
+def _ref_form_I(body, u, r, phi, Q):
+    phi_on_boundary = phi.value(body.boundary_grid)
+    muK, phi_int = _ref_interior_integral(body, u, phi, Q)
+    cross = _ref_boundary_integral(body, u, r.values * phi_on_boundary)
+    return cross - _ref_boundary_integral(body, u, r.values) * phi_int / muK
+
+
+def _bits(fn, *args):
+    """float.hex of fn(*args), or the type and message of what it raised."""
+    try:
+        return float(fn(*args)).hex()
+    except Exception as exc:
+        return type(exc).__name__, str(exc)
+
+
+_PSI = measure.QuadraticPerturbation(B=[[0.3, 0.1], [0.1, 0.2]], b=[0.1, -0.05])
+_FRESH_POTENTIALS = {
+    **{name: (lambda name=name: suite.standard_potentials()[name])
+       for name in suite.standard_potentials()},
+    # Newton-backed: no closed form for a quartic base
+    "flow-newton": lambda: measure.flow_potential(measure.even_quartic_potential(0.1),
+                                                  _PSI, 0.05),
+}
+
+
+@settings(max_examples=40, deadline=None)
+@given(bname=st.sampled_from(sorted(suite.standard_bodies())),
+       pname=st.sampled_from(sorted(_FRESH_POTENTIALS)), Q=st.sampled_from([16, 24, 32]),
+       seed=st.integers(0, 2**32 - 1), fd=st.booleans())
+def test_forms_match_the_unshared_reference_bytes(bname, pname, Q, seed, fd):
+    def fresh():
+        return suite.standard_bodies()[bname], _FRESH_POTENTIALS[pname]()
+
+    rng = np.random.default_rng(seed)
+    rho, rho2 = (random_boundary_field(rng, geometry.DEFAULT_M) for _ in range(2))
+    phi, phi2 = (random_interior_field(rng) for _ in range(2))
+    if fd:  # the finite-difference gradient path of BL
+        phi = forms.InteriorField(phi.value)
+    cases = ((forms.form_P, _ref_form_P, rho, rho), (forms.form_P, _ref_form_P, rho, rho2),
+             (forms.form_BL, _ref_form_BL, phi, phi), (forms.form_BL, _ref_form_BL, phi, phi2),
+             (forms.form_I, _ref_form_I, rho, phi))
+    body, u = fresh()
+    want = [_bits(ref, body, u, a, b, Q) for _, ref, a, b in cases]
+    # each form cold on a (body, u) of its own; then twice on one (body, u), the
+    # first pass filling its store and the second reading it
+    assert [_bits(fn, *fresh(), a, b, Q) for fn, _, a, b in cases] == want
+    for _ in range(2):
+        assert [_bits(fn, body, u, a, b, Q) for fn, _, a, b in cases] == want
+
+    P, BL, I = (float.fromhex(want[k]) if isinstance(want[k], str) else None
+                for k in (0, 2, 4))
+    for body, u in (fresh(), (body, u)):  # cold, then warm
+        try:
+            rep = forms.check_mean_form(body, u, rho, phi, Q=Q)
+        except Exception as exc:
+            assert BL is None and want[2] == (type(exc).__name__, str(exc))
+            continue
+        assert [float(x).hex() for x in (rep.P, rep.BL, rep.I, rep.slack_mean, rep.slack_mult)] \
+            == [float(x).hex() for x in (P, BL, I, 0.5 * (P + BL) - I, P * BL - I * I)]
+
+
+# -- the store's work, keys, write protection and lifetime ------------------------
+
+
+def _counted(u):
+    """u with value/grad/hess closures that log (name, rows) per call."""
+    calls = []
+
+    def count(name, fn):
+        return lambda p: calls.append((name, len(p))) or fn(p)
+
+    return measure.Potential(u.kind, count("value", u._value), count("grad", u._grad),
+                             count("hess", u._hess)), calls
+
+
+def _arrays(table):
+    return [a for v in table.values() for a in (v if isinstance(v, tuple) else (v,))]
+
+
+def _stored_arrays(body):
+    own, per_u = quad._SHARED[body]
+    return [a for table in (own, *per_u.values()) for a in _arrays(table)]
+
+
+def test_pairs_on_one_body_potential_and_Q_evaluate_u_once():
+    body = geometry.ellipse(2.0, 1.0)
+    u, calls = _counted(measure.quadratic_potential([[1.0, 0.0], [0.0, 4.0]]))
+    rng = np.random.default_rng(7)
+    for _ in range(50):
+        forms.check_mean_form(body, u, random_boundary_field(rng, body.M),
+                              random_interior_field(rng), Q=24)
+    nodes = 24 * body.M
+    # e^{-u} on the boundary and at the nodes, H_mu (grad u on the boundary), hess u
+    assert sorted(calls) == [("grad", body.M), ("hess", nodes), ("value", body.M),
+                             ("value", nodes)]
+    n_stored = len(_stored_arrays(body))
+
+    # a second Q: new nodes, e^{-u} and hess u there; the boundary terms are shared
+    calls.clear()
+    rho, phi = random_boundary_field(rng, body.M), random_interior_field(rng)
+    forms.check_mean_form(body, u, rho, phi, Q=32)
+    assert sorted(calls) == [("hess", 32 * body.M), ("value", 32 * body.M)]
+    assert quad.interior_nodes(body, 32)[0] is not quad.interior_nodes(body, 24)[0]
+    assert quad.interior_nodes(body, 32)[0] is quad.interior_nodes(body, 32)[0]
+    assert len(_stored_arrays(body)) > n_stored
+
+    # a second potential on the same body: entries of its own, none of u's work
+    v, v_calls = _counted(measure.quadratic_potential([[1.0, 0.0], [0.0, 4.0]]))
+    calls.clear()
+    forms.check_mean_form(body, v, rho, phi, Q=24)
+    assert calls == []
+    assert sorted(v_calls) == [("grad", body.M), ("hess", nodes), ("value", body.M),
+                               ("value", nodes)]
+
+
+def test_stored_arrays_are_read_only(quartic):
+    body = geometry.fourier_body(1.0, cos={2: 0.15}, sin={3: 0.05})
+    rng = np.random.default_rng(3)
+    forms.check_mean_form(body, quartic, random_boundary_field(rng, body.M),
+                          random_interior_field(rng), Q=16)
+    arrays = _stored_arrays(body)
+    assert len(arrays) == 8  # nodes, weights; boundary e^{-u}, its r multiple, H_mu;
+    for a in arrays:         # e^{-u} at the nodes; BL's weights and inverse Hessians
+        with pytest.raises(ValueError, match="read-only"):
+            a.flat[0] = 0.0
+
+
+def test_stored_entries_die_with_their_body_and_potential():
+    body, u = geometry.disk(1.0), measure.gaussian_potential()
+    rng = np.random.default_rng(4)
+    forms.check_mean_form(body, u, random_boundary_field(rng, body.M),
+                          random_interior_field(rng))
+    own, per_u = quad._SHARED[body]
+    body_refs = [weakref.ref(a) for a in _arrays(own)]
+    u_refs = [weakref.ref(a) for a in _arrays(per_u[u])]
+    del own, per_u
+    assert len(body_refs) == 2 and len(u_refs) == 6
+    del u
+    gc.collect()
+    assert all(r() is None for r in u_refs) and all(r() is not None for r in body_refs)
+    del body
+    gc.collect()
+    assert all(r() is None for r in body_refs)
+
+
+def test_origin_outside_raises_on_every_call(gaussian):
+    body = geometry.fourier_body(1.0, cos={1: 1.5}, recenter=False)  # unit disk at (1.5, 0)
+    rng = np.random.default_rng(6)
+    rho, phi = random_boundary_field(rng, body.M), random_interior_field(rng)
+    for _ in range(3):
+        for call in (lambda: quad.interior_nodes(body),
+                     lambda: quad.interior_integral(body, gaussian),
+                     lambda: forms.form_P(body, gaussian, rho, rho),
+                     lambda: forms.form_BL(body, gaussian, phi, phi),
+                     lambda: forms.form_I(body, gaussian, rho, phi),
+                     lambda: forms.check_mean_form(body, gaussian, rho, phi)):
+            with pytest.raises(OriginOutside):
+                call()
