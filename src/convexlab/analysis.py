@@ -29,11 +29,11 @@ import numpy as np
 import scipy.linalg
 
 from .errors import CoercivityFailure, PinchingUndeclared
-from .forms import _bl_nodes, form_I
+from .forms import form_I
 from .geometry import minkowski_combine, wulff_perturb
 from .measure import _hgg
-from .pde import DEFAULT_N, radial_moment_field, solve_report
-from .quad import DEFAULT_Q, boundary_integral, interior_integral
+from .pde import DEFAULT_N, concavity_power, radial_moment_field, solve_report
+from .quad import DEFAULT_Q, _bl_nodes, _mu, boundary_integral, interior_integral
 
 __all__ = [
     "BMReport",
@@ -201,12 +201,12 @@ def bm_check(bodyK, bodyL, u, p, t_nodes=21, Q=DEFAULT_Q, local_probe=False,
     if p <= 0:
         raise ValueError("p must be positive")
     t_nodes = np.linspace(0.0, 1.0, t_nodes) if np.isscalar(t_nodes) else np.asarray(t_nodes)
-    muK = interior_integral(bodyK, u, 1.0, Q=Q)
-    muL = interior_integral(bodyL, u, 1.0, Q=Q)
+    muK = _mu(bodyK, u, Q)
+    muL = _mu(bodyL, u, Q)
     mus, slacks = [], []
     for t in t_nodes:
         body_t = minkowski_combine(bodyK, bodyL, float(t))
-        mu_t = interior_integral(body_t, u, 1.0, Q=Q)
+        mu_t = _mu(body_t, u, Q)
         mus.append(mu_t)
         slacks.append(mu_t**p - (1.0 - t) * muK**p - t * muL**p)
     mus = np.array(mus)
@@ -214,8 +214,6 @@ def bm_check(bodyK, bodyL, u, p, t_nodes=21, Q=DEFAULT_Q, local_probe=False,
     local_powers = {}
     notes = {}
     if local_probe:
-        from .pde import concavity_power
-
         for t in (0.0, 0.25, 0.5, 0.75, 1.0):
             body_t = minkowski_combine(bodyK, bodyL, t)
             local_powers[t] = concavity_power(body_t, u, N=N, Q=Q)
@@ -240,7 +238,7 @@ def local_concavity_fd(body, u, f, p, Q=DEFAULT_Q):
 
     def g(t):
         body_t = wulff_perturb(body, f, t) if t else body
-        mu = interior_integral(body_t, u, 1.0, Q=Q)
+        mu = _mu(body_t, u, Q)
         return np.log(mu) if p == 0 else mu**p
 
     h = CONCAVITY_FD_STEP
@@ -304,8 +302,7 @@ def pinching_bounds(body, u, N=DEFAULT_N, Q=DEFAULT_Q):
     r = k2 / k1
     flat, wmu, Hinv = _bl_nodes(body, u, Q)
     g = u.grad(flat)
-    muK = float(np.sum(wmu))
-    moment = float(np.sum(wmu * _hgg(Hinv, g, g))) / muK
+    moment = float(np.sum(wmu * _hgg(Hinv, g, g))) / _mu(body, u, Q)
     p = solve_report(body, u, N=N, Q=Q)["p"]
     tol = 1e-9
     checks = {

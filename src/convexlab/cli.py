@@ -105,11 +105,13 @@ def parse_config(path, command):
     return cfg
 
 
-def _int_key(cfg, key, default):
-    """The integer value of a config key; any other value is a config error."""
+def _int_key(cfg, key, default, least=None):
+    """The integer value of a config key; a non-integer or one below least is a config error."""
     value = cfg.get(key, default)
     if isinstance(value, bool) or not isinstance(value, int):
         raise ConfigError(f"{key} must be an integer, got {value!r}")
+    if least is not None and value < least:
+        raise ConfigError(f"{key} must be >= {least}")
     return value
 
 
@@ -293,6 +295,9 @@ def _strip_timing(obj):
 
 
 def _cmd_solve(cfg, ctx):
+    if 2 * (ctx["N"] + 4) >= ctx["M"]:
+        raise ConfigError(f"solve refines to pde.N + 4 = {ctx['N'] + 4} modes, which "
+                          f"need quad.M > {2 * (ctx['N'] + 4)}")
     body = _build_body(cfg, ctx["M"])
     u = _build_potential(cfg)
     rep = solve_report(body, u, N=ctx["N"], Q=ctx["Q"])
@@ -314,9 +319,7 @@ def _cmd_solve(cfg, ctx):
 def _cmd_forms_check(cfg, ctx):
     body = _build_body(cfg, ctx["M"])
     u = _build_potential(cfg)
-    pairs = _int_key(cfg, "forms.pairs", 200)
-    if pairs < 1:
-        raise ConfigError("forms.pairs must be >= 1")
+    pairs = _int_key(cfg, "forms.pairs", 200, 1)
     worst_mean, worst_mult, failures = acceptance.random_pairs_check(
         body, u, pairs, ctx["seed"], ctx["Q"])
     results = {"pairs": pairs, "min_relative_mean_slack": worst_mean,
@@ -330,7 +333,7 @@ def _cmd_flow(cfg, ctx):
     f = _build_flow_field(cfg, ctx["M"])
     psi = _build_psi(cfg, u)
     fc = FlowConfig(f=f, psi=psi, eps=float(cfg.get("flow.eps", 0.1)),
-                    n_t=_int_key(cfg, "flow.points", 21))
+                    n_t=_int_key(cfg, "flow.points", 21, 3))
     tab, failures = acceptance.concavity_check(body, u, fc, ctx["Q"])
     d, fd_failures = acceptance.shape_derivative_check(body, u, f, psi, ctx["Q"])
     failures += fd_failures
@@ -353,9 +356,7 @@ def _cmd_spectral(cfg, ctx):
     u = _build_potential(cfg)
     system = assemble(body, u, N=ctx["N"], Q=ctx["Q"])
     (lam, lam_res, note), stab, failures = acceptance.spectral_check(system, ctx["seed"])
-    samples = _int_key(cfg, "spectral.samples", 1000)
-    if samples < 1:
-        raise ConfigError("spectral.samples must be >= 1")
+    samples = _int_key(cfg, "spectral.samples", 1000, 1)
     c_small, c_big = interpolation_constant(system, sample_size=(samples, 2 * samples),
                                             seed=ctx["seed"])
     if c_big > 1.2 * c_small:
@@ -372,7 +373,9 @@ def _cmd_bm(cfg, ctx):
     bodyL = _build_body(cfg, ctx["M"], prefix="body2")
     u = _build_potential(cfg)
     p = float(cfg.get("bm.p", 0.5))
-    nodes = _int_key(cfg, "bm.nodes", 21)
+    if not p > 0:
+        raise ConfigError("bm.p must be > 0")
+    nodes = _int_key(cfg, "bm.nodes", 21, 1)
     probe = bool(cfg.get("bm.local_probe", False))
     rep = bm_check(bodyK, bodyL, u, p, t_nodes=nodes, Q=ctx["Q"],
                    local_probe=probe, N=ctx["N"])
@@ -403,6 +406,8 @@ def _cmd_scan(cfg, ctx):
     radii = cfg.get("scan.radii", [0.25, 0.5, 1.0, 1.5, 2.0, 3.0])
     if not isinstance(radii, list):
         radii = [radii]
+    if not all(type(r) in (int, float) and r > 0 for r in radii):
+        raise ConfigError(f"scan.radii must be positive numbers, got {radii!r}")
     rows, failures = acceptance.disk_scan(u, radii, ctx["M"], ctx["N"], ctx["Q"])
     results = {"radii": [r[0] for r in rows], "p": [r[1] for r in rows],
                "oracle": [r[2] for r in rows]}
@@ -423,7 +428,7 @@ def _cmd_all(cfg, ctx):
         print(line)
         if not rec["passed"]:
             failures.append(f"criterion {rec['id']}: {rec['name']}")
-    results = {"records": _strip_timing(records)}
+    results = {"records": records}
     return results, {}, failures, {}
 
 
@@ -484,16 +489,14 @@ def run(command, config_path=None, out_dir="convexlab-out", seed=None,
         raise ConfigError(f"command {command!r} requires --config")
     ctx = {
         "M": int(quad_m) if quad_m is not None else _int_key(cfg, "quad.M", 256),
-        "Q": _int_key(cfg, "quad.Q", 32),
+        "Q": _int_key(cfg, "quad.Q", 32, 16),
         "N": int(modes) if modes is not None else _int_key(cfg, "pde.N", 16),
         "seed": int(seed) if seed is not None else _int_key(cfg, "seed", 0),
     }
     if ctx["M"] < 64 or ctx["M"] % 2:
         raise ConfigError("quad.M must be even and >= 64")
-    if ctx["Q"] < 16:
-        raise ConfigError("quad.Q must be >= 16")
-    if ctx["N"] < 4:
-        raise ConfigError("pde.N must be >= 4")
+    if not 4 <= ctx["N"] < ctx["M"] / 2:
+        raise ConfigError(f"pde.N must be >= 4 and < quad.M / 2 = {ctx['M'] // 2}")
     results, tables, failures, plots = _COMMANDS[command][0](cfg, ctx)
     report = {
         "command": command,

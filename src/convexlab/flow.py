@@ -29,8 +29,8 @@ import numpy as np
 from .errors import FlowNotConvex, OriginOutside, PerturbationTooLarge
 from .forms import InteriorField, form_BL, form_I, form_P, _as_boundary_field
 from .geometry import gauge_angle, wulff_perturb
-from .measure import _dot2, _hgg, flow_potential, weighted_mean_curvature
-from .quad import DEFAULT_Q, boundary_integral, interior_integral
+from .measure import _dot2, _hgg, flow_potential
+from .quad import DEFAULT_Q, _boundary_weight, _hmu, _mu, boundary_integral, interior_integral
 
 __all__ = [
     "FlowConfig",
@@ -69,8 +69,7 @@ def flow_setup(body, u, f, psi, t):
 def marginal_value(body, u, f, psi, t, Q=DEFAULT_Q):
     """I(t) = mu_t(K_t) for one admissible t (the flow's marginal)."""
     body_t, u_t = flow_setup(body, u, f, psi, t)
-    body_t.require_interior_origin()
-    return interior_integral(body_t, u_t, 1.0, Q=Q)
+    return _mu(body_t, u_t, Q)
 
 
 def select_epsilon(body, u, cfg, Q=DEFAULT_Q, max_halvings=12):
@@ -146,12 +145,10 @@ def psi_composed_field(u, psi):
 def shape_derivatives(body, u, f, psi=None, Q=DEFAULT_Q):
     """I(0), I'(0), I''(0), S''(0) from the explicit formulas."""
     f = _as_boundary_field(f, body.M)
-    hmu = weighted_mean_curvature(body, u)
-    wu = u.weight(body.boundary_grid)
     w_theta = 2.0 * np.pi / body.M
+    I0 = _mu(body, u, Q)
 
     if psi is None:
-        I0 = interior_integral(body, u, 1.0, Q=Q)
         psi_int = 0.0
         psi_sq = 0.0
         psi_grad = 0.0
@@ -163,17 +160,17 @@ def shape_derivatives(body, u, f, psi=None, Q=DEFAULT_Q):
             g = psi.grad(u.grad(pts))
             return _hgg(u.hess(pts), g, g)
 
-        I0, psi_int, psi_sq, psi_grad = interior_integral(
-            body, u, (1.0, phi, InteriorField(lambda p: phi.value(p) ** 2),
-                      InteriorField(carre)), Q=Q)
+        psi_int = interior_integral(body, u, phi, Q=Q)
+        psi_sq = interior_integral(body, u, InteriorField(lambda p: phi.value(p) ** 2), Q=Q)
+        psi_grad = interior_integral(body, u, InteriorField(carre), Q=Q)
         psi_bd = phi.value(body.boundary_grid)
 
     f_bd = boundary_integral(body, u, f.values)
     I1 = psi_int + f_bd
     I2 = (psi_sq - psi_grad
           + 2.0 * boundary_integral(body, u, f.values * psi_bd)
-          + boundary_integral(body, u, hmu * f.values**2)
-          - float(np.sum(f.deriv() ** 2 * wu) * w_theta))
+          + boundary_integral(body, u, _hmu(body, u) * f.values**2)
+          - float(np.sum(f.deriv() ** 2 * _boundary_weight(body, u)) * w_theta))
     S2 = I2 / I0 - (I1 / I0) ** 2
     return {"I0": I0, "I1": I1, "I2": I2, "S2": S2}
 

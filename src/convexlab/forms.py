@@ -16,8 +16,8 @@ Two inequalities are checked:  <r,f>_I <= (P + BL)/2  (mean form) and
 <r,f>_I^2 <= P*BL (multiplicative form).
 
 What depends only on (K, u, Q), namely e^{-u} on the boundary and at the
-interior nodes, H_mu and (del^2 u)^{-1} at the nodes, is evaluated once and
-read from the store in ``quad`` by every later pair on the same (K, u, Q).
+interior nodes, H_mu, mu(K) and (del^2 u)^{-1} at the nodes, is evaluated
+once by ``quad`` and read from it by every later pair on the same (K, u, Q).
 """
 
 from dataclasses import dataclass, field
@@ -25,16 +25,9 @@ from dataclasses import dataclass, field
 import numpy as np
 
 from . import spectral
-from .measure import _dot2, _hgg, _inv_2x2, weighted_mean_curvature
-from .quad import (
-    DEFAULT_Q,
-    _boundary_weight,
-    _node_weight,
-    _shared,
-    boundary_integral,
-    interior_integral,
-    interior_nodes,
-)
+from .measure import _dot2, _hgg
+from .quad import (DEFAULT_Q, _bl_nodes, _boundary_weight, _hmu, _mu, boundary_integral,
+                   interior_integral)
 
 __all__ = [
     "BoundaryField",
@@ -202,23 +195,12 @@ def form_P(body, u, rho0, rho1, Q=DEFAULT_Q):
     d0 = r0.deriv()
     d1 = d0 if same else r1.deriv()
     grad_term = float(np.sum(d0 * d1 * _boundary_weight(body, u)) * 2.0 * np.pi / body.M)
-    hmu = _shared(body, u, "hmu", lambda: weighted_mean_curvature(body, u))
-    curv_term = boundary_integral(body, u, hmu * r0.values * r1.values)
-    muK = interior_integral(body, u, 1.0, Q=Q)
+    curv_term = boundary_integral(body, u, _hmu(body, u) * r0.values * r1.values)
+    muK = _mu(body, u, Q)
     m0 = boundary_integral(body, u, r0.values)
     m1 = m0 if same else boundary_integral(body, u, r1.values)
     mean_term = m0 * m1 / muK
     return grad_term - curv_term + mean_term
-
-
-def _bl_nodes(body, u, Q):
-    """The (Q*M, 2) interior nodes, the mu-weights there and (del^2 u)^{-1} there."""
-    pts, wts = interior_nodes(body, Q)
-    flat = pts.reshape(-1, 2)
-    wmu, Hinv = _shared(body, u, ("BL", len(pts)), lambda: (
-        (wts * _node_weight(body, u, pts)).reshape(-1),
-        _inv_2x2(u.hess(flat).reshape(-1, 2, 2))))
-    return flat, wmu, Hinv
 
 
 def form_BL(body, u, phi0, phi1, Q=DEFAULT_Q):
@@ -238,8 +220,7 @@ def form_BL(body, u, phi0, phi1, Q=DEFAULT_Q):
     v0 = phi0.value(flat)
     v1 = v0 if same else phi1.value(flat)
     prod_term = float(np.sum(wmu * v0 * v1))
-    muK = float(np.sum(wmu))
-    mean_term = float(np.sum(wmu * v0)) * float(np.sum(wmu * v1)) / muK
+    mean_term = float(np.sum(wmu * v0)) * float(np.sum(wmu * v1)) / _mu(body, u, Q)
     return grad_term - prod_term + mean_term
 
 
@@ -249,7 +230,8 @@ def form_I(body, u, rho, phi, Q=DEFAULT_Q):
     if not isinstance(phi, InteriorField):
         phi = InteriorField(phi)
     phi_on_boundary = phi.value(body.boundary_grid)
-    muK, phi_int = interior_integral(body, u, (1.0, phi), Q=Q)
+    muK = _mu(body, u, Q)
+    phi_int = interior_integral(body, u, phi, Q=Q)
     cross = boundary_integral(body, u, r.values * phi_on_boundary)
     means = boundary_integral(body, u, r.values) * phi_int / muK
     return cross - means

@@ -19,6 +19,7 @@ from .errors import (
     NotConvexPotential,
     PinchingViolation,
 )
+from .geometry import boundary_point
 
 __all__ = [
     "Potential",
@@ -734,7 +735,5 @@ def weighted_mean_curvature(body, u, theta=None):
     if theta is None:
         kappa = 1.0 / body.radius_grid
         return kappa - _dot2(u.grad(body.boundary_grid), body.normals_grid)
-    from .geometry import boundary_point
-
     bp = boundary_point(body, theta)
     return 1.0 / bp.r - float(u.grad(bp.x) @ bp.nu)

@@ -30,10 +30,11 @@ import numpy as np
 import scipy.linalg
 
 from . import spectral
-from .errors import CoercivityFailure, ZeroMean
-from .forms import BoundaryField, _as_boundary_field
-from .measure import _dot2, verify_pinching, weighted_mean_curvature
-from .quad import DEFAULT_Q, boundary_integral, interior_integral, interior_nodes
+from .errors import CoercivityFailure, LebesgueModeRestriction, ZeroMean
+from .forms import BoundaryField, InteriorField, _as_boundary_field, form_P
+from .measure import _dot2, verify_pinching
+from .quad import (DEFAULT_Q, _boundary_measure, _boundary_weight, _hmu, _mu, boundary_integral,
+                   interior_integral, interior_nodes)
 
 __all__ = [
     "PoincareSystem",
@@ -62,9 +63,8 @@ def _even_mask(N):
 class PoincareSystem:
     """Assembled Galerkin matrices of <.,.>_P on the trigonometric basis.
 
-    Also keeps the boundary discretization they were built from: the basis
-    samples E (values) and D (derivatives) on the body grid, one row per basis
-    function, and the boundary density wu = e^{-u(x(theta))}.
+    Also keeps the basis samples they were built from: E (values) and D
+    (derivatives) on the body grid, one row per basis function.
     """
 
     body: object
@@ -73,7 +73,6 @@ class PoincareSystem:
     even_only: bool
     E: np.ndarray
     D: np.ndarray
-    wu: np.ndarray
     A: np.ndarray
     B: np.ndarray
     m: np.ndarray
@@ -89,13 +88,14 @@ class PoincareSystem:
     def mass(self):
         """L^2(dK, mu) Gram matrix int e_j e_k dmu."""
         w_theta = 2.0 * np.pi / self.body.M
-        return (self.E * (self.wu * self.body.radius_grid)) @ self.E.T * w_theta
+        return (self.E * _boundary_measure(self.body, self.potential)) @ self.E.T * w_theta
 
     @cached_property
     def S(self):
         """H^1(dK, mu) Gram matrix S_jk = int (e_j e_k + e_j' e_k' / r^2) dmu."""
         w_theta = 2.0 * np.pi / self.body.M
-        S = self.mass + (self.D * (self.wu / self.body.radius_grid)) @ self.D.T * w_theta
+        wu = _boundary_weight(self.body, self.potential)
+        S = self.mass + (self.D * (wu / self.body.radius_grid)) @ self.D.T * w_theta
         return 0.5 * (S + S.T)
 
 
@@ -114,6 +114,9 @@ def assemble(body, u, N=DEFAULT_N, Q=DEFAULT_Q, even_only=False):
     """
     if N < 4:
         raise ValueError("basis order N must be >= 4")
+    if 2 * N >= body.M:
+        raise ValueError(f"basis order N = {N} needs 2N < M = {body.M}: the grid "
+                         "cannot tell the top harmonics apart")
     if u.pinching is not None:
         pts, _ = interior_nodes(body, Q)
         verify_pinching(u, body.boundary_grid)
@@ -121,9 +124,9 @@ def assemble(body, u, N=DEFAULT_N, Q=DEFAULT_Q, even_only=False):
 
     theta = body.theta_grid
     w_theta = 2.0 * np.pi / body.M
-    wu = u.weight(body.boundary_grid)
+    wu = _boundary_weight(body, u)
     r = body.radius_grid
-    hmu = weighted_mean_curvature(body, u)
+    hmu = _hmu(body, u)
 
     E, D = spectral.basis_matrix(N, theta, (0, 1))
     if even_only:
@@ -132,10 +135,10 @@ def assemble(body, u, N=DEFAULT_N, Q=DEFAULT_Q, even_only=False):
 
     A = (D * wu) @ D.T * w_theta
     B = (E * (hmu * wu * r)) @ E.T * w_theta
-    m = E @ (wu * r) * w_theta
+    m = E @ _boundary_measure(body, u) * w_theta
     A = 0.5 * (A + A.T)
     B = 0.5 * (B + B.T)
-    muK = interior_integral(body, u, 1.0, Q=Q)
+    muK = _mu(body, u, Q)
     G = A - B + np.outer(m, m) / muK
     G = 0.5 * (G + G.T)
     if u.is_zero:
@@ -148,7 +151,7 @@ def assemble(body, u, N=DEFAULT_N, Q=DEFAULT_Q, even_only=False):
                 f"Cholesky of the P-form Gram matrix failed at N={N}: {exc}"
             ) from exc
     return PoincareSystem(body=body, potential=u, N=N, even_only=even_only,
-                          E=E, D=D, wu=wu, A=A, B=B, m=m, muK=muK, G=G, chol=chol)
+                          E=E, D=D, A=A, B=B, m=m, muK=muK, G=G, chol=chol)
 
 
 def solve_rho_bar(system):
@@ -158,8 +161,6 @@ def solve_rho_bar(system):
     vector attached as ``.galerkin_coeffs``; uniqueness follows from G > 0.
     """
     if system.chol is None:
-        from .errors import LebesgueModeRestriction
-
         raise LebesgueModeRestriction(
             "the Euler-Lagrange solve needs a strictly convex potential; "
             "for u == 0 the form has translation null directions")
@@ -185,10 +186,8 @@ def apply_L(body, u, rho, Q=DEFAULT_Q):
     rho = _as_boundary_field(rho, body.M)
     r = body.radius_grid
     drift = _dot2(u.grad(body.boundary_grid), body.tangents_grid)
-    hmu = weighted_mean_curvature(body, u)
-    muK = interior_integral(body, u, 1.0, Q=Q)
-    mean = boundary_integral(body, u, rho.values) / muK
-    vals = (-rho.deriv(2) / r + drift * rho.deriv(1) - hmu * rho.values + mean)
+    mean = boundary_integral(body, u, rho.values) / _mu(body, u, Q)
+    vals = (-rho.deriv(2) / r + drift * rho.deriv(1) - _hmu(body, u) * rho.values + mean)
     return BoundaryField(vals)
 
 
@@ -200,7 +199,8 @@ def support_identity_check(body, u, Q=DEFAULT_Q):
     """
     xb = body.boundary_grid
     moment = radial_moment_field(u)
-    int_moment, muK = interior_integral(body, u, (moment, 1.0), Q=Q)
+    int_moment = interior_integral(body, u, moment, Q=Q)
+    muK = _mu(body, u, Q)
     lhs = apply_L(body, u, BoundaryField(body.values), Q=Q).values
     rhs = 1.0 + _dot2(u.grad(xb), xb) - int_moment / muK
     scale_pw = max(1.0, float(np.abs(rhs).max()))
@@ -222,8 +222,6 @@ def support_identity_check(body, u, Q=DEFAULT_Q):
 
 def radial_moment_field(u):
     """<grad u(x), x> as an interior field with analytic gradient."""
-    from .forms import InteriorField
-
     def value(pts):
         return _dot2(u.grad(pts), pts)
 
@@ -235,15 +233,12 @@ def radial_moment_field(u):
 
 def rayleigh(body, u, rho, Q=DEFAULT_Q):
     """J(rho) = mu(K) <rho,rho>_P / (int_dK rho dmu)^2; J >= p(mu, K)."""
-    from .forms import form_P
-
     rho = _as_boundary_field(rho, body.M)
     mean = boundary_integral(body, u, rho.values)
     scale = boundary_integral(body, u, np.abs(rho.values)) + 1e-300
     if abs(mean) <= 1e-12 * scale:
         raise ZeroMean("Rayleigh quotient undefined: int rho dmu vanishes")
-    muK = interior_integral(body, u, 1.0, Q=Q)
-    return float(muK * form_P(body, u, rho, rho, Q=Q) / mean**2)
+    return float(_mu(body, u, Q) * form_P(body, u, rho, rho, Q=Q) / mean**2)
 
 
 def solve_report(body, u, N=DEFAULT_N, Q=DEFAULT_Q, even_only=False):

@@ -13,15 +13,14 @@ over s in [0, 1] (Gauss-Legendre) and theta (trapezoid).  The map has Jacobian
 so  int_K g dmu = int_0^1 int_0^{2pi} g(s*x) e^{-u(s*x)} s*h*r  dtheta ds.
 
 The radial Gauss-Legendre rule depends on Q alone, so it is built once per Q
-per process.  What depends only on (body, Q) or (body, u, Q) is computed once
-and shared by every caller: the interior nodes and weights, e^{-u} at the
-nodes, and e^{-u} (alone and times r) on the boundary grid.  The shared
-arrays are read-only and are held through weak references to the body and
-the potential, so they go when either object does; ``forms`` keeps its own
-per-(body, u, Q) quantities in the same store.  ``interior_integral`` also
-takes a tuple of integrands and then returns the tuple of their integrals;
-each entry equals the single-integrand call bit for bit.  A boundary or
-interior result that is not finite raises ``NonFiniteIntegral``.
+per process.  This module is the one owner of what depends only on (body, Q)
+or (body, u, Q): the interior nodes and weights, e^{-u} at the nodes and on
+the boundary grid, e^{-u}*r, H_mu, mu(K), and BL's weights and (del^2 u)^{-1}
+at the nodes.  Each is computed once and read by ``forms``, ``pde``, ``flow``
+and ``analysis`` through the private readers below.  The stored arrays are
+read-only and are held through weak references to the body and the
+potential, so they go when either object does.  A boundary or interior
+result that is not finite raises ``NonFiniteIntegral``.
 """
 
 import functools
@@ -30,6 +29,7 @@ import weakref
 import numpy as np
 
 from .errors import NonFiniteIntegral
+from .measure import _inv_2x2, weighted_mean_curvature
 
 __all__ = ["boundary_integral", "interior_integral", "interior_nodes"]
 
@@ -65,9 +65,36 @@ def _boundary_weight(body, u):
     return _shared(body, u, "boundary_weight", lambda: u.weight(body.boundary_grid))
 
 
+def _boundary_measure(body, u):
+    """e^{-u} r on the boundary grid: the density of mu on dK against dtheta."""
+    return _shared(body, u, "boundary_measure",
+                   lambda: _boundary_weight(body, u) * body.radius_grid)
+
+
+def _hmu(body, u):
+    """H_mu on the boundary grid."""
+    return _shared(body, u, "hmu", lambda: weighted_mean_curvature(body, u))
+
+
 def _node_weight(body, u, pts):
     """e^{-u} at the interior nodes ``pts`` = interior_nodes(body, Q)[0]."""
     return _shared(body, u, ("node_weight", len(pts)), lambda: u.weight(pts))
+
+
+def _mu(body, u, Q):
+    """mu(K) = interior_integral(body, u, 1.0, Q), kept as a 0-d array."""
+    return float(_shared(body, u, ("muK", int(Q)),
+                         lambda: np.array(interior_integral(body, u, 1.0, Q))))
+
+
+def _bl_nodes(body, u, Q):
+    """The (Q*M, 2) interior nodes, the mu-weights there and (del^2 u)^{-1} there."""
+    pts, wts = interior_nodes(body, Q)
+    flat = pts.reshape(-1, 2)
+    wmu, Hinv = _shared(body, u, ("BL", len(pts)), lambda: (
+        (wts * _node_weight(body, u, pts)).reshape(-1),
+        _inv_2x2(u.hess(flat).reshape(-1, 2, 2))))
+    return flat, wmu, Hinv
 
 
 def _field_on_grid(g, body):
@@ -86,9 +113,7 @@ def _field_on_grid(g, body):
 def boundary_integral(body, u, g=1.0):
     """Integral of g over the boundary of K against mu."""
     vals = _field_on_grid(g, body)
-    w = _shared(body, u, "boundary_measure",
-                lambda: _boundary_weight(body, u) * body.radius_grid)
-    val = float(np.sum(vals * w) * 2.0 * np.pi / body.M)
+    val = float(np.sum(vals * _boundary_measure(body, u)) * 2.0 * np.pi / body.M)
     if not np.isfinite(val):
         raise NonFiniteIntegral(f"boundary integral against {u!r} is {val}")
     return val
@@ -133,21 +158,11 @@ def _field_on_points(g, pts):
 
 
 def interior_integral(body, u, g=1.0, Q=DEFAULT_Q):
-    """Integral of g over K against mu = e^{-u} dx.
-
-    With a tuple g, the tuple of the integrals of its entries.
-    """
-    grouped = isinstance(g, tuple)
-    group = g if grouped else (g,)
+    """Integral of g over K against mu = e^{-u} dx."""
     pts, weights = interior_nodes(body, Q)
     w = _node_weight(body, u, pts)
-    out = []
-    for k, gk in enumerate(group):
-        val = float(np.sum(weights * _field_on_points(gk, pts) * w))
-        if not np.isfinite(val):
-            name = repr(getattr(gk, "descriptor", gk))
-            if grouped:
-                name = f"integrand {k} of {len(group)} ({name})"
-            raise NonFiniteIntegral(f"interior integral of {name} against {u!r} is {val}")
-        out.append(val)
-    return tuple(out) if grouped else out[0]
+    val = float(np.sum(weights * _field_on_points(g, pts) * w))
+    if not np.isfinite(val):
+        name = repr(getattr(g, "descriptor", g))
+        raise NonFiniteIntegral(f"interior integral of {name} against {u!r} is {val}")
+    return val

@@ -55,8 +55,8 @@ def test_criterion(records, cid):
 def test_flow_criteria_fit_shared_budget(records):
     total = sum(rec["elapsed"] for cid, rec in records.items()
                 if cid.startswith("5"))
-    print(f"criterion 5 total elapsed: {total:.2f}s (budget 60s)")
-    assert total <= 60.0
+    print(f"criterion 5 total elapsed: {total:.2f}s (budget 4s)")
+    assert total <= 4.0
 
 
 def test_everything_except_known_red_passes(records):
@@ -68,21 +68,21 @@ def test_everything_except_known_red_passes(records):
 def test_registry_ids_names_and_budgets(records):
     assert [(rec["id"], rec["name"], rec["time_limit"]) for rec in records.values()] == [
         ("1", "gaussian unit disk solve", 1.0),
-        ("2", "gaussian disk radius scan", 5.0),
-        ("3", "divergence identity on the test matrix", 5.0),
-        ("4a", "inequality suites on random pairs", 5.0),
-        ("4b", "scaling-family equality witnesses (knowingly red)", 30.0),
-        ("4c", "translation-family equality control", 30.0),
-        ("5a", "log-marginal concavity over the flow matrix", 60.0),
-        ("5b", "shape derivatives vs finite-difference oracles", 60.0),
-        ("5c", "homothety flow linearity (knowingly red)", 60.0),
-        ("5c-control", "translation flow linearity control", 60.0),
-        ("5d", "flow vs forms cross-module identity", 60.0),
-        ("6", "spectral constants and stability scaling", 10.0),
-        ("7", "even symmetry of the minimizer", 2.0),
-        ("8", "dimensional reformulation checks", 10.0),
-        ("9", "pinched-Hessian moment and power bounds", 10.0),
-        ("10", "Brunn-Minkowski segments at p = 1/2", 10.0),
+        ("2", "gaussian disk radius scan", 1.0),
+        ("3", "divergence identity on the test matrix", 1.0),
+        ("4a", "inequality suites on random pairs", 3.0),
+        ("4b", "scaling-family equality witnesses (knowingly red)", 1.0),
+        ("4c", "translation-family equality control", 1.0),
+        ("5a", "log-marginal concavity over the flow matrix", 2.5),
+        ("5b", "shape derivatives vs finite-difference oracles", 1.0),
+        ("5c", "homothety flow linearity (knowingly red)", 1.0),
+        ("5c-control", "translation flow linearity control", 1.0),
+        ("5d", "flow vs forms cross-module identity", 1.0),
+        ("6", "spectral constants and stability scaling", 1.0),
+        ("7", "even symmetry of the minimizer", 1.0),
+        ("8", "dimensional reformulation checks", 1.0),
+        ("9", "pinched-Hessian moment and power bounds", 1.0),
+        ("10", "Brunn-Minkowski segments at p = 1/2", 1.0),
         ("11", "quadrature doubling gate", None),
     ]
     for rec in records.values():

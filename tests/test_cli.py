@@ -1,12 +1,13 @@
 import json
 import re
+import sys
 
 import numpy as np
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from convexlab import cli
+from convexlab import cli, measure
 
 
 def write(path, text):
@@ -199,10 +200,15 @@ def test_quad_m_override(tmp_path):
     ("spectral", "spectral.samples = 20.0"),
     ("bm", "body2.kind = disk\nbm.nodes = abc"),
     ("flow", "flow.points = 2.5"),
+    ("bm", "body2.kind = disk\nbm.nodes = 0"),
+    ("bm", "body2.kind = disk\nbm.p = 0"),
+    ("flow", "flow.points = 2"),
+    ("scan", "scan.radii = 1.0, 0"),
 ], ids=["negative-radius", "nan-radius", "inf-axis", "nan-eps", "inf-eps", "nan-M",
         "N-below-4", "zero-pairs", "negative-samples", "negative-eps", "indefinite-A",
         "text-Q", "fractional-Q", "bool-pairs", "list-N", "text-seed", "text-pairs",
-        "float-samples", "text-nodes", "fractional-points"])
+        "float-samples", "text-nodes", "fractional-points", "zero-nodes", "zero-p",
+        "two-points", "zero-radius"])
 def test_bad_numeric_value_is_config_error(tmp_path, capsys, command, lines):
     # each line overrides the matching key of a valid disk + gaussian config
     cfg = {"body.kind": "disk", "potential.kind": "gaussian"}
@@ -210,6 +216,54 @@ def test_bad_numeric_value_is_config_error(tmp_path, capsys, command, lines):
     path = write(tmp_path / "bad.cfg", "".join(f"{k} = {v}\n" for k, v in cfg.items()))
     assert cli.main([command, "--config", path, "--out", str(tmp_path / "o")]) == 2
     assert "config error" in capsys.readouterr().err
+
+
+@pytest.mark.parametrize("command, lines, args", [
+    ("solve", "pde.N = 127", []),  # solve also assembles at pde.N + 4
+    ("solve", "", ["--modes", "124"]),
+    ("spectral", "pde.N = 128", []),
+    ("scan", "", ["--modes", "128"]),
+], ids=["solve-N", "solve-modes", "spectral-N", "scan-modes"])
+def test_modes_the_grid_cannot_resolve_are_config_error(tmp_path, capsys, command, lines,
+                                                         args):
+    # quad.M = 256 resolves harmonics below 128 only
+    path = write(tmp_path / "n.cfg", f"body.kind = disk\npotential.kind = gaussian\n{lines}\n")
+    assert cli.main([command, "--config", path, "--out", str(tmp_path / "o"), *args]) == 2
+    assert "config error" in capsys.readouterr().err
+
+
+FLOW_LINES = """
+flow.f.cos2 = 1.0
+flow.psi.kind = quadratic
+flow.psi.B = 0.3, 0.1, 0.1, 0.2
+flow.eps = 0.08
+flow.points = 9
+"""
+
+
+@pytest.mark.parametrize("command, lines", [("solve", ""), ("flow", FLOW_LINES)],
+                         ids=["solve", "flow"])
+def test_one_job_evaluates_the_boundary_measure_once(tmp_path, monkeypatch, command, lines):
+    # solve assembles twice and applies L; flow takes the shape derivatives
+    # twice and the P form once: all read H_mu and e^{-u} on dK from quad
+    calls = []
+    weight, hmu = measure.Potential.weight, measure.weighted_mean_curvature
+
+    def counted_hmu(body, u, theta=None):
+        calls.append("H_mu")
+        return hmu(body, u, theta)
+
+    def counted_weight(u, points):
+        calls.append(np.shape(points))
+        return weight(u, points)
+
+    monkeypatch.setattr(measure.Potential, "weight", counted_weight)
+    for mod in [m for name, m in sys.modules.items() if name.startswith("convexlab")]:
+        if getattr(mod, "weighted_mean_curvature", None) is hmu:
+            monkeypatch.setattr(mod, "weighted_mean_curvature", counted_hmu)
+    path = write(tmp_path / "c.cfg", SOLVE_CFG + lines)
+    assert cli.run(command, path, out_dir=str(tmp_path / "o")) == 0
+    assert calls.count("H_mu") == 1 and calls.count((256, 2)) == 1
 
 
 def _reference_json_token(x):

@@ -445,8 +445,8 @@ def test_stored_arrays_are_read_only(quartic):
     forms.check_mean_form(body, quartic, random_boundary_field(rng, body.M),
                           random_interior_field(rng), Q=16)
     arrays = _stored_arrays(body)
-    assert len(arrays) == 8  # nodes, weights; boundary e^{-u}, its r multiple, H_mu;
-    for a in arrays:         # e^{-u} at the nodes; BL's weights and inverse Hessians
+    assert len(arrays) == 9  # nodes, weights; boundary e^{-u}, its r multiple, H_mu;
+    for a in arrays:         # e^{-u} at the nodes, mu(K); BL's weights, inverse Hessians
         with pytest.raises(ValueError, match="read-only"):
             a.flat[0] = 0.0
 
@@ -460,7 +460,7 @@ def test_stored_entries_die_with_their_body_and_potential():
     body_refs = [weakref.ref(a) for a in _arrays(own)]
     u_refs = [weakref.ref(a) for a in _arrays(per_u[u])]
     del own, per_u
-    assert len(body_refs) == 2 and len(u_refs) == 6
+    assert len(body_refs) == 2 and len(u_refs) == 7
     del u
     gc.collect()
     assert all(r() is None for r in u_refs) and all(r() is not None for r in body_refs)

@@ -48,6 +48,16 @@ def test_assembly_lebesgue_disk(disk1, lebesgue):
         pde.solve_rho_bar(sys)
 
 
+def test_assembly_refuses_modes_the_grid_cannot_resolve(disk1, gaussian):
+    # at 2N >= M, sin(M theta / 2) vanishes on the grid and higher harmonics
+    # alias lower ones, so G would be singular by construction
+    assert disk1.M == 256
+    assert pde.assemble(disk1, gaussian, N=127).chol is not None
+    for N in (128, 131):
+        with pytest.raises(ValueError, match=f"N = {N} needs 2N < M = 256"):
+            pde.assemble(disk1, gaussian, N=N)
+
+
 def test_basis_nesting(ellipse21, quad14):
     g8 = pde.assemble(ellipse21, quad14, N=8).G
     g16 = pde.assemble(ellipse21, quad14, N=16).G
