@@ -18,10 +18,12 @@ Config files are flat dotted-key text, one ``key = value`` per line with
     quad.M = 256
     pde.N = 16
 
-Unknown keys are rejected.  Every numeric lands in the report with 15
-significant digits, outputs are written atomically, and identical config +
-seed produces bit-identical files.  Exit codes: 0 pass, 1 assertion failure,
-2 config error, 3 numerical failure.
+Each key is declared once, in ``_KEYS``, with its type and bound.  An
+unknown key, or a value of the wrong type or out of range, exits 2 before any
+work.  Every numeric lands in the report with 15 significant digits, outputs
+are written atomically, and identical config + seed produces bit-identical
+files.  Exit codes: 0 pass, 1 assertion failure, 2 config error, 3 numerical
+failure.
 
 solve, forms-check, flow, spectral and scan call the acceptance criteria's
 checks (``acceptance``), so their tolerances and failure messages are shared.
@@ -51,37 +53,93 @@ __all__ = ["main", "run"]
 
 # -- config file ---------------------------------------------------------------
 
-_COMMON_KEYS = [
-    r"body\.kind", r"body\.radius", r"body\.a", r"body\.b", r"body\.c0",
-    r"body\.cos\d+", r"body\.sin\d+",
-    r"potential\.kind", r"potential\.a", r"potential\.eps",
-    r"potential\.k1", r"potential\.k2",
-    r"quad\.M", r"quad\.Q", r"pde\.N", r"seed",
-]
+
+def _is_real(x, above=-math.inf):
+    # exact comparisons, so an int too large for a float is rejected too
+    return type(x) in (int, float) and above < x and abs(x) <= sys.float_info.max
+
+
+def _type(what, ok, convert=None, count=1):
+    """A config value type: count items (None: one or more), each passing ok."""
+    def read(value):
+        items = value if isinstance(value, list) else [value]
+        if count not in (None, len(items)) or not all(map(ok, items)):
+            raise ValueError(what)
+        items = items if convert is None else [convert(x) for x in items]
+        return items[0] if count == 1 else items
+    return read
+
+
+def _integer(least):
+    return _type(f"an integer >= {least}", lambda x: type(x) is int and x >= least)
+
+
+def _reals(count):
+    return _type(f"{count} comma-separated finite reals", _is_real, float, count)
+
+
+_WORD = _type("a word", lambda x: type(x) is str)
+_FLAG = _type("true or false", lambda x: type(x) is bool)
+_REAL = _type("a finite real", _is_real, float)
+_POSITIVE = _type("a finite real > 0", lambda x: _is_real(x, 0), float)
+_IDS = [cid for cid, _ in acceptance.CRITERIA]
+_BODY_KEYS = {"kind": _WORD, "radius": _REAL, "a": _REAL, "b": _REAL, "c0": _REAL,
+              r"cos\d+": _REAL, r"sin\d+": _REAL}
+
+# Every config key, declared once with its type and bound:
+# command (None: every command) -> {key pattern: type}.
+_KEYS = {
+    None: {**{rf"body\.{k}": t for k, t in _BODY_KEYS.items()},
+           r"potential\.kind": _WORD, r"potential\.a": _reals(4), r"potential\.eps": _REAL,
+           r"potential\.k1": _REAL, r"potential\.k2": _REAL,
+           r"quad\.M": _integer(64), r"quad\.Q": _integer(16), r"pde\.N": _integer(4),
+           r"seed": _integer(0)},
+    "forms-check": {r"forms\.pairs": _integer(1)},
+    "flow": {r"flow\.eps": _POSITIVE, r"flow\.points": _integer(3),
+             r"flow\.f\.(c0|cos\d+|sin\d+)": _REAL, r"flow\.psi\.kind": _WORD,
+             r"flow\.psi\.B": _reals(4), r"flow\.psi\.b": _reals(2),
+             r"flow\.psi\.c": _REAL, r"flow\.psi\.alpha": _REAL},
+    "spectral": {r"spectral\.samples": _integer(1)},
+    "bm": {**{rf"body2\.{k}": t for k, t in _BODY_KEYS.items()},
+           r"bm\.p": _POSITIVE, r"bm\.nodes": _integer(1), r"bm\.local_probe": _FLAG},
+    "scan": {r"scan\.radii": _type("one or more comma-separated finite reals > 0",
+                                    lambda x: _is_real(x, 0), float, None)},
+    "all": {r"accept\.ids": _type("one or more criterion ids among " + ", ".join(_IDS),
+                                   lambda x: str(x) in _IDS, str, None)},
+}
+
+
+def _read(command, key, value, where=""):
+    """value checked against the declaration of key for command."""
+    for pattern, read in {**_KEYS[None], **_KEYS.get(command, {})}.items():
+        if re.fullmatch(pattern, key):
+            try:
+                return read(value)
+            except ValueError as exc:
+                raise ConfigError(f"{where}{key} must be {exc}, got {value!r}") from None
+    raise ConfigError(f"{where}unknown key {key!r} for command {command!r}")
+
 
 def _parse_value(raw):
     raw = raw.strip()
     if "," in raw:
         return [_parse_value(v) for v in raw.split(",")]
-    low = raw.lower()
-    if low in ("true", "false"):
-        return low == "true"
-    try:
-        return int(raw)
-    except ValueError:
-        pass
-    try:
-        return float(raw)
-    except ValueError:
-        pass
+    if raw.lower() in ("true", "false"):
+        return raw.lower() == "true"
+    for number in (int, float):
+        try:
+            return number(raw)
+        except ValueError:
+            pass
     return raw
 
 
 def parse_config(path, command):
-    """Read a dotted-key config file, rejecting keys unknown to the command."""
-    allowed = [re.compile(f"^(?:{pat})$")
-               for pat in _COMMON_KEYS + _COMMANDS[command][1]]
-    cfg = {}
+    """Read a dotted-key config file, checking each value against its declaration.
+
+    Returns the checked values and, for the report, the values as written.
+    """
+    cfg, written = {}, {}
     try:
         lines = open(path, encoding="utf-8").read().splitlines()
     except OSError as exc:
@@ -93,26 +151,11 @@ def parse_config(path, command):
         if "=" not in line:
             raise ConfigError(f"{path}:{ln}: expected 'key = value'")
         key, raw = (s.strip() for s in line.split("=", 1))
-        if not any(pat.match(key) for pat in allowed):
-            raise ConfigError(f"{path}:{ln}: unknown key {key!r} for command {command!r}")
         if key in cfg:
             raise ConfigError(f"{path}:{ln}: duplicate key {key!r}")
-        value = _parse_value(raw)
-        items = value if isinstance(value, list) else [value]
-        if any(isinstance(v, float) and not np.isfinite(v) for v in items):
-            raise ConfigError(f"{path}:{ln}: {key} must be finite, got {raw!r}")
-        cfg[key] = value
-    return cfg
-
-
-def _int_key(cfg, key, default, least=None):
-    """The integer value of a config key; a non-integer or one below least is a config error."""
-    value = cfg.get(key, default)
-    if isinstance(value, bool) or not isinstance(value, int):
-        raise ConfigError(f"{key} must be an integer, got {value!r}")
-    if least is not None and value < least:
-        raise ConfigError(f"{key} must be >= {least}")
-    return value
+        written[key] = _parse_value(raw)
+        cfg[key] = _read(command, key, written[key], where=f"{path}:{ln}: ")
+    return cfg, written
 
 
 def _section(cfg, prefix):
@@ -120,40 +163,33 @@ def _section(cfg, prefix):
     return {k[plen:]: v for k, v in cfg.items() if k.startswith(prefix + ".")}
 
 
-def _body_descriptor(sec):
+def _construct(what, make, *args):
+    """make(*args), with the constructor's rejection of the config as a ConfigError."""
+    try:
+        return make(*args)
+    except (ValueError, NotConvexPotential, NotStrictlyConvex) as exc:
+        raise ConfigError(f"{what}: {exc}") from exc
+
+
+def _body_descriptor(sec, prefix):
     kind = sec.pop("kind", None)
-    if kind is None:
-        raise ConfigError("body.kind is required")
     if kind == "disk":
-        return {"kind": "disk", "radius": float(sec.pop("radius", 1.0)), **_leftover(sec)}
-    if kind == "ellipse":
-        return {"kind": "ellipse", "a": float(sec.pop("a", 1.0)),
-                "b": float(sec.pop("b", 1.0)), **_leftover(sec)}
-    if kind == "fourier":
-        cos = {int(k[3:]): float(sec.pop(k)) for k in list(sec) if k.startswith("cos")}
-        sin = {int(k[3:]): float(sec.pop(k)) for k in list(sec) if k.startswith("sin")}
-        return {"kind": "fourier", "c0": float(sec.pop("c0", 1.0)),
-                "cos": cos, "sin": sin, **_leftover(sec)}
-    raise ConfigError(f"unknown body.kind {kind!r}")
-
-
-def _leftover(sec):
+        desc = {"radius": sec.pop("radius", 1.0)}
+    elif kind == "ellipse":
+        desc = {"a": sec.pop("a", 1.0), "b": sec.pop("b", 1.0)}
+    elif kind == "fourier":
+        desc = {"c0": sec.pop("c0", 1.0)}
+        for wave in ("cos", "sin"):
+            desc[wave] = {int(k[3:]): sec.pop(k) for k in list(sec) if k.startswith(wave)}
+    else:
+        raise ConfigError(f"{prefix}.kind must be disk, ellipse or fourier, got {kind!r}")
     if sec:
-        raise ConfigError(f"keys {sorted(sec)} do not apply to this body kind")
-    return {}
+        raise ConfigError(f"keys {sorted(sec)} do not apply to {prefix}.kind {kind!r}")
+    return {"kind": kind, **desc}
 
 
 def _build_body(cfg, M, prefix="body"):
-    sec = _section(cfg, prefix)
-    desc = _body_descriptor(sec)
-    try:
-        return make_body(desc, M=M)
-    except NotStrictlyConvex as exc:
-        raise ConfigError(
-            f"{prefix} descriptor is not strictly convex: h + h'' = "
-            f"{exc.value:.6g} at theta = {exc.theta:.6g}") from exc
-    except ValueError as exc:
-        raise ConfigError(f"{prefix}: {exc}") from exc
+    return _construct(prefix, make_body, _body_descriptor(_section(cfg, prefix), prefix), M)
 
 
 def _build_potential(cfg):
@@ -164,7 +200,7 @@ def _build_potential(cfg):
     pinching = None
     if "k1" in sec or "k2" in sec:
         try:
-            pinching = (float(sec.pop("k1")), float(sec.pop("k2")))
+            pinching = (sec.pop("k1"), sec.pop("k2"))
         except KeyError as exc:
             raise ConfigError("explicit pinching needs both potential.k1 and potential.k2") from exc
         if not 0 < pinching[0] <= pinching[1]:
@@ -172,18 +208,15 @@ def _build_potential(cfg):
     desc = {"kind": kind}
     if kind == "quadratic":
         a = sec.pop("a", None)
-        if a is None or not isinstance(a, list) or len(a) != 4:
-            raise ConfigError("potential.a must give 4 row-major entries")
-        desc["A"] = [[float(a[0]), float(a[1])], [float(a[2]), float(a[3])]]
+        if a is None:
+            raise ConfigError("potential.kind = quadratic needs potential.a")
+        desc["A"] = [a[:2], a[2:]]
     elif kind == "even-quartic":
-        desc["eps"] = float(sec.pop("eps", 0.0))
+        desc["eps"] = sec.pop("eps", 0.0)
         desc["pinching"] = pinching
     if sec:
         raise ConfigError(f"keys {sorted(sec)} do not apply to potential kind {kind!r}")
-    try:
-        u = make_potential(desc)
-    except (ValueError, NotConvexPotential) as exc:
-        raise ConfigError(str(exc)) from exc
+    u = _construct("potential", make_potential, desc)
     if pinching is not None and kind != "even-quartic":
         u.pinching = pinching
     return u
@@ -192,37 +225,26 @@ def _build_potential(cfg):
 def _build_psi(cfg, u):
     sec = _section(cfg, "flow.psi")
     kind = sec.pop("kind", "none")
-    if kind == "none":
-        if sec:
-            raise ConfigError(f"flow.psi keys {sorted(sec)} need flow.psi.kind "
-                              "quadratic or conjugate")
-        return None
     if kind == "quadratic":
         B = sec.pop("B", [0.0, 0.0, 0.0, 0.0])
-        b = sec.pop("b", [0.0, 0.0])
-        c = float(sec.pop("c", 0.0))
-        if sec:
-            raise ConfigError(f"unused flow.psi keys {sorted(sec)}")
-        return QuadraticPerturbation(B=[[B[0], B[1]], [B[2], B[3]]], b=b, c=c)
-    if kind == "conjugate":
-        alpha = float(sec.pop("alpha", 1.0))
-        if sec:
-            raise ConfigError(f"unused flow.psi keys {sorted(sec)}")
-        return ConjugatePerturbation(u, alpha)
-    raise ConfigError(f"unknown flow.psi.kind {kind!r}")
+        make, args = QuadraticPerturbation, ([B[:2], B[2:]], sec.pop("b", [0.0, 0.0]),
+                                             sec.pop("c", 0.0))
+    elif kind == "conjugate":
+        make, args = ConjugatePerturbation, (u, sec.pop("alpha", 1.0))
+    elif kind != "none":
+        raise ConfigError(f"unknown flow.psi.kind {kind!r}")
+    if sec:
+        raise ConfigError(f"flow.psi keys {sorted(sec)} do not apply to flow.psi.kind {kind!r}")
+    return None if kind == "none" else _construct("flow.psi", make, *args)
 
 
 def _build_flow_field(cfg, M):
-    sec = _section(cfg, "flow.f")
     t = 2.0 * np.pi * np.arange(M) / M
-    vals = np.full(M, float(sec.pop("c0", 0.0)))
-    for k, v in list(sec.items()):
-        if k.startswith("cos"):
-            vals += float(v) * np.cos(int(k[3:]) * t)
-        elif k.startswith("sin"):
-            vals += float(v) * np.sin(int(k[3:]) * t)
-        else:
-            raise ConfigError(f"unknown flow.f key {k!r}")
+    sec = _section(cfg, "flow.f")
+    vals = np.full(M, sec.pop("c0", 0.0))
+    for k, v in sec.items():  # in file order, which fixes the rounding
+        wave = np.cos if k.startswith("cos") else np.sin
+        vals += v * wave(int(k[3:]) * t)
     return BoundaryField(vals)
 
 
@@ -319,7 +341,7 @@ def _cmd_solve(cfg, ctx):
 def _cmd_forms_check(cfg, ctx):
     body = _build_body(cfg, ctx["M"])
     u = _build_potential(cfg)
-    pairs = _int_key(cfg, "forms.pairs", 200, 1)
+    pairs = cfg.get("forms.pairs", 200)
     worst_mean, worst_mult, failures = acceptance.random_pairs_check(
         body, u, pairs, ctx["seed"], ctx["Q"])
     results = {"pairs": pairs, "min_relative_mean_slack": worst_mean,
@@ -332,14 +354,14 @@ def _cmd_flow(cfg, ctx):
     u = _build_potential(cfg)
     f = _build_flow_field(cfg, ctx["M"])
     psi = _build_psi(cfg, u)
-    fc = FlowConfig(f=f, psi=psi, eps=float(cfg.get("flow.eps", 0.1)),
-                    n_t=_int_key(cfg, "flow.points", 21, 3))
+    fc = FlowConfig(f=f, psi=psi, eps=cfg.get("flow.eps", 0.1),
+                    n_t=cfg.get("flow.points", 21))
     tab, failures = acceptance.concavity_check(body, u, fc, ctx["Q"])
     d, fd_failures = acceptance.shape_derivative_check(body, u, f, psi, ctx["Q"])
     failures += fd_failures
     cross = {}
     if psi is not None:
-        cross = mean_form_from_flow(body, u, f, psi, Q=ctx["Q"])
+        cross = mean_form_from_flow(body, u, f, psi, Q=ctx["Q"], derivatives=d)
         if not cross["passed"]:
             failures.append(f"cross-module identity mismatch {cross['mismatch']:.3e}")
     results = {"eps": tab["eps"], **d,
@@ -356,7 +378,7 @@ def _cmd_spectral(cfg, ctx):
     u = _build_potential(cfg)
     system = assemble(body, u, N=ctx["N"], Q=ctx["Q"])
     (lam, lam_res, note), stab, failures = acceptance.spectral_check(system, ctx["seed"])
-    samples = _int_key(cfg, "spectral.samples", 1000, 1)
+    samples = cfg.get("spectral.samples", 1000)
     c_small, c_big = interpolation_constant(system, sample_size=(samples, 2 * samples),
                                             seed=ctx["seed"])
     if c_big > 1.2 * c_small:
@@ -372,13 +394,8 @@ def _cmd_bm(cfg, ctx):
     bodyK = _build_body(cfg, ctx["M"], prefix="body")
     bodyL = _build_body(cfg, ctx["M"], prefix="body2")
     u = _build_potential(cfg)
-    p = float(cfg.get("bm.p", 0.5))
-    if not p > 0:
-        raise ConfigError("bm.p must be > 0")
-    nodes = _int_key(cfg, "bm.nodes", 21, 1)
-    probe = bool(cfg.get("bm.local_probe", False))
-    rep = bm_check(bodyK, bodyL, u, p, t_nodes=nodes, Q=ctx["Q"],
-                   local_probe=probe, N=ctx["N"])
+    rep = bm_check(bodyK, bodyL, u, cfg.get("bm.p", 0.5), t_nodes=cfg.get("bm.nodes", 21),
+                   Q=ctx["Q"], local_probe=cfg.get("bm.local_probe", False), N=ctx["N"])
     failures = [] if rep.passed else [f"min slack {rep.min_slack:.3e} < -1e-9"]
     results = rep.to_dict()
     if bodyK.is_even and bodyL.is_even and u.is_even and not u.is_zero:
@@ -404,10 +421,6 @@ def _cmd_bounds(cfg, ctx):
 def _cmd_scan(cfg, ctx):
     u = _build_potential(cfg)
     radii = cfg.get("scan.radii", [0.25, 0.5, 1.0, 1.5, 2.0, 3.0])
-    if not isinstance(radii, list):
-        radii = [radii]
-    if not all(type(r) in (int, float) and r > 0 for r in radii):
-        raise ConfigError(f"scan.radii must be positive numbers, got {radii!r}")
     rows, failures = acceptance.disk_scan(u, radii, ctx["M"], ctx["N"], ctx["Q"])
     results = {"radii": [r[0] for r in rows], "p": [r[1] for r in rows],
                "oracle": [r[2] for r in rows]}
@@ -417,10 +430,7 @@ def _cmd_scan(cfg, ctx):
 
 
 def _cmd_all(cfg, ctx):
-    ids = cfg.get("accept.ids")
-    if ids is not None:
-        ids = [str(x) for x in (ids if isinstance(ids, list) else [ids])]
-    records = acceptance.run_all(ids=ids)
+    records = acceptance.run_all(ids=cfg.get("accept.ids"))
     failures = []
     for rec in records:
         status = "PASS" if rec["passed"] else "FAIL"
@@ -428,34 +438,26 @@ def _cmd_all(cfg, ctx):
         print(line)
         if not rec["passed"]:
             failures.append(f"criterion {rec['id']}: {rec['name']}")
-    results = {"records": records}
-    return results, {}, failures, {}
+    return {"records": records}, {}, failures, {}
 
 
-# command -> (function, patterns of the config keys it reads beyond _COMMON_KEYS)
-_COMMANDS = {
-    "solve": (_cmd_solve, []),
-    "forms-check": (_cmd_forms_check, [r"forms\.pairs"]),
-    "flow": (_cmd_flow, [r"flow\.eps", r"flow\.points", r"flow\.f\.c0", r"flow\.f\.cos\d+",
-                         r"flow\.f\.sin\d+", r"flow\.psi\.kind", r"flow\.psi\.B",
-                         r"flow\.psi\.b", r"flow\.psi\.c", r"flow\.psi\.alpha"]),
-    "spectral": (_cmd_spectral, [r"spectral\.samples"]),
-    "bm": (_cmd_bm, [r"body2\.kind", r"body2\.radius", r"body2\.a", r"body2\.b",
-                     r"body2\.c0", r"body2\.cos\d+", r"body2\.sin\d+",
-                     r"bm\.p", r"bm\.nodes", r"bm\.local_probe"]),
-    "bounds": (_cmd_bounds, []),
-    "scan": (_cmd_scan, [r"scan\.radii"]),
-    "all": (_cmd_all, [r"accept\.ids"]),
-}
+_COMMANDS = {"solve": _cmd_solve, "forms-check": _cmd_forms_check, "flow": _cmd_flow,
+             "spectral": _cmd_spectral, "bm": _cmd_bm, "bounds": _cmd_bounds,
+             "scan": _cmd_scan, "all": _cmd_all}
 
 
-def _plot(path, kind, payload):
+def _pyplot():
+    """matplotlib.pyplot on the SVG backend; --plot without matplotlib is a config error."""
     try:
         import matplotlib
         matplotlib.use("svg")
         import matplotlib.pyplot as plt
     except ImportError as exc:
         raise ConfigError("--plot requires matplotlib") from exc
+    return plt
+
+
+def _plot(plt, path, kind, payload):
     fig, ax = plt.subplots(figsize=(6, 4))
     if kind == "flow":
         t, S = payload["t"], payload["S"]
@@ -463,7 +465,6 @@ def _plot(path, kind, payload):
         ax.plot([t[0], t[-1]], [S[0], S[-1]], "--", label="chord")
         ax.set_xlabel("t")
         ax.set_ylabel("log marginal")
-        ax.legend()
     elif kind == "scan":
         R = [r[0] for r in payload]
         p = [r[1] for r in payload]
@@ -473,7 +474,7 @@ def _plot(path, kind, payload):
             ax.plot(R, oracle, "--", label="closed form")
         ax.set_xlabel("R")
         ax.set_ylabel("concavity power")
-        ax.legend()
+    ax.legend()
     fig.tight_layout()
     fig.savefig(path, format="svg")
     plt.close(fig)
@@ -484,23 +485,22 @@ def run(command, config_path=None, out_dir="convexlab-out", seed=None,
     """Run one command; returns the exit status (artifacts land in out_dir)."""
     if command not in _COMMANDS:
         raise ConfigError(f"unknown command {command!r}")
-    cfg = {} if config_path is None else parse_config(config_path, command)
     if config_path is None and command != "all":
         raise ConfigError(f"command {command!r} requires --config")
-    ctx = {
-        "M": int(quad_m) if quad_m is not None else _int_key(cfg, "quad.M", 256),
-        "Q": _int_key(cfg, "quad.Q", 32, 16),
-        "N": int(modes) if modes is not None else _int_key(cfg, "pde.N", 16),
-        "seed": int(seed) if seed is not None else _int_key(cfg, "seed", 0),
-    }
-    if ctx["M"] < 64 or ctx["M"] % 2:
-        raise ConfigError("quad.M must be even and >= 64")
-    if not 4 <= ctx["N"] < ctx["M"] / 2:
-        raise ConfigError(f"pde.N must be >= 4 and < quad.M / 2 = {ctx['M'] // 2}")
-    results, tables, failures, plots = _COMMANDS[command][0](cfg, ctx)
+    cfg, written = ({}, {}) if config_path is None else parse_config(config_path, command)
+    flags = {"quad.M": quad_m, "pde.N": modes, "seed": seed}
+    cfg.update({k: _read(command, k, v) for k, v in flags.items() if v is not None})
+    ctx = {"M": cfg.get("quad.M", 256), "Q": cfg.get("quad.Q", 32),
+           "N": cfg.get("pde.N", 16), "seed": cfg.get("seed", 0)}
+    if ctx["M"] % 2:
+        raise ConfigError("quad.M must be even")
+    if ctx["N"] >= ctx["M"] / 2:
+        raise ConfigError(f"pde.N must be < quad.M / 2 = {ctx['M'] // 2}")
+    plt = _pyplot() if plot else None
+    results, tables, failures, plots = _COMMANDS[command](cfg, ctx)
     report = {
         "command": command,
-        "config": {k: cfg[k] for k in sorted(cfg)},
+        "config": {k: written[k] for k in sorted(written)},
         "overrides": {"quad.M": ctx["M"], "quad.Q": ctx["Q"], "pde.N": ctx["N"]},
         "seed": ctx["seed"],
         "results": _strip_timing(results),
@@ -512,7 +512,7 @@ def run(command, config_path=None, out_dir="convexlab-out", seed=None,
         _write_csv(os.path.join(out_dir, name), header, rows)
     if plot:
         for name, (kind, payload) in plots.items():
-            _plot(os.path.join(out_dir, name), kind, payload)
+            _plot(plt, os.path.join(out_dir, name), kind, payload)
     for failure in failures:
         print(f"FAIL: {failure}", file=sys.stderr)
     print(f"{command}: {'pass' if not failures else 'FAIL'} "

@@ -175,14 +175,16 @@ def shape_derivatives(body, u, f, psi=None, Q=DEFAULT_Q):
     return {"I0": I0, "I1": I1, "I2": I2, "S2": S2}
 
 
-def mean_form_from_flow(body, u, f, psi, Q=DEFAULT_Q):
+def mean_form_from_flow(body, u, f, psi, Q=DEFAULT_Q, derivatives=None):
     """Cross-module oracle: S''(0) I(0) must equal -(P + BL - 2I).
 
     The left side comes from the flow's explicit derivatives with rho = f(nu)
     and phi = psi(grad u); the right side from the bilinear-form module.
+    ``derivatives`` takes a ``shape_derivatives(body, u, f, psi, Q)`` result
+    already at hand, which is then not computed again.
     """
     f = _as_boundary_field(f, body.M)
-    d = shape_derivatives(body, u, f, psi, Q=Q)
+    d = derivatives if derivatives is not None else shape_derivatives(body, u, f, psi, Q=Q)
     lhs = d["I2"] - d["I1"] ** 2 / d["I0"]  # = S''(0) * I(0)
     phi = psi_composed_field(u, psi) if psi is not None else InteriorField.constant(0.0)
     P = form_P(body, u, f, f, Q=Q)

@@ -1,13 +1,15 @@
+import importlib.util
 import json
 import re
 import sys
+from pathlib import Path
 
 import numpy as np
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from convexlab import cli, measure
+from convexlab import cli, flow, measure
 
 
 def write(path, text):
@@ -204,18 +206,62 @@ def test_quad_m_override(tmp_path):
     ("bm", "body2.kind = disk\nbm.p = 0"),
     ("flow", "flow.points = 2"),
     ("scan", "scan.radii = 1.0, 0"),
+    ("solve", "body.radius = abc"),
+    ("bm", "body2.kind = disk\nbm.p = abc"),
+    ("flow", "flow.f.cos2 = x"),
+    ("solve", "potential.kind = quadratic\npotential.a = 1, 0, x, 1"),
+    ("flow", "flow.psi.kind = quadratic\nflow.psi.B = 1, 2"),
+    ("flow", "flow.psi.kind = quadratic\nflow.psi.b = 1"),
+    ("flow", "flow.psi.kind = quadratic\nflow.psi.B = 1, 2, 3, 4"),
+    ("flow", "flow.psi.kind = conjugate\nflow.psi.alpha = -1"),
+    ("solve", "body.radius = true"),
+    ("flow", "flow.eps = true"),
+    ("flow", "flow.eps = 0"),
+    ("flow", "flow.eps = -0.1"),
+    ("bm", "body2.kind = disk\nbm.local_probe = maybe"),
+    ("all", "accept.ids = 99"),
+    ("forms-check", "seed = -1"),
 ], ids=["negative-radius", "nan-radius", "inf-axis", "nan-eps", "inf-eps", "nan-M",
         "N-below-4", "zero-pairs", "negative-samples", "negative-eps", "indefinite-A",
         "text-Q", "fractional-Q", "bool-pairs", "list-N", "text-seed", "text-pairs",
         "float-samples", "text-nodes", "fractional-points", "zero-nodes", "zero-p",
-        "two-points", "zero-radius"])
+        "two-points", "zero-radius", "text-radius", "text-p", "text-harmonic",
+        "text-A-entry", "two-entry-B", "one-entry-b", "asymmetric-B", "negative-alpha",
+        "bool-radius", "bool-flow-eps", "zero-flow-eps", "negative-flow-eps",
+        "text-probe", "unknown-criterion", "negative-seed"])
 def test_bad_numeric_value_is_config_error(tmp_path, capsys, command, lines):
     # each line overrides the matching key of a valid disk + gaussian config
     cfg = {"body.kind": "disk", "potential.kind": "gaussian"}
     cfg.update(line.split(" = ") for line in lines.splitlines())
     path = write(tmp_path / "bad.cfg", "".join(f"{k} = {v}\n" for k, v in cfg.items()))
-    assert cli.main([command, "--config", path, "--out", str(tmp_path / "o")]) == 2
+    out = tmp_path / "o"
+    assert cli.main([command, "--config", path, "--out", str(out)]) == 2
     assert "config error" in capsys.readouterr().err
+    assert not (out / "report.json").exists()
+
+
+def test_every_benchmark_config_parses(tmp_path):
+    # the benchmark runs the CLI on these generated configs: none may be rejected
+    spec = importlib.util.spec_from_file_location(
+        "workloads", Path(__file__).parents[1] / "perfbench" / "workloads.py")
+    workloads = importlib.util.module_from_spec(spec)
+    spec.loader.exec_module(workloads)
+    for name in workloads.WORKLOADS:
+        for tiny in (False, True):
+            jobs = workloads.generate(name, 5, 0, str(tmp_path / f"{name}-{tiny}"), tiny=tiny)
+            assert jobs
+            for job in jobs:
+                cli.parse_config(job.config_path, job.command)
+
+
+def test_plot_without_matplotlib_fails_before_any_work(tmp_path, monkeypatch, capsys):
+    monkeypatch.setitem(sys.modules, "matplotlib", None)  # import matplotlib now fails
+    monkeypatch.setitem(cli._COMMANDS, "scan", lambda cfg, ctx: pytest.fail("the scan ran"))
+    path = write(tmp_path / "s.cfg", "potential.kind = gaussian\nscan.radii = 1.0\n")
+    out = tmp_path / "o"
+    assert cli.main(["scan", "--config", path, "--out", str(out), "--plot"]) == 2
+    assert "--plot requires matplotlib" in capsys.readouterr().err
+    assert not out.exists()
 
 
 @pytest.mark.parametrize("command, lines, args", [
@@ -245,7 +291,7 @@ flow.points = 9
                          ids=["solve", "flow"])
 def test_one_job_evaluates_the_boundary_measure_once(tmp_path, monkeypatch, command, lines):
     # solve assembles twice and applies L; flow takes the shape derivatives
-    # twice and the P form once: all read H_mu and e^{-u} on dK from quad
+    # and the P form once each: all read H_mu and e^{-u} on dK from quad
     calls = []
     weight, hmu = measure.Potential.weight, measure.weighted_mean_curvature
 
@@ -264,6 +310,23 @@ def test_one_job_evaluates_the_boundary_measure_once(tmp_path, monkeypatch, comm
     path = write(tmp_path / "c.cfg", SOLVE_CFG + lines)
     assert cli.run(command, path, out_dir=str(tmp_path / "o")) == 0
     assert calls.count("H_mu") == 1 and calls.count((256, 2)) == 1
+
+
+def test_flow_job_takes_the_shape_derivatives_once(tmp_path, monkeypatch):
+    # the finite-difference check and the cross-module identity share one result
+    calls = []
+    shape_derivatives = flow.shape_derivatives
+
+    def counted(*args, **kwargs):
+        calls.append(args)
+        return shape_derivatives(*args, **kwargs)
+
+    for mod in [m for name, m in sys.modules.items() if name.startswith("convexlab")]:
+        if getattr(mod, "shape_derivatives", None) is shape_derivatives:
+            monkeypatch.setattr(mod, "shape_derivatives", counted)
+    path = write(tmp_path / "c.cfg", SOLVE_CFG + FLOW_LINES)
+    assert cli.run("flow", path, out_dir=str(tmp_path / "o")) == 0
+    assert len(calls) == 1
 
 
 def _reference_json_token(x):
