@@ -26,7 +26,6 @@ from dataclasses import dataclass, field
 from itertools import chain
 
 import numpy as np
-import scipy.linalg
 
 from .errors import CoercivityFailure, PinchingUndeclared
 from .forms import form_I
@@ -95,6 +94,7 @@ def lambda1(system):
     else:
         E_eff = E_nc
         note = "constant-direction energy ~ 0; Schur correction skipped"
+    import scipy.linalg  # here, not at module level: forms-check and flow never load it
     try:
         scipy.linalg.cholesky(A_nc, lower=True)
     except scipy.linalg.LinAlgError as exc:
@@ -113,6 +113,7 @@ def lambda1(system):
 
 def coercivity_constant(system):
     """C = smallest eigenvalue of the pencil (G, S); positive iff coercive."""
+    import scipy.linalg  # here, not at module level: forms-check and flow never load it
     eigs = scipy.linalg.eigh(system.G, system.S, eigvals_only=True)
     return float(eigs[0])
 

@@ -18,12 +18,12 @@ Config files are flat dotted-key text, one ``key = value`` per line with
     quad.M = 256
     pde.N = 16
 
-Each key is declared once, in ``_KEYS``, with its type and bound.  An
-unknown key, or a value of the wrong type or out of range, exits 2 before any
-work.  Every numeric lands in the report with 15 significant digits, outputs
-are written atomically, and identical config + seed produces bit-identical
-files.  Exit codes: 0 pass, 1 assertion failure, 2 config error, 3 numerical
-failure.
+Each key is declared once, in ``_KEYS``, with its type and bound.  A key the
+command does not read, or a value of the wrong type or out of range, exits 2
+before any work.  Every numeric lands in the report with 15 significant
+digits, outputs are written atomically, and identical config + seed produces
+bit-identical files.  Exit codes: 0 pass, 1 assertion failure, 2 config
+error, 3 numerical failure.
 
 solve, forms-check, flow, spectral and scan call the acceptance criteria's
 checks (``acceptance``), so their tolerances and failure messages are shared.
@@ -41,7 +41,8 @@ import numpy as np
 
 from . import acceptance
 from .analysis import bm_check, interpolation_constant, pinching_bounds, reformulation_check
-from .errors import ConfigError, ConvexLabError, NotConvexPotential, NotStrictlyConvex
+from .errors import (ConfigError, ConvexLabError, LebesgueModeRestriction, NotConvexPotential,
+                     NotStrictlyConvex)
 from .flow import FlowConfig, mean_form_from_flow
 from .forms import BoundaryField
 from .geometry import make_body
@@ -83,35 +84,41 @@ _FLAG = _type("true or false", lambda x: type(x) is bool)
 _REAL = _type("a finite real", _is_real, float)
 _POSITIVE = _type("a finite real > 0", lambda x: _is_real(x, 0), float)
 _IDS = [cid for cid, _ in acceptance.CRITERIA]
+_SEED = {r"seed": _integer(0)}
+_GRID = {r"quad\.M": _integer(64), r"quad\.Q": _integer(16), r"pde\.N": _integer(4)}
+_POTENTIAL = {r"potential\.kind": _WORD, r"potential\.a": _reals(4), r"potential\.eps": _REAL,
+              r"potential\.k1": _REAL, r"potential\.k2": _REAL}
 _BODY_KEYS = {"kind": _WORD, "radius": _REAL, "a": _REAL, "b": _REAL, "c0": _REAL,
               r"cos\d+": _REAL, r"sin\d+": _REAL}
+# a command on one body under one potential
+_BODY_JOB = {**_SEED, **_GRID, **_POTENTIAL, **{rf"body\.{k}": t for k, t in _BODY_KEYS.items()}}
 
-# Every config key, declared once with its type and bound:
-# command (None: every command) -> {key pattern: type}.
+# Every config key, declared once with its type and bound: command -> {key pattern:
+# type}, each command taking only the keys it reads.  None: the keys that --seed,
+# --quad-m and --modes set, on any command.
 _KEYS = {
-    None: {**{rf"body\.{k}": t for k, t in _BODY_KEYS.items()},
-           r"potential\.kind": _WORD, r"potential\.a": _reals(4), r"potential\.eps": _REAL,
-           r"potential\.k1": _REAL, r"potential\.k2": _REAL,
-           r"quad\.M": _integer(64), r"quad\.Q": _integer(16), r"pde\.N": _integer(4),
-           r"seed": _integer(0)},
-    "forms-check": {r"forms\.pairs": _integer(1)},
-    "flow": {r"flow\.eps": _POSITIVE, r"flow\.points": _integer(3),
+    None: {**_SEED, **_GRID},
+    "solve": _BODY_JOB,
+    "forms-check": {**_BODY_JOB, r"forms\.pairs": _integer(1)},
+    "flow": {**_BODY_JOB, r"flow\.eps": _POSITIVE, r"flow\.points": _integer(3),
              r"flow\.f\.(c0|cos\d+|sin\d+)": _REAL, r"flow\.psi\.kind": _WORD,
              r"flow\.psi\.B": _reals(4), r"flow\.psi\.b": _reals(2),
              r"flow\.psi\.c": _REAL, r"flow\.psi\.alpha": _REAL},
-    "spectral": {r"spectral\.samples": _integer(1)},
-    "bm": {**{rf"body2\.{k}": t for k, t in _BODY_KEYS.items()},
+    "spectral": {**_BODY_JOB, r"spectral\.samples": _integer(1)},
+    "bm": {**_BODY_JOB, **{rf"body2\.{k}": t for k, t in _BODY_KEYS.items()},
            r"bm\.p": _POSITIVE, r"bm\.nodes": _integer(1), r"bm\.local_probe": _FLAG},
-    "scan": {r"scan\.radii": _type("one or more comma-separated finite reals > 0",
+    "bounds": _BODY_JOB,
+    "scan": {**_SEED, **_GRID, **_POTENTIAL,
+             r"scan\.radii": _type("one or more comma-separated finite reals > 0",
                                     lambda x: _is_real(x, 0), float, None)},
-    "all": {r"accept\.ids": _type("one or more criterion ids among " + ", ".join(_IDS),
-                                   lambda x: str(x) in _IDS, str, None)},
+    "all": {**_SEED, r"accept\.ids": _type("one or more criterion ids among " + ", ".join(_IDS),
+                                            lambda x: str(x) in _IDS, str, None)},
 }
 
 
 def _read(command, key, value, where=""):
-    """value checked against the declaration of key for command."""
-    for pattern, read in {**_KEYS[None], **_KEYS.get(command, {})}.items():
+    """value checked against the declaration of key for command (None: a flag's key)."""
+    for pattern, read in _KEYS[command].items():
         if re.fullmatch(pattern, key):
             try:
                 return read(value)
@@ -167,7 +174,7 @@ def _construct(what, make, *args):
     """make(*args), with the constructor's rejection of the config as a ConfigError."""
     try:
         return make(*args)
-    except (ValueError, NotConvexPotential, NotStrictlyConvex) as exc:
+    except (ValueError, NotConvexPotential, NotStrictlyConvex, LebesgueModeRestriction) as exc:
         raise ConfigError(f"{what}: {exc}") from exc
 
 
@@ -489,7 +496,7 @@ def run(command, config_path=None, out_dir="convexlab-out", seed=None,
         raise ConfigError(f"command {command!r} requires --config")
     cfg, written = ({}, {}) if config_path is None else parse_config(config_path, command)
     flags = {"quad.M": quad_m, "pde.N": modes, "seed": seed}
-    cfg.update({k: _read(command, k, v) for k, v in flags.items() if v is not None})
+    cfg.update({k: _read(None, k, v) for k, v in flags.items() if v is not None})
     ctx = {"M": cfg.get("quad.M", 256), "Q": cfg.get("quad.Q", 32),
            "N": cfg.get("pde.N", 16), "seed": cfg.get("seed", 0)}
     if ctx["M"] % 2:

@@ -27,7 +27,6 @@ from dataclasses import dataclass
 from functools import cached_property
 
 import numpy as np
-import scipy.linalg
 
 from . import spectral
 from .errors import CoercivityFailure, LebesgueModeRestriction, ZeroMean
@@ -144,6 +143,7 @@ def assemble(body, u, N=DEFAULT_N, Q=DEFAULT_Q, even_only=False):
     if u.is_zero:
         chol = None
     else:
+        import scipy.linalg  # here, not at module level: forms-check and flow never load it
         try:
             chol = scipy.linalg.cho_factor(G, lower=True)
         except scipy.linalg.LinAlgError as exc:
@@ -164,6 +164,7 @@ def solve_rho_bar(system):
         raise LebesgueModeRestriction(
             "the Euler-Lagrange solve needs a strictly convex potential; "
             "for u == 0 the form has translation null directions")
+    import scipy.linalg  # here, not at module level: forms-check and flow never load it
     c = scipy.linalg.cho_solve(system.chol, system.m)
     field = BoundaryField(system.E.T @ c)
     field.galerkin_coeffs = c

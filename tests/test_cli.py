@@ -153,7 +153,8 @@ flow.points = 9
 def test_all_command_subset(tmp_path, capsys):
     cfg = write(tmp_path / "a.cfg", "accept.ids = 1, 2\n")
     out = tmp_path / "out"
-    assert cli.run("all", cfg, out_dir=str(out)) == 0
+    # the flags stay accepted though all reads no grid key from its config
+    assert cli.run("all", cfg, out_dir=str(out), quad_m=128, modes=8) == 0
     stdout = capsys.readouterr().out
     assert "PASS  criterion 1" in stdout
     assert "PASS  criterion 2" in stdout
@@ -221,6 +222,11 @@ def test_quad_m_override(tmp_path):
     ("bm", "body2.kind = disk\nbm.local_probe = maybe"),
     ("all", "accept.ids = 99"),
     ("forms-check", "seed = -1"),
+    ("flow", "potential.kind = zero\nflow.psi.kind = conjugate"),
+    ("scan", "body.kind = ellipse\nbody.a = 3"),
+    ("all", "accept.ids = 1\nbody.kind = triangle"),
+    ("all", "accept.ids = 1\npotential.kind = gaussian"),
+    ("all", "accept.ids = 1\nquad.M = 128"),
 ], ids=["negative-radius", "nan-radius", "inf-axis", "nan-eps", "inf-eps", "nan-M",
         "N-below-4", "zero-pairs", "negative-samples", "negative-eps", "indefinite-A",
         "text-Q", "fractional-Q", "bool-pairs", "list-N", "text-seed", "text-pairs",
@@ -228,10 +234,13 @@ def test_quad_m_override(tmp_path):
         "two-points", "zero-radius", "text-radius", "text-p", "text-harmonic",
         "text-A-entry", "two-entry-B", "one-entry-b", "asymmetric-B", "negative-alpha",
         "bool-radius", "bool-flow-eps", "zero-flow-eps", "negative-flow-eps",
-        "text-probe", "unknown-criterion", "negative-seed"])
+        "text-probe", "unknown-criterion", "negative-seed", "conjugate-psi-of-zero",
+        "scan-body", "all-body", "all-potential", "all-grid"])
 def test_bad_numeric_value_is_config_error(tmp_path, capsys, command, lines):
-    # each line overrides the matching key of a valid disk + gaussian config
-    cfg = {"body.kind": "disk", "potential.kind": "gaussian"}
+    # each line overrides the matching key of a valid config: disk + gaussian,
+    # gaussian alone for scan (it reads no body) and nothing for all
+    cfg = {"scan": {"potential.kind": "gaussian"}, "all": {}}.get(
+        command, {"body.kind": "disk", "potential.kind": "gaussian"})
     cfg.update(line.split(" = ") for line in lines.splitlines())
     path = write(tmp_path / "bad.cfg", "".join(f"{k} = {v}\n" for k, v in cfg.items()))
     out = tmp_path / "o"
@@ -272,8 +281,9 @@ def test_plot_without_matplotlib_fails_before_any_work(tmp_path, monkeypatch, ca
 ], ids=["solve-N", "solve-modes", "spectral-N", "scan-modes"])
 def test_modes_the_grid_cannot_resolve_are_config_error(tmp_path, capsys, command, lines,
                                                          args):
-    # quad.M = 256 resolves harmonics below 128 only
-    path = write(tmp_path / "n.cfg", f"body.kind = disk\npotential.kind = gaussian\n{lines}\n")
+    # quad.M = 256 resolves harmonics below 128 only; scan reads no body
+    body = "" if command == "scan" else "body.kind = disk\n"
+    path = write(tmp_path / "n.cfg", f"{body}potential.kind = gaussian\n{lines}\n")
     assert cli.main([command, "--config", path, "--out", str(tmp_path / "o"), *args]) == 2
     assert "config error" in capsys.readouterr().err
 
