@@ -304,7 +304,7 @@ def pinching_bounds(body, u, N=DEFAULT_N, Q=DEFAULT_Q):
     flat, wmu, Hinv = _bl_nodes(body, u, Q)
     g = u.grad(flat)
     moment = float(np.sum(wmu * _hgg(Hinv, g, g))) / _mu(body, u, Q)
-    p = solve_report(body, u, N=N, Q=Q)["p"]
+    p = concavity_power(body, u, N=N, Q=Q)
     tol = 1e-9
     checks = {
         "moment_bound": moment <= 2.0 * r + tol * max(1.0, 2.0 * r),

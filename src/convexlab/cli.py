@@ -19,8 +19,10 @@ Config files are flat dotted-key text, one ``key = value`` per line with
     pde.N = 16
 
 Each key is declared once, in ``_KEYS``, with its type and bound.  A key the
-command does not read, or a value of the wrong type or out of range, exits 2
-before any work.  Every numeric lands in the report with 15 significant
+command does not read, from the config or a flag, or a value of the wrong
+type or out of range, exits 2 before any work.  Body and potential keys
+become descriptors, and ``make_body``/``make_potential`` own their defaults
+and per-kind checks.  Every numeric lands in the report with 15 significant
 digits, outputs are written atomically, and identical config + seed produces
 bit-identical files.  Exit codes: 0 pass, 1 assertion failure, 2 config
 error, 3 numerical failure.
@@ -85,30 +87,30 @@ _REAL = _type("a finite real", _is_real, float)
 _POSITIVE = _type("a finite real > 0", lambda x: _is_real(x, 0), float)
 _IDS = [cid for cid, _ in acceptance.CRITERIA]
 _SEED = {r"seed": _integer(0)}
-_GRID = {r"quad\.M": _integer(64), r"quad\.Q": _integer(16), r"pde\.N": _integer(4)}
+_QUAD = {r"quad\.M": _integer(64), r"quad\.Q": _integer(16)}
+_MODES = {r"pde\.N": _integer(4)}
 _POTENTIAL = {r"potential\.kind": _WORD, r"potential\.a": _reals(4), r"potential\.eps": _REAL,
               r"potential\.k1": _REAL, r"potential\.k2": _REAL}
 _BODY_KEYS = {"kind": _WORD, "radius": _REAL, "a": _REAL, "b": _REAL, "c0": _REAL,
               r"cos\d+": _REAL, r"sin\d+": _REAL}
 # a command on one body under one potential
-_BODY_JOB = {**_SEED, **_GRID, **_POTENTIAL, **{rf"body\.{k}": t for k, t in _BODY_KEYS.items()}}
+_BODY_JOB = {**_SEED, **_QUAD, **_POTENTIAL, **{rf"body\.{k}": t for k, t in _BODY_KEYS.items()}}
 
 # Every config key, declared once with its type and bound: command -> {key pattern:
-# type}, each command taking only the keys it reads.  None: the keys that --seed,
-# --quad-m and --modes set, on any command.
+# type}, each command taking only the keys it reads.  --seed, --quad-m and --modes
+# set seed, quad.M and pde.N, and are checked against the same declarations.
 _KEYS = {
-    None: {**_SEED, **_GRID},
-    "solve": _BODY_JOB,
+    "solve": {**_BODY_JOB, **_MODES},
     "forms-check": {**_BODY_JOB, r"forms\.pairs": _integer(1)},
     "flow": {**_BODY_JOB, r"flow\.eps": _POSITIVE, r"flow\.points": _integer(3),
              r"flow\.f\.(c0|cos\d+|sin\d+)": _REAL, r"flow\.psi\.kind": _WORD,
              r"flow\.psi\.B": _reals(4), r"flow\.psi\.b": _reals(2),
              r"flow\.psi\.c": _REAL, r"flow\.psi\.alpha": _REAL},
-    "spectral": {**_BODY_JOB, r"spectral\.samples": _integer(1)},
-    "bm": {**_BODY_JOB, **{rf"body2\.{k}": t for k, t in _BODY_KEYS.items()},
+    "spectral": {**_BODY_JOB, **_MODES, r"spectral\.samples": _integer(1)},
+    "bm": {**_BODY_JOB, **_MODES, **{rf"body2\.{k}": t for k, t in _BODY_KEYS.items()},
            r"bm\.p": _POSITIVE, r"bm\.nodes": _integer(1), r"bm\.local_probe": _FLAG},
-    "bounds": _BODY_JOB,
-    "scan": {**_SEED, **_GRID, **_POTENTIAL,
+    "bounds": {**_BODY_JOB, **_MODES},
+    "scan": {**_SEED, **_QUAD, **_MODES, **_POTENTIAL,
              r"scan\.radii": _type("one or more comma-separated finite reals > 0",
                                     lambda x: _is_real(x, 0), float, None)},
     "all": {**_SEED, r"accept\.ids": _type("one or more criterion ids among " + ", ".join(_IDS),
@@ -117,7 +119,7 @@ _KEYS = {
 
 
 def _read(command, key, value, where=""):
-    """value checked against the declaration of key for command (None: a flag's key)."""
+    """value checked against the declaration of key for command."""
     for pattern, read in _KEYS[command].items():
         if re.fullmatch(pattern, key):
             try:
@@ -178,55 +180,23 @@ def _construct(what, make, *args):
         raise ConfigError(f"{what}: {exc}") from exc
 
 
-def _body_descriptor(sec, prefix):
-    kind = sec.pop("kind", None)
-    if kind == "disk":
-        desc = {"radius": sec.pop("radius", 1.0)}
-    elif kind == "ellipse":
-        desc = {"a": sec.pop("a", 1.0), "b": sec.pop("b", 1.0)}
-    elif kind == "fourier":
-        desc = {"c0": sec.pop("c0", 1.0)}
-        for wave in ("cos", "sin"):
-            desc[wave] = {int(k[3:]): sec.pop(k) for k in list(sec) if k.startswith(wave)}
-    else:
-        raise ConfigError(f"{prefix}.kind must be disk, ellipse or fourier, got {kind!r}")
-    if sec:
-        raise ConfigError(f"keys {sorted(sec)} do not apply to {prefix}.kind {kind!r}")
-    return {"kind": kind, **desc}
-
-
 def _build_body(cfg, M, prefix="body"):
-    return _construct(prefix, make_body, _body_descriptor(_section(cfg, prefix), prefix), M)
+    desc = _section(cfg, prefix)
+    for wave in ("cos", "sin"):  # body.cosK = v -> {"cos": {K: v}}
+        modes = {int(k[3:]): desc.pop(k) for k in list(desc) if k.startswith(wave)}
+        if modes:
+            desc[wave] = modes
+    return _construct(prefix, make_body, desc, M)
 
 
 def _build_potential(cfg):
-    sec = _section(cfg, "potential")
-    kind = sec.pop("kind", None)
-    if kind is None:
-        raise ConfigError("potential.kind is required")
-    pinching = None
-    if "k1" in sec or "k2" in sec:
-        try:
-            pinching = (sec.pop("k1"), sec.pop("k2"))
-        except KeyError as exc:
-            raise ConfigError("explicit pinching needs both potential.k1 and potential.k2") from exc
-        if not 0 < pinching[0] <= pinching[1]:
-            raise ConfigError("pinching needs 0 < k1 <= k2")
-    desc = {"kind": kind}
-    if kind == "quadratic":
-        a = sec.pop("a", None)
-        if a is None:
-            raise ConfigError("potential.kind = quadratic needs potential.a")
+    desc = _section(cfg, "potential")
+    if "a" in desc:
+        a = desc.pop("a")
         desc["A"] = [a[:2], a[2:]]
-    elif kind == "even-quartic":
-        desc["eps"] = sec.pop("eps", 0.0)
-        desc["pinching"] = pinching
-    if sec:
-        raise ConfigError(f"keys {sorted(sec)} do not apply to potential kind {kind!r}")
-    u = _construct("potential", make_potential, desc)
-    if pinching is not None and kind != "even-quartic":
-        u.pinching = pinching
-    return u
+    if "k1" in desc or "k2" in desc:
+        desc["pinching"] = (desc.pop("k1", None), desc.pop("k2", None))
+    return _construct("potential", make_potential, desc)
 
 
 def _build_psi(cfg, u):
@@ -496,12 +466,12 @@ def run(command, config_path=None, out_dir="convexlab-out", seed=None,
         raise ConfigError(f"command {command!r} requires --config")
     cfg, written = ({}, {}) if config_path is None else parse_config(config_path, command)
     flags = {"quad.M": quad_m, "pde.N": modes, "seed": seed}
-    cfg.update({k: _read(None, k, v) for k, v in flags.items() if v is not None})
+    cfg.update({k: _read(command, k, v) for k, v in flags.items() if v is not None})
     ctx = {"M": cfg.get("quad.M", 256), "Q": cfg.get("quad.Q", 32),
            "N": cfg.get("pde.N", 16), "seed": cfg.get("seed", 0)}
     if ctx["M"] % 2:
         raise ConfigError("quad.M must be even")
-    if ctx["N"] >= ctx["M"] / 2:
+    if ctx["N"] >= ctx["M"] / 2:  # a command that reads no pde.N keeps 16 < 64 / 2
         raise ConfigError(f"pde.N must be < quad.M / 2 = {ctx['M'] // 2}")
     plt = _pyplot() if plot else None
     results, tables, failures, plots = _COMMANDS[command](cfg, ctx)

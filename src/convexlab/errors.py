@@ -1,6 +1,15 @@
 """Exception hierarchy for contract violations and numerical failures."""
 
 
+def _check_descriptor(what, kind, desc, reads):
+    """ValueError unless kind is a key of reads and reads[kind] names every key of desc."""
+    if kind not in reads:
+        raise ValueError(f"unknown {what} kind {kind!r}; expected one of {', '.join(reads)}")
+    stray = sorted(set(desc) - set(reads[kind]))
+    if stray:
+        raise ValueError(f"keys {stray} do not apply to {what} kind {kind!r}")
+
+
 class ConvexLabError(Exception):
     """Base class for all library-specific errors."""
 

@@ -27,7 +27,7 @@ from dataclasses import dataclass, replace
 import numpy as np
 
 from .errors import FlowNotConvex, OriginOutside, PerturbationTooLarge
-from .forms import InteriorField, form_BL, form_I, form_P, _as_boundary_field
+from .forms import InteriorField, _boundary_field, form_BL, form_I, form_P
 from .geometry import gauge_angle, wulff_perturb
 from .measure import _dot2, _hgg, flow_potential
 from .quad import DEFAULT_Q, _boundary_weight, _hmu, _mu, boundary_integral, interior_integral
@@ -98,7 +98,7 @@ def vector_field_X(body, f, t, x):
     reduces to f'(theta) tau(theta) + f(theta) nu(theta).  X_t maps each
     scaled boundary d(s K) onto d(s K_t) and fixes the origin.
     """
-    f = _as_boundary_field(f, body.M)
+    _boundary_field(f, body.M)
     pts = np.asarray(x, dtype=float)
     flat = pts.reshape(-1, 2)
     s, theta = gauge_angle(body, flat)
@@ -144,7 +144,7 @@ def psi_composed_field(u, psi):
 
 def shape_derivatives(body, u, f, psi=None, Q=DEFAULT_Q):
     """I(0), I'(0), I''(0), S''(0) from the explicit formulas."""
-    f = _as_boundary_field(f, body.M)
+    _boundary_field(f, body.M)
     w_theta = 2.0 * np.pi / body.M
     I0 = _mu(body, u, Q)
 
@@ -183,7 +183,6 @@ def mean_form_from_flow(body, u, f, psi, Q=DEFAULT_Q, derivatives=None):
     ``derivatives`` takes a ``shape_derivatives(body, u, f, psi, Q)`` result
     already at hand, which is then not computed again.
     """
-    f = _as_boundary_field(f, body.M)
     d = derivatives if derivatives is not None else shape_derivatives(body, u, f, psi, Q=Q)
     lhs = d["I2"] - d["I1"] ** 2 / d["I0"]  # = S''(0) * I(0)
     phi = psi_composed_field(u, psi) if psi is not None else InteriorField.constant(0.0)

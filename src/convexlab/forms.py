@@ -87,16 +87,10 @@ class BoundaryField:
     def __add__(self, other):
         return BoundaryField(self.values + np.asarray(getattr(other, "values", other)))
 
-    def __sub__(self, other):
-        return BoundaryField(self.values - np.asarray(getattr(other, "values", other)))
-
     def __mul__(self, a):
         return BoundaryField(self.values * float(a))
 
     __rmul__ = __mul__
-
-    def __neg__(self):
-        return BoundaryField(-self.values)
 
 
 class InteriorField:
@@ -142,8 +136,6 @@ class InteriorField:
         return out
 
     def __add__(self, other):
-        if not isinstance(other, InteriorField):
-            other = InteriorField.constant(other)
         g = None
         if self._grad is not None and other._grad is not None:
             g = lambda p, a=self._grad, b=other._grad: a(p) + b(p)
@@ -155,9 +147,6 @@ class InteriorField:
         return InteriorField(lambda p, f=self._fn: a * f(p), g)
 
     __rmul__ = __mul__
-
-    def __neg__(self):
-        return self * -1.0
 
 
 @dataclass
@@ -175,30 +164,32 @@ class FormsReport:
     flags: dict = field(default_factory=dict)
 
 
-def _as_boundary_field(rho, M):
-    if isinstance(rho, BoundaryField):
-        f = rho
-    elif callable(rho):
-        f = BoundaryField.from_function(rho, M)
-    else:
-        f = BoundaryField(np.broadcast_to(np.asarray(rho, dtype=float), (M,)))
-    if f.M != M:
+def _boundary_field(rho, M):
+    """rho, checked to be a BoundaryField on the body's M-point grid."""
+    if not isinstance(rho, BoundaryField):
+        raise ValueError(f"expected a BoundaryField, got {type(rho).__name__}")
+    if rho.M != M:
         raise ValueError("boundary field grid does not match the body grid")
-    return f
+    return rho
+
+
+def _interior_field(phi):
+    """phi, checked to be an InteriorField."""
+    if not isinstance(phi, InteriorField):
+        raise ValueError(f"expected an InteriorField, got {type(phi).__name__}")
+    return phi
 
 
 def form_P(body, u, rho0, rho1, Q=DEFAULT_Q):
     """Boundary form <rho0, rho1>_P (valid for the zero potential too)."""
     same = rho1 is rho0
-    r0 = _as_boundary_field(rho0, body.M)
-    r1 = r0 if same else _as_boundary_field(rho1, body.M)
-    d0 = r0.deriv()
-    d1 = d0 if same else r1.deriv()
+    d0 = _boundary_field(rho0, body.M).deriv()
+    d1 = d0 if same else _boundary_field(rho1, body.M).deriv()
     grad_term = float(np.sum(d0 * d1 * _boundary_weight(body, u)) * 2.0 * np.pi / body.M)
-    curv_term = boundary_integral(body, u, _hmu(body, u) * r0.values * r1.values)
+    curv_term = boundary_integral(body, u, _hmu(body, u) * rho0.values * rho1.values)
     muK = _mu(body, u, Q)
-    m0 = boundary_integral(body, u, r0.values)
-    m1 = m0 if same else boundary_integral(body, u, r1.values)
+    m0 = boundary_integral(body, u, rho0.values)
+    m1 = m0 if same else boundary_integral(body, u, rho1.values)
     mean_term = m0 * m1 / muK
     return grad_term - curv_term + mean_term
 
@@ -207,15 +198,10 @@ def form_BL(body, u, phi0, phi1, Q=DEFAULT_Q):
     """Interior (variance-type) form <phi0, phi1>_BL; needs del^2 u > 0."""
     u.require_strictly_convex("the interior variance form")
     same = phi1 is phi0
-    if not isinstance(phi0, InteriorField):
-        phi0 = InteriorField(phi0)
-    phi1 = phi0 if same else phi1
-    if not isinstance(phi1, InteriorField):
-        phi1 = InteriorField(phi1)
     step = 1e-5 * 2.0 * float(body.values.max())  # gradient fallback: 1e-5 * diameter
     flat, wmu, Hinv = _bl_nodes(body, u, Q)
-    g0 = phi0.gradient(flat, step=step)
-    g1 = g0 if same else phi1.gradient(flat, step=step)
+    g0 = _interior_field(phi0).gradient(flat, step=step)
+    g1 = g0 if same else _interior_field(phi1).gradient(flat, step=step)
     grad_term = float(np.sum(wmu * _hgg(Hinv, g0, g1)))
     v0 = phi0.value(flat)
     v1 = v0 if same else phi1.value(flat)
@@ -226,10 +212,8 @@ def form_BL(body, u, phi0, phi1, Q=DEFAULT_Q):
 
 def form_I(body, u, rho, phi, Q=DEFAULT_Q):
     """Interaction form <rho, phi>_I between boundary and interior fields."""
-    r = _as_boundary_field(rho, body.M)
-    if not isinstance(phi, InteriorField):
-        phi = InteriorField(phi)
-    phi_on_boundary = phi.value(body.boundary_grid)
+    r = _boundary_field(rho, body.M)
+    phi_on_boundary = _interior_field(phi).value(body.boundary_grid)
     muK = _mu(body, u, Q)
     phi_int = interior_integral(body, u, phi, Q=Q)
     cross = boundary_integral(body, u, r.values * phi_on_boundary)
@@ -239,9 +223,6 @@ def form_I(body, u, rho, phi, Q=DEFAULT_Q):
 
 def check_mean_form(body, u, rho, phi, Q=DEFAULT_Q):
     """Report on the mean and the multiplicative inequality for one (rho, phi)."""
-    rho = _as_boundary_field(rho, body.M)
-    if not isinstance(phi, InteriorField):
-        phi = InteriorField(phi)
     P = form_P(body, u, rho, rho, Q=Q)
     BL = form_BL(body, u, phi, phi, Q=Q)
     I = form_I(body, u, rho, phi, Q=Q)

@@ -17,7 +17,8 @@ from functools import cached_property
 import numpy as np
 
 from . import spectral
-from .errors import ConvexLabError, NotStrictlyConvex, OriginOutside, PerturbationTooLarge
+from .errors import (ConvexLabError, NotStrictlyConvex, OriginOutside, PerturbationTooLarge,
+                     _check_descriptor)
 
 __all__ = [
     "SupportFunction2D",
@@ -62,12 +63,6 @@ class SupportFunction2D:
         self.descriptor = descriptor if descriptor is not None else {"kind": "custom"}
         if validate:
             self._check_convexity()
-
-    # -- construction helpers -------------------------------------------------
-
-    @classmethod
-    def from_function(cls, fn, M=DEFAULT_M, descriptor=None):
-        return cls(fn(spectral.grid(M)), descriptor=descriptor)
 
     def _check_convexity(self):
         r = self.radius_grid
@@ -236,22 +231,19 @@ def hull_body(points, smoothing=0.15, M=DEFAULT_M, recenter=True):
 def make_body(descriptor, M=DEFAULT_M):
     """Build a body from a descriptor dict (CLI entry point).
 
-    Kinds: ``disk`` (radius), ``ellipse`` (a, b), ``fourier`` (c0, cos, sin),
-    ``hull`` (points, smoothing).
+    Kinds: ``disk`` (radius), ``ellipse`` (a, b), ``fourier`` (c0, cos, sin).
+    Lengths default to 1 and harmonics to none.  An unknown kind, or a key
+    the kind does not read, raises ValueError.
     """
     desc = dict(descriptor)
     kind = desc.pop("kind", None)
-    M = int(desc.pop("M", M))
+    _check_descriptor("body", kind, desc, {"disk": ("radius",), "ellipse": ("a", "b"),
+                                           "fourier": ("c0", "cos", "sin")})
     if kind == "disk":
-        return disk(desc.pop("radius", 1.0), M=M)
+        return disk(desc.get("radius", 1.0), M=M)
     if kind == "ellipse":
-        return ellipse(desc.pop("a", 1.0), desc.pop("b", 1.0), M=M)
-    if kind == "fourier":
-        return fourier_body(desc.pop("c0", 1.0), desc.pop("cos", None),
-                            desc.pop("sin", None), M=M)
-    if kind == "hull":
-        return hull_body(desc.pop("points"), desc.pop("smoothing", 0.15), M=M)
-    raise ValueError(f"unknown body kind {kind!r}")
+        return ellipse(desc.get("a", 1.0), desc.get("b", 1.0), M=M)
+    return fourier_body(desc.get("c0", 1.0), desc.get("cos"), desc.get("sin"), M=M)
 
 
 # -- operations ---------------------------------------------------------------

@@ -18,6 +18,7 @@ from .errors import (
     NewtonDivergence,
     NotConvexPotential,
     PinchingViolation,
+    _check_descriptor,
 )
 from .geometry import boundary_point
 
@@ -145,9 +146,9 @@ class Potential:
         self._grad = grad
         self._hess = hess
         self.is_even = bool(is_even)
+        if pinching is not None and (None in pinching or not 0 < pinching[0] <= pinching[1]):
+            raise ValueError(f"pinching needs both constants with 0 < k1 <= k2, got {pinching}")
         self.pinching = None if pinching is None else (float(pinching[0]), float(pinching[1]))
-        if self.pinching is not None and not 0 < self.pinching[0] <= self.pinching[1]:
-            raise ValueError("pinching constants must satisfy 0 < k1 <= k2")
         self.params = params or {}
         self.descriptor = descriptor or {"kind": kind}
 
@@ -274,19 +275,27 @@ def zero_potential():
 
 
 def make_potential(descriptor):
-    """Build a potential from a descriptor dict (CLI entry point)."""
+    """Build a potential from a descriptor dict (CLI entry point).
+
+    Kinds: ``gaussian``, ``quadratic`` (A, required), ``even-quartic`` (eps,
+    default 0) and ``zero``.  Each kind takes ``pinching`` = (k1, k2), which
+    replaces its own constants.  An unknown kind, or a key the kind does not
+    read, raises ValueError.
+    """
     desc = dict(descriptor)
     kind = desc.pop("kind", None)
     pinching = desc.pop("pinching", None)
-    if kind == "gaussian":
-        return gaussian_potential()
-    if kind == "quadratic":
-        return quadratic_potential(desc.pop("A"))
-    if kind == "even-quartic":
-        return even_quartic_potential(desc.pop("eps", 0.0), pinching=pinching)
-    if kind == "zero":
-        return zero_potential()
-    raise ValueError(f"unknown potential kind {kind!r}")
+    _check_descriptor("potential", kind, desc, {"gaussian": (), "quadratic": ("A",),
+                                                "even-quartic": ("eps",), "zero": ()})
+    if kind == "quadratic" and "A" not in desc:
+        raise ValueError("a quadratic potential needs its matrix A")
+    u = {"gaussian": gaussian_potential, "zero": zero_potential,
+         "quadratic": lambda: quadratic_potential(desc["A"]),
+         "even-quartic": lambda: even_quartic_potential(desc.get("eps", 0.0))}[kind]()
+    if pinching is None:
+        return u
+    return Potential(u.kind, u._value, u._grad, u._hess, is_even=u.is_even, pinching=pinching,
+                     params=u.params, descriptor=u.descriptor)
 
 
 def translate_potential(u, v):

@@ -30,7 +30,7 @@ import numpy as np
 
 from . import spectral
 from .errors import CoercivityFailure, LebesgueModeRestriction, ZeroMean
-from .forms import BoundaryField, InteriorField, _as_boundary_field, form_P
+from .forms import BoundaryField, InteriorField, _boundary_field, form_P
 from .measure import _dot2, verify_pinching
 from .quad import (DEFAULT_Q, _boundary_measure, _boundary_weight, _hmu, _mu, boundary_integral,
                    interior_integral, interior_nodes)
@@ -184,7 +184,7 @@ def apply_L(body, u, rho, Q=DEFAULT_Q):
     Valid in Lebesgue mode (u == 0) as well, where the drift term vanishes
     and L(h(nu)) == 1 identically.
     """
-    rho = _as_boundary_field(rho, body.M)
+    _boundary_field(rho, body.M)
     r = body.radius_grid
     drift = _dot2(u.grad(body.boundary_grid), body.tangents_grid)
     mean = boundary_integral(body, u, rho.values) / _mu(body, u, Q)
@@ -234,7 +234,7 @@ def radial_moment_field(u):
 
 def rayleigh(body, u, rho, Q=DEFAULT_Q):
     """J(rho) = mu(K) <rho,rho>_P / (int_dK rho dmu)^2; J >= p(mu, K)."""
-    rho = _as_boundary_field(rho, body.M)
+    _boundary_field(rho, body.M)
     mean = boundary_integral(body, u, rho.values)
     scale = boundary_integral(body, u, np.abs(rho.values)) + 1e-300
     if abs(mean) <= 1e-12 * scale:

@@ -98,11 +98,8 @@ def _bl_nodes(body, u, Q):
 
 
 def _field_on_grid(g, body):
-    """Boundary integrand as grid values: array, BoundaryField, callable, or scalar."""
-    vals = getattr(g, "values", g)
-    if callable(vals):
-        vals = vals(body.theta_grid)
-    vals = np.asarray(vals, dtype=float)
+    """Boundary integrand as grid values: array, BoundaryField or scalar."""
+    vals = np.asarray(getattr(g, "values", g), dtype=float)
     if vals.ndim == 0:
         vals = np.full(body.M, float(vals))
     if vals.shape != (body.M,):

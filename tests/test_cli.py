@@ -26,6 +26,8 @@ quad.M = 256
 pde.N = 16
 seed = 42
 """
+# the same job for forms-check and flow, which read no pde.N
+JOB_CFG = SOLVE_CFG.replace("pde.N = 16\n", "")
 
 
 def test_solve_command_and_report(tmp_path):
@@ -86,7 +88,7 @@ potential.k2 = 5.0
 
 
 def test_forms_check_command(tmp_path):
-    cfg = write(tmp_path / "f.cfg", SOLVE_CFG + "\nforms.pairs = 25\n")
+    cfg = write(tmp_path / "f.cfg", JOB_CFG + "\nforms.pairs = 25\n")
     out = tmp_path / "out"
     assert cli.run("forms-check", cfg, out_dir=str(out), seed=42) == 0
     text = (out / "report.json").read_text()
@@ -153,8 +155,7 @@ flow.points = 9
 def test_all_command_subset(tmp_path, capsys):
     cfg = write(tmp_path / "a.cfg", "accept.ids = 1, 2\n")
     out = tmp_path / "out"
-    # the flags stay accepted though all reads no grid key from its config
-    assert cli.run("all", cfg, out_dir=str(out), quad_m=128, modes=8) == 0
+    assert cli.run("all", cfg, out_dir=str(out)) == 0
     stdout = capsys.readouterr().out
     assert "PASS  criterion 1" in stdout
     assert "PASS  criterion 2" in stdout
@@ -249,6 +250,72 @@ def test_bad_numeric_value_is_config_error(tmp_path, capsys, command, lines):
     assert not (out / "report.json").exists()
 
 
+DISK = "body.kind = disk\n"
+GAUSSIAN = "potential.kind = gaussian\n"
+
+
+@pytest.mark.parametrize("command, text, says", [
+    ("solve", DISK + "potential.kind gaussian\n", "expected 'key = value'"),
+    ("solve", DISK + GAUSSIAN + "body.kind = ellipse\n", "duplicate key 'body.kind'"),
+    ("solve", "body.kind = triangle\n" + GAUSSIAN, "body: unknown body kind 'triangle'"),
+    ("solve", DISK + "body.a = 2\n" + GAUSSIAN, "keys ['a'] do not apply to body kind 'disk'"),
+    ("bm", DISK + "body2.kind = ellipse\nbody2.radius = 2\n" + GAUSSIAN,
+     "body2: keys ['radius'] do not apply to body kind 'ellipse'"),
+    ("solve", DISK + "body.cos2 = 0.1\n" + GAUSSIAN, "keys ['cos'] do not apply"),
+    ("solve", DISK, "potential: unknown potential kind None"),
+    ("solve", DISK + GAUSSIAN + "potential.k1 = 0.5\n", "pinching needs both constants"),
+    ("bounds", DISK + GAUSSIAN + "potential.k2 = 0.5\n", "pinching needs both constants"),
+    ("solve", DISK + GAUSSIAN + "potential.k1 = 2\npotential.k2 = 1\n", "0 < k1 <= k2"),
+    ("solve", DISK + GAUSSIAN + "potential.k1 = 0\npotential.k2 = 1\n", "0 < k1 <= k2"),
+    ("solve", DISK + "potential.kind = quadratic\n", "a quadratic potential needs its matrix A"),
+    ("solve", DISK + GAUSSIAN + "potential.eps = 0.3\n",
+     "keys ['eps'] do not apply to potential kind 'gaussian'"),
+    ("solve", DISK + "potential.kind = quadratic\npotential.a = 1, 0, 0, 4\npotential.eps = 1\n",
+     "keys ['eps'] do not apply to potential kind 'quadratic'"),
+    ("flow", DISK + GAUSSIAN + "flow.psi.kind = cubic\n", "unknown flow.psi.kind 'cubic'"),
+    ("solve", DISK + GAUSSIAN + "quad.M = 129\n", "quad.M must be even"),
+    ("forms-check", DISK + GAUSSIAN + "pde.N = 16\n", "unknown key 'pde.N'"),
+    ("flow", DISK + GAUSSIAN + "pde.N = 16\n", "unknown key 'pde.N'"),
+], ids=["no-equals", "duplicate-key", "unknown-body-kind", "stray-body-key", "stray-body2-key",
+        "harmonic-on-disk", "missing-potential-kind", "k1-without-k2", "k2-without-k1",
+        "k1-above-k2", "zero-k1", "quadratic-without-a", "stray-gaussian-key",
+        "stray-quadratic-key", "unknown-psi-kind", "odd-M", "forms-check-N", "flow-N"])
+def test_config_rejection_names_the_problem(tmp_path, capsys, command, text, says):
+    path = write(tmp_path / "bad.cfg", text)
+    out = tmp_path / "o"
+    assert cli.main([command, "--config", path, "--out", str(out)]) == 2
+    err = capsys.readouterr().err
+    assert err.startswith("config error: ") and says in err and "Traceback" not in err
+    assert not (out / "report.json").exists()
+
+
+@pytest.mark.parametrize("command, config, flag", [
+    ("all", "accept.ids = 1\n", ["--quad-m", "64"]),
+    ("all", "accept.ids = 1\n", ["--modes", "8"]),
+    ("forms-check", DISK + GAUSSIAN, ["--modes", "8"]),
+    ("flow", DISK + GAUSSIAN, ["--modes", "8"]),
+], ids=["all-quad-m", "all-modes", "forms-check-modes", "flow-modes"])
+def test_flag_for_a_key_the_command_does_not_read_is_config_error(tmp_path, capsys, command,
+                                                                   config, flag):
+    # all runs the criteria at their own grid; forms-check and flow assemble no basis
+    path = write(tmp_path / "c.cfg", config)
+    out = tmp_path / "o"
+    assert cli.main([command, "--config", path, "--out", str(out), *flag]) == 2
+    key = "quad.M" if flag[0] == "--quad-m" else "pde.N"
+    assert f"unknown key '{key}' for command '{command}'" in capsys.readouterr().err
+    assert not out.exists()
+
+
+def test_bounds_reads_the_declared_pinching(tmp_path):
+    # k1/k2 replace the gaussian's own (1, 1) and set the pinching ratio r = k2/k1
+    path = write(tmp_path / "b.cfg", DISK + GAUSSIAN + "potential.k1 = 0.5\npotential.k2 = 2\n")
+    out = tmp_path / "o"
+    assert cli.run("bounds", path, out_dir=str(out)) == 0
+    results = json.loads((out / "report.json").read_text())["results"]
+    assert (results["k1"], results["k2"], results["r"]) == (0.5, 2.0, 4.0)
+    assert results["moment_limit"] == 8.0
+
+
 def test_every_benchmark_config_parses(tmp_path):
     # the benchmark runs the CLI on these generated configs: none may be rejected
     spec = importlib.util.spec_from_file_location(
@@ -317,7 +384,7 @@ def test_one_job_evaluates_the_boundary_measure_once(tmp_path, monkeypatch, comm
     for mod in [m for name, m in sys.modules.items() if name.startswith("convexlab")]:
         if getattr(mod, "weighted_mean_curvature", None) is hmu:
             monkeypatch.setattr(mod, "weighted_mean_curvature", counted_hmu)
-    path = write(tmp_path / "c.cfg", SOLVE_CFG + lines)
+    path = write(tmp_path / "c.cfg", JOB_CFG + lines)
     assert cli.run(command, path, out_dir=str(tmp_path / "o")) == 0
     assert calls.count("H_mu") == 1 and calls.count((256, 2)) == 1
 
@@ -334,7 +401,7 @@ def test_flow_job_takes_the_shape_derivatives_once(tmp_path, monkeypatch):
     for mod in [m for name, m in sys.modules.items() if name.startswith("convexlab")]:
         if getattr(mod, "shape_derivatives", None) is shape_derivatives:
             monkeypatch.setattr(mod, "shape_derivatives", counted)
-    path = write(tmp_path / "c.cfg", SOLVE_CFG + FLOW_LINES)
+    path = write(tmp_path / "c.cfg", JOB_CFG + FLOW_LINES)
     assert cli.run("flow", path, out_dir=str(tmp_path / "o")) == 0
     assert len(calls) == 1
 

@@ -7,7 +7,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from convexlab import forms, geometry, measure, quad, suite
+from convexlab import flow, forms, geometry, measure, pde, quad, suite
 from convexlab.errors import LebesgueModeRestriction, OriginOutside
 from convexlab.suite import random_boundary_field, random_interior_field
 
@@ -48,6 +48,41 @@ def test_form_P_matches_arclength_oracle(disk1, gaussian):
     val = forms.form_P(disk1, gaussian, rho, rho)
     assert val == pytest.approx(oracle, abs=1e-10)
     assert val > 0
+
+
+@pytest.mark.parametrize("rho, says", [
+    (np.ones(256), "expected a BoundaryField, got ndarray"),
+    (np.cos, "expected a BoundaryField"),
+    (1.0, "expected a BoundaryField, got float"),
+    (forms.BoundaryField(np.ones(128)), "does not match the body grid"),
+], ids=["array", "callable", "scalar", "other-grid"])
+def test_entries_take_only_a_boundary_field_on_the_body_grid(disk1, gaussian, rho, says):
+    ok = forms.BoundaryField.constant(1.0, disk1.M)
+    phi = forms.InteriorField.coordinate(0)
+    for call in (lambda: forms.form_P(disk1, gaussian, rho, ok),
+                 lambda: forms.form_P(disk1, gaussian, ok, rho),
+                 lambda: forms.form_I(disk1, gaussian, rho, phi),
+                 lambda: forms.check_mean_form(disk1, gaussian, rho, phi),
+                 lambda: pde.apply_L(disk1, gaussian, rho),
+                 lambda: pde.rayleigh(disk1, gaussian, rho),
+                 lambda: flow.vector_field_X(disk1, rho, 0.1, np.zeros(2)),
+                 lambda: flow.shape_derivatives(disk1, gaussian, rho),
+                 lambda: flow.mean_form_from_flow(disk1, gaussian, rho, None)):
+        with pytest.raises(ValueError, match=says):
+            call()
+
+
+@pytest.mark.parametrize("phi", [lambda p: p[..., 0], np.ones(8192), 1.0],
+                         ids=["callable", "array", "scalar"])
+def test_entries_take_only_an_interior_field(disk1, gaussian, phi):
+    ok = forms.InteriorField.coordinate(0)
+    rho = forms.BoundaryField.constant(1.0, disk1.M)
+    for call in (lambda: forms.form_BL(disk1, gaussian, phi, ok),
+                 lambda: forms.form_BL(disk1, gaussian, ok, phi),
+                 lambda: forms.form_I(disk1, gaussian, rho, phi),
+                 lambda: forms.check_mean_form(disk1, gaussian, rho, phi)):
+        with pytest.raises(ValueError, match="expected an InteriorField"):
+            call()
 
 
 def test_form_BL_constants_are_null(disk1, gaussian):

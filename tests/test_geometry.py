@@ -266,6 +266,18 @@ def test_make_body_dispatch_and_errors():
         geometry.disk(-1.0)
 
 
+@pytest.mark.parametrize("desc, key", [
+    ({"kind": "disk", "radius": 2, "a": 5}, "'a'"),
+    ({"kind": "ellipse", "a": 2, "b": 1, "radius": 1}, "'radius'"),
+    ({"kind": "fourier", "c0": 1, "cos": {2: 0.1}, "b": 1}, "'b'"),
+    ({"kind": "disk", "M": 128}, "'M'"),
+    ({"radius": 1}, "unknown body kind None"),
+], ids=["disk-a", "ellipse-radius", "fourier-b", "disk-M", "no-kind"])
+def test_make_body_rejects_keys_its_kind_does_not_read(desc, key):
+    with pytest.raises(ValueError, match=key):
+        geometry.make_body(desc)
+
+
 def test_hull_body_is_valid_and_contains_centroid(rng):
     pts = rng.normal(size=(40, 2))
     body = geometry.hull_body(pts, smoothing=0.2)

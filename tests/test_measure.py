@@ -282,6 +282,38 @@ def test_make_potential_dispatch():
         measure.make_potential({"kind": "entropic"})
 
 
+@pytest.mark.parametrize("desc, says", [
+    ({"kind": "gaussian", "eps": 0.3}, "'eps'"),
+    ({"kind": "zero", "A": [[1, 0], [0, 1]]}, "'A'"),
+    ({"kind": "quadratic", "A": [[1, 0], [0, 4]], "eps": 0.1}, "'eps'"),
+    ({"kind": "even-quartic", "eps": 0.1, "A": [[1, 0], [0, 1]]}, "'A'"),
+    ({"kind": "quadratic"}, "needs its matrix A"),
+    ({"eps": 0.1}, "unknown potential kind None"),
+    ({"kind": "gaussian", "pinching": (0.5, None)}, "both constants"),
+    ({"kind": "gaussian", "pinching": (2.0, 1.0)}, "0 < k1 <= k2"),
+], ids=["gaussian-eps", "zero-A", "quadratic-eps", "quartic-A", "quadratic-without-A",
+        "no-kind", "k1-without-k2", "k1-above-k2"])
+def test_make_potential_rejects_what_its_kind_does_not_read(desc, says):
+    with pytest.raises(ValueError, match=says):
+        measure.make_potential(desc)
+
+
+@pytest.mark.parametrize("desc", [
+    {"kind": "gaussian"},
+    {"kind": "quadratic", "A": [[1, 0], [0, 4]]},
+    {"kind": "even-quartic", "eps": 0.1},
+    {"kind": "zero"},
+], ids=lambda desc: desc["kind"])
+def test_make_potential_takes_pinching_for_every_kind(desc):
+    u = measure.make_potential({**desc, "pinching": (0.5, 8)})
+    assert u.pinching == (0.5, 8.0)
+    plain = measure.make_potential(desc)
+    assert (u.kind, u.descriptor, u.is_even) == (plain.kind, plain.descriptor, plain.is_even)
+    pts = np.array([[0.3, -0.2], [1.0, 0.5]])
+    for method in ("value", "grad", "hess"):
+        assert np.array_equal(getattr(u, method)(pts), getattr(plain, method)(pts))
+
+
 @settings(max_examples=30, deadline=None)
 @given(x1=st.floats(-2, 2), x2=st.floats(-2, 2))
 def test_young_equality_everywhere(x1, x2):
