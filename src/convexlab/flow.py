@@ -20,8 +20,13 @@ finite-difference oracle and by the cross-module identity
     S''(0) I(0) = -( <rho,rho>_P + <phi,phi>_BL - 2 <rho,phi>_I )
 
 with rho = f(nu), phi = psi(grad u)).
+
+``marginal_S`` evaluates I(t) once per t of its grid: the window search of
+``select_epsilon`` has computed I(-eps) and I(+eps) already, and the grid's
+end points are those two values.
 """
 
+import numbers
 from dataclasses import dataclass, replace
 
 import numpy as np
@@ -54,6 +59,12 @@ class FlowConfig:
     eps: float = 0.1
     n_t: int = 21
 
+    def __post_init__(self):
+        if not (isinstance(self.n_t, numbers.Integral) and self.n_t >= 3):
+            raise ValueError(f"n_t must be an integer >= 3, got {self.n_t!r}")
+        if not (isinstance(self.eps, numbers.Real) and 0 < self.eps < np.inf):
+            raise ValueError(f"eps must be finite and > 0, got {self.eps!r}")
+
     def t_grid(self):
         return np.linspace(-self.eps, self.eps, self.n_t)
 
@@ -79,12 +90,17 @@ def select_epsilon(body, u, cfg, Q=DEFAULT_Q, max_halvings=12):
     h + t*f is linear in t; convexity of u* + t*psi holds on an interval), so
     testing the endpoints suffices.
     """
+    return _select_epsilon(body, u, cfg, Q, max_halvings)[0]
+
+
+def _select_epsilon(body, u, cfg, Q=DEFAULT_Q, max_halvings=12):
+    """select_epsilon's config with the marginals I(-eps) and I(+eps) it found."""
     eps = float(cfg.eps)
     for _ in range(max_halvings):
         try:
-            marginal_value(body, u, cfg.f, cfg.psi, +eps, Q)
-            marginal_value(body, u, cfg.f, cfg.psi, -eps, Q)
-            return replace(cfg, eps=eps)
+            hi = marginal_value(body, u, cfg.f, cfg.psi, +eps, Q)
+            lo = marginal_value(body, u, cfg.f, cfg.psi, -eps, Q)
+            return replace(cfg, eps=eps), lo, hi
         except (PerturbationTooLarge, FlowNotConvex, OriginOutside):
             eps *= 0.5
     raise PerturbationTooLarge(
@@ -116,9 +132,10 @@ def marginal_S(body, u, cfg, Q=DEFAULT_Q):
     Returns a dict with the grid, the marginal, S = log I, the centered
     second differences of S, and the resolved eps.
     """
-    cfg = select_epsilon(body, u, cfg, Q=Q)
-    t_grid = cfg.t_grid()
-    I_vals = np.array([marginal_value(body, u, cfg.f, cfg.psi, t, Q) for t in t_grid])
+    cfg, lo, hi = _select_epsilon(body, u, cfg, Q)
+    t_grid = cfg.t_grid()  # its ends are -eps and +eps exactly
+    I_vals = np.array([lo] + [marginal_value(body, u, cfg.f, cfg.psi, t, Q)
+                              for t in t_grid[1:-1]] + [hi])
     S_vals = np.log(I_vals)
     dt = t_grid[1] - t_grid[0]
     d2 = (S_vals[2:] - 2.0 * S_vals[1:-1] + S_vals[:-2]) / dt**2

@@ -8,11 +8,13 @@ trigonometric interpolant:
     curvature radius r(theta) = h + h''          (> 0 iff strictly convex)
     arclength        ds = r(theta) dtheta
 
-Bodies are immutable after construction and every operation is pure.
+Bodies are immutable after construction and every operation is pure.  The
+angle grid and the frame (nu, tau) on it depend on M alone, so all bodies on
+one grid share them as read-only arrays.
 """
 
 from dataclasses import dataclass
-from functools import cached_property
+from functools import cached_property, lru_cache
 
 import numpy as np
 
@@ -35,7 +37,6 @@ __all__ = [
     "center",
     "gauge",
     "gauge_angle",
-    "perimeter",
     "area",
 ]
 
@@ -46,6 +47,20 @@ DEFAULT_M = 256
 CONVEXITY_RTOL = 1e-8
 
 EVENNESS_TOL = 1e-12
+
+
+@lru_cache(maxsize=16)
+def _frame(M):
+    """The angles theta_j, normals nu and tangents tau of the M-point grid, read-only.
+
+    They depend on M alone, so every body on the grid shares them.
+    """
+    t = spectral.grid(M)
+    nu = np.stack([np.cos(t), np.sin(t)], axis=1)
+    tau = np.stack([-np.sin(t), np.cos(t)], axis=1)
+    for a in (t, nu, tau):
+        a.flags.writeable = False
+    return t, nu, tau
 
 
 class SupportFunction2D:
@@ -73,9 +88,9 @@ class SupportFunction2D:
 
     # -- grid quantities ------------------------------------------------------
 
-    @cached_property
+    @property
     def theta_grid(self):
-        return spectral.grid(self.M)
+        return _frame(self.M)[0]
 
     @cached_property
     def _coeffs(self):
@@ -94,15 +109,13 @@ class SupportFunction2D:
         """Radius of curvature r = h + h'' at the grid nodes."""
         return self.values + self.d2_grid
 
-    @cached_property
+    @property
     def normals_grid(self):
-        t = self.theta_grid
-        return np.stack([np.cos(t), np.sin(t)], axis=1)
+        return _frame(self.M)[1]
 
-    @cached_property
+    @property
     def tangents_grid(self):
-        t = self.theta_grid
-        return np.stack([-np.sin(t), np.cos(t)], axis=1)
+        return _frame(self.M)[2]
 
     @cached_property
     def boundary_grid(self):
@@ -143,9 +156,6 @@ class SupportFunction2D:
             raise OriginOutside(
                 f"min h = {self.values.min():.6g} <= 0; center the body first"
             )
-
-    def __repr__(self):
-        return f"SupportFunction2D({self.descriptor!r}, M={self.M})"
 
 
 @dataclass(frozen=True)
@@ -209,9 +219,7 @@ def hull_body(points, smoothing=0.15, M=DEFAULT_M, recenter=True):
     pts = np.asarray(points, dtype=float).reshape(-1, 2)
     if len(pts) < 3:
         raise ValueError("hull_body needs at least 3 points")
-    t = spectral.grid(M)
-    nu = np.stack([np.cos(t), np.sin(t)], axis=1)
-    raw = (nu @ pts.T).max(axis=1)
+    raw = (_frame(M)[1] @ pts.T).max(axis=1)
     c = spectral.coefficients(raw)
     k = np.arange(len(c))
     sigma = float(smoothing)
@@ -381,11 +389,6 @@ def gauge(body, x):
     point, an array of the leading shape for a stack.
     """
     return gauge_angle(body, x)[0]
-
-
-def perimeter(body):
-    """Cauchy formula: integral of r dtheta (= integral of h dtheta)."""
-    return float(body.radius_grid.sum() * 2.0 * np.pi / body.M)
 
 
 def area(body):

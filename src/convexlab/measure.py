@@ -7,6 +7,11 @@ perturbation psi, the first and second t-derivatives of u_t, and the weighted
 mean curvature H_mu = tr(II) - <grad u, nu> of a body's boundary.
 
 All evaluation is pure; points may be passed with any leading shape (..., 2).
+The value, gradient and Hessian of a conjugate psi = alpha*u* (and of
+``conjugate_potential(u)``) share one conjugate Newton solve per point set:
+each keeps the solves of the last two point sets it saw, keyed on the exact
+bytes of the points, so a quadrature cloud and a boundary grid read in turn
+are solved once each and every result keeps the bits of a fresh solve.
 """
 
 import numpy as np
@@ -457,22 +462,47 @@ def conjugate(u, y):
     return val.reshape(lead), z.reshape(lead + (2,))
 
 
+class _ConjugateSolves:
+    """_conjugate_newton(u, y) run once per point set; the last two sets are kept.
+
+    Keyed on the exact bytes of the (m, 2) stack y, so a repeated set gets the
+    arrays of its first solve, bit for bit, and signed zeros stay apart.  The
+    kept arrays are read-only.
+    """
+
+    def __init__(self, u):
+        self.u = u
+        self._solves = {}  # bytes of y -> (u*(y), z), least recently used first
+
+    def __call__(self, y):
+        key = y.tobytes()
+        solve = self._solves.pop(key, None)
+        if solve is None:
+            solve = _conjugate_newton(self.u, y)
+            for a in solve:
+                a.flags.writeable = False
+            if len(self._solves) == 2:
+                del self._solves[next(iter(self._solves))]
+        self._solves[key] = solve
+        return solve
+
+
 def conjugate_potential(u):
     """u* wrapped as a Potential (hess u* = (hess u)^{-1} at the solve point).
 
     Conjugating it again recovers u: the numerical involution check.
     """
     u.require_strictly_convex("the Legendre conjugate")
+    solve = _ConjugateSolves(u)
 
     def value(p):
-        return _conjugate_newton(u, p)[0]
+        return solve(p)[0].copy()
 
     def grad(p):
-        return _conjugate_newton(u, p)[1]
+        return solve(p)[1].copy()
 
     def hess(p):
-        _, z = _conjugate_newton(u, p)
-        return _inv_2x2(u._hess(z))
+        return _inv_2x2(u._hess(solve(p)[1]))
 
     return Potential("conjugate", value, grad, hess, is_even=u.is_even,
                      params={"base": u},
@@ -526,18 +556,19 @@ class ConjugatePerturbation:
         self.is_even = u.is_even
         self.descriptor = {"kind": "conjugate", "alpha": self.alpha,
                            "base": u.descriptor}
+        self._solve = _ConjugateSolves(u)
 
     def value(self, y):
-        val, _ = conjugate(self.base, y)
-        return self.alpha * val
+        flat, lead = _flatten(y)
+        return self.alpha * self._solve(flat)[0].reshape(lead)
 
     def grad(self, y):
-        _, z = conjugate(self.base, y)
-        return self.alpha * z
+        flat, lead = _flatten(y)
+        return self.alpha * self._solve(flat)[1].reshape(lead + (2,))
 
     def hess(self, y):
         flat, lead = _flatten(y)
-        _, z = _conjugate_newton(self.base, flat)
+        z = self._solve(flat)[1]
         return (self.alpha * _inv_2x2(self.base._hess(z))).reshape(lead + (2, 2))
 
 
@@ -598,13 +629,16 @@ def _flow_closed_form(u, psi, t):
     return None
 
 
-def _flow_newton(u, psi, t, x):
+def _flow_newton(u, psi, t, x, hess=True):
     """Evaluate the flow by solving z + t*grad psi(grad u(z)) = x.
 
     This is the stationarity condition of sup_y <x,y> - u*(y) - t*psi(y)
     after the substitution y = grad u(z); the maximizer is y = grad u(z).
     A line search that accepts every row has evaluated grad u and the
     residual at the next iterate already, and those seed the next iteration.
+    Returns the value, gradient and Hessian of u_t at x; with ``hess`` false
+    the Hessian is None, and the convexity of u* + t*psi at the maximizer is
+    checked all the same.
     """
     _require_finite(x, "flow Newton")
     scale = 1.0 + np.abs(x).max(initial=0.0)  # initial: an empty x has no max
@@ -659,7 +693,7 @@ def _flow_newton(u, psi, t, x):
     if not _spd_2x2(Hdual).all():
         raise FlowNotConvex("u* + t*psi is not strictly convex at the maximizer")
     val = _dot2(x - z, y) + u._value(z) - t * psi.value(y)
-    return val, y, _inv_2x2(Hdual)
+    return val, y, _inv_2x2(Hdual) if hess else None
 
 
 def _flow_time(u, t):
@@ -698,10 +732,10 @@ def flow_potential(u, psi, t):
         value, grad, hess = closed
     else:
         def value(p):
-            return _flow_newton(u, psi, t, p)[0]
+            return _flow_newton(u, psi, t, p, hess=False)[0]
 
         def grad(p):
-            return _flow_newton(u, psi, t, p)[1]
+            return _flow_newton(u, psi, t, p, hess=False)[1]
 
         def hess(p):
             return _flow_newton(u, psi, t, p)[2]

@@ -222,14 +222,11 @@ def support_identity_check(body, u, Q=DEFAULT_Q):
 
 
 def radial_moment_field(u):
-    """<grad u(x), x> as an interior field with analytic gradient."""
+    """<grad u(x), x> as an interior field (its users read only the value)."""
     def value(pts):
         return _dot2(u.grad(pts), pts)
 
-    def grad(pts):
-        return _dot2(u.hess(pts), pts[..., None, :]) + u.grad(pts)
-
-    return InteriorField(value, grad, descriptor={"kind": "radial-moment"})
+    return InteriorField(value, descriptor={"kind": "radial-moment"})
 
 
 def rayleigh(body, u, rho, Q=DEFAULT_Q):

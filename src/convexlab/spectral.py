@@ -4,8 +4,11 @@ Everything in the library that lives on a boundary is a smooth 2*pi-periodic
 function sampled at theta_j = 2*pi*j/M.  This module supplies the spectral
 plumbing: real FFT coefficients, differentiation on the grid, evaluation of
 the interpolant (and its derivatives) at arbitrary angles, and the
-{1, cos k*theta, sin k*theta} basis used by the Galerkin solver.
+{1, cos k*theta, sin k*theta} basis used by the Galerkin solver.  The
+differentiation factors depend on (M, order) alone and are built once each.
 """
+
+import functools
 
 import numpy as np
 
@@ -29,12 +32,15 @@ def coefficients(values):
     return np.fft.rfft(np.asarray(values, dtype=float))
 
 
+@functools.lru_cache(maxsize=64)
 def _derivative_factor(M, order):
+    """(i k)^order for the rfft modes of M samples, as a read-only array."""
     k = np.arange(M // 2 + 1, dtype=float)
     fac = (1j * k) ** order
     if order % 2 == 1 and M % 2 == 0:
         # odd derivative of the Nyquist mode is not representable on the grid
         fac[-1] = 0.0
+    fac.flags.writeable = False
     return fac
 
 

@@ -231,3 +231,75 @@ def test_rho_bar_direction_criticality(disk05, gaussian):
     f = rep["rho_bar"]
     val = local_concavity_fd(disk05, gaussian, f, rep["p"])
     assert abs(val) < 1e-5
+
+
+@pytest.mark.parametrize("n_t", [3, 4, 9])
+def test_marginal_S_evaluates_each_t_once(blob, quartic, monkeypatch, n_t):
+    # the window search evaluates I(+eps) and I(-eps); the grid's ends are
+    # exactly those t, so the table reuses them and evaluates only its interior
+    f = field(lambda t: np.cos(2 * t) + 0.1 * np.sin(3 * t))
+    psi = measure.QuadraticPerturbation(B=[[0.3, 0.1], [0.1, 0.2]], b=[0.1, -0.05])
+    cfg = FlowConfig(f=f, psi=psi, eps=0.08, n_t=n_t)
+    seen, fresh = [], flow.marginal_value
+    monkeypatch.setattr(flow, "marginal_value",
+                        lambda *args: seen.append(args[4]) or fresh(*args))
+    tab = flow.marginal_S(blob, quartic, cfg)
+    assert tab["eps"] == 0.08
+    assert len(seen) == n_t
+    t_grid = cfg.t_grid()
+    assert t_grid[0] == -0.08 and t_grid[-1] == 0.08
+    assert sorted(seen) == list(t_grid)
+    assert tab["t"].tobytes() == t_grid.tobytes()
+    want = [fresh(blob, quartic, f, psi, t) for t in t_grid]
+    assert tab["I"].tobytes() == np.array(want).tobytes()
+
+
+def test_marginal_S_after_a_halving_keeps_the_admitted_ends(disk1, gaussian, monkeypatch):
+    f = field(lambda t: np.cos(2 * t))  # inadmissible at t = 0.5, fine at 0.25
+    seen, fresh = [], flow.marginal_value
+    monkeypatch.setattr(flow, "marginal_value",
+                        lambda *args: seen.append(args[4]) or fresh(*args))
+    tab = flow.marginal_S(disk1, gaussian, FlowConfig(f=f, psi=None, eps=0.5, n_t=5))
+    assert tab["eps"] == 0.25
+    assert seen[:3] == [0.5, 0.25, -0.25]  # +0.5 fails; then both ends of 0.25
+    assert len(seen) == 1 + 5
+    want = [fresh(disk1, gaussian, f, None, t) for t in tab["t"]]
+    assert tab["I"].tobytes() == np.array(want).tobytes()
+
+
+@pytest.mark.parametrize("kwargs, says", [
+    ({"n_t": 1}, "n_t must be an integer >= 3, got 1"),
+    ({"n_t": 2}, "n_t must be an integer >= 3, got 2"),
+    ({"n_t": 5.0}, "n_t must be an integer >= 3, got 5.0"),
+    ({"eps": 0.0}, "eps must be finite and > 0, got 0.0"),
+    ({"eps": -0.1}, "eps must be finite and > 0, got -0.1"),
+    ({"eps": float("nan")}, "eps must be finite and > 0, got nan"),
+    ({"eps": float("inf")}, "eps must be finite and > 0, got inf"),
+    ({"eps": "0.1"}, "eps must be finite and > 0, got '0.1'"),
+])
+def test_flow_config_rejects_a_grid_it_cannot_tabulate(kwargs, says):
+    f = forms.BoundaryField.constant(0.0, 256)
+    with pytest.raises(ValueError) as info:
+        FlowConfig(f=f, **kwargs)
+    assert str(info.value) == says
+
+
+def test_bodies_on_one_grid_share_the_grid_constants(blob):
+    # every K_t of a flow reads the same read-only angles, frame and
+    # spectral differentiation factors as K
+    f = field(lambda t: np.cos(2 * t))
+    body_t = geometry.wulff_perturb(blob, f, 0.05)
+    for name in ("theta_grid", "normals_grid", "tangents_grid"):
+        a, b = getattr(blob, name), getattr(body_t, name)
+        assert a is b
+        with pytest.raises(ValueError, match="read-only"):
+            a[0] = 1.0
+    fac = spectral._derivative_factor(blob.M, 2)
+    assert fac is spectral._derivative_factor(body_t.M, 2)
+    with pytest.raises(ValueError, match="read-only"):
+        fac[1] = 0.0
+    # the shared frame has the bits of one built afresh
+    t = spectral.grid(blob.M)
+    assert blob.theta_grid.tobytes() == t.tobytes()
+    assert blob.normals_grid.tobytes() == np.stack([np.cos(t), np.sin(t)], axis=1).tobytes()
+    assert blob.tangents_grid.tobytes() == np.stack([-np.sin(t), np.cos(t)], axis=1).tobytes()

@@ -703,3 +703,113 @@ def test_flow_closed_form_names_non_finite_rows(gaussian, quartic, bad, path):
         with pytest.raises(ConvexLabError, match=r"flow closed form got 1 non-finite "
                                                  r"point\(s\), the first .* at row 1"):
             evaluate(x)
+
+
+def test_conjugate_psi_solves_once_per_point_set(blob, quartic, monkeypatch):
+    # the shape derivatives and the cross-module identity read psi = alpha*u*
+    # at grad u of the interior nodes and of the boundary grid: one solve each
+    f = forms.BoundaryField.from_function(lambda s: np.cos(2 * s) + 0.1 * np.sin(3 * s),
+                                          blob.M)
+    psi = measure.ConjugatePerturbation(quartic, 0.4)
+    seen, fresh = [], measure._conjugate_newton
+    monkeypatch.setattr(measure, "_conjugate_newton",
+                        lambda u, y: seen.append(y.copy()) or fresh(u, y))
+    d = flow.shape_derivatives(blob, quartic, f, psi)
+    rep = flow.mean_form_from_flow(blob, quartic, f, psi, derivatives=d)
+    assert rep["passed"]
+    nodes = quad.interior_nodes(blob)[0].reshape(-1, 2)
+    assert [y.tobytes() for y in seen] == [quartic.grad(nodes).tobytes(),
+                                           quartic.grad(blob.boundary_grid).tobytes()]
+
+
+def _signed_zero_sets(seed):
+    """Three point sets: a, a with the signs of its zeros flipped, and a shorter c."""
+    rng = np.random.default_rng(seed)
+    a = rng.normal(size=(12, 2)) * 0.7
+    a[:3] = [[0.0, -0.0], [-0.0, 0.0], [0.0, 0.0]]
+    a[5, 1] = -0.0
+    b = a.copy()
+    b[a == 0.0] *= -1.0
+    return a, b, rng.normal(size=(6, 2)) * 0.7
+
+
+@settings(max_examples=40, deadline=None)
+@given(reads=st.lists(st.tuples(st.integers(0, 2), st.sampled_from(["value", "grad", "hess"]),
+                                 st.booleans()), min_size=1, max_size=12),
+       seed=st.integers(0, 2**32 - 1), owner=st.sampled_from(["psi", "conjugate potential"]))
+def test_conjugate_reads_match_fresh_solves_bytes(reads, seed, owner):
+    # value/grad/hess on interleaved point sets, flat or stacked (q, m, 2):
+    # each read has the bytes of a fresh solve, and a set is solved again only
+    # after two other sets have been read since it was last read
+    base, alpha = _QUARTIC, 0.7
+    sets = _signed_zero_sets(seed)
+    if owner == "psi":
+        reader = measure.ConjugatePerturbation(base, alpha)
+    else:
+        reader, alpha = measure.conjugate_potential(base), 1.0
+    solves, recent = [], []
+    fresh = measure._conjugate_newton
+
+    def counted(u, y):
+        solves.append(y.tobytes())
+        return fresh(u, y)
+
+    measure._conjugate_newton = counted
+    try:
+        expected_solves = 0
+        for k, method, stacked in reads:
+            y = sets[k]
+            lead = (3, len(y) // 3) if stacked else (len(y),)
+            got = getattr(reader, method)(y.reshape(lead + (2,)))
+            val, z = fresh(base, y)
+            want = {"value": alpha * val, "grad": alpha * z,
+                    "hess": alpha * measure._inv_2x2(base._hess(z))}[method]
+            assert got.shape == want.reshape(lead + want.shape[1:]).shape
+            assert got.tobytes() == want.tobytes()
+            if k in recent:
+                recent.remove(k)
+            else:
+                expected_solves += 1
+            recent = (recent + [k])[-2:]
+            assert len(solves) == expected_solves
+    finally:
+        measure._conjugate_newton = fresh
+
+
+def test_conjugate_potential_hands_out_its_own_arrays(quartic, rng):
+    y = rng.normal(size=(5, 2))
+    ustar = measure.conjugate_potential(quartic)
+    first = ustar.value(y)
+    first += 1.0
+    assert ustar.value(y).tobytes() == measure._conjugate_newton(quartic, y)[0].tobytes()
+    g = ustar.grad(y)
+    g[:] = 0.0
+    assert ustar.grad(y).tobytes() == measure._conjugate_newton(quartic, y)[1].tobytes()
+
+
+@settings(max_examples=30, deadline=None)
+@given(pot=st.sampled_from(sorted(_POTENTIALS)), n=_cloud_sizes,
+       seed=st.integers(0, 2**32 - 1), radius=st.floats(0.05, 1.5), t=st.floats(-0.1, 0.1))
+def test_flow_newton_without_hessian_keeps_value_and_gradient_bytes(pot, n, seed, radius, t):
+    u = _POTENTIALS[pot]
+    x = _cloud(seed, n, radius)
+    val, y, H = measure._flow_newton(u, _PSI, t, x, hess=False)
+    assert H is None
+    assert [val.tobytes(), y.tobytes()] == _outcome(measure._flow_newton, u, _PSI, t, x)[:2]
+
+
+@pytest.mark.parametrize("scale, says", [
+    (-1.0, "flow Jacobian became singular; t is past the window"),
+    (-2.0, "u* + t*psi is not strictly convex at the maximizer"),
+])
+def test_flow_newton_names_the_lost_convexity(gaussian, scale, says):
+    # with u = |x|^2/2 and psi = <By, y>/2, B = scale*I, the flow Jacobian at
+    # t = 1 is (1 + scale) I: zero for scale -1, and -I for scale -2, where
+    # Newton converges to z = -x but the dual Hessian I + B is negative
+    psi = measure.QuadraticPerturbation(B=scale * np.eye(2))
+    x = np.array([[0.2, 0.1], [-0.3, 0.4]])
+    for evaluate in (lambda: measure.conjugate_flow(gaussian, psi, 1.0, x, method="newton"),
+                     lambda: measure._flow_newton(gaussian, psi, 1.0, x, hess=False)):
+        with pytest.raises(FlowNotConvex) as info:
+            evaluate()
+        assert str(info.value) == says
