@@ -3,7 +3,7 @@
 Usage:
 
     convexlab COMMAND --config experiment.cfg [--out DIR] [--seed N]
-                      [--plot] [--quad-m M] [--modes N]
+                      [--quad-m M] [--modes N]
 
 Commands: forms-check, solve, flow, spectral, bm, bounds, scan, all.
 
@@ -312,7 +312,7 @@ def _cmd_solve(cfg, ctx):
                "muK": rep["muK"], "mu_boundary": rep["mu_boundary"]}
     tables = {"rho_bar.csv": (("theta", "rho_bar"),
                               list(zip(body.theta_grid, rep["rho_bar"].values)))}
-    return results, tables, failures, {}
+    return results, tables, failures
 
 
 def _cmd_forms_check(cfg, ctx):
@@ -323,7 +323,7 @@ def _cmd_forms_check(cfg, ctx):
         body, u, pairs, ctx["seed"], ctx["Q"])
     results = {"pairs": pairs, "min_relative_mean_slack": worst_mean,
                "min_relative_mult_slack": worst_mult}
-    return results, {}, failures, {}
+    return results, {}, failures
 
 
 def _cmd_flow(cfg, ctx):
@@ -346,8 +346,7 @@ def _cmd_flow(cfg, ctx):
                **({f"cross_{k}": v for k, v in cross.items() if k != "passed"})}
     tables = {"marginal.csv": (("t", "I", "S"),
                                list(zip(tab["t"], tab["I"], tab["S"])))}
-    plots = {"marginal.svg": ("flow", tab)}
-    return results, tables, failures, plots
+    return results, tables, failures
 
 
 def _cmd_spectral(cfg, ctx):
@@ -364,7 +363,7 @@ def _cmd_spectral(cfg, ctx):
                "stability_constant": stab["stability_constant"], "interpolation_c": c_small,
                **({"note_lambda1": note} if note else {}),
                "stability_slope": stab["slope"], "interpolation_constant_doubled": c_big}
-    return results, {}, failures, {}
+    return results, {}, failures
 
 
 def _cmd_bm(cfg, ctx):
@@ -382,7 +381,7 @@ def _cmd_bm(cfg, ctx):
             failures.append("reformulation identity or sign test failed")
     tables = {"segment.csv": (("t", "mu", "slack"),
                               list(zip(rep.t_nodes, rep.mu_values, rep.slacks)))}
-    return results, tables, failures, {}
+    return results, tables, failures
 
 
 def _cmd_bounds(cfg, ctx):
@@ -392,7 +391,7 @@ def _cmd_bounds(cfg, ctx):
     failures = [] if rep["passed"] else [
         k for k in ("moment_bound", "inverse_power_bound", "power_lower_bound")
         if not rep[k]]
-    return rep, {}, failures, {}
+    return rep, {}, failures
 
 
 def _cmd_scan(cfg, ctx):
@@ -402,8 +401,7 @@ def _cmd_scan(cfg, ctx):
     results = {"radii": [r[0] for r in rows], "p": [r[1] for r in rows],
                "oracle": [r[2] for r in rows]}
     tables = {"scan.csv": (("R", "p", "closed_form"), rows)}
-    plots = {"scan.svg": ("scan", rows)}
-    return results, tables, failures, plots
+    return results, tables, failures
 
 
 def _cmd_all(cfg, ctx):
@@ -415,7 +413,7 @@ def _cmd_all(cfg, ctx):
         print(line)
         if not rec["passed"]:
             failures.append(f"criterion {rec['id']}: {rec['name']}")
-    return {"records": records}, {}, failures, {}
+    return {"records": records}, {}, failures
 
 
 _COMMANDS = {"solve": _cmd_solve, "forms-check": _cmd_forms_check, "flow": _cmd_flow,
@@ -423,42 +421,8 @@ _COMMANDS = {"solve": _cmd_solve, "forms-check": _cmd_forms_check, "flow": _cmd_
              "scan": _cmd_scan, "all": _cmd_all}
 
 
-def _pyplot():
-    """matplotlib.pyplot on the SVG backend; --plot without matplotlib is a config error."""
-    try:
-        import matplotlib
-        matplotlib.use("svg")
-        import matplotlib.pyplot as plt
-    except ImportError as exc:
-        raise ConfigError("--plot requires matplotlib") from exc
-    return plt
-
-
-def _plot(plt, path, kind, payload):
-    fig, ax = plt.subplots(figsize=(6, 4))
-    if kind == "flow":
-        t, S = payload["t"], payload["S"]
-        ax.plot(t, S, marker="o", ms=3, label="S(t)")
-        ax.plot([t[0], t[-1]], [S[0], S[-1]], "--", label="chord")
-        ax.set_xlabel("t")
-        ax.set_ylabel("log marginal")
-    elif kind == "scan":
-        R = [r[0] for r in payload]
-        p = [r[1] for r in payload]
-        oracle = [r[2] for r in payload]
-        ax.plot(R, p, marker="o", ms=4, label="computed p")
-        if np.all(np.isfinite(oracle)):
-            ax.plot(R, oracle, "--", label="closed form")
-        ax.set_xlabel("R")
-        ax.set_ylabel("concavity power")
-    ax.legend()
-    fig.tight_layout()
-    fig.savefig(path, format="svg")
-    plt.close(fig)
-
-
-def run(command, config_path=None, out_dir="convexlab-out", seed=None,
-        plot=False, quad_m=None, modes=None):
+def run(command, config_path=None, out_dir="convexlab-out", seed=None, quad_m=None,
+        modes=None):
     """Run one command; returns the exit status (artifacts land in out_dir)."""
     if command not in _COMMANDS:
         raise ConfigError(f"unknown command {command!r}")
@@ -473,8 +437,7 @@ def run(command, config_path=None, out_dir="convexlab-out", seed=None,
         raise ConfigError("quad.M must be even")
     if ctx["N"] >= ctx["M"] / 2:  # a command that reads no pde.N keeps 16 < 64 / 2
         raise ConfigError(f"pde.N must be < quad.M / 2 = {ctx['M'] // 2}")
-    plt = _pyplot() if plot else None
-    results, tables, failures, plots = _COMMANDS[command](cfg, ctx)
+    results, tables, failures = _COMMANDS[command](cfg, ctx)
     report = {
         "command": command,
         "config": {k: written[k] for k in sorted(written)},
@@ -487,9 +450,6 @@ def run(command, config_path=None, out_dir="convexlab-out", seed=None,
     _atomic_write(os.path.join(out_dir, "report.json"), dumps(report) + "\n")
     for name, (header, rows) in tables.items():
         _write_csv(os.path.join(out_dir, name), header, rows)
-    if plot:
-        for name, (kind, payload) in plots.items():
-            _plot(plt, os.path.join(out_dir, name), kind, payload)
     for failure in failures:
         print(f"FAIL: {failure}", file=sys.stderr)
     print(f"{command}: {'pass' if not failures else 'FAIL'} "
@@ -505,14 +465,12 @@ def main(argv=None):
     parser.add_argument("--config", default=None, help="dotted-key config file")
     parser.add_argument("--out", default="convexlab-out", help="output directory")
     parser.add_argument("--seed", type=int, default=None)
-    parser.add_argument("--plot", action="store_true", help="emit SVG plots")
     parser.add_argument("--quad-m", type=int, default=None, help="override quad.M")
     parser.add_argument("--modes", type=int, default=None, help="override pde.N")
     args = parser.parse_args(argv)
     try:
         return run(args.command, config_path=args.config, out_dir=args.out,
-                   seed=args.seed, plot=args.plot, quad_m=args.quad_m,
-                   modes=args.modes)
+                   seed=args.seed, quad_m=args.quad_m, modes=args.modes)
     except ConfigError as exc:
         print(f"config error: {exc}", file=sys.stderr)
         return 2

@@ -2,9 +2,11 @@
 
 A Potential bundles vectorized callables for u, its gradient, and its Hessian.
 On top of it this module provides the numerical Fenchel-Legendre conjugate
-u*(y) (damped Newton), the conjugate flow u_t = (u* + t*psi)* for a C^2 dual
-perturbation psi, the first and second t-derivatives of u_t, and the weighted
-mean curvature H_mu = tr(II) - <grad u, nu> of a body's boundary.
+u*(y), the conjugate flow u_t = (u* + t*psi)* for a C^2 dual perturbation psi,
+the first and second t-derivatives of u_t, and the weighted mean curvature
+H_mu = tr(II) - <grad u, nu> of a body's boundary.  One damped Newton loop
+runs both solves, grad u(z) = y and z + t*grad psi(grad u(z)) = x; each gives
+it only its residual, its Newton direction and its line-search test.
 
 All evaluation is pure; points may be passed with any leading shape (..., 2).
 The value, gradient and Hessian of a conjugate psi = alpha*u* (and of
@@ -398,56 +400,76 @@ def _require_finite(points, what):
             f"{points[bad[0]].tolist()} at row {bad[0]}")
 
 
-# Both Newton loops (_conjugate_newton, _flow_newton) keep compact working
-# arrays of the unfinished rows (their indices idx into the output z).  A row
-# is written to z and dropped on the iteration it meets its tolerance; on other
-# iterations the arrays are carried as they are.  So each kernel call gets
-# exactly the rows unfinished at that point, in input order, which fixes its
-# rounding: the kernels round by array length (_qform groups one- and two-row
-# sums apart, BLAS takes another path for a one-row ``@``).
+def _newton(name, x, tol, residual, direction):
+    """Damped Newton from z = x, row by row, until |R| <= tol; returns z.
 
-
-def _conjugate_newton(u, y):
-    """Solve grad u(z) = y for each row of y; returns (u*(y), z)."""
-    _require_finite(y, "conjugate Newton")
-    tol = NEWTON_TOL * (1.0 + np.hypot(y[:, 0], y[:, 1]))
-    idx, zi, yi = np.arange(len(y)), y.copy(), y
+    ``residual(z, x)`` gives (R, *extras) on the working rows, and
+    ``direction(z, x, err, R, *extras)`` the step d and a line-search test
+    ``trial(zt, step)`` -> (ok per row, the residual tuple at zt or None).  A
+    row is written to z and dropped from the working arrays (``compress``) on
+    the iteration it meets its tolerance, so each kernel sees exactly the rows
+    unfinished then, in input order, at that array length.  That fixes its
+    rounding: the kernels round by array length (_qform groups one- and two-row
+    sums apart, BLAS takes another path for a one-row ``@``).  A row halves its
+    step until its trial passes, 60 times at most.  A search that accepts every
+    row moves to its trial points, and their residual tuple seeds the next
+    iteration; one that runs out takes the step zi + step*d, never evaluated.
+    """
+    _require_finite(x, name)
+    idx, zi, xi = np.arange(len(x)), x.copy(), x
     z = np.empty_like(zi)
+    seed = None
     for _ in range(NEWTON_CAP):
-        g = u._grad(zi) - yi
-        err = np.hypot(g[:, 0], g[:, 1])
+        if seed is None:
+            seed = residual(zi, xi)
+        err = np.hypot(seed[0][:, 0], seed[0][:, 1])
         done = err <= tol
         if done.any():
             z[idx[done]] = zi.compress(done, axis=0)
             keep = ~done
-            idx, zi, yi, g, tol = (a.compress(keep, axis=0) for a in (idx, zi, yi, g, tol))
+            idx, zi, xi, tol, err, *seed = (a.compress(keep, axis=0)
+                                            for a in (idx, zi, xi, tol, err, *seed))
         if not len(idx):
             break
-        H = u._hess(zi)
+        d, trial = direction(zi, xi, err, *seed)
+        step, pending = np.ones(len(idx)), np.ones(len(idx), dtype=bool)
+        for _ in range(60):
+            zt = zi + step[:, None] * d
+            ok, seed = trial(zt, step)
+            pending &= ~ok
+            if not pending.any():
+                break
+            step[pending] *= 0.5
+        if pending.any():
+            zi, seed = zi + step[:, None] * d, None
+        else:
+            zi = zt
+    if len(idx):
+        raise NewtonDivergence(f"{name} failed to converge for {len(idx)} point(s)")
+    return z
+
+
+def _conjugate_newton(u, y):
+    """Solve grad u(z) = y for each row of y; returns (u*(y), z)."""
+    def residual(z, y):
+        return (u._grad(z) - y,)
+
+    def direction(z, y, err, g):
+        H = u._hess(z)
         if not _spd_2x2(H).all():
             raise NotConvexPotential("Hessian lost positive definiteness during conjugation")
         d = -_solve_2x2(H, g)
         # Armijo backtracking on q(z) = u(z) - <y, z>; the floor term keeps
         # rounding noise in q from rejecting converged full steps
-        q0 = u._value(zi) - _dot2(yi, zi)
+        q0 = u._value(z) - _dot2(y, z)
         gd = _dot2(g, d)
         floor = 1e-14 * (np.abs(q0) + 1.0)
-        step = np.ones(len(idx))
-        pending = np.ones(len(idx), dtype=bool)
-        for _ in range(60):
-            zt = zi + step[:, None] * d
-            qt = u._value(zt) - _dot2(yi, zt)
-            ok = qt <= q0 + ARMIJO * step * gd + floor
-            pending &= ~ok
-            if not pending.any():
-                break
-            step[pending] *= 0.5
-        zi = zi + step[:, None] * d
-    if len(idx):
-        raise NewtonDivergence(
-            f"conjugate Newton failed to converge for {len(idx)} point(s)")
-    val = _dot2(y, z) - u._value(z)
-    return val, z
+        return d, lambda zt, step: (
+            u._value(zt) - _dot2(y, zt) <= q0 + ARMIJO * step * gd + floor, None)
+
+    tol = NEWTON_TOL * (1.0 + np.hypot(y[:, 0], y[:, 1]))
+    z = _newton("conjugate Newton", y, tol, residual, direction)
+    return _dot2(y, z) - u._value(z), z
 
 
 def conjugate(u, y):
@@ -633,61 +655,35 @@ def _flow_newton(u, psi, t, x, hess=True):
     """Evaluate the flow by solving z + t*grad psi(grad u(z)) = x.
 
     This is the stationarity condition of sup_y <x,y> - u*(y) - t*psi(y)
-    after the substitution y = grad u(z); the maximizer is y = grad u(z).
-    A line search that accepts every row has evaluated grad u and the
-    residual at the next iterate already, and those seed the next iteration.
-    Returns the value, gradient and Hessian of u_t at x; with ``hess`` false
-    the Hessian is None, and the convexity of u* + t*psi at the maximizer is
-    checked all the same.
+    after the substitution y = grad u(z); the maximizer is y = grad u(z).  An
+    accepted line search's grad u and residual seed the next iteration.
+    Returns the value, gradient and Hessian of u_t at x; with ``hess`` false the
+    Hessian is None, and the convexity of u* + t*psi at the maximizer is checked
+    all the same.
     """
-    _require_finite(x, "flow Newton")
-    scale = 1.0 + np.abs(x).max(initial=0.0)  # initial: an empty x has no max
-    idx, zi, xi = np.arange(len(x)), x.copy(), x
-    z = np.empty_like(zi)
-    y = None
-    for _ in range(NEWTON_CAP):
-        if y is None:
-            y = u._grad(zi)
-            R = zi + t * psi.grad(y) - xi
-        err = np.hypot(R[:, 0], R[:, 1])
-        done = err <= NEWTON_TOL * scale
-        if done.any():
-            z[idx[done]] = zi.compress(done, axis=0)
-            keep = ~done
-            idx, zi, xi, y, R, err = (a.compress(keep, axis=0)
-                                      for a in (idx, zi, xi, y, R, err))
-        if not len(idx):
-            break
-        J = t * _matmul_2x2(psi.hess(y), u._hess(zi))
+    def residual(z, x):
+        y = u._grad(z)
+        return z + t * psi.grad(y) - x, y
+
+    def direction(z, x, err, R, y):
+        J = t * _matmul_2x2(psi.hess(y), u._hess(z))
         J[:, 0, 0] += 1.0
         J[:, 1, 1] += 1.0
         det = J[:, 0, 0] * J[:, 1, 1] - J[:, 0, 1] * J[:, 1, 0]
         if np.any(np.abs(det) < 1e-14):
             raise FlowNotConvex("flow Jacobian became singular; t is past the window")
-        d = -_solve_2x2(J, R)
         # backtracking on the residual merit 0.5*|R|^2, with a rounding floor
         phi0 = 0.5 * err ** 2
-        floor = 0.5 * (1e-14 * scale) ** 2
-        step = np.ones(len(idx))
-        pending = np.ones(len(idx), dtype=bool)
-        for _ in range(60):
-            zt = zi + step[:, None] * d
-            yt = u._grad(zt)
-            Rt = zt + t * psi.grad(yt) - xi
-            phit = 0.5 * _dot2(Rt, Rt)
-            ok = phit <= (1.0 - 2.0 * ARMIJO * step) * phi0 + floor
-            pending &= ~ok
-            if not pending.any():
-                break
-            step[pending] *= 0.5
-        if pending.any():
-            # the halvings ran out: z takes a step that was never evaluated
-            zi, y = zi + step[:, None] * d, None
-        else:
-            zi, y, R = zt, yt, Rt
-    if len(idx):
-        raise NewtonDivergence(
-            f"flow Newton failed to converge for {len(idx)} point(s)")
+
+        def trial(zt, step):
+            Rt, yt = residual(zt, x)
+            return 0.5 * _dot2(Rt, Rt) <= (1.0 - 2.0 * ARMIJO * step) * phi0 + floor, (Rt, yt)
+
+        return -_solve_2x2(J, R), trial
+
+    scale = 1.0 + np.abs(x).max(initial=0.0)  # initial: an empty x has no max
+    floor = 0.5 * (1e-14 * scale) ** 2
+    z = _newton("flow Newton", x, np.full(len(x), NEWTON_TOL * scale), residual, direction)
     y = u._grad(z)
     Hdual = _inv_2x2(u._hess(z)) + t * psi.hess(y)  # Hessian of u* + t*psi at y
     if not _spd_2x2(Hdual).all():

@@ -10,6 +10,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from convexlab import cli, flow, measure
+from convexlab.errors import ConfigError
 
 
 def write(path, text):
@@ -72,6 +73,20 @@ potential.kind = gaussian
 
 def test_missing_config_is_config_error():
     assert cli.main(["solve", "--config", "/nonexistent/x.cfg", "--out", "/tmp/o"]) == 2
+
+
+def test_run_rejects_an_unknown_command_before_any_work(tmp_path):
+    out = tmp_path / "o"
+    with pytest.raises(ConfigError, match=r"^unknown command 'nope'$"):
+        cli.run("nope", write(tmp_path / "s.cfg", SOLVE_CFG), out_dir=str(out))
+    assert not out.exists()
+
+
+def test_command_without_config_flag_is_config_error(tmp_path, capsys):
+    out = tmp_path / "o"
+    assert cli.main(["solve", "--out", str(out)]) == 2
+    assert "config error: command 'solve' requires --config" in capsys.readouterr().err
+    assert not out.exists()
 
 
 def test_numerical_failure_exit_code(tmp_path):
@@ -328,16 +343,6 @@ def test_every_benchmark_config_parses(tmp_path):
             assert jobs
             for job in jobs:
                 cli.parse_config(job.config_path, job.command)
-
-
-def test_plot_without_matplotlib_fails_before_any_work(tmp_path, monkeypatch, capsys):
-    monkeypatch.setitem(sys.modules, "matplotlib", None)  # import matplotlib now fails
-    monkeypatch.setitem(cli._COMMANDS, "scan", lambda cfg, ctx: pytest.fail("the scan ran"))
-    path = write(tmp_path / "s.cfg", "potential.kind = gaussian\nscan.radii = 1.0\n")
-    out = tmp_path / "o"
-    assert cli.main(["scan", "--config", path, "--out", str(out), "--plot"]) == 2
-    assert "--plot requires matplotlib" in capsys.readouterr().err
-    assert not out.exists()
 
 
 @pytest.mark.parametrize("command, lines, args", [

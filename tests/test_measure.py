@@ -1,7 +1,7 @@
 import numpy as np
 import numpy.testing as npt
 import pytest
-from hypothesis import given, settings
+from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 from convexlab import flow, forms, measure, pde, quad
@@ -164,6 +164,12 @@ def test_flow_not_convex_detection(gaussian):
         measure.conjugate_flow(gaussian, psi_c, -1.5, np.array([[0.2, 0.1]]))
 
 
+def test_closed_flow_method_without_a_closed_form_raises(quartic):
+    psi = measure.QuadraticPerturbation(B=[[0.3, 0.1], [0.1, 0.2]])
+    with pytest.raises(ValueError, match=r"^no closed-form path for this \(u, psi\) pair$"):
+        measure.conjugate_flow(quartic, psi, 0.05, np.zeros((2, 2)), method="closed")
+
+
 def test_flow_derivative_formulas(gaussian, rng):
     x = rng.normal(size=(8, 2))
     # psi = u*: u'_0(x) = -u*(grad u(x)) = -|x|^2/2
@@ -228,6 +234,12 @@ def test_pinching_verification_rejects_empty_point_set(quad14):
     assert quad14.pinching is not None
     with pytest.raises(ConvexLabError, match="no points to check"):
         measure.verify_pinching(quad14, np.zeros((0, 2)))
+
+
+def test_pinching_verification_without_declared_constants_checks_nothing(quartic):
+    # only a declared pinching is checked, so no point set is needed
+    assert quartic.pinching is None
+    assert measure.verify_pinching(quartic, np.zeros((0, 2))) is None
 
 
 @pytest.mark.parametrize("bad", [np.nan, np.inf])
@@ -592,6 +604,23 @@ def test_newton_straggler_runs_alone_matches_reference_bytes(rng):
         assert got == _outcome(_reference_conjugate_newton, v, x)
 
 
+def test_conjugate_newton_names_an_indefinite_hessian(rng):
+    # quad14 with the Hessian entry 4 flipped to -1: the first direction, at
+    # the start rows z = y, already meets an indefinite Hessian
+    def hess(p):
+        out = _QUAD14._hess(p)
+        out[:, 1, 1] = -1.0
+        return out
+
+    v = measure.Potential("quadratic", _QUAD14._value, _QUAD14._grad, hess)
+    y = rng.normal(size=(10, 2))
+    got = _outcome(measure._conjugate_newton, v, y)
+    assert got == ("NotConvexPotential", "Hessian lost positive definiteness during conjugation")
+    assert got == _outcome(_reference_conjugate_newton, v, y)
+    with pytest.raises(NotConvexPotential, match="lost positive definiteness"):
+        measure.conjugate(v, y)
+
+
 def test_newton_divergence_counts_the_stuck_points(rng):
     # flow: the Hessian is wrong on the half-plane z_0 > 0, so the points that
     # start there exhaust every line search and never converge
@@ -790,12 +819,21 @@ def test_conjugate_potential_hands_out_its_own_arrays(quartic, rng):
 @settings(max_examples=30, deadline=None)
 @given(pot=st.sampled_from(sorted(_POTENTIALS)), n=_cloud_sizes,
        seed=st.integers(0, 2**32 - 1), radius=st.floats(0.05, 1.5), t=st.floats(-0.1, 0.1))
+# two draws where the solve raises: FlowNotConvex, then NewtonDivergence
+@example(pot="quartic", n=13, seed=1, radius=1.5, t=-0.0625)
+@example(pot="quartic", n=34, seed=2, radius=1.5, t=-0.0625)
 def test_flow_newton_without_hessian_keeps_value_and_gradient_bytes(pot, n, seed, radius, t):
+    # the same bytes where the solve succeeds, the same error where it raises
     u = _POTENTIALS[pot]
     x = _cloud(seed, n, radius)
-    val, y, H = measure._flow_newton(u, _PSI, t, x, hess=False)
-    assert H is None
-    assert [val.tobytes(), y.tobytes()] == _outcome(measure._flow_newton, u, _PSI, t, x)[:2]
+
+    def without_hessian(*args):
+        val, y, H = measure._flow_newton(*args, hess=False)
+        assert H is None
+        return val, y
+
+    want = _outcome(measure._flow_newton, u, _PSI, t, x)
+    assert _outcome(without_hessian, u, _PSI, t, x) == want[:2]
 
 
 @pytest.mark.parametrize("scale, says", [
