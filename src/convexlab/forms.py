@@ -18,6 +18,9 @@ Two inequalities are checked:  <r,f>_I <= (P + BL)/2  (mean form) and
 What depends only on (K, u, Q), namely e^{-u} on the boundary and at the
 interior nodes, H_mu, mu(K) and (del^2 u)^{-1} at the nodes, is evaluated
 once by ``quad`` and read from it by every later pair on the same (K, u, Q).
+So a pair pays only for its own fields, once each: ``check_mean_form``
+evaluates phi once on the interior nodes, where BL and I's interior mean share
+the values, once on the boundary grid, and its gradient once on the nodes.
 """
 
 from dataclasses import dataclass, field
@@ -206,8 +209,9 @@ def form_BL(body, u, phi0, phi1, Q=DEFAULT_Q):
     v0 = phi0.value(flat)
     v1 = v0 if same else phi1.value(flat)
     prod_term = float(np.sum(wmu * v0 * v1))
-    mean_term = float(np.sum(wmu * v0)) * float(np.sum(wmu * v1)) / _mu(body, u, Q)
-    return grad_term - prod_term + mean_term
+    m0 = float(np.sum(wmu * v0))
+    m1 = m0 if same else float(np.sum(wmu * v1))
+    return grad_term - prod_term + m0 * m1 / _mu(body, u, Q)
 
 
 def form_I(body, u, rho, phi, Q=DEFAULT_Q):
@@ -221,11 +225,51 @@ def form_I(body, u, rho, phi, Q=DEFAULT_Q):
     return cross - means
 
 
+class _NodeValuesOnce(InteriorField):
+    """phi, evaluated once per read-only array of points, whatever its shape.
+
+    check_mean_form's BL evaluates phi on the flat (Q*M, 2) interior nodes and
+    I's interior mean on their (Q, M, 2) stack: two views of one read-only
+    array, so I reads BL's values reshaped to (Q, M).  That equals evaluating
+    phi on the stack for every field whose value at a point does not depend on
+    the array around it, as the suite's fields and the witnesses do.
+    """
+
+    def __init__(self, phi):
+        super().__init__(phi._fn, phi._grad, phi.descriptor)
+        self._phi = phi
+        self._seen = {}  # id(owner) -> (owner, values); holding the owner pins its id
+
+    def gradient(self, points, step=1e-6):
+        return self._phi.gradient(points, step=step)
+
+    def value(self, points):
+        pts = np.asarray(points, dtype=float)
+        owner = pts if pts.base is None else pts.base
+        if not (isinstance(owner, np.ndarray) and not pts.flags.writeable
+                and pts.flags.c_contiguous and owner.flags.c_contiguous
+                and pts.nbytes == owner.nbytes):  # a view of all of owner, in its order
+            return self._phi.value(pts)
+        if id(owner) in self._seen:
+            return self._seen[id(owner)][1].reshape(pts.shape[:-1])
+        vals = self._phi.value(pts)
+        if vals.shape == pts.shape[:-1]:
+            self._seen[id(owner)] = owner, vals
+        return vals
+
+
 def check_mean_form(body, u, rho, phi, Q=DEFAULT_Q):
-    """Report on the mean and the multiplicative inequality for one (rho, phi)."""
+    """Report on the mean and the multiplicative inequality for one (rho, phi).
+
+    BL and I's interior mean read one evaluation of phi on the interior nodes
+    (_NodeValuesOnce).  The refusals come in the standalone forms' order, P's,
+    BL's, then I's, so a potential that is not strictly convex is refused
+    before any BL node work.
+    """
     P = form_P(body, u, rho, rho, Q=Q)
-    BL = form_BL(body, u, phi, phi, Q=Q)
-    I = form_I(body, u, rho, phi, Q=Q)
+    shared = _NodeValuesOnce(phi) if isinstance(phi, InteriorField) else phi
+    BL = form_BL(body, u, shared, shared, Q=Q)
+    I = form_I(body, u, rho, shared, Q=Q)
     scale = max(abs(P), abs(BL), 1.0)
     slack_mean = 0.5 * (P + BL) - I
     slack_mult = P * BL - I * I

@@ -93,7 +93,10 @@ def _inv_2x2(H):
 # zeroed output is (the leading ``0.0 +`` turns an all -0.0 sum into +0.0).
 # On a stack of one point (up to two for _qform) einsum's iterator moves the
 # short point axis out of the inner loop and sums each row of a 4-term form
-# apart, so _qform and _hgg group their sums the same way there.
+# apart, so _qform and _hgg group their sums the same way there.  A per-point
+# (m, 2) result is written a column at a time, as _solve_2x2 and the suite's
+# field gradients do: an operation broadcast along the trailing axis makes
+# numpy's inner loop run over that axis, of length 2.
 
 
 def _dot2(a, b):
@@ -705,8 +708,12 @@ def conjugate_flow(u, psi, t, x, method="auto"):
     """u_t(x), grad u_t(x), and hess u_t(x) for u_t = (u* + t*psi)*.
 
     ``method`` is "auto" (closed form when available, Newton otherwise),
-    "newton", or "closed" (raises if no closed form applies).
+    "newton", or "closed" (raises if no closed form applies); any other
+    value raises ValueError.
     """
+    if method not in ("auto", "newton", "closed"):
+        raise ValueError(f"unknown flow method {method!r}: expected 'auto', 'newton' "
+                         "or 'closed'")
     t = _flow_time(u, t)
     flat, lead = _flatten(x)
     closed = None if method == "newton" else _flow_closed_form(u, psi, t)

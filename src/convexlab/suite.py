@@ -5,12 +5,13 @@ configurations so that reported numbers are reproducible; all randomness goes
 through explicitly seeded generators.
 """
 
+import functools
+
 import numpy as np
 
 from .forms import BoundaryField, InteriorField
 from .geometry import disk, ellipse, fourier_body
 from .measure import (
-    _dot2,
     _qform,
     even_quartic_potential,
     gaussian_potential,
@@ -53,14 +54,26 @@ def standard_potentials():
     }
 
 
+@functools.lru_cache(maxsize=16)
+def _harmonics(M):
+    """Weights and read-only rows of harmonics k = 1..FIELD_ORDER on the M-point grid.
+
+    Rows 2k-2 and 2k-1 hold cos k*theta and sin k*theta, each weighted 1/(1+k^FIELD_DECAY).
+    """
+    t = 2.0 * np.pi * np.arange(M) / M
+    ks = range(1, FIELD_ORDER + 1)
+    weights = tuple(1.0 / (1.0 + float(k) ** FIELD_DECAY) for k in ks for _ in range(2))
+    rows = np.array([trig(k * t) for k in ks for trig in (np.cos, np.sin)])
+    rows.flags.writeable = False
+    return weights, rows
+
+
 def random_boundary_field(rng, M):
     """Smooth random field: harmonics k <= FIELD_ORDER, 1/(1+k^FIELD_DECAY) falloff."""
-    t = 2.0 * np.pi * np.arange(M) / M
+    weights, rows = _harmonics(M)
     vals = np.full(M, rng.standard_normal())
-    for k in range(1, FIELD_ORDER + 1):
-        w = 1.0 / (1.0 + float(k) ** FIELD_DECAY)
-        vals += w * rng.standard_normal() * np.cos(k * t)
-        vals += w * rng.standard_normal() * np.sin(k * t)
+    for w, row in zip(weights, rows):
+        vals += w * rng.standard_normal() * row
     return BoundaryField(vals)
 
 
@@ -76,7 +89,10 @@ def random_interior_field(rng):
             return 0.5 * _qform(p, C, p) + p @ b + c
 
         def grad(p, C=C, b=b):
-            return _dot2(p[..., None, :], C) + b
+            out = np.empty(p.shape)
+            for j in range(2):  # C p + b, a column at a time (see the measure kernels)
+                out[..., j] = 0.0 + p[..., 0] * C[j, 0] + p[..., 1] * C[j, 1] + b[j]
+            return out
 
         return InteriorField(value, grad, descriptor={"kind": "random-quadratic"})
     a = rng.standard_normal()
@@ -87,6 +103,10 @@ def random_interior_field(rng):
         return a * np.sin(p @ k + delta)
 
     def grad(p, a=a, k=k, delta=delta):
-        return a * np.cos(p @ k + delta)[..., None] * k
+        ac = a * np.cos(p @ k + delta)
+        out = np.empty(p.shape)
+        for j in range(2):
+            out[..., j] = ac * k[j]
+        return out
 
     return InteriorField(value, grad, descriptor={"kind": "random-wave"})

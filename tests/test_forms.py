@@ -6,6 +6,7 @@ import numpy.testing as npt
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
+from hypothesis.extra import numpy as hnp
 
 from convexlab import flow, forms, geometry, measure, pde, quad, suite
 from convexlab.errors import LebesgueModeRestriction, OriginOutside
@@ -83,6 +84,15 @@ def test_entries_take_only_an_interior_field(disk1, gaussian, phi):
                  lambda: forms.check_mean_form(disk1, gaussian, rho, phi)):
         with pytest.raises(ValueError, match="expected an InteriorField"):
             call()
+
+
+@pytest.mark.parametrize("values, says", [
+    (np.zeros((2, 128)), "boundary field must be a 1-D sample array"),
+    ([0.0, np.nan, 1.0], "boundary field samples must be finite"),
+], ids=["2-D", "nan"])
+def test_boundary_field_takes_finite_1d_samples(values, says):
+    with pytest.raises(ValueError, match=f"^{says}$"):
+        forms.BoundaryField(values)
 
 
 def test_form_BL_constants_are_null(disk1, gaussian):
@@ -418,6 +428,93 @@ def test_forms_match_the_unshared_reference_bytes(bname, pname, Q, seed, fd):
             continue
         assert [float(x).hex() for x in (rep.P, rep.BL, rep.I, rep.slack_mean, rep.slack_mult)] \
             == [float(x).hex() for x in (P, BL, I, 0.5 * (P + BL) - I, P * BL - I * I)]
+
+
+# -- one pair's own fields: the suite's draws and check_mean_form's evaluations ---
+
+
+def _broadcast_gradient(phi, p):
+    """A suite field's gradient as the trailing-axis broadcast it used to be."""
+    if phi.descriptor["kind"] == "random-quadratic":
+        C, b = phi._grad.__defaults__
+        return measure._dot2(p[..., None, :], C) + b
+    a, k, delta = phi._grad.__defaults__
+    return a * np.cos(p @ k + delta)[..., None] * k
+
+
+@settings(max_examples=60, deadline=None)
+@given(seed=st.integers(0, 2**32 - 1), data=st.data(),
+       shape=st.sampled_from([(2,), (1, 2), (1, 1, 2), (5, 2), (3, 4, 2), (8192, 2),
+                              (32, 256, 2)]))
+def test_suite_gradients_match_the_broadcast_expressions_bytes(seed, data, shape):
+    rng = np.random.default_rng(seed)
+    if np.prod(shape) <= 24:  # small stacks drawn whole, with +-0.0 among the coordinates
+        coord = st.one_of(st.sampled_from([0.0, -0.0]), st.floats(-3.0, 3.0))
+        p = data.draw(hnp.arrays(float, shape, elements=coord))
+    else:                     # quadrature-sized stacks with zeros of both signs scattered in
+        p = rng.normal(size=shape)
+        p[rng.random(shape) < 0.1] = 0.0
+        p[rng.random(shape) < 0.1] = -0.0
+    for phi in (random_interior_field(rng) for _ in range(4)):
+        want = _broadcast_gradient(phi, p)
+        got = phi.gradient(p)
+        assert got.shape == want.shape == p.shape
+        assert got.tobytes() == want.tobytes()
+
+
+def _per_call_boundary_field(rng, M):
+    """random_boundary_field with its harmonics computed on every call."""
+    t = 2.0 * np.pi * np.arange(M) / M
+    vals = np.full(M, rng.standard_normal())
+    for k in range(1, suite.FIELD_ORDER + 1):
+        w = 1.0 / (1.0 + float(k) ** suite.FIELD_DECAY)
+        vals += w * rng.standard_normal() * np.cos(k * t)
+        vals += w * rng.standard_normal() * np.sin(k * t)
+    return vals
+
+
+@pytest.mark.parametrize("M", [5, 64, 255, 256, 512])
+def test_random_boundary_field_matches_the_per_call_formula_bytes(M):
+    for seed in (0, 11, 2**40 + 3):
+        rng, ref = np.random.default_rng(seed), np.random.default_rng(seed)
+        for _ in range(4):
+            assert (random_boundary_field(rng, M).values.tobytes()
+                    == _per_call_boundary_field(ref, M).tobytes())
+        assert rng.random() == ref.random()  # and the same number of draws
+    _, rows = suite._harmonics(M)
+    assert suite._harmonics(M)[1] is rows and rows.shape == (2 * suite.FIELD_ORDER, M)
+    with pytest.raises(ValueError, match="read-only"):
+        rows[0, 0] = 0.0
+
+
+def test_mean_form_check_evaluates_phi_once_per_point_set(ellipse21, quad14):
+    rng = np.random.default_rng(12)
+    rho, base = random_boundary_field(rng, ellipse21.M), random_interior_field(rng)
+    calls = []
+
+    def log(name, fn):
+        return lambda p: calls.append((name, p.shape)) or fn(p)
+
+    phi = forms.InteriorField(log("value", base.value), log("gradient", base.gradient))
+    rep = forms.check_mean_form(ellipse21, quad14, rho, phi, Q=24)
+    nodes, M = 24 * ellipse21.M, ellipse21.M
+    assert calls == [("gradient", (nodes, 2)), ("value", (nodes, 2)), ("value", (M, 2))]
+    # I's interior mean read BL's node values: the standalone forms give the same bits
+    want = (forms.form_P(ellipse21, quad14, rho, rho, Q=24),
+            forms.form_BL(ellipse21, quad14, base, base, Q=24),
+            forms.form_I(ellipse21, quad14, rho, base, Q=24))
+    assert [x.hex() for x in (rep.P, rep.BL, rep.I)] == [x.hex() for x in want]
+
+
+@pytest.mark.filterwarnings("error::RuntimeWarning")
+def test_mean_form_check_refuses_lebesgue_before_any_node_work():
+    # a fresh body and potential: no stored inverse Hessians from other tests;
+    # building them for u = 0 divides by zero, which this test makes an error
+    body, u = geometry.disk(1.0), measure.zero_potential()
+    rng = np.random.default_rng(9)
+    with pytest.raises(LebesgueModeRestriction):
+        forms.check_mean_form(body, u, random_boundary_field(rng, body.M),
+                              random_interior_field(rng))
 
 
 # -- the store's work, keys, write protection and lifetime ------------------------

@@ -170,6 +170,14 @@ def test_closed_flow_method_without_a_closed_form_raises(quartic):
         measure.conjugate_flow(quartic, psi, 0.05, np.zeros((2, 2)), method="closed")
 
 
+@pytest.mark.parametrize("entry", [measure.conjugate_flow, measure.flow_derivatives])
+def test_unknown_flow_method_raises(gaussian, entry):
+    psi = measure.QuadraticPerturbation(B=[[0.3, 0.1], [0.1, 0.2]])
+    with pytest.raises(ValueError, match="^unknown flow method 'clsoed': expected 'auto', "
+                                         "'newton' or 'closed'$"):
+        entry(gaussian, psi, 0.05, np.zeros((2, 2)), method="clsoed")
+
+
 def test_flow_derivative_formulas(gaussian, rng):
     x = rng.normal(size=(8, 2))
     # psi = u*: u'_0(x) = -u*(grad u(x)) = -|x|^2/2

@@ -58,6 +58,11 @@ def test_assembly_refuses_modes_the_grid_cannot_resolve(disk1, gaussian):
             pde.assemble(disk1, gaussian, N=N)
 
 
+def test_assembly_refuses_fewer_than_four_modes(disk1, gaussian):
+    with pytest.raises(ValueError, match="^basis order N must be >= 4$"):
+        pde.assemble(disk1, gaussian, N=3)
+
+
 def test_basis_nesting(ellipse21, quad14):
     g8 = pde.assemble(ellipse21, quad14, N=8).G
     g16 = pde.assemble(ellipse21, quad14, N=16).G

@@ -152,3 +152,9 @@ def test_non_finite_boundary_integral_raises(disk1, gaussian):
     spike[3] = np.inf
     with pytest.raises(NonFiniteIntegral, match="boundary integral"):
         quad.boundary_integral(disk1, gaussian, spike)
+
+
+def test_boundary_integral_refuses_an_array_off_the_body_grid(disk1, gaussian):
+    for g in (np.ones(disk1.M + 1), np.ones((2, disk1.M))):
+        with pytest.raises(ValueError, match="^boundary integrand does not match the body grid$"):
+            quad.boundary_integral(disk1, gaussian, g)
