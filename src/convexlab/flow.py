@@ -35,7 +35,8 @@ from .errors import FlowNotConvex, OriginOutside, PerturbationTooLarge
 from .forms import InteriorField, _boundary_field, form_BL, form_I, form_P
 from .geometry import gauge_angle, wulff_perturb
 from .measure import _dot2, _hgg, flow_potential
-from .quad import DEFAULT_Q, _boundary_weight, _hmu, _mu, boundary_integral, interior_integral
+from .quad import (DEFAULT_Q, _boundary_weight, _hmu, _mu, boundary_integral,
+                   interior_integral, interior_nodes)
 
 __all__ = [
     "FlowConfig",
@@ -171,16 +172,16 @@ def shape_derivatives(body, u, f, psi=None, Q=DEFAULT_Q):
         psi_grad = 0.0
         psi_bd = np.zeros(body.M)
     else:
-        phi = psi_composed_field(u, psi)
-
-        def carre(pts):
-            g = psi.grad(u.grad(pts))
-            return _hgg(u.hess(pts), g, g)
-
-        psi_int = interior_integral(body, u, phi, Q=Q)
-        psi_sq = interior_integral(body, u, InteriorField(lambda p: phi.value(p) ** 2), Q=Q)
-        psi_grad = interior_integral(body, u, InteriorField(carre), Q=Q)
-        psi_bd = phi.value(body.boundary_grid)
+        # grad u, phi = psi(grad u) and grad psi(grad u) are evaluated once on
+        # the interior nodes, and interior_integral takes the node values
+        pts = interior_nodes(body, Q)[0]
+        du = u.grad(pts)
+        phi_nodes = psi.value(du)
+        psi_int = interior_integral(body, u, phi_nodes, Q=Q)
+        psi_sq = interior_integral(body, u, phi_nodes ** 2, Q=Q)
+        g = psi.grad(du)
+        psi_grad = interior_integral(body, u, _hgg(u.hess(pts), g, g), Q=Q)
+        psi_bd = psi.value(u.grad(body.boundary_grid))
 
     f_bd = boundary_integral(body, u, f.values)
     I1 = psi_int + f_bd

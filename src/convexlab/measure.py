@@ -63,28 +63,54 @@ def _flatten(points):
     return pts.reshape(-1, 2), lead
 
 
+def _entries(H):
+    """The entries h00, h01, h10, h11 of an (m, 2, 2) stack, as (m,) views."""
+    return H[:, 0, 0], H[:, 0, 1], H[:, 1, 0], H[:, 1, 1]
+
+
+def _det(h00, h01, h10, h11):
+    """The determinants of the 2x2 matrices with the given entries."""
+    return h00 * h11 - h01 * h10
+
+
+def _spd_entries(h00, h01, h10, h11):
+    """Elementwise SPD test for the 2x2 matrices with the given entries."""
+    return (h00 > 0) & (_det(h00, h01, h10, h11) > 0)
+
+
 def _spd_2x2(H):
     """Elementwise SPD test for an (m, 2, 2) stack."""
-    det = H[:, 0, 0] * H[:, 1, 1] - H[:, 0, 1] * H[:, 1, 0]
-    return (H[:, 0, 0] > 0) & (det > 0)
+    return _spd_entries(*_entries(H))
+
+
+def _solve_entries(h00, h01, h10, h11, rhs):
+    """H^{-1} rhs for the 2x2 matrices H with the given entries and (m, 2) rhs."""
+    det = _det(h00, h01, h10, h11)
+    out = np.empty_like(rhs)
+    out[:, 0] = (h11 * rhs[:, 0] - h01 * rhs[:, 1]) / det
+    out[:, 1] = (h00 * rhs[:, 1] - h10 * rhs[:, 0]) / det
+    return out
 
 
 def _solve_2x2(H, rhs):
-    det = H[:, 0, 0] * H[:, 1, 1] - H[:, 0, 1] * H[:, 1, 0]
-    out = np.empty_like(rhs)
-    out[:, 0] = (H[:, 1, 1] * rhs[:, 0] - H[:, 0, 1] * rhs[:, 1]) / det
-    out[:, 1] = (H[:, 0, 0] * rhs[:, 1] - H[:, 1, 0] * rhs[:, 0]) / det
+    return _solve_entries(*_entries(H), rhs)
+
+
+def _inv_entries(h00, h01, h10, h11):
+    """The entries of the inverses of the 2x2 matrices with the given entries."""
+    det = _det(h00, h01, h10, h11)
+    return h11 / det, -h01 / det, -h10 / det, h00 / det
+
+
+def _stack(h00, h01, h10, h11):
+    """The (m, 2, 2) stack with the given (m,) entries."""
+    out = np.empty(np.shape(h00) + (2, 2))
+    out[:, 0, 0], out[:, 0, 1], out[:, 1, 0], out[:, 1, 1] = h00, h01, h10, h11
     return out
 
 
 def _inv_2x2(H):
-    det = H[:, 0, 0] * H[:, 1, 1] - H[:, 0, 1] * H[:, 1, 0]
-    out = np.empty_like(H)
-    out[:, 0, 0] = H[:, 1, 1] / det
-    out[:, 1, 1] = H[:, 0, 0] / det
-    out[:, 0, 1] = -H[:, 0, 1] / det
-    out[:, 1, 0] = -H[:, 1, 0] / det
-    return out
+    return _stack(*_inv_entries(*_entries(H)))
 
 
 # Per-point 2x2 algebra written out in np.einsum's own order, so each kernel
@@ -96,22 +122,44 @@ def _inv_2x2(H):
 # apart, so _qform and _hgg group their sums the same way there.  A per-point
 # (m, 2) result is written a column at a time, as _solve_2x2 and the suite's
 # field gradients do: an operation broadcast along the trailing axis makes
-# numpy's inner loop run over that axis, of length 2.
+# numpy's inner loop run over that axis, of length 2.  So the potentials'
+# gradients and Hessians, the quadratic psi's gradient and _newton's trial
+# points are written a column at a time, _qform reads contiguous copies of
+# its columns, and _flow_newton forms its Jacobian I + t psi'' u'' and the
+# dual Hessian as four (m,) entries with _matmul_2x2's and _inv_2x2's
+# operands in their order, never as an (m, 2, 2) stack read back entry by
+# entry; a quadratic psi's Hessian enters as the scalars of B.  _dot2, _qform
+# and the quartic's gradient factor accumulate in place (``+=``, ``*=``): the
+# same operation on the same operands, one temporary fewer.  The quadratic
+# psi's gradient keeps ``flat @ B.T`` on the transposed view: a contiguous
+# copy of B.T is faster, but BLAS then rounds a one-row product another way.
 
 
 def _dot2(a, b):
     """einsum("...i,...i->...", a, b); broadcasting gives H v and v C as well."""
-    return 0.0 + a[..., 0] * b[..., 0] + a[..., 1] * b[..., 1]
+    out = np.multiply(a[..., 0], b[..., 0], dtype=float)
+    out += 0.0
+    out += a[..., 1] * b[..., 1]
+    return out
 
 
 def _qform(p, A, q):
     """einsum("ij,jk,ik->i", p, A, q) for one (2, 2) matrix A, any leading shape."""
-    p0, p1, q0, q1 = p[..., 0], p[..., 1], q[..., 0], q[..., 1]
-    t00, t01 = p0 * A[0, 0] * q0, p0 * A[0, 1] * q1
-    t10, t11 = p1 * A[1, 0] * q0, p1 * A[1, 1] * q1
+    p0, p1 = p[..., 0].copy(), p[..., 1].copy()
+    q0, q1 = (p0, p1) if q is p else (q[..., 0].copy(), q[..., 1].copy())
+    t00, t01 = p0 * A[0, 0], p0 * A[0, 1]
+    t10, t11 = p1 * A[1, 0], p1 * A[1, 1]
+    t00 *= q0
+    t01 *= q1
+    t10 *= q0
+    t11 *= q1
     if t00.size <= 2:
         return 0.0 + ((t00 + t01) + (t10 + t11))
-    return 0.0 + t00 + t01 + t10 + t11
+    t00 += 0.0
+    t00 += t01
+    t00 += t10
+    t00 += t11
+    return t00
 
 
 def _hgg(H, a, b):
@@ -129,20 +177,15 @@ def _hgg(H, a, b):
 
 
 def _matmul_2x2(A, B):
-    """einsum("ijk,ikl->ijl", A, B) for two (..., 2, 2) stacks."""
+    """einsum("ijk,ikl->ijl", A, B) for two (..., 2, 2) stacks.
+
+    _flow_newton forms its Jacobian entry by entry in this order; the byte
+    tests keep this stacked form as its reference.
+    """
     out = np.empty(np.broadcast_shapes(A.shape, B.shape))
     for j in range(2):
         for l in range(2):
             out[..., j, l] = 0.0 + A[..., j, 0] * B[..., 0, l] + A[..., j, 1] * B[..., 1, l]
-    return out
-
-
-def _outer2(p):
-    """einsum("ij,ik->ijk", p, p) for a (..., 2) stack."""
-    out = np.empty(p.shape + (2,))
-    for j in range(2):
-        for k in range(2):
-            out[..., j, k] = 0.0 + p[..., j] * p[..., k]
     return out
 
 
@@ -253,15 +296,20 @@ def even_quartic_potential(eps, pinching=None):
         return 0.5 * n2 + eps * n2**2
 
     def grad(p):
-        n2 = _dot2(p, p)
-        return p * (1.0 + 4.0 * eps * n2)[:, None]
+        s = 4.0 * eps * _dot2(p, p)
+        s += 1.0
+        out = np.empty_like(p)
+        out[:, 0] = p[:, 0] * s
+        out[:, 1] = p[:, 1] * s
+        return out
 
     def hess(p):
-        n2 = _dot2(p, p)
-        out = _outer2(p) * (8.0 * eps)
-        diag = 1.0 + 4.0 * eps * n2
-        out[:, 0, 0] += diag
-        out[:, 1, 1] += diag
+        p0, p1 = p[:, 0], p[:, 1]
+        diag = 1.0 + 4.0 * eps * _dot2(p, p)
+        out = np.empty((len(p), 2, 2))
+        out[:, 0, 0] = (0.0 + p0 * p0) * (8.0 * eps) + diag
+        out[:, 0, 1] = out[:, 1, 0] = (0.0 + p0 * p1) * (8.0 * eps)
+        out[:, 1, 1] = (0.0 + p1 * p1) * (8.0 * eps) + diag
         return out
 
     return Potential("even-quartic", value, grad, hess, is_even=True,
@@ -403,6 +451,14 @@ def _require_finite(points, what):
             f"{points[bad[0]].tolist()} at row {bad[0]}")
 
 
+def _step(z, step, d):
+    """z + step*d for (m, 2) stacks z, d and (m,) steps, a column at a time."""
+    out = np.empty_like(z)
+    out[:, 0] = z[:, 0] + step * d[:, 0]
+    out[:, 1] = z[:, 1] + step * d[:, 1]
+    return out
+
+
 def _newton(name, x, tol, residual, direction):
     """Damped Newton from z = x, row by row, until |R| <= tol; returns z.
 
@@ -437,14 +493,14 @@ def _newton(name, x, tol, residual, direction):
         d, trial = direction(zi, xi, err, *seed)
         step, pending = np.ones(len(idx)), np.ones(len(idx), dtype=bool)
         for _ in range(60):
-            zt = zi + step[:, None] * d
+            zt = _step(zi, step, d)
             ok, seed = trial(zt, step)
             pending &= ~ok
             if not pending.any():
                 break
             step[pending] *= 0.5
         if pending.any():
-            zi, seed = zi + step[:, None] * d, None
+            zi, seed = _step(zi, step, d), None
         else:
             zi = zt
     if len(idx):
@@ -560,7 +616,10 @@ class QuadraticPerturbation:
 
     def grad(self, y):
         flat, lead = _flatten(y)
-        return (flat @ self.B.T + self.b).reshape(lead + (2,))
+        out = flat @ self.B.T
+        out[:, 0] += self.b[0]
+        out[:, 1] += self.b[1]
+        return out.reshape(lead + (2,))
 
     def hess(self, y):
         flat, lead = _flatten(y)
@@ -639,7 +698,9 @@ def _flow_closed_form(u, psi, t):
 
         def value(p):
             _require_finite(p, "flow closed form")
-            q = p - tb
+            q = np.empty_like(p)
+            q[:, 0] = p[:, 0] - tb[0]
+            q[:, 1] = p[:, 1] - tb[1]
             return 0.5 * _qform(q, Minv, q) + const
 
         def grad(p):
@@ -652,6 +713,15 @@ def _flow_closed_form(u, psi, t):
 
         return value, grad, hess
     return None
+
+
+def _psi_hess_entries(psi, y):
+    """psi's Hessian at the (m, 2) stack y, entry by entry: (m,) arrays, or the
+    scalars of B for a QuadraticPerturbation, whose Hessian is B everywhere
+    (a subclass may override ``hess``, so it goes through ``psi.hess``)."""
+    if type(psi) is QuadraticPerturbation:
+        return psi.B[0, 0], psi.B[0, 1], psi.B[1, 0], psi.B[1, 1]
+    return _entries(psi.hess(y))
 
 
 def _flow_newton(u, psi, t, x, hess=True):
@@ -669,11 +739,18 @@ def _flow_newton(u, psi, t, x, hess=True):
         return z + t * psi.grad(y) - x, y
 
     def direction(z, x, err, R, y):
-        J = t * _matmul_2x2(psi.hess(y), u._hess(z))
-        J[:, 0, 0] += 1.0
-        J[:, 1, 1] += 1.0
-        det = J[:, 0, 0] * J[:, 1, 1] - J[:, 0, 1] * J[:, 1, 0]
-        if np.any(np.abs(det) < 1e-14):
+        p00, p01, p10, p11 = _psi_hess_entries(psi, y)
+        h00, h01, h10, h11 = _entries(u._hess(z))
+
+        def entry(pa, ha, pb, hb):
+            return t * (0.0 + pa * ha + pb * hb)
+
+        # J = I + t psi''(y) u''(z), each entry summed as _matmul_2x2 sums it
+        j00, j01 = entry(p00, h00, p01, h10), entry(p00, h01, p01, h11)
+        j10, j11 = entry(p10, h00, p11, h10), entry(p10, h01, p11, h11)
+        j00 += 1.0
+        j11 += 1.0
+        if np.any(np.abs(_det(j00, j01, j10, j11)) < 1e-14):
             raise FlowNotConvex("flow Jacobian became singular; t is past the window")
         # backtracking on the residual merit 0.5*|R|^2, with a rounding floor
         phi0 = 0.5 * err ** 2
@@ -682,17 +759,22 @@ def _flow_newton(u, psi, t, x, hess=True):
             Rt, yt = residual(zt, x)
             return 0.5 * _dot2(Rt, Rt) <= (1.0 - 2.0 * ARMIJO * step) * phi0 + floor, (Rt, yt)
 
-        return -_solve_2x2(J, R), trial
+        return -_solve_entries(j00, j01, j10, j11, R), trial
 
     scale = 1.0 + np.abs(x).max(initial=0.0)  # initial: an empty x has no max
     floor = 0.5 * (1e-14 * scale) ** 2
     z = _newton("flow Newton", x, np.full(len(x), NEWTON_TOL * scale), residual, direction)
     y = u._grad(z)
-    Hdual = _inv_2x2(u._hess(z)) + t * psi.hess(y)  # Hessian of u* + t*psi at y
-    if not _spd_2x2(Hdual).all():
+    # the Hessian A = (u''(z))^{-1} + t psi''(y) of u* + t*psi at y, entry by entry
+    i00, i01, i10, i11 = _inv_entries(*_entries(u._hess(z)))
+    p00, p01, p10, p11 = _psi_hess_entries(psi, y)
+    a00, a01, a10, a11 = i00 + t * p00, i01 + t * p01, i10 + t * p10, i11 + t * p11
+    if not _spd_entries(a00, a01, a10, a11).all():
         raise FlowNotConvex("u* + t*psi is not strictly convex at the maximizer")
     val = _dot2(x - z, y) + u._value(z) - t * psi.value(y)
-    return val, y, _inv_2x2(Hdual) if hess else None
+    if not hess:
+        return val, y, None
+    return val, y, _stack(*_inv_entries(a00, a01, a10, a11))
 
 
 def _flow_time(u, t):

@@ -148,6 +148,10 @@ def _build_nodes(body, Q):
 
 
 def _field_on_points(g, pts):
+    if isinstance(g, np.ndarray):
+        if g.shape != pts.shape[:-1]:
+            raise ValueError("interior integrand does not match the quadrature nodes")
+        return g
     if np.isscalar(g) or isinstance(g, (int, float)):
         return np.full(pts.shape[:-1], float(g))
     fn = getattr(g, "value", g)
@@ -155,11 +159,15 @@ def _field_on_points(g, pts):
 
 
 def interior_integral(body, u, g=1.0, Q=DEFAULT_Q):
-    """Integral of g over K against mu = e^{-u} dx."""
+    """Integral of g over K against mu = e^{-u} dx.
+
+    g is a scalar, an InteriorField (or a callable of the points), or an
+    array of g's values at the nodes ``interior_nodes(body, Q)[0]``.
+    """
     pts, weights = interior_nodes(body, Q)
     w = _node_weight(body, u, pts)
     val = float(np.sum(weights * _field_on_points(g, pts) * w))
     if not np.isfinite(val):
-        name = repr(getattr(g, "descriptor", g))
+        name = "node values" if isinstance(g, np.ndarray) else repr(getattr(g, "descriptor", g))
         raise NonFiniteIntegral(f"interior integral of {name} against {u!r} is {val}")
     return val

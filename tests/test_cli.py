@@ -462,3 +462,24 @@ def test_flow_psi_keys_without_a_kind_are_config_error(tmp_path, capsys, lines):
     assert cli.main(["flow", "--config", path, "--out", str(tmp_path / "o")]) == 2
     err = capsys.readouterr().err
     assert "config error" in err and "flow.psi.kind" in err
+
+
+@pytest.mark.parametrize("body, code, says", [
+    ("body.kind = ellipse\nbody.a = -1.0\n", 2,
+     "config error: body: ellipse semi-axes must be positive"),
+    ("body.kind = ellipse\nbody.a = 1e200\n", 2,
+     "config error: body: support function samples must be finite"),
+    ("body.kind = fourier\nbody.c0 = 1e308\nbody.cos2 = 1e308\n", 2,
+     "config error: body: support function samples must be finite"),
+    ("body.kind = fourier\nbody.c0 = 0\n", 3,
+     "numerical failure: OriginOutside: Steiner-point centering left h <= 0; "
+     "body is degenerate"),
+], ids=["ellipse-negative-axis", "ellipse-overflow", "fourier-overflow", "fourier-point"])
+@pytest.mark.filterwarnings("ignore:overflow encountered")
+def test_body_construction_checks_reach_the_exit_status(tmp_path, capsys, body, code, says):
+    path = write(tmp_path / "bad.cfg", body + GAUSSIAN)
+    out = tmp_path / "o"
+    assert cli.main(["solve", "--config", path, "--out", str(out)]) == code
+    err = capsys.readouterr().err
+    assert err.strip() == says
+    assert not (out / "report.json").exists()

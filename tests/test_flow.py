@@ -1,8 +1,10 @@
+import collections
+
 import numpy as np
 import numpy.testing as npt
 import pytest
 
-from convexlab import flow, forms, geometry, measure, pde, spectral
+from convexlab import flow, forms, geometry, measure, pde, quad, spectral
 from convexlab.errors import PerturbationTooLarge
 from convexlab.flow import FlowConfig
 
@@ -189,6 +191,48 @@ def test_shape_derivatives_match_fd(case, disk1, ellipse21, blob, gaussian,
     assert fd1 == pytest.approx(d["I1"], rel=1e-6)
     assert fd2 == pytest.approx(d["I2"], rel=1e-4)
     assert d["S2"] <= 1e-8  # concavity of the marginal at t = 0
+
+
+@pytest.mark.parametrize("dual", ["quadratic", "conjugate"])
+def test_shape_derivatives_evaluate_u_once_per_point_set(blob, quartic, monkeypatch, dual):
+    # grad u and hess u on the interior nodes feed psi_int, psi_sq and psi_grad
+    # from one evaluation each, and the results keep the bytes of the three
+    # integrands that evaluated them apiece
+    f = field(lambda t: np.cos(2 * t) + 0.1 * np.sin(3 * t), blob.M)
+    psi = (measure.QuadraticPerturbation(B=[[0.3, 0.1], [0.1, 0.2]], b=[0.1, -0.05])
+           if dual == "quadratic" else measure.ConjugatePerturbation(quartic, 0.4))
+    calls = collections.Counter()
+    for name in ("grad", "hess"):
+        def counted(self, points, name=name, fresh=getattr(measure.Potential, name)):
+            if self is quartic:
+                calls[name, np.asarray(points, dtype=float).reshape(-1, 2).tobytes()] += 1
+            return fresh(self, points)
+
+        monkeypatch.setattr(measure.Potential, name, counted)
+    d = flow.shape_derivatives(blob, quartic, f, psi)
+    monkeypatch.undo()
+    nodes = quad.interior_nodes(blob)[0]
+    key = nodes.reshape(-1, 2).tobytes()
+    assert calls["grad", key] == 1 and calls["hess", key] == 1
+    assert max(n for (name, _), n in calls.items() if name == "hess") == 1
+
+    phi = flow.psi_composed_field(quartic, psi)
+
+    def carre(pts):
+        g = psi.grad(quartic.grad(pts))
+        return measure._hgg(quartic.hess(pts), g, g)
+
+    integrals = [quad.interior_integral(blob, quartic, g) for g in (
+        phi, forms.InteriorField(lambda p: phi.value(p) ** 2), forms.InteriorField(carre))]
+    I0 = quad._mu(blob, quartic, 32)
+    psi_bd = phi.value(blob.boundary_grid)
+    I1 = integrals[0] + quad.boundary_integral(blob, quartic, f.values)
+    I2 = (integrals[1] - integrals[2]
+          + 2.0 * quad.boundary_integral(blob, quartic, f.values * psi_bd)
+          + quad.boundary_integral(blob, quartic, quad._hmu(blob, quartic) * f.values**2)
+          - float(np.sum(f.deriv() ** 2 * quad._boundary_weight(blob, quartic))
+                  * (2.0 * np.pi / blob.M)))
+    assert (d["I0"], d["I1"], d["I2"]) == (I0, I1, I2)
 
 
 def test_cross_module_identity(blob, quartic):

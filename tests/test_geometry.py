@@ -301,3 +301,52 @@ def test_evenness_flag(disk1, ellipse21, blob, peanut):
 
 def test_area_of_ellipse(ellipse21):
     assert geometry.area(ellipse21) == pytest.approx(2 * np.pi, abs=1e-10)
+
+
+@pytest.mark.parametrize("make, error, says", [
+    (lambda: geometry.SupportFunction2D(np.ones(62)), ValueError,
+     "support function needs an even grid of >= 64 samples"),
+    (lambda: geometry.SupportFunction2D(np.ones(65)), ValueError,
+     "support function needs an even grid of >= 64 samples"),
+    (lambda: geometry.SupportFunction2D(np.ones((2, 64))), ValueError,
+     "support function needs an even grid of >= 64 samples"),
+    (lambda: geometry.SupportFunction2D(np.r_[np.ones(63), np.inf]), ValueError,
+     "support function samples must be finite"),
+    (lambda: geometry.ellipse(0.0, 1.0), ValueError, "ellipse semi-axes must be positive"),
+    (lambda: geometry.ellipse(1.0, -2.0), ValueError, "ellipse semi-axes must be positive"),
+    (lambda: geometry.hull_body([[0.0, 0.0], [1.0, 0.0]]), ValueError,
+     "hull_body needs at least 3 points"),
+    # three copies of one point: h is a pure first harmonic, so h + h'' is
+    # rounding noise at every smoothing
+    (lambda: geometry.hull_body([[0.5, 0.2]] * 3), NotStrictlyConvex,
+     "hull smoothing failed to produce a strictly convex body"),
+    # a point at the origin: h == 0, which passes the convexity floor of 0
+    (lambda: geometry.hull_body([[0.0, 0.0]] * 3), OriginOutside,
+     "Steiner-point centering left h <= 0; body is degenerate"),
+    (lambda: geometry.fourier_body(0.0), OriginOutside,
+     "Steiner-point centering left h <= 0; body is degenerate"),
+    (lambda: geometry.wulff_perturb(geometry.disk(1.0), np.ones(128), 0.1), ValueError,
+     "perturbation grid does not match the body grid"),
+    (lambda: geometry.minkowski_combine(geometry.disk(1.0), geometry.disk(1.0, M=128), 0.5),
+     ValueError, "bodies live on different grids"),
+    (lambda: geometry.minkowski_combine(geometry.disk(1.0), geometry.disk(2.0), 1.5),
+     ValueError, "t must lie in [0, 1]"),
+    (lambda: geometry.minkowski_combine(geometry.disk(1.0), geometry.disk(2.0), -0.1),
+     ValueError, "t must lie in [0, 1]"),
+    (lambda: geometry.minkowski_combine(geometry.disk(1.0), geometry.disk(2.0), np.nan),
+     ValueError, "t must lie in [0, 1]"),
+], ids=["M-62", "M-odd", "2-d", "non-finite", "ellipse-a-0", "ellipse-b-negative",
+        "hull-2-points", "hull-one-point", "hull-origin", "fourier-point", "wulff-grid",
+        "minkowski-grids", "minkowski-t-above", "minkowski-t-below", "minkowski-t-nan"])
+def test_geometry_input_checks_name_the_problem(make, error, says):
+    with pytest.raises(error) as info:
+        make()
+    assert type(info.value) is error and str(info.value) == says
+
+
+def test_hull_body_widens_its_smoothing_until_strictly_convex():
+    # a triangle's hull smoothed at 0.15 dips below the convexity floor
+    # between its corners; one widening by 1.5 gives a strictly convex body
+    body = geometry.hull_body([[1.0, 0.0], [-0.5, 0.8], [-0.5, -0.8]], smoothing=0.15)
+    assert body.descriptor["smoothing"] == 0.15 * 1.5
+    assert body.radius_grid.min() > geometry.CONVEXITY_RTOL * body.radius_grid.max()

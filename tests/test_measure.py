@@ -506,6 +506,51 @@ def test_flow_newton_matches_reference_bytes(pot, n, seed, radius, t, dual):
         assert got == _outcome(_reference_flow_newton, u, psi, t, x)
 
 
+@settings(max_examples=40, deadline=None)
+@given(pot=st.sampled_from(sorted(_POTENTIALS)), n=_cloud_sizes,
+       seed=st.integers(0, 2**32 - 1), radius=st.floats(0.05, 1.5), t=st.floats(-0.1, 0.1),
+       alpha=st.floats(0.1, 1.0), base=st.sampled_from(["quartic", "quad_mixed", "translated"]),
+       lead=st.sampled_from([None, (1, -1), (3, -1)]), zeros=st.booleans())
+def test_flow_newton_with_a_conjugate_psi_matches_reference_bytes(pot, n, seed, radius, t,
+                                                                   alpha, base, lead, zeros):
+    # psi = alpha*v* has a Hessian that varies by point, so the Newton direction
+    # and the dual Hessian read it entry by entry from psi.hess; flat clouds and
+    # (Q, M, 2) stacks, with signed zeros, keep the reference's bytes
+    u = _POTENTIALS[pot]
+    if base == pot:
+        base = "gaussian"  # psi.base is u would take the homothety closed form
+    psi = measure.ConjugatePerturbation(_POTENTIALS[base], alpha)
+    x = _cloud(seed, n, radius)
+    if zeros and n:
+        x[::3, 1] = -0.0
+        x[1::4] = [-0.0, 0.0]
+    want = _outcome(_reference_flow_newton, u, psi, t, x) if n else [
+        np.zeros(0).tobytes(), np.zeros((0, 2)).tobytes(), np.zeros((0, 2, 2)).tobytes()]
+    assert _outcome(measure._flow_newton, u, psi, t, x) == want
+    if lead is not None and n % lead[0] == 0 and not isinstance(want, tuple):
+        stacked = x.reshape(lead[0], -1, 2)
+        got = measure.flow_potential(u, psi, t).value(stacked)
+        assert got.shape == stacked.shape[:-1] and got.tobytes() == want[0]
+
+
+@pytest.mark.parametrize("t", [-0.07, -0.01, 0.01, 0.07])
+@pytest.mark.parametrize("pot", ["gaussian", "quad14", "quartic"])
+def test_flow_newton_keeps_signed_zeros_on_the_axes_bytes(pot, t):
+    # with a diagonal B and even u, a point on an axis keeps an exact zero
+    # coordinate through every Newton step: the Jacobian's off-diagonal
+    # entries and the step's component there are signed zeros, and their
+    # signs reach z and grad u_t
+    u = _POTENTIALS[pot]
+    r = np.linspace(0.1, 1.2, 6)
+    zero = np.zeros_like(r)
+    x = np.concatenate([np.stack(pair, axis=1) for pair in (
+        (-zero, r), (zero, -r), (r, -zero), (-r, zero), (-zero, -r), (-r, -zero))])
+    for b in ([0.0, 0.1], [0.1, 0.0], [0.0, -0.0]):
+        psi = measure.QuadraticPerturbation(B=[[0.3, 0.0], [0.0, 0.2]], b=b)
+        assert (_outcome(measure._flow_newton, u, psi, t, x)
+                == _outcome(_reference_flow_newton, u, psi, t, x))
+
+
 def _misfit_quad14(wrong, stretch, t=_T):
     """quad14 whose Hessian disagrees with its gradient where wrong(z) holds.
 

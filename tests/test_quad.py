@@ -158,3 +158,19 @@ def test_boundary_integral_refuses_an_array_off_the_body_grid(disk1, gaussian):
     for g in (np.ones(disk1.M + 1), np.ones((2, disk1.M))):
         with pytest.raises(ValueError, match="^boundary integrand does not match the body grid$"):
             quad.boundary_integral(disk1, gaussian, g)
+
+
+def test_interior_integral_takes_values_at_the_nodes(disk1, gaussian):
+    from convexlab.errors import NonFiniteIntegral
+
+    field = InteriorField(lambda p: np.cos(p[..., 0]) + p[..., 1] ** 2)
+    vals = field.value(quad.interior_nodes(disk1)[0])
+    assert quad.interior_integral(disk1, gaussian, vals) == quad.interior_integral(
+        disk1, gaussian, field)
+    for g in (vals.ravel(), vals[:, :-1]):
+        with pytest.raises(ValueError,
+                           match="^interior integrand does not match the quadrature nodes$"):
+            quad.interior_integral(disk1, gaussian, g)
+    vals[0, 0] = np.nan
+    with pytest.raises(NonFiniteIntegral, match="^interior integral of node values against "):
+        quad.interior_integral(disk1, gaussian, vals)
