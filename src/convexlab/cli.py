@@ -229,6 +229,9 @@ def _build_flow_field(cfg, M):
 
 
 def _json_token(x):
+    # most tokens are finite floats: format those before the type checks below
+    if (type(x) is float or type(x) is np.float64) and math.isfinite(x):
+        return f"{x:.15g}"
     if isinstance(x, (bool, np.bool_)):
         return "true" if x else "false"
     if x is None:
@@ -386,6 +389,8 @@ def _cmd_bm(cfg, ctx):
 
 def _cmd_bounds(cfg, ctx):
     body = _build_body(cfg, ctx["M"])
+    if not body.is_even:
+        raise ConfigError("body: bounds requires an origin-symmetric body")
     u = _build_potential(cfg)
     rep = pinching_bounds(body, u, N=ctx["N"], Q=ctx["Q"])
     failures = [] if rep["passed"] else [

@@ -21,6 +21,12 @@ by integration by parts on the circle) is
              - H_mu rho + (1/mu(K)) int_dK rho dmu,
 
 and rho_bar satisfies L(rho_bar) = 1.
+
+The basis samples E (values) and D (derivatives) on the body grid depend on
+(N, M) alone.  Like geometry's frame ``_frame(M)`` and spectral's
+``_derivative_factor``, they are per-grid constants: ``spectral._grid_basis``
+builds them once per (N, M), and every system on that grid shares them
+read-only.
 """
 
 from dataclasses import dataclass
@@ -121,13 +127,12 @@ def assemble(body, u, N=DEFAULT_N, Q=DEFAULT_Q, even_only=False):
         verify_pinching(u, body.boundary_grid)
         verify_pinching(u, pts)
 
-    theta = body.theta_grid
     w_theta = 2.0 * np.pi / body.M
     wu = _boundary_weight(body, u)
     r = body.radius_grid
     hmu = _hmu(body, u)
 
-    E, D = spectral.basis_matrix(N, theta, (0, 1))
+    E, D = spectral._grid_basis(N, body.M)
     if even_only:
         mask = _even_mask(N)
         E, D = E[mask], D[mask]

@@ -4,8 +4,10 @@ Everything in the library that lives on a boundary is a smooth 2*pi-periodic
 function sampled at theta_j = 2*pi*j/M.  This module supplies the spectral
 plumbing: real FFT coefficients, differentiation on the grid, evaluation of
 the interpolant (and its derivatives) at arbitrary angles, and the
-{1, cos k*theta, sin k*theta} basis used by the Galerkin solver.  The
-differentiation factors depend on (M, order) alone and are built once each.
+{1, cos k*theta, sin k*theta} basis used by the Galerkin solver.  Two
+per-grid constants are built once each and shared as read-only arrays: the
+differentiation factors, which depend on (M, order) alone, and the Galerkin
+basis values and derivatives on the grid, which depend on (N, M) alone.
 """
 
 import functools
@@ -103,6 +105,15 @@ def basis_matrix(N, theta, order=0):
         B[2::2] = sign_s * ko * ds
         out.append(B)
     return out if np.ndim(order) else out[0]
+
+
+@functools.lru_cache(maxsize=8)
+def _grid_basis(N, M):
+    """basis_matrix(N, grid(M), (0, 1)): values E and derivatives D, read-only."""
+    E, D = basis_matrix(N, grid(M), (0, 1))
+    E.flags.writeable = False
+    D.flags.writeable = False
+    return E, D
 
 
 def basis_coefficients(values):

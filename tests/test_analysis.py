@@ -6,7 +6,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from convexlab import analysis, forms, geometry, pde, suite
+from convexlab import analysis, forms, geometry, measure, pde, suite
 from convexlab.errors import PinchingUndeclared
 
 
@@ -213,6 +213,16 @@ def test_pinching_scan_inverse_power_bound(gaussian):
 def test_pinching_requires_declaration(disk1, quartic):
     with pytest.raises(PinchingUndeclared):
         analysis.pinching_bounds(disk1, quartic)
+
+
+def test_pinching_bounds_refuse_what_is_not_symmetric(disk1, gaussian):
+    body = geometry.fourier_body(1.0, cos={2: 0.15}, sin={3: 0.05})
+    assert not body.is_even
+    with pytest.raises(ValueError, match="^pinching bounds require an origin-symmetric body$"):
+        analysis.pinching_bounds(body, gaussian)
+    shifted = measure.translate_potential(gaussian, [0.1, 0.0])
+    with pytest.raises(ValueError, match="^pinching bounds require an even potential$"):
+        analysis.pinching_bounds(disk1, shifted)
 
 
 # -- the batched interpolation-constant scan against the per-draw loop --------

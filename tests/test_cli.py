@@ -1,5 +1,6 @@
 import importlib.util
 import json
+import math
 import re
 import sys
 from pathlib import Path
@@ -449,6 +450,99 @@ def test_json_token_matches_numpy_ufunc_version_on_any_float(x, kind):
     with np.errstate(over="ignore"):
         x = kind(x)
     assert cli._json_token(x) == _reference_json_token(x)
+
+
+def _isinstance_json_token(x):
+    # the writer before its fast path for finite floats: every value through the type checks
+    if isinstance(x, (bool, np.bool_)):
+        return "true" if x else "false"
+    if x is None:
+        return "null"
+    if isinstance(x, (int, np.integer)):
+        return str(int(x))
+    if isinstance(x, (float, np.floating)):
+        x = float(x)
+        if math.isfinite(x):
+            return f"{x:.15g}"
+        return json.dumps("nan" if math.isnan(x) else "inf" if x > 0 else "-inf")
+    return json.dumps(str(x))
+
+
+_FAST_PATH_CASES = [0.1, -1 / 3, -0.0, 5e-324, 1e308, float("inf"), float("-inf"), float("nan"),
+                    np.float64(0.1), np.float64(-1 / 3), np.float64(-0.0), np.float64(5e-324),
+                    np.float64(1e308), np.float64(np.inf), np.float64(-np.inf),
+                    np.float64(np.nan), True, False, np.bool_(True), np.bool_(False), 0, -7,
+                    2**70, np.int64(-3), np.float32(0.1), np.float32(np.inf), "text", "inf"]
+
+
+@pytest.mark.parametrize("x", _FAST_PATH_CASES, ids=repr)
+def test_json_token_fast_path_keeps_the_type_checked_text(x):
+    assert cli._json_token(x) == _isinstance_json_token(x)
+
+
+def test_csv_of_numpy_scalars_and_of_python_floats_are_the_same_bytes(tmp_path):
+    values = np.array([0.1, -1 / 3, -0.0, 5e-324, 1e308, np.inf, -np.inf, np.nan, 2.0, 1e-7])
+    grid = np.linspace(0.0, 2 * np.pi, values.size, endpoint=False)
+    tables = {"numpy": list(zip(grid, values, np.arange(values.size))),
+              "python": list(zip(grid.tolist(), values.tolist(), range(values.size)))}
+    assert type(tables["numpy"][0][1]) is np.float64 and type(tables["python"][0][1]) is float
+    expected = "".join(",".join(_isinstance_json_token(v).strip('"') for v in row) + "\n"
+                       for row in tables["python"])
+    for name, rows in tables.items():
+        cli._write_csv(str(tmp_path / f"{name}.csv"), ("theta", "v", "k"), rows)
+        assert (tmp_path / f"{name}.csv").read_text() == "theta,v,k\n" + expected
+    assert (tmp_path / "numpy.csv").read_bytes() == (tmp_path / "python.csv").read_bytes()
+
+
+def test_bounds_refuses_a_body_that_is_not_symmetric(tmp_path, capsys):
+    # pinching_bounds would raise a bare ValueError after the body was built
+    path = write(tmp_path / "b.cfg", "body.kind = fourier\nbody.c0 = 1.0\nbody.cos2 = 0.15\n"
+                                     "body.sin3 = 0.05\n" + GAUSSIAN)
+    out = tmp_path / "o"
+    assert cli.main(["bounds", "--config", path, "--out", str(out)]) == 2
+    assert capsys.readouterr().err.strip() == (
+        "config error: body: bounds requires an origin-symmetric body")
+    assert not out.exists()
+
+
+def test_solve_reports_a_coercivity_failure(tmp_path, capsys):
+    # e^{-R^2/2} underflows to 0 on the boundary of the gaussian disk of radius 40
+    path = write(tmp_path / "s.cfg", "body.kind = disk\nbody.radius = 40\n" + GAUSSIAN)
+    out = tmp_path / "o"
+    assert cli.main(["solve", "--config", path, "--out", str(out)]) == 3
+    assert capsys.readouterr().err.startswith(
+        "numerical failure: CoercivityFailure: Cholesky of the P-form Gram matrix failed at N=16")
+    assert not (out / "report.json").exists()
+
+
+def test_solve_reports_p_that_moves_under_basis_refinement(tmp_path, monkeypatch):
+    concavity_power = cli.concavity_power
+
+    def moved(*args, **kwargs):
+        return concavity_power(*args, **kwargs) * (1.0 + 1e-6)
+
+    monkeypatch.setattr(cli, "concavity_power", moved)
+    out = tmp_path / "o"
+    assert cli.run("solve", write(tmp_path / "s.cfg", SOLVE_CFG), out_dir=str(out)) == 1
+    report = json.loads((out / "report.json").read_text())
+    assert report["failures"] == ["p not converged under basis refinement"]
+    assert not report["passed"]
+
+
+def test_failed_replace_leaves_no_temporary_file_and_the_old_report(tmp_path, monkeypatch):
+    path = write(tmp_path / "s.cfg", SOLVE_CFG)
+    out = tmp_path / "o"
+    assert cli.run("solve", path, out_dir=str(out)) == 0
+    before = {f.name: f.read_bytes() for f in out.iterdir()}
+
+    def refuse(src, dst):
+        raise OSError("replace refused")
+
+    monkeypatch.setattr(cli.os, "replace", refuse)
+    with pytest.raises(OSError, match="^replace refused$"):
+        cli.run("solve", path, out_dir=str(out), seed=7)
+    assert {f.name: f.read_bytes() for f in out.iterdir()} == before
+    assert sorted(before) == ["report.json", "rho_bar.csv"]
 
 
 @pytest.mark.parametrize("lines", [

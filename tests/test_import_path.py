@@ -1,8 +1,10 @@
-"""scipy.linalg stays off the import path until the first Galerkin solve.
+"""scipy.linalg and the Galerkin basis stay off the import path until the first solve.
 
 Importing scipy.linalg is most of a CLI start.  forms-check and flow never
-call LAPACK, so they must never load it; solve must, on its first solve.  Each case runs in a fresh interpreter, since this test process
-has loaded scipy.linalg long before.
+call LAPACK, so they must never load it; solve must, on its first solve.  The
+per-(N, M) Galerkin basis is built on first use too, never on import.  Each
+case runs in a fresh interpreter, since this test process has loaded
+scipy.linalg and built bases long before.
 """
 
 import os
@@ -29,8 +31,23 @@ def _cli_run(command):
 ], ids=["import-convexlab", "import-cli", "forms-check", "flow", "solve"])
 def test_scipy_linalg_loads_on_the_first_galerkin_solve(tmp_path, statement, loads):
     code = f"import sys\n{statement}\nprint('scipy.linalg' in sys.modules)"
+    assert _last_word(tmp_path, code) == str(loads)
+
+
+@pytest.mark.parametrize("statement, bases", [
+    ("import convexlab.cli", 0),
+    (_cli_run("solve"), 2),  # pde.N and pde.N + 4
+], ids=["import-cli", "solve"])
+def test_galerkin_basis_is_built_on_the_first_assembly(tmp_path, statement, bases):
+    code = (f"{statement}\nfrom convexlab import spectral\n"
+            "print(spectral._grid_basis.cache_info().currsize)")
+    assert _last_word(tmp_path, code) == str(bases)
+
+
+def _last_word(tmp_path, code):
+    """The last word code prints in a fresh interpreter."""
     env = {**os.environ, "PYTHONPATH": str(ROOT / "src")}
     done = subprocess.run([sys.executable, "-c", code], cwd=tmp_path, env=env,
                           capture_output=True, text=True, timeout=120)
     assert done.returncode == 0, done.stderr
-    assert done.stdout.split()[-1] == str(loads)
+    return done.stdout.split()[-1]

@@ -3,7 +3,7 @@ import numpy.testing as npt
 import pytest
 
 from convexlab import flow, forms, geometry, measure, pde, quad
-from convexlab.errors import ZeroMean
+from convexlab.errors import CoercivityFailure, ZeroMean
 from convexlab.suite import random_boundary_field
 
 
@@ -61,6 +61,14 @@ def test_assembly_refuses_modes_the_grid_cannot_resolve(disk1, gaussian):
 def test_assembly_refuses_fewer_than_four_modes(disk1, gaussian):
     with pytest.raises(ValueError, match="^basis order N must be >= 4$"):
         pde.assemble(disk1, gaussian, N=3)
+
+
+def test_assembly_reports_a_gram_matrix_that_is_not_positive_definite(gaussian):
+    # on the gaussian disk of radius 40 the weight e^{-R^2/2} = e^{-800} on dK
+    # underflows to 0, so A, B and m vanish with it and Cholesky fails on G
+    with pytest.raises(CoercivityFailure,
+                       match="^Cholesky of the P-form Gram matrix failed at N=16: "):
+        pde.assemble(geometry.disk(40.0), gaussian)
 
 
 def test_basis_nesting(ellipse21, quad14):

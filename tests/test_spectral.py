@@ -130,22 +130,23 @@ def test_basis_matrix_matches_per_k_loop_bytes(N, orders, grid, seed, size):
             == _reference_basis_matrix(N, theta, orders[0]).tobytes())
 
 
-def test_assemble_builds_the_basis_once(monkeypatch):
+def test_assemble_builds_the_basis_once():
+    # the basis depends on (N, M) alone: two bodies on one grid share one read-only E and D
     from convexlab import geometry, measure, pde
 
-    calls = []
-    basis_matrix = spectral.basis_matrix
-
-    def counted(*args, **kwargs):
-        calls.append(args)
-        return basis_matrix(*args, **kwargs)
-
-    monkeypatch.setattr(spectral, "basis_matrix", counted)
-    system = pde.assemble(geometry.ellipse(2.0, 1.0), measure.gaussian_potential(), N=12)
-    assert len(calls) == 1
-    theta = system.body.theta_grid
-    assert system.E.tobytes() == basis_matrix(12, theta, 0).tobytes()
-    assert system.D.tobytes() == basis_matrix(12, theta, 1).tobytes()
+    u = measure.gaussian_potential()
+    one = pde.assemble(geometry.ellipse(2.0, 1.0), u, N=12)
+    two = pde.assemble(geometry.disk(1.5), u, N=12)
+    assert one.E is two.E and one.D is two.D
+    assert not one.E.flags.writeable and not one.D.flags.writeable
+    theta = one.body.theta_grid
+    assert one.E.tobytes() == spectral.basis_matrix(12, theta, 0).tobytes()
+    assert one.D.tobytes() == spectral.basis_matrix(12, theta, 1).tobytes()
+    # the even-only system keeps the masked rows
+    even = pde.assemble(geometry.ellipse(2.0, 1.0), u, N=12, even_only=True)
+    mask = pde._even_mask(12)
+    assert even.E.tobytes() == one.E[mask].tobytes()
+    assert even.D.tobytes() == one.D[mask].tobytes()
 
 
 def test_gauge_takes_one_evaluation_per_newton_iteration(monkeypatch):
