@@ -392,6 +392,9 @@ def _cmd_bounds(cfg, ctx):
     if not body.is_even:
         raise ConfigError("body: bounds requires an origin-symmetric body")
     u = _build_potential(cfg)
+    if u.pinching is None:
+        raise ConfigError("potential: bounds requires the pinching constants "
+                          "potential.k1 and potential.k2")
     rep = pinching_bounds(body, u, N=ctx["N"], Q=ctx["Q"])
     failures = [] if rep["passed"] else [
         k for k in ("moment_bound", "inverse_power_bound", "power_lower_bound")

@@ -18,9 +18,12 @@ Two inequalities are checked:  <r,f>_I <= (P + BL)/2  (mean form) and
 What depends only on (K, u, Q), namely e^{-u} on the boundary and at the
 interior nodes, H_mu, mu(K) and (del^2 u)^{-1} at the nodes, is evaluated
 once by ``quad`` and read from it by every later pair on the same (K, u, Q).
-So a pair pays only for its own fields, once each: ``check_mean_form``
-evaluates phi once on the interior nodes, where BL and I's interior mean share
-the values, once on the boundary grid, and its gradient once on the nodes.
+The same store keeps an interior field's values at the nodes per live
+(K, field, Q); fields, like bodies and potentials, do not change after
+construction.  So a pair pays only for its own fields, once each:
+``check_mean_form`` evaluates phi once on the interior nodes, where BL and I's
+interior mean share the values, once on the boundary grid, and its gradient
+once on the nodes.
 """
 
 from dataclasses import dataclass, field
@@ -29,8 +32,8 @@ import numpy as np
 
 from . import spectral
 from .measure import _dot2, _hgg
-from .quad import (DEFAULT_Q, _bl_nodes, _boundary_weight, _hmu, _mu, boundary_integral,
-                   interior_integral)
+from .quad import (DEFAULT_Q, _bl_nodes, _boundary_weight, _hmu, _mu, _node_values,
+                   boundary_integral, interior_integral)
 
 __all__ = [
     "BoundaryField",
@@ -206,8 +209,8 @@ def form_BL(body, u, phi0, phi1, Q=DEFAULT_Q):
     g0 = _interior_field(phi0).gradient(flat, step=step)
     g1 = g0 if same else _interior_field(phi1).gradient(flat, step=step)
     grad_term = float(np.sum(wmu * _hgg(Hinv, g0, g1)))
-    v0 = phi0.value(flat)
-    v1 = v0 if same else phi1.value(flat)
+    v0 = _node_values(body, phi0, Q)
+    v1 = v0 if same else _node_values(body, phi1, Q)
     prod_term = float(np.sum(wmu * v0 * v1))
     m0 = float(np.sum(wmu * v0))
     m1 = m0 if same else float(np.sum(wmu * v1))
@@ -225,51 +228,17 @@ def form_I(body, u, rho, phi, Q=DEFAULT_Q):
     return cross - means
 
 
-class _NodeValuesOnce(InteriorField):
-    """phi, evaluated once per read-only array of points, whatever its shape.
-
-    check_mean_form's BL evaluates phi on the flat (Q*M, 2) interior nodes and
-    I's interior mean on their (Q, M, 2) stack: two views of one read-only
-    array, so I reads BL's values reshaped to (Q, M).  That equals evaluating
-    phi on the stack for every field whose value at a point does not depend on
-    the array around it, as the suite's fields and the witnesses do.
-    """
-
-    def __init__(self, phi):
-        super().__init__(phi._fn, phi._grad, phi.descriptor)
-        self._phi = phi
-        self._seen = {}  # id(owner) -> (owner, values); holding the owner pins its id
-
-    def gradient(self, points, step=1e-6):
-        return self._phi.gradient(points, step=step)
-
-    def value(self, points):
-        pts = np.asarray(points, dtype=float)
-        owner = pts if pts.base is None else pts.base
-        if not (isinstance(owner, np.ndarray) and not pts.flags.writeable
-                and pts.flags.c_contiguous and owner.flags.c_contiguous
-                and pts.nbytes == owner.nbytes):  # a view of all of owner, in its order
-            return self._phi.value(pts)
-        if id(owner) in self._seen:
-            return self._seen[id(owner)][1].reshape(pts.shape[:-1])
-        vals = self._phi.value(pts)
-        if vals.shape == pts.shape[:-1]:
-            self._seen[id(owner)] = owner, vals
-        return vals
-
-
 def check_mean_form(body, u, rho, phi, Q=DEFAULT_Q):
     """Report on the mean and the multiplicative inequality for one (rho, phi).
 
-    BL and I's interior mean read one evaluation of phi on the interior nodes
-    (_NodeValuesOnce).  The refusals come in the standalone forms' order, P's,
-    BL's, then I's, so a potential that is not strictly convex is refused
-    before any BL node work.
+    BL and I's interior mean read one evaluation of phi on the interior nodes,
+    kept in ``quad``'s store for as long as phi lives.  The refusals come in
+    the standalone forms' order, P's, BL's, then I's, so a potential that is
+    not strictly convex is refused before any BL node work.
     """
     P = form_P(body, u, rho, rho, Q=Q)
-    shared = _NodeValuesOnce(phi) if isinstance(phi, InteriorField) else phi
-    BL = form_BL(body, u, shared, shared, Q=Q)
-    I = form_I(body, u, rho, shared, Q=Q)
+    BL = form_BL(body, u, phi, phi, Q=Q)
+    I = form_I(body, u, rho, phi, Q=Q)
     scale = max(abs(P), abs(BL), 1.0)
     slack_mean = 0.5 * (P + BL) - I
     slack_mult = P * BL - I * I

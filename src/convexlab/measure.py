@@ -126,13 +126,14 @@ def _inv_2x2(H):
 # gradients and Hessians, the quadratic psi's gradient and _newton's trial
 # points are written a column at a time, _qform reads contiguous copies of
 # its columns, and _flow_newton forms its Jacobian I + t psi'' u'' and the
-# dual Hessian as four (m,) entries with _matmul_2x2's and _inv_2x2's
-# operands in their order, never as an (m, 2, 2) stack read back entry by
-# entry; a quadratic psi's Hessian enters as the scalars of B.  _dot2, _qform
-# and the quartic's gradient factor accumulate in place (``+=``, ``*=``): the
-# same operation on the same operands, one temporary fewer.  The quadratic
-# psi's gradient keeps ``flat @ B.T`` on the transposed view: a contiguous
-# copy of B.T is faster, but BLAS then rounds a one-row product another way.
+# dual Hessian as four (m,) entries with the operands of _inv_2x2 and of
+# the stacked product _matmul_2x2 in tests/test_kernels.py in their order,
+# never as an (m, 2, 2) stack read back entry by entry; a quadratic psi's
+# Hessian enters as the scalars of B.  _dot2, _qform and the quartic's
+# gradient factor accumulate in place (``+=``, ``*=``): the same operation on
+# the same operands, one temporary fewer.  The quadratic psi's gradient keeps
+# ``flat @ B.T`` on the transposed view: a contiguous copy of B.T is faster,
+# but BLAS then rounds a one-row product another way.
 
 
 def _dot2(a, b):
@@ -174,19 +175,6 @@ def _hgg(H, a, b):
     if t00.size == 1:
         return 0.0 + ((t00 + t01) + (t10 + t11))
     return 0.0 + t00 + t01 + t10 + t11
-
-
-def _matmul_2x2(A, B):
-    """einsum("ijk,ikl->ijl", A, B) for two (..., 2, 2) stacks.
-
-    _flow_newton forms its Jacobian entry by entry in this order; the byte
-    tests keep this stacked form as its reference.
-    """
-    out = np.empty(np.broadcast_shapes(A.shape, B.shape))
-    for j in range(2):
-        for l in range(2):
-            out[..., j, l] = 0.0 + A[..., j, 0] * B[..., 0, l] + A[..., j, 1] * B[..., 1, l]
-    return out
 
 
 class Potential:
@@ -745,7 +733,8 @@ def _flow_newton(u, psi, t, x, hess=True):
         def entry(pa, ha, pb, hb):
             return t * (0.0 + pa * ha + pb * hb)
 
-        # J = I + t psi''(y) u''(z), each entry summed as _matmul_2x2 sums it
+        # J = I + t psi''(y) u''(z), each entry summed as the reference
+        # _matmul_2x2 in tests/test_kernels.py sums it
         j00, j01 = entry(p00, h00, p01, h10), entry(p00, h01, p01, h11)
         j10, j11 = entry(p10, h00, p11, h10), entry(p10, h01, p11, h11)
         j00 += 1.0

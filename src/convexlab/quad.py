@@ -13,14 +13,16 @@ over s in [0, 1] (Gauss-Legendre) and theta (trapezoid).  The map has Jacobian
 so  int_K g dmu = int_0^1 int_0^{2pi} g(s*x) e^{-u(s*x)} s*h*r  dtheta ds.
 
 The radial Gauss-Legendre rule depends on Q alone, so it is built once per Q
-per process.  This module is the one owner of what depends only on (body, Q)
-or (body, u, Q): the interior nodes and weights, e^{-u} at the nodes and on
-the boundary grid, e^{-u}*r, H_mu, mu(K), and BL's weights and (del^2 u)^{-1}
-at the nodes.  Each is computed once and read by ``forms``, ``pde``, ``flow``
-and ``analysis`` through the private readers below.  The stored arrays are
-read-only and are held through weak references to the body and the
-potential, so they go when either object does.  A boundary or interior
-result that is not finite raises ``NonFiniteIntegral``.
+per process.  This module is the one owner of every value on the interior
+nodes and the boundary grid: what depends only on (body, Q) or (body, u, Q),
+namely the interior nodes and weights, e^{-u} at the nodes and on the boundary
+grid, e^{-u}*r, H_mu, mu(K), and BL's weights and (del^2 u)^{-1} at the nodes;
+and an interior field's values at the nodes, per (body, field, Q).  Each is
+computed once and read by ``forms``, ``pde``, ``flow`` and ``analysis``
+through the private readers below.  The stored arrays are read-only and are
+held through weak references to the body and to the potential or field, so
+they go when either object does.  A boundary or interior result that is not
+finite raises ``NonFiniteIntegral``.
 """
 
 import functools
@@ -35,14 +37,17 @@ __all__ = ["boundary_integral", "interior_integral", "interior_nodes"]
 
 DEFAULT_Q = 32
 
-# body -> (its own entries, WeakKeyDictionary of potential -> entries).  Bodies
-# and potentials do not change after construction, so an entry holds while
-# both objects live, and the weak keys drop it when either goes.
+# body -> (its own entries, WeakKeyDictionary of potential or field -> entries).
+# Bodies, potentials and fields do not change after construction, so an entry
+# holds while both objects live, and the weak keys drop it when either goes.
 _SHARED = weakref.WeakKeyDictionary()
 
 
 def _shared(body, u, key, build):
-    """build(), made once per live body (u None) or (body, u) and key; read-only."""
+    """build(), made once per live body (u None) or (body, u) and key; read-only.
+
+    u is a potential, or an interior field for its node values.
+    """
     entry = _SHARED.get(body)
     if entry is None:
         entry = _SHARED[body] = ({}, weakref.WeakKeyDictionary())
@@ -85,6 +90,12 @@ def _mu(body, u, Q):
     """mu(K) = interior_integral(body, u, 1.0, Q), kept as a 0-d array."""
     return float(_shared(body, u, ("muK", int(Q)),
                          lambda: np.array(interior_integral(body, u, 1.0, Q))))
+
+
+def _node_values(body, phi, Q):
+    """The interior field phi's values at the (Q*M, 2) interior nodes."""
+    flat = interior_nodes(body, Q)[0].reshape(-1, 2)
+    return _shared(body, phi, ("values", len(flat)), lambda: phi.value(flat))
 
 
 def _bl_nodes(body, u, Q):
@@ -147,26 +158,30 @@ def _build_nodes(body, Q):
     return pts, weights
 
 
-def _field_on_points(g, pts):
-    if isinstance(g, np.ndarray):
-        if g.shape != pts.shape[:-1]:
-            raise ValueError("interior integrand does not match the quadrature nodes")
-        return g
-    if np.isscalar(g) or isinstance(g, (int, float)):
-        return np.full(pts.shape[:-1], float(g))
-    fn = getattr(g, "value", g)
-    return np.asarray(fn(pts), dtype=float)
-
-
 def interior_integral(body, u, g=1.0, Q=DEFAULT_Q):
     """Integral of g over K against mu = e^{-u} dx.
 
-    g is a scalar, an InteriorField (or a callable of the points), or an
-    array of g's values at the nodes ``interior_nodes(body, Q)[0]``.
+    g is a scalar, an InteriorField, or an array of g's values at the nodes
+    ``interior_nodes(body, Q)[0]``.  An InteriorField's node values are read
+    from the store, so a field integrated again on the same (body, Q), or
+    already read by ``forms.form_BL``, is not evaluated again.
     """
+    from .forms import InteriorField
+
     pts, weights = interior_nodes(body, Q)
     w = _node_weight(body, u, pts)
-    val = float(np.sum(weights * _field_on_points(g, pts) * w))
+    if isinstance(g, np.ndarray):
+        if g.shape != pts.shape[:-1]:
+            raise ValueError("interior integrand does not match the quadrature nodes")
+        vals = g
+    elif isinstance(g, InteriorField):
+        vals = _node_values(body, g, Q).reshape(pts.shape[:-1])
+    elif np.isscalar(g):
+        vals = np.full(pts.shape[:-1], float(g))
+    else:
+        raise ValueError("interior integrand must be a scalar, an InteriorField or "
+                         f"node values, not {type(g).__name__}")
+    val = float(np.sum(weights * vals * w))
     if not np.isfinite(val):
         name = "node values" if isinstance(g, np.ndarray) else repr(getattr(g, "descriptor", g))
         raise NonFiniteIntegral(f"interior integral of {name} against {u!r} is {val}")

@@ -16,11 +16,22 @@ Two criteria are knowingly red and are asserted as stated anyway:
 The translation family is the genuine equality case; controls 4c and
 5c-control verify the pipeline resolves it at rounding scale, so the red
 status of 4b/5c reflects the claim itself, not numerical slack.
+
+``golden/records.json`` pins every record bit for bit: each field but the
+wall-clock ``elapsed`` and ``time_limit``, with every float written as
+``float.hex``, the criterion-11 scalars included.  A change that keeps the
+numerical program the same keeps that file.  ``python tests/test_acceptance.py``
+writes it from the current tree.
 """
+
+import json
+from pathlib import Path
 
 import pytest
 
 from convexlab import acceptance
+
+GOLDEN_RECORDS = Path(__file__).parent / "golden" / "records.json"
 
 
 @pytest.fixture(scope="module")
@@ -29,6 +40,23 @@ def records():
     for cid, fn in acceptance.CRITERIA:
         out[cid] = fn()
     return out
+
+
+def _exact(obj):
+    """obj as JSON data with every float written as float.hex."""
+    if isinstance(obj, dict):
+        return {k: _exact(v) for k, v in obj.items()}
+    if isinstance(obj, (list, tuple)):
+        return [_exact(v) for v in obj]
+    if isinstance(obj, float):
+        return float.hex(obj)
+    return obj
+
+
+def exact_records(records):
+    """The records without their wall-clock fields, floats as float.hex."""
+    return [_exact({k: v for k, v in rec.items() if k not in ("elapsed", "time_limit")})
+            for rec in records.values()]
 
 
 def _report(rec):
@@ -59,6 +87,14 @@ def test_flow_criteria_fit_shared_budget(records):
     assert total <= 4.0
 
 
+def test_records_match_golden(records):
+    expected = json.loads(GOLDEN_RECORDS.read_text())
+    got = exact_records(records)
+    assert [r["id"] for r in got] == [r["id"] for r in expected]
+    for want, have in zip(expected, got):
+        assert have == want, f"criterion {want['id']} differs from golden/records.json"
+
+
 def test_everything_except_known_red_passes(records):
     unexpected = [cid for cid, rec in records.items()
                   if not rec["passed"] and cid not in acceptance.KNOWN_RED]
@@ -87,3 +123,8 @@ def test_registry_ids_names_and_budgets(records):
     ]
     for rec in records.values():
         assert list(rec) == ["id", "name", "passed", "elapsed", "time_limit", "details"]
+
+
+if __name__ == "__main__":
+    recs = {cid: fn() for cid, fn in acceptance.CRITERIA}
+    GOLDEN_RECORDS.write_text(json.dumps(exact_records(recs), indent=1) + "\n")

@@ -176,9 +176,13 @@ def test_reformulation_radius_scan(gaussian):
         assert rep["passed"], R
 
 
-def test_reformulation_requires_symmetry(blob, gaussian):
+def test_reformulation_requires_symmetry(blob, disk1, gaussian):
     with pytest.raises(ValueError):
         analysis.reformulation_check(blob, gaussian)
+    # a translated gaussian is no longer even, on a body that still is
+    shifted = measure.translate_potential(gaussian, [0.1, 0.0])
+    with pytest.raises(ValueError, match="^reformulation check requires an even potential$"):
+        analysis.reformulation_check(disk1, shifted)
 
 
 def test_pinching_bounds_disk_gaussian(disk1, gaussian):
@@ -363,3 +367,32 @@ def test_interpolation_constant_draws_in_blocks(monkeypatch):
     assert sum(np.prod(shape) for shape, in calls) == 250 * system.dim
     monkeypatch.undo()
     assert _hex(sups) == _hex(_reference_interpolation_constant(system, (250, 120, 0), seed=9))
+
+
+def test_argument_checks_raise_before_any_work(disk1, gaussian):
+    system = pde.assemble(disk1, gaussian, N=4)
+    with pytest.raises(ValueError, match="^sample_size must be >= 0$"):
+        analysis.interpolation_constant(system, sample_size=-1)
+    with pytest.raises(ValueError, match="^sample_size must be >= 0$"):
+        analysis.interpolation_constant(system, sample_size=[10, -1])
+    with pytest.raises(ValueError, match="^p must be positive$"):
+        analysis.bm_check(disk1, geometry.disk(1.5), gaussian, p=0)
+    f = forms.BoundaryField.from_function(lambda t: np.cos(2 * t), disk1.M)
+    with pytest.raises(ValueError, match="^p must be nonnegative$"):
+        analysis.local_concavity_fd(disk1, gaussian, f, -1)
+
+
+def test_reformulation_check_evaluates_the_moment_field_once_per_point_set(monkeypatch):
+    # the interaction form and the moment integral read one evaluation at the nodes
+    body, u = geometry.ellipse(2.0, 1.0), measure.gaussian_potential()
+    calls = []
+
+    def logged(u, fresh=analysis.radial_moment_field):
+        moment = fresh(u)
+        return forms.InteriorField(lambda p: calls.append(p.shape) or moment.value(p))
+
+    monkeypatch.setattr(analysis, "radial_moment_field", logged)
+    rep = analysis.reformulation_check(body, u, N=8, Q=16)
+    assert calls == [(body.M, 2), (16 * body.M, 2)]
+    monkeypatch.undo()
+    assert rep == analysis.reformulation_check(geometry.ellipse(2.0, 1.0), u, N=8, Q=16)

@@ -332,6 +332,21 @@ def test_bounds_reads_the_declared_pinching(tmp_path):
     assert results["moment_limit"] == 8.0
 
 
+@pytest.mark.parametrize("potential", ["potential.kind = even-quartic\npotential.eps = 0.1\n",
+                                       "potential.kind = zero\n"])
+def test_bounds_without_declared_pinching_is_config_error(tmp_path, capsys, monkeypatch,
+                                                          potential):
+    # refused before any assembly: the config lacks two keys, nothing numerical failed
+    monkeypatch.setattr(cli, "pinching_bounds", None)
+    path = write(tmp_path / "b.cfg", DISK + potential)
+    out = tmp_path / "o"
+    assert cli.main(["bounds", "--config", path, "--out", str(out)]) == 2
+    assert capsys.readouterr().err.strip() == (
+        "config error: potential: bounds requires the pinching constants "
+        "potential.k1 and potential.k2")
+    assert not (out / "report.json").exists()
+
+
 def test_every_benchmark_config_parses(tmp_path):
     # the benchmark runs the CLI on these generated configs: none may be rejected
     spec = importlib.util.spec_from_file_location(

@@ -243,6 +243,26 @@ def test_cross_module_identity(blob, quartic):
     assert rep["mismatch"] <= 1e-7 * rep["scale"]
 
 
+def test_mean_form_from_flow_evaluates_phi_once_per_point_set(blob, quartic, monkeypatch):
+    # BL and I's interior mean read one evaluation of phi = psi(grad u) at the nodes
+    f = field(lambda t: np.cos(2 * t) + 0.1 * np.sin(3 * t))
+    psi = measure.QuadraticPerturbation(B=[[0.3, 0.1], [0.1, 0.2]], b=[0.1, -0.05])
+    want = flow.mean_form_from_flow(blob, quartic, f, psi)
+    calls = []
+
+    def logged(u, psi, fresh=flow.psi_composed_field):
+        phi = fresh(u, psi)
+        return forms.InteriorField(lambda p: calls.append(("value", p.shape)) or phi.value(p),
+                                   lambda p: calls.append(("gradient", p.shape))
+                                   or phi.gradient(p))
+
+    monkeypatch.setattr(flow, "psi_composed_field", logged)
+    got = flow.mean_form_from_flow(blob, quartic, f, psi)
+    nodes = 32 * blob.M
+    assert calls == [("gradient", (nodes, 2)), ("value", (nodes, 2)), ("value", (blob.M, 2))]
+    assert got == want
+
+
 def test_cross_module_identity_trivial_and_equality(disk1, gaussian):
     z = forms.BoundaryField.constant(0.0, disk1.M)
     rep = flow.mean_form_from_flow(disk1, gaussian, z, None)

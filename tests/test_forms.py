@@ -583,6 +583,31 @@ def test_stored_arrays_are_read_only(quartic):
             a.flat[0] = 0.0
 
 
+def test_field_values_are_stored_once_per_body_field_and_Q_and_die_with_the_field():
+    body, u = geometry.ellipse(2.0, 1.0), measure.gaussian_potential()
+    base = random_interior_field(np.random.default_rng(5))
+    calls = []
+    phi = forms.InteriorField(lambda p: calls.append(p.shape) or base.value(p), base.gradient)
+    first = quad.interior_integral(body, u, phi, Q=24)
+    forms.form_BL(body, u, phi, phi, Q=24)
+    assert quad.interior_integral(body, u, phi, Q=24) == first
+    assert calls == [(24 * body.M, 2)]
+    quad.interior_integral(body, u, phi, Q=16)
+    assert calls == [(24 * body.M, 2), (16 * body.M, 2)]
+    # the flat evaluation gives the bytes of one on the (Q, M, 2) stack
+    stack = quad.interior_nodes(body, 24)[0]
+    assert first == quad.interior_integral(body, u, base.value(stack), Q=24)
+    stored = quad._node_values(body, phi, 24)
+    assert calls == [(24 * body.M, 2), (16 * body.M, 2)]
+    with pytest.raises(ValueError, match="read-only"):
+        stored[0] = 0.0
+    ref = weakref.ref(stored)
+    del stored, phi
+    gc.collect()
+    assert ref() is None
+    assert list(quad._SHARED[body][1]) == [u]
+
+
 def test_stored_entries_die_with_their_body_and_potential():
     body, u = geometry.disk(1.0), measure.gaussian_potential()
     rng = np.random.default_rng(4)

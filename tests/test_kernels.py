@@ -18,7 +18,7 @@ from hypothesis import strategies as st
 
 import convexlab
 from convexlab import measure
-from convexlab.measure import _dot2, _hgg, _matmul_2x2, _qform
+from convexlab.measure import _dot2, _hgg, _qform
 
 
 def _same_bits(expected, got):
@@ -26,6 +26,18 @@ def _same_bits(expected, got):
     assert got.shape == expected.shape and got.dtype == expected.dtype
     assert np.array_equal(np.ascontiguousarray(got).view(np.uint64),
                           np.ascontiguousarray(expected).view(np.uint64))
+
+
+def _matmul_2x2(A, B):
+    """einsum("ijk,ikl->ijl", A, B) for two (..., 2, 2) stacks.
+
+    measure._flow_newton forms its Jacobian entry by entry in this order.
+    """
+    out = np.empty(np.broadcast_shapes(A.shape, B.shape))
+    for j in range(2):
+        for l in range(2):
+            out[..., j, l] = 0.0 + A[..., j, 0] * B[..., 0, l] + A[..., j, 1] * B[..., 1, l]
+    return out
 
 
 def _outer2(p):

@@ -13,6 +13,7 @@ from convexlab.errors import (
     NotConvexPotential,
     PinchingViolation,
 )
+from test_kernels import _matmul_2x2  # the stacked reference of the flow Jacobian
 
 
 def test_gaussian_basics(gaussian):
@@ -409,7 +410,7 @@ def _reference_flow_newton(u, psi, t, x):
         keep = ~done
         idx, zi, xi, R = idx[keep], zi[keep], xi[keep], R[keep]
         y = y[keep]
-        J = t * measure._matmul_2x2(psi.hess(y), u._hess(zi))
+        J = t * _matmul_2x2(psi.hess(y), u._hess(zi))
         J[:, 0, 0] += 1.0
         J[:, 1, 1] += 1.0
         det = J[:, 0, 0] * J[:, 1, 1] - J[:, 0, 1] * J[:, 1, 0]

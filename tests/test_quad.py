@@ -174,3 +174,10 @@ def test_interior_integral_takes_values_at_the_nodes(disk1, gaussian):
     vals[0, 0] = np.nan
     with pytest.raises(NonFiniteIntegral, match="^interior integral of node values against "):
         quad.interior_integral(disk1, gaussian, vals)
+
+
+def test_interior_integral_refuses_what_is_no_field(disk1, gaussian):
+    for g in (lambda p: np.ones(p.shape[:-1]), [1.0, 2.0], None):
+        with pytest.raises(ValueError, match="^interior integrand must be a scalar, an "
+                                             "InteriorField or node values, not "):
+            quad.interior_integral(disk1, gaussian, g)
