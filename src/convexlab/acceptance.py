@@ -1,8 +1,11 @@
 """The acceptance suite: every quantitative claim, at its pinned tolerance.
 
-Each criterion is declared once, by ``@_criterion(id, name, time budget)`` on a
-body that takes no arguments and returns ``(passed, details)``.  ``CRITERIA``
-holds ``(id, run)`` in definition order, where ``run()`` returns the record
+Each criterion is declared once, by ``@_criterion(id, name, time budget)``.
+To add one, write a settings tuple (resolved to bodies and potentials by
+``_cases``) and a row function that checks one case and returns ``(passed,
+row)``, or, when the details hold more than rows, a plain body that takes no
+arguments and returns ``(passed, details)``.  ``CRITERIA`` holds ``(id,
+run)`` in definition order, where ``run()`` returns the record
 
     {"id", "name", "passed": bool, "elapsed": seconds, "time_limit": s or None,
      "details": {...}}
@@ -81,10 +84,24 @@ PAIRS, SEED = 200, 42  # random pairs per configuration of criterion 4a, and the
 CRITERIA = []  # (id, callable returning the record), in definition order
 
 
-def _criterion(cid, name, limit):
-    """Declare criterion ``cid``: time a body returning (passed, details) into a record."""
-    def register(body):
-        @functools.wraps(body)
+def _criterion(cid, name, limit, cases=None):
+    """Declare criterion ``cid``: time its check into a record.
+
+    With ``cases``, a callable returning the case table (run inside the timed
+    region), the check takes one case and returns (passed, row); the record
+    passes iff every row does, with details {"rows": rows} in case order.
+    Without, the check takes nothing and returns (passed, details).
+    """
+    def register(check):
+        def table():
+            results = [check(*case) for case in cases()]
+            if not results:
+                raise ValueError(f"criterion {cid} has an empty case table")
+            return all(ok for ok, _ in results), {"rows": [row for _, row in results]}
+
+        body = check if cases is None else table
+
+        @functools.wraps(check)
         def run():
             started = time.perf_counter()
             passed, details = body()
@@ -210,24 +227,23 @@ _GENERIC = ("disk1", "ellipse21", "blob")
 _SYMMETRIC = ("disk1", "ellipse21", "peanut")  # the conjecture's hypotheses
 
 
+def _cases(settings):
+    """(body name, potential name, body, u, *rest) for each (body name, potential name, *rest)."""
+    bodies, pots = standard_bodies(M), standard_potentials()
+    return [(b, p, bodies[b], pots[p], *rest) for b, p, *rest in settings]
+
+
 def _matrix(body_names):
     """(body name, potential name, body, u) for body_names x the even potentials."""
-    bodies, pots = standard_bodies(M), standard_potentials()
-    return [(b, p, bodies[b], pots[p])
-            for b in body_names for p in ("gaussian", "quad14", "quartic")]
+    return _cases((b, p) for b in body_names for p in ("gaussian", "quad14", "quartic"))
 
 
-@_criterion("3", "divergence identity on the test matrix", 1.0)
-def criterion_3():
+@_criterion("3", "divergence identity on the test matrix", 1.0, lambda: _matrix(_GENERIC))
+def criterion_3(bname, pname, body, u):
     """Divergence identity int h dmu = 2 mu(K) - int <grad u, x> dmu, 9 pairs."""
-    rows = []
-    ok = True
-    for bname, pname, body, u in _matrix(_GENERIC):
-        rep = support_identity_check(body, u, Q=Q)
-        rel = rep["integral_residual"] / rep["integral_scale"]
-        ok = ok and rel <= 1e-9
-        rows.append({"body": bname, "potential": pname, "relative_residual": rel})
-    return ok, {"rows": rows}
+    rep = support_identity_check(body, u, Q=Q)
+    rel = rep["integral_residual"] / rep["integral_scale"]
+    return rel <= 1e-9, {"body": bname, "potential": pname, "relative_residual": rel}
 
 
 _SUITE_CONFIGS = (("disk1", "gaussian"), ("ellipse21", "quad14"), ("blob", "quartic"))
@@ -236,11 +252,10 @@ _SUITE_CONFIGS = (("disk1", "gaussian"), ("ellipse21", "quad14"), ("blob", "quar
 @_criterion("4a", "inequality suites on random pairs", 3.0)
 def criterion_4a():
     """Mean and multiplicative inequalities on seeded random pairs."""
-    bodies, pots = standard_bodies(M), standard_potentials()
     ok = True
     per_config = {}
-    for bname, pname in _SUITE_CONFIGS:
-        wm, wx, failures = random_pairs_check(bodies[bname], pots[pname], PAIRS, SEED, Q)
+    for bname, pname, body, u in _cases(_SUITE_CONFIGS):
+        wm, wx, failures = random_pairs_check(body, u, PAIRS, SEED, Q)
         ok = ok and not failures
         per_config[f"{bname}+{pname}"] = {"min_mean_slack": wm, "min_mult_slack": wx}
     worst_mean = min(c["min_mean_slack"] for c in per_config.values())
@@ -267,45 +282,38 @@ def criterion_4b():
     measured slacks are reported and the translation control (4c) shows the
     pipeline resolves genuine equality at 1e-12 scale.
     """
-    bodies, pots = standard_bodies(M), standard_potentials()
     rows = []
-    ok = True
-    for bname, pname, alpha, x0, z in _WITNESS_SETTINGS:
-        body, u = bodies[bname], pots[pname]
+    for bname, pname, body, u, alpha, x0, z in _cases(_WITNESS_SETTINGS):
         rho, phi = equality_witness(body, u, alpha, x0, z)
         rep = check_mean_form(body, u, rho, phi, Q=Q)
         rel = abs(rep.slack_mean) / rep.scale
         rows.append({"body": bname, "potential": pname, "alpha": alpha,
                      "x0": list(x0), "z": z, "relative_mean_slack": rel,
                      "P": rep.P, "BL": rep.BL, "I": rep.I})
-        ok = ok and rel <= 1e-8
     note = ("scaling witnesses with alpha > 0 do not saturate the mean form; "
             "slack is alpha^2 * (2 - Var_{mu|K}(u + gauge terms)) > 0 on generic "
             "data -- see the translation control in 4c")
-    return ok, {"rows": rows, "note": note}
+    return all(r["relative_mean_slack"] <= 1e-8 for r in rows), {"rows": rows, "note": note}
 
 
-@_criterion("4c", "translation-family equality control", 1.0)
-def criterion_4c():
+_TRANSLATION_SETTINGS = (("disk1", "gaussian", (1.0, 0.0), 0.0),
+                         ("ellipse21", "quad14", (0.3, -0.2), 1.5),
+                         ("blob", "quartic", (-0.2, 0.1), -0.7),
+                         ("peanut", "quad_mixed", (0.15, 0.25), 0.0),
+                         ("disk05", "gaussian", (0.0, 0.4), 2.0))
+
+
+@_criterion("4c", "translation-family equality control", 1.0,
+            lambda: _cases(_TRANSLATION_SETTINGS))
+def criterion_4c(bname, pname, body, u, x0, z):
     """Translation-family control: exact equality P = BL = I."""
-    bodies, pots = standard_bodies(M), standard_potentials()
-    rows = []
-    ok = True
-    settings = (("disk1", "gaussian", (1.0, 0.0), 0.0),
-                ("ellipse21", "quad14", (0.3, -0.2), 1.5),
-                ("blob", "quartic", (-0.2, 0.1), -0.7),
-                ("peanut", "quad_mixed", (0.15, 0.25), 0.0),
-                ("disk05", "gaussian", (0.0, 0.4), 2.0))
-    for bname, pname, x0, z in settings:
-        body, u = bodies[bname], pots[pname]
-        rho, phi = translation_witness(body, u, x0, z)
-        rep = check_mean_form(body, u, rho, phi, Q=Q)
-        rel = abs(rep.slack_mean) / rep.scale
-        rel_mult = abs(rep.slack_mult) / rep.scale**2
-        ok = ok and rel <= 1e-8 and rel_mult <= 1e-8
-        rows.append({"body": bname, "potential": pname, "x0": list(x0), "z": z,
-                     "relative_mean_slack": rel, "relative_mult_slack": rel_mult})
-    return ok, {"rows": rows}
+    rho, phi = translation_witness(body, u, x0, z)
+    rep = check_mean_form(body, u, rho, phi, Q=Q)
+    rel = abs(rep.slack_mean) / rep.scale
+    rel_mult = abs(rep.slack_mult) / rep.scale**2
+    return rel <= 1e-8 and rel_mult <= 1e-8, {
+        "body": bname, "potential": pname, "x0": list(x0), "z": z,
+        "relative_mean_slack": rel, "relative_mult_slack": rel_mult}
 
 
 def _flow_matrix():
@@ -319,30 +327,20 @@ def _flow_matrix():
     return configs
 
 
-@_criterion("5a", "log-marginal concavity over the flow matrix", 2.5)
-def criterion_5a():
+@_criterion("5a", "log-marginal concavity over the flow matrix", 2.5, _flow_matrix)
+def criterion_5a(name, body, u, f, psi):
     """Concavity of the log-marginal: centered second differences <= 1e-7."""
-    rows = []
-    ok = True
-    for name, body, u, f, psi in _flow_matrix():
-        tab, failures = concavity_check(body, u, FlowConfig(f=f, psi=psi, eps=0.08, n_t=21), Q)
-        ok = ok and not failures
-        rows.append({"config": name, "eps": tab["eps"],
-                     "max_second_difference": tab["max_second_difference"]})
-    return ok, {"rows": rows}
+    tab, failures = concavity_check(body, u, FlowConfig(f=f, psi=psi, eps=0.08, n_t=21), Q)
+    return not failures, {"config": name, "eps": tab["eps"],
+                          "max_second_difference": tab["max_second_difference"]}
 
 
-@_criterion("5b", "shape derivatives vs finite-difference oracles", 1.0)
-def criterion_5b():
+@_criterion("5b", "shape derivatives vs finite-difference oracles", 1.0, _flow_matrix)
+def criterion_5b(name, body, u, f, psi):
     """I'(0) and I''(0) against central finite differences of the marginal."""
-    rows = []
-    ok = True
-    for name, body, u, f, psi in _flow_matrix():
-        d, failures = shape_derivative_check(body, u, f, psi, Q)
-        ok = ok and not failures
-        rows.append({"config": name, "I1_rel_error": d["I1_fd_error"],
-                     "I2_rel_error": d["I2_fd_error"]})
-    return ok, {"rows": rows}
+    d, failures = shape_derivative_check(body, u, f, psi, Q)
+    return not failures, {"config": name, "I1_rel_error": d["I1_fd_error"],
+                          "I2_rel_error": d["I2_fd_error"]}
 
 
 @_criterion("5c", "homothety flow linearity (knowingly red)", 1.0)
@@ -353,8 +351,7 @@ def criterion_5c():
     -1.979 on the Gaussian unit disk.  The genuinely linear flow is the
     translation one, checked as the control below.
     """
-    bodies, pots = standard_bodies(M), standard_potentials()
-    body, u = bodies["disk1"], pots["gaussian"]
+    [(_, _, body, u)] = _cases([("disk1", "gaussian")])
     f = BoundaryField(body.values.copy())
     psi = ConjugatePerturbation(u, 1.0)
     d = shape_derivatives(body, u, f, psi, Q=Q)
@@ -363,40 +360,29 @@ def criterion_5c():
     usq = InteriorField(lambda p: u.value(p) ** 2)
     muK, int_u, int_usq = (interior_integral(body, u, g, Q=Q) for g in (1.0, uval, usq))
     var = int_usq / muK - (int_u / muK) ** 2
-    ok = abs(d["S2"]) <= 1e-8
-    return ok, {"S2": d["S2"], "variance_oracle": var - 2.0,
-                "oracle_agreement": abs(d["S2"] - (var - 2.0)),
-                "note": "claimed linear; actual S''(0) = Var(u) - n != 0"}
+    return abs(d["S2"]) <= 1e-8, {
+        "S2": d["S2"], "variance_oracle": var - 2.0,
+        "oracle_agreement": abs(d["S2"] - (var - 2.0)),
+        "note": "claimed linear; actual S''(0) = Var(u) - n != 0"}
 
 
-@_criterion("5c-control", "translation flow linearity control", 1.0)
-def criterion_5c_control():
+@_criterion("5c-control", "translation flow linearity control", 1.0,
+            lambda: _cases(_SUITE_CONFIGS))
+def criterion_5c_control(bname, pname, body, u):
     """Translation flow is exactly linear: |S''(0)| at rounding level."""
-    bodies, pots = standard_bodies(M), standard_potentials()
-    rows = []
-    ok = True
-    for bname, pname in _SUITE_CONFIGS:
-        body, u = bodies[bname], pots[pname]
-        x0 = np.array([0.3, -0.2])
-        f = BoundaryField(body.normals_grid @ x0)
-        psi = QuadraticPerturbation(b=x0, c=-0.5)
-        d = shape_derivatives(body, u, f, psi, Q=Q)
-        ok = ok and abs(d["S2"]) <= 1e-8
-        rows.append({"config": f"{bname}+{pname}", "S2": d["S2"]})
-    return ok, {"rows": rows}
+    x0 = np.array([0.3, -0.2])
+    f = BoundaryField(body.normals_grid @ x0)
+    psi = QuadraticPerturbation(b=x0, c=-0.5)
+    d = shape_derivatives(body, u, f, psi, Q=Q)
+    return abs(d["S2"]) <= 1e-8, {"config": f"{bname}+{pname}", "S2": d["S2"]}
 
 
-@_criterion("5d", "flow vs forms cross-module identity", 1.0)
-def criterion_5d():
+@_criterion("5d", "flow vs forms cross-module identity", 1.0, _flow_matrix)
+def criterion_5d(name, body, u, f, psi):
     """Cross-module identity I(0) S''(0) = -(P + BL - 2 I)."""
-    rows = []
-    ok = True
-    for name, body, u, f, psi in _flow_matrix():
-        rep = mean_form_from_flow(body, u, f, psi, Q=Q)
-        ok = ok and rep["passed"]
-        rows.append({"config": name,
-                     "relative_mismatch": rep["mismatch"] / rep["scale"]})
-    return ok, {"rows": rows}
+    rep = mean_form_from_flow(body, u, f, psi, Q=Q)
+    return rep["passed"], {"config": name,
+                           "relative_mismatch": rep["mismatch"] / rep["scale"]}
 
 
 _SPECTRAL_CONFIGS = (("disk1", "gaussian"), ("disk05", "gaussian"),
@@ -415,11 +401,9 @@ def criterion_6():
     toward min_theta r(theta), so the discretized C keeps drifting downward
     with N; the drift is reported, not asserted away.
     """
-    bodies, pots = standard_bodies(M), standard_potentials()
     rows = []
     ok = True
-    for bname, pname in _SPECTRAL_CONFIGS:
-        body, u = bodies[bname], pots[pname]
+    for bname, pname, body, u in _cases(_SPECTRAL_CONFIGS):
         (lam, _, note), stab, failures = spectral_check(assemble(body, u, N=N, Q=Q), 7)
         C1 = stab["C"]
         C2 = coercivity_constant(assemble(body, u, N=N + 4, Q=Q))
@@ -448,41 +432,34 @@ def criterion_6():
                 "C_disk05": C_disk05, "C_disk05_oracle": 0.5**3 / 1.25}
 
 
-@_criterion("7", "even symmetry of the minimizer", 1.0)
-def criterion_7():
+@_criterion("7", "even symmetry of the minimizer", 1.0, lambda: _matrix(_SYMMETRIC))
+def criterion_7(bname, pname, body, u):
     """Symmetry: odd harmonics of rho_bar vanish; even-only basis matches p."""
-    rows = []
-    ok = True
-    for bname, pname, body, u in _matrix(_SYMMETRIC):
-        rep = solve_report(body, u, N=N, Q=Q)
-        coeffs = rep["rho_bar"].galerkin_coeffs
-        odd = [abs(coeffs[2 * k - 1]) for k in range(1, N + 1, 2)]
-        odd += [abs(coeffs[2 * k]) for k in range(1, N + 1, 2)]
-        odd_max = float(max(odd))
-        p_even = concavity_power(body, u, N=N, Q=Q, even_only=True)
-        dp = abs(p_even - rep["p"])
-        ok = ok and odd_max <= 1e-10 and dp <= 1e-9
-        rows.append({"config": f"{bname}+{pname}", "max_odd_coefficient": odd_max,
-                     "p_even_minus_p": dp})
-    return ok, {"rows": rows}
+    rep = solve_report(body, u, N=N, Q=Q)
+    coeffs = rep["rho_bar"].galerkin_coeffs
+    odd = [abs(coeffs[2 * k - 1]) for k in range(1, N + 1, 2)]
+    odd += [abs(coeffs[2 * k]) for k in range(1, N + 1, 2)]
+    odd_max = float(max(odd))
+    p_even = concavity_power(body, u, N=N, Q=Q, even_only=True)
+    dp = abs(p_even - rep["p"])
+    return odd_max <= 1e-10 and dp <= 1e-9, {
+        "config": f"{bname}+{pname}", "max_odd_coefficient": odd_max, "p_even_minus_p": dp}
 
 
-@_criterion("8", "dimensional reformulation checks", 1.0)
-def criterion_8():
-    """Reformulation: intermediate identity and sign biconditional."""
-    rows = []
-    ok = True
+def _reformulation_cases():
     g = standard_potentials()["gaussian"]
-    cases = [(f"{b}+{p}", body, u) for b, p, body, u in _matrix(_SYMMETRIC)]
-    cases += [(f"disk({R})+gaussian", disk(R, M=M), g) for R in (0.25, 0.5, 1.0, 2.0, 3.0)]
-    for name, body, u in cases:
-        rep = reformulation_check(body, u, N=N, Q=Q)
-        ok = ok and rep["passed"]
-        rows.append({"config": name,
-                     "identity_relative_residual": rep["identity_residual"] / rep["identity_scale"],
-                     "p": rep["p"], "quantity": rep["quantity"],
-                     "sign_consistent": rep["sign_consistent"]})
-    return ok, {"rows": rows}
+    return ([(f"{b}+{p}", body, u) for b, p, body, u in _matrix(_SYMMETRIC)]
+            + [(f"disk({R})+gaussian", disk(R, M=M), g) for R in (0.25, 0.5, 1.0, 2.0, 3.0)])
+
+
+@_criterion("8", "dimensional reformulation checks", 1.0, _reformulation_cases)
+def criterion_8(name, body, u):
+    """Reformulation: intermediate identity and sign biconditional."""
+    rep = reformulation_check(body, u, N=N, Q=Q)
+    return rep["passed"], {
+        "config": name,
+        "identity_relative_residual": rep["identity_residual"] / rep["identity_scale"],
+        "p": rep["p"], "quantity": rep["quantity"], "sign_consistent": rep["sign_consistent"]}
 
 
 _PINCHED_CONFIGS = (("disk1", "gaussian"), ("ellipse21", "gaussian"),
@@ -490,37 +467,30 @@ _PINCHED_CONFIGS = (("disk1", "gaussian"), ("ellipse21", "gaussian"),
                     ("ellipse21", "quad14"), ("peanut", "quad_mixed"))
 
 
-@_criterion("9", "pinched-Hessian moment and power bounds", 1.0)
-def criterion_9():
+@_criterion("9", "pinched-Hessian moment and power bounds", 1.0,
+            lambda: _cases(_PINCHED_CONFIGS))
+def criterion_9(bname, pname, body, u):
     """Moment and power bounds under Hessian pinching (r = k2/k1)."""
-    bodies, pots = standard_bodies(M), standard_potentials()
-    rows = []
-    ok = True
-    for bname, pname in _PINCHED_CONFIGS:
-        rep = pinching_bounds(bodies[bname], pots[pname], N=N, Q=Q)
-        ok = ok and rep["passed"]
-        rows.append({"config": f"{bname}+{pname}", "r": rep["r"],
-                     "moment": rep["moment"], "moment_limit": rep["moment_limit"],
-                     "p": rep["p"], "power_floor": rep["power_floor"],
-                     "passed": rep["passed"]})
-    return ok, {"rows": rows}
+    rep = pinching_bounds(body, u, N=N, Q=Q)
+    return rep["passed"], {"config": f"{bname}+{pname}", "r": rep["r"],
+                           "moment": rep["moment"], "moment_limit": rep["moment_limit"],
+                           "p": rep["p"], "power_floor": rep["power_floor"],
+                           "passed": rep["passed"]}
 
 
 _BM_PAIRS = (("disk05", "disk15"), ("ellipse21", "disk1"), ("ellipse21", "ellipse12"))
 
 
-@_criterion("10", "Brunn-Minkowski segments at p = 1/2", 1.0)
-def criterion_10():
+def _bm_cases():
+    bodies, g = standard_bodies(M), standard_potentials()["gaussian"]
+    return [(f"{k},{l}", bodies[k], bodies[l], g) for k, l in _BM_PAIRS]
+
+
+@_criterion("10", "Brunn-Minkowski segments at p = 1/2", 1.0, _bm_cases)
+def criterion_10(pair, K, L, g):
     """Direct 1/2-power concavity along Minkowski segments, Gaussian measure."""
-    bodies = standard_bodies(M)
-    g = standard_potentials()["gaussian"]
-    rows = []
-    ok = True
-    for k, l in _BM_PAIRS:
-        rep = bm_check(bodies[k], bodies[l], g, p=0.5, t_nodes=21, Q=Q)
-        ok = ok and rep.passed
-        rows.append({"pair": f"{k},{l}", "min_slack": rep.min_slack})
-    return ok, {"rows": rows}
+    rep = bm_check(K, L, g, p=0.5, t_nodes=21, Q=Q)
+    return rep.passed, {"pair": pair, "min_slack": rep.min_slack}
 
 
 def _reported_scalars(M, Q):
@@ -554,13 +524,11 @@ def criterion_11():
     base = _reported_scalars(M, Q)
     fine = _reported_scalars(2 * M, 2 * Q)
     rows = []
-    ok = True
     for key, v in base.items():
         rel = abs(fine[key] - v) / max(1.0, abs(v))
-        ok = ok and rel <= 1e-9
         rows.append({"scalar": key, "coarse": v, "fine": fine[key],
                      "relative_change": rel})
-    return ok, {"rows": rows}
+    return all(r["relative_change"] <= 1e-9 for r in rows), {"rows": rows}
 
 
 KNOWN_RED = {"4b", "5c"}

@@ -95,12 +95,11 @@ def lambda1(system):
         E_eff = E_nc
         note = "constant-direction energy ~ 0; Schur correction skipped"
     import scipy.linalg  # here, not at module level: forms-check and flow never load it
-    try:
-        scipy.linalg.cholesky(A_nc, lower=True)
+    try:  # each eigh factors A_nc and fails unless it is positive definite
+        eigs = scipy.linalg.eigh(0.5 * (E_eff + E_eff.T), A_nc, eigvals_only=True)
+        eigs_res = scipy.linalg.eigh(0.5 * (E_nc + E_nc.T), A_nc, eigvals_only=True)
     except scipy.linalg.LinAlgError as exc:
         raise CoercivityFailure("stiffness block lost positive definiteness") from exc
-    eigs = scipy.linalg.eigh(0.5 * (E_eff + E_eff.T), A_nc, eigvals_only=True)
-    eigs_res = scipy.linalg.eigh(0.5 * (E_nc + E_nc.T), A_nc, eigvals_only=True)
     lam_max = float(eigs[-1])
     lam_max_res = float(eigs_res[-1])
     lam1 = np.inf if lam_max <= 1e-13 else 1.0 / lam_max

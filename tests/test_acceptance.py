@@ -24,6 +24,7 @@ numerical program the same keeps that file.  ``python tests/test_acceptance.py``
 writes it from the current tree.
 """
 
+import dataclasses
 import json
 from pathlib import Path
 
@@ -123,6 +124,31 @@ def test_registry_ids_names_and_budgets(records):
     ]
     for rec in records.values():
         assert list(rec) == ["id", "name", "passed", "elapsed", "time_limit", "details"]
+
+
+def test_random_pairs_check_lists_each_failing_pair(monkeypatch, disk1, gaussian):
+    def negative_slack(*args, **kwargs):
+        rep = check_mean_form(*args, **kwargs)
+        return dataclasses.replace(rep, slack_mean=-0.25, slack_mult=-1.5,
+                                   passed_mean=False, passed_mult=False)
+
+    check_mean_form = acceptance.check_mean_form
+    monkeypatch.setattr(acceptance, "check_mean_form", negative_slack)
+    _, _, failures = acceptance.random_pairs_check(disk1, gaussian, 2, 0, Q=8)
+    assert failures == ["pair 0: mean slack -2.500e-01, mult slack -1.500e+00",
+                        "pair 1: mean slack -2.500e-01, mult slack -1.500e+00"]
+
+
+def test_spectral_check_names_each_failed_claim(monkeypatch):
+    monkeypatch.setattr(acceptance, "lambda1", lambda system: (0.5, 0.5, ""))
+    monkeypatch.setattr(acceptance, "coercivity_report", lambda system, seed: {
+        "C": -0.125, "slope": 0.25, "bound_holds": False})
+    lam, stab, failures = acceptance.spectral_check(None, 7)
+    assert lam == (0.5, 0.5, "") and stab["C"] == -0.125
+    assert failures == ["lambda1 = 0.5 <= 1",
+                        "coercivity constant -0.125 <= 0",
+                        "stability slope 0.25 != 0.5",
+                        "deficit bound 1/sqrt(C) violated on the delta family"]
 
 
 if __name__ == "__main__":

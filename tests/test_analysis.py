@@ -1,3 +1,4 @@
+import dataclasses
 from types import SimpleNamespace
 
 import numpy as np
@@ -7,7 +8,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from convexlab import analysis, forms, geometry, measure, pde, suite
-from convexlab.errors import PinchingUndeclared
+from convexlab.errors import CoercivityFailure, PinchingUndeclared
 
 
 def test_lambda1_gaussian_unit_disk_is_infinite(disk1, gaussian):
@@ -23,6 +24,18 @@ def test_lambda1_small_disk_closed_form(gaussian):
         lam, _, _ = analysis.lambda1(pde.assemble(geometry.disk(R), gaussian))
         assert lam == pytest.approx(1.0 / (1.0 - R * R), abs=1e-9)
         assert lam > 1.0
+
+
+def test_lambda1_refuses_a_stiffness_block_that_is_not_positive_definite(disk1, gaussian):
+    import scipy.linalg
+
+    system = pde.assemble(disk1, gaussian, N=8)
+    A = system.A.copy()
+    A[3, 3] = -1.0  # a negative diagonal entry: the block A[1:, 1:] is indefinite
+    with pytest.raises(CoercivityFailure,
+                       match="stiffness block lost positive definiteness") as info:
+        analysis.lambda1(dataclasses.replace(system, A=A))
+    assert isinstance(info.value.__cause__, scipy.linalg.LinAlgError)
 
 
 def test_lambda1_dual_rayleigh_scan(gaussian, peanut, quartic, rng):
