@@ -485,7 +485,3 @@ def main(argv=None):
     except ConvexLabError as exc:
         print(f"numerical failure: {type(exc).__name__}: {exc}", file=sys.stderr)
         return 3
-
-
-if __name__ == "__main__":
-    sys.exit(main())

@@ -73,7 +73,8 @@ class PinchingViolation(ConvexLabError):
 
 
 class NonFiniteIntegral(ConvexLabError):
-    """A quadrature result is NaN or infinite (e.g. a NaN-valued potential)."""
+    """A quadrature result, or p formed from two, is NaN or infinite (e.g. a NaN-valued
+    potential, or p = mu(K) / int rho_bar dmu overflowing on a large gaussian disk)."""
 
 
 class ConfigError(ConvexLabError):

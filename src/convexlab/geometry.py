@@ -37,7 +37,6 @@ __all__ = [
     "center",
     "gauge",
     "gauge_angle",
-    "area",
 ]
 
 DEFAULT_M = 256
@@ -389,8 +388,3 @@ def gauge(body, x):
     point, an array of the leading shape for a stack.
     """
     return gauge_angle(body, x)[0]
-
-
-def area(body):
-    """Area via the divergence theorem: (1/2) * integral of h*r dtheta."""
-    return float(0.5 * (body.values * body.radius_grid).sum() * 2.0 * np.pi / body.M)

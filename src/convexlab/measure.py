@@ -9,11 +9,12 @@ runs both solves, grad u(z) = y and z + t*grad psi(grad u(z)) = x; each gives
 it only its residual, its Newton direction and its line-search test.
 
 All evaluation is pure; points may be passed with any leading shape (..., 2).
-The value, gradient and Hessian of a conjugate psi = alpha*u* (and of
-``conjugate_potential(u)``) share one conjugate Newton solve per point set:
-each keeps the solves of the last two point sets it saw, keyed on the exact
-bytes of the points, so a quadrature cloud and a boundary grid read in turn
-are solved once each and every result keeps the bits of a fresh solve.
+u* is solved in one place, ``conjugate_potential(u)``: its value, gradient
+and Hessian share one conjugate Newton solve per point set, and it keeps the
+solves of the last two point sets it saw, keyed on the exact bytes of the
+points, so a quadrature cloud and a boundary grid read in turn are solved
+once each and every result keeps the bits of a fresh solve.  ``conjugate``
+and the dual perturbation psi = alpha*u* read that Potential.
 """
 
 import numpy as np
@@ -78,11 +79,6 @@ def _spd_entries(h00, h01, h10, h11):
     return (h00 > 0) & (_det(h00, h01, h10, h11) > 0)
 
 
-def _spd_2x2(H):
-    """Elementwise SPD test for an (m, 2, 2) stack."""
-    return _spd_entries(*_entries(H))
-
-
 def _solve_entries(h00, h01, h10, h11, rhs):
     """H^{-1} rhs for the 2x2 matrices H with the given entries and (m, 2) rhs."""
     det = _det(h00, h01, h10, h11)
@@ -90,10 +86,6 @@ def _solve_entries(h00, h01, h10, h11, rhs):
     out[:, 0] = (h11 * rhs[:, 0] - h01 * rhs[:, 1]) / det
     out[:, 1] = (h00 * rhs[:, 1] - h10 * rhs[:, 0]) / det
     return out
-
-
-def _solve_2x2(H, rhs):
-    return _solve_entries(*_entries(H), rhs)
 
 
 def _inv_entries(h00, h01, h10, h11):
@@ -120,7 +112,7 @@ def _inv_2x2(H):
 # On a stack of one point (up to two for _qform) einsum's iterator moves the
 # short point axis out of the inner loop and sums each row of a 4-term form
 # apart, so _qform and _hgg group their sums the same way there.  A per-point
-# (m, 2) result is written a column at a time, as _solve_2x2 and the suite's
+# (m, 2) result is written a column at a time, as _solve_entries and the suite's
 # field gradients do: an operation broadcast along the trailing axis makes
 # numpy's inner loop run over that axis, of length 2.  So the potentials'
 # gradients and Hessians, the quadratic psi's gradient and _newton's trial
@@ -178,10 +170,14 @@ def _hgg(H, a, b):
 
 
 class Potential:
-    """Smooth convex potential with vectorized value/gradient/Hessian."""
+    """Smooth convex potential with vectorized value/gradient/Hessian.
+
+    The kinds "gaussian" and "quadratic" promise a constant Hessian: the
+    flow's closed form reads A from it at the origin.
+    """
 
     def __init__(self, kind, value, grad, hess, is_even=False, pinching=None,
-                 params=None, descriptor=None):
+                 descriptor=None):
         self.kind = kind
         self._value = value
         self._grad = grad
@@ -190,7 +186,6 @@ class Potential:
         if pinching is not None and (None in pinching or not 0 < pinching[0] <= pinching[1]):
             raise ValueError(f"pinching needs both constants with 0 < k1 <= k2, got {pinching}")
         self.pinching = None if pinching is None else (float(pinching[0]), float(pinching[1]))
-        self.params = params or {}
         self.descriptor = descriptor or {"kind": kind}
 
     @property
@@ -242,7 +237,7 @@ def gaussian_potential():
         return out
 
     return Potential("gaussian", value, grad, hess, is_even=True, pinching=(1.0, 1.0),
-                     params={"A": np.eye(2)}, descriptor={"kind": "gaussian"})
+                     descriptor={"kind": "gaussian"})
 
 
 def quadratic_potential(A):
@@ -264,7 +259,7 @@ def quadratic_potential(A):
         return np.broadcast_to(A, (len(p), 2, 2)).copy()
 
     return Potential("quadratic", value, grad, hess, is_even=True,
-                     pinching=(eigs[0], eigs[1]), params={"A": A},
+                     pinching=(eigs[0], eigs[1]),
                      descriptor={"kind": "quadratic", "A": A.tolist()})
 
 
@@ -301,7 +296,7 @@ def even_quartic_potential(eps, pinching=None):
         return out
 
     return Potential("even-quartic", value, grad, hess, is_even=True,
-                     pinching=pinching, params={"eps": eps},
+                     pinching=pinching,
                      descriptor={"kind": "even-quartic", "eps": eps})
 
 
@@ -341,7 +336,7 @@ def make_potential(descriptor):
     if pinching is None:
         return u
     return Potential(u.kind, u._value, u._grad, u._hess, is_even=u.is_even, pinching=pinching,
-                     params=u.params, descriptor=u.descriptor)
+                     descriptor=u.descriptor)
 
 
 def translate_potential(u, v):
@@ -359,7 +354,7 @@ def translate_potential(u, v):
 
     even = u.is_even and np.all(v == 0.0)
     return Potential("zero" if u.is_zero else "translated", value, grad, hess, is_even=even,
-                     pinching=u.pinching, params={"base": u, "v": v},
+                     pinching=u.pinching,
                      descriptor={"kind": "translated", "base": u.descriptor, "v": v.tolist()})
 
 
@@ -375,7 +370,7 @@ def shift_potential(u, const):
         return u._value(p) + const
 
     return Potential(u.kind, value, u._grad, u._hess, is_even=u.is_even,
-                     pinching=u.pinching, params=dict(u.params, shift=const),
+                     pinching=u.pinching,
                      descriptor={"kind": "shifted", "base": u.descriptor, "const": const})
 
 
@@ -414,9 +409,9 @@ def verify_pinching(u, points):
     pts, _ = _flatten(points)
     if not len(pts):
         raise ConvexLabError("no points to check the declared pinching at")
-    H = u._hess(pts)
-    tr = H[:, 0, 0] + H[:, 1, 1]
-    det = H[:, 0, 0] * H[:, 1, 1] - H[:, 0, 1] * H[:, 1, 0]
+    h00, h01, h10, h11 = _entries(u._hess(pts))
+    tr = h00 + h11
+    det = _det(h00, h01, h10, h11)
     lam_min = 0.5 * (tr - np.sqrt(np.maximum(tr**2 - 4 * det, 0.0)))
     # negated comparisons, so that a NaN Hessian fails instead of passing
     if not lam_min.min() >= k1 - PINCHING_TOL:
@@ -502,10 +497,10 @@ def _conjugate_newton(u, y):
         return (u._grad(z) - y,)
 
     def direction(z, y, err, g):
-        H = u._hess(z)
-        if not _spd_2x2(H).all():
+        h = _entries(u._hess(z))
+        if not _spd_entries(*h).all():
             raise NotConvexPotential("Hessian lost positive definiteness during conjugation")
-        d = -_solve_2x2(H, g)
+        d = -_solve_entries(*h, g)
         # Armijo backtracking on q(z) = u(z) - <y, z>; the floor term keeps
         # rounding noise in q from rejecting converged full steps
         q0 = u._value(z) - _dot2(y, z)
@@ -525,44 +520,30 @@ def conjugate(u, y):
     grad u*(y) is the point z with grad u(z) = y, and
     u*(y) = <y, z> - u(z).
     """
-    u.require_strictly_convex("the Legendre conjugate")
-    flat, lead = _flatten(y)
-    val, z = _conjugate_newton(u, flat)
-    return val.reshape(lead), z.reshape(lead + (2,))
-
-
-class _ConjugateSolves:
-    """_conjugate_newton(u, y) run once per point set; the last two sets are kept.
-
-    Keyed on the exact bytes of the (m, 2) stack y, so a repeated set gets the
-    arrays of its first solve, bit for bit, and signed zeros stay apart.  The
-    kept arrays are read-only.
-    """
-
-    def __init__(self, u):
-        self.u = u
-        self._solves = {}  # bytes of y -> (u*(y), z), least recently used first
-
-    def __call__(self, y):
-        key = y.tobytes()
-        solve = self._solves.pop(key, None)
-        if solve is None:
-            solve = _conjugate_newton(self.u, y)
-            for a in solve:
-                a.flags.writeable = False
-            if len(self._solves) == 2:
-                del self._solves[next(iter(self._solves))]
-        self._solves[key] = solve
-        return solve
+    ustar = conjugate_potential(u)
+    return ustar.value(y), ustar.grad(y)
 
 
 def conjugate_potential(u):
     """u* wrapped as a Potential (hess u* = (hess u)^{-1} at the solve point).
 
-    Conjugating it again recovers u: the numerical involution check.
+    One _conjugate_newton per point set, as the module docstring says; signed
+    zeros key apart.  Conjugating it again recovers u: the involution check.
     """
     u.require_strictly_convex("the Legendre conjugate")
-    solve = _ConjugateSolves(u)
+    solves = {}  # bytes of y -> read-only (u*(y), z), least recently used first
+
+    def solve(y):
+        key = y.tobytes()
+        pair = solves.pop(key, None)
+        if pair is None:
+            pair = _conjugate_newton(u, y)
+            for a in pair:
+                a.flags.writeable = False
+            if len(solves) == 2:
+                del solves[next(iter(solves))]
+        solves[key] = pair
+        return pair
 
     def value(p):
         return solve(p)[0].copy()
@@ -574,7 +555,6 @@ def conjugate_potential(u):
         return _inv_2x2(u._hess(solve(p)[1]))
 
     return Potential("conjugate", value, grad, hess, is_even=u.is_even,
-                     params={"base": u},
                      descriptor={"kind": "conjugate", "base": u.descriptor})
 
 
@@ -628,20 +608,16 @@ class ConjugatePerturbation:
         self.is_even = u.is_even
         self.descriptor = {"kind": "conjugate", "alpha": self.alpha,
                            "base": u.descriptor}
-        self._solve = _ConjugateSolves(u)
+        self.conjugate = conjugate_potential(u)
 
     def value(self, y):
-        flat, lead = _flatten(y)
-        return self.alpha * self._solve(flat)[0].reshape(lead)
+        return self.alpha * self.conjugate.value(y)
 
     def grad(self, y):
-        flat, lead = _flatten(y)
-        return self.alpha * self._solve(flat)[1].reshape(lead + (2,))
+        return self.alpha * self.conjugate.grad(y)
 
     def hess(self, y):
-        flat, lead = _flatten(y)
-        z = self._solve(flat)[1]
-        return (self.alpha * _inv_2x2(self.base._hess(z))).reshape(lead + (2, 2))
+        return self.alpha * self.conjugate.hess(y)
 
 
 # -- conjugate flow u_t = (u* + t psi)* -------------------------------------------
@@ -673,7 +649,7 @@ def _flow_closed_form(u, psi, t):
 
         return value, grad, hess
     if u.kind in ("gaussian", "quadratic") and isinstance(psi, QuadraticPerturbation):
-        A = u.params["A"]
+        A = u._hess(np.zeros((1, 2)))[0]
         Mt = np.linalg.inv(A) + t * psi.B
         eigs = np.linalg.eigvalsh(Mt)
         if eigs[0] <= 0:
@@ -816,7 +792,6 @@ def flow_potential(u, psi, t):
 
     even = u.is_even and psi.is_even
     return Potential("flow", value, grad, hess, is_even=even,
-                     params={"base": u, "psi": psi, "t": t},
                      descriptor={"kind": "flow", "base": u.descriptor,
                                  "psi": psi.descriptor, "t": t})
 

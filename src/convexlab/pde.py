@@ -35,7 +35,7 @@ from functools import cached_property
 import numpy as np
 
 from . import spectral
-from .errors import CoercivityFailure, LebesgueModeRestriction, ZeroMean
+from .errors import CoercivityFailure, LebesgueModeRestriction, NonFiniteIntegral, ZeroMean
 from .forms import BoundaryField, InteriorField, _boundary_field, form_P
 from .measure import _dot2, verify_pinching
 from .quad import (DEFAULT_Q, _boundary_measure, _boundary_weight, _hmu, _mu, boundary_integral,
@@ -176,11 +176,20 @@ def solve_rho_bar(system):
     return field
 
 
+def _power(system, mc):
+    """p = mu(K) / mc for mc = int_dK rho_bar dmu; a p that is not finite raises."""
+    with np.errstate(over="ignore", divide="ignore", invalid="ignore"):
+        p = float(system.muK / mc)
+    if not np.isfinite(p):
+        raise NonFiniteIntegral(
+            f"p = mu(K) / int rho_bar dmu = {system.muK:.6g} / {mc:.6g} is not finite")
+    return p
+
+
 def concavity_power(body, u, N=DEFAULT_N, Q=DEFAULT_Q, even_only=False):
     """p(mu, K) = mu(K) / int_dK rho_bar dmu  (= mu(K) / <rho_bar, rho_bar>_P)."""
     system = assemble(body, u, N=N, Q=Q, even_only=even_only)
-    c = solve_rho_bar(system).galerkin_coeffs
-    return float(system.muK / (system.m @ c))
+    return _power(system, system.m @ solve_rho_bar(system).galerkin_coeffs)
 
 
 def apply_L(body, u, rho, Q=DEFAULT_Q):
@@ -249,7 +258,7 @@ def solve_report(body, u, N=DEFAULT_N, Q=DEFAULT_Q, even_only=False):
     system = assemble(body, u, N=N, Q=Q, even_only=even_only)
     rho_bar = solve_rho_bar(system)
     mc = system.m @ rho_bar.galerkin_coeffs
-    p = float(system.muK / mc)
+    p = _power(system, mc)
     strong = apply_L(body, u, rho_bar, Q=Q)
     residual = float(np.abs(strong.values - 1.0).max())
     return {

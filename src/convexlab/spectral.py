@@ -20,7 +20,6 @@ __all__ = [
     "grid_derivative",
     "evaluate",
     "basis_matrix",
-    "basis_coefficients",
 ]
 
 
@@ -114,18 +113,3 @@ def _grid_basis(N, M):
     E.flags.writeable = False
     D.flags.writeable = False
     return E, D
-
-
-def basis_coefficients(values):
-    """Expand M grid samples in the {1, cos, sin} basis (all M//2 modes)."""
-    values = np.asarray(values, dtype=float)
-    M = values.shape[-1]
-    c = np.fft.rfft(values) / M
-    N = (M - 1) // 2 if M % 2 else M // 2
-    out = np.zeros(2 * N + 1)
-    out[0] = c[0].real
-    for k in range(1, N + 1):
-        w = 1.0 if (M % 2 == 0 and k == M // 2) else 2.0
-        out[2 * k - 1] = w * c[k].real
-        out[2 * k] = -w * c[k].imag
-    return out

@@ -38,6 +38,17 @@ def test_lambda1_refuses_a_stiffness_block_that_is_not_positive_definite(disk1, 
     assert isinstance(info.value.__cause__, scipy.linalg.LinAlgError)
 
 
+def test_lambda1_skips_the_schur_correction_when_constants_carry_no_energy(gaussian):
+    # B[0, 0] = m_0^2 / mu(K) makes the constant-direction energy exactly 0, so
+    # the non-constant block is used as it is and both answers agree
+    system = pde.assemble(geometry.disk(0.5), gaussian, N=8)
+    B = system.B.copy()
+    B[0, 0] = (np.outer(system.m, system.m) / system.muK)[0, 0]
+    lam, lam_res, note = analysis.lambda1(dataclasses.replace(system, B=B))
+    assert lam == lam_res < np.inf
+    assert note == "constant-direction energy ~ 0; Schur correction skipped"
+
+
 def test_lambda1_dual_rayleigh_scan(gaussian, peanut, quartic, rng):
     # no random field may beat the computed constant
     for body, u in ((geometry.disk(0.5), gaussian), (peanut, quartic)):
@@ -187,6 +198,19 @@ def test_reformulation_radius_scan(gaussian):
     for R in (0.25, 0.5, 1.0, 2.0, 3.0):
         rep = analysis.reformulation_check(geometry.disk(R), gaussian)
         assert rep["passed"], R
+
+
+def test_reformulation_sign_test_has_a_dead_zone_at_one_half(monkeypatch, disk1, gaussian):
+    # on the unit gaussian disk the quantity is 2.47 > 0: a p just below 1/2
+    # disagrees with its sign, while p = 1/2 itself sits in the dead zone
+    solve_report = analysis.solve_report
+    for p, consistent in ((0.5, True), (0.5 - 1e-6, False)):
+        monkeypatch.setattr(analysis, "solve_report",
+                            lambda *args, p=p, **kwargs: {**solve_report(*args, **kwargs), "p": p})
+        rep = analysis.reformulation_check(disk1, gaussian)
+        assert rep["quantity"] > 0 and rep["p"] == p
+        assert rep["sign_consistent"] is consistent
+        assert rep["passed"] is consistent
 
 
 def test_reformulation_requires_symmetry(blob, disk1, gaussian):

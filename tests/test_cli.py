@@ -2,6 +2,7 @@ import importlib.util
 import json
 import math
 import re
+import runpy
 import sys
 from pathlib import Path
 
@@ -530,6 +531,15 @@ def test_solve_reports_a_coercivity_failure(tmp_path, capsys):
     assert not (out / "report.json").exists()
 
 
+def test_scan_reports_a_p_that_overflows(tmp_path, capsys):
+    path = write(tmp_path / "s.cfg", GAUSSIAN + "scan.radii = 38\n")
+    out = tmp_path / "o"
+    assert cli.main(["scan", "--config", path, "--out", str(out)]) == 3
+    assert capsys.readouterr().err.startswith(
+        "numerical failure: NonFiniteIntegral: p = mu(K) / int rho_bar dmu = ")
+    assert not (out / "report.json").exists()
+
+
 def test_solve_reports_p_that_moves_under_basis_refinement(tmp_path, monkeypatch):
     concavity_power = cli.concavity_power
 
@@ -542,6 +552,43 @@ def test_solve_reports_p_that_moves_under_basis_refinement(tmp_path, monkeypatch
     report = json.loads((out / "report.json").read_text())
     assert report["failures"] == ["p not converged under basis refinement"]
     assert not report["passed"]
+
+
+def _failing(real, **changes):
+    """real, with its dict result updated by changes."""
+    return lambda *args, **kwargs: {**real(*args, **kwargs), **changes}
+
+
+@pytest.mark.parametrize("command, name, fake, failure", [
+    ("flow", "mean_form_from_flow", _failing(cli.mean_form_from_flow, passed=False, mismatch=0.25),
+     "cross-module identity mismatch 2.500e-01"),
+    ("spectral", "interpolation_constant", lambda *args, **kwargs: (1.0, 1.3),
+     "interpolation constant unstable under sample doubling"),
+    ("bm", "reformulation_check", _failing(cli.reformulation_check, passed=False),
+     "reformulation identity or sign test failed"),
+], ids=["flow", "spectral", "bm"])
+def test_a_failed_check_is_listed_in_the_report(tmp_path, monkeypatch, command, name, fake,
+                                                failure):
+    # each golden config passes; the patched check it reports on fails
+    monkeypatch.setattr(cli, name, fake)
+    config = Path(__file__).parent / "golden" / command / "config.cfg"
+    out = tmp_path / "o"
+    assert cli.run(command, str(config), out_dir=str(out), seed=42) == 1
+    report = json.loads((out / "report.json").read_text())
+    assert report["failures"] == [failure]
+    assert not report["passed"]
+
+
+def test_python_m_convexlab_runs_the_cli(tmp_path, monkeypatch):
+    config = Path(__file__).parent / "golden" / "bounds" / "config.cfg"
+    out = tmp_path / "o"
+    monkeypatch.setattr(sys, "argv", ["convexlab", "bounds", "--config", str(config),
+                                      "--out", str(out), "--seed", "42"])
+    monkeypatch.delitem(sys.modules, "convexlab.__main__", raising=False)
+    with pytest.raises(SystemExit) as info:
+        runpy.run_module("convexlab", run_name="__main__")
+    assert info.value.code == 0
+    assert json.loads((out / "report.json").read_text())["passed"]
 
 
 def test_failed_replace_leaves_no_temporary_file_and_the_old_report(tmp_path, monkeypatch):

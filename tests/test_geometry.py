@@ -299,10 +299,6 @@ def test_evenness_flag(disk1, ellipse21, blob, peanut):
     assert not blob.is_even
 
 
-def test_area_of_ellipse(ellipse21):
-    assert geometry.area(ellipse21) == pytest.approx(2 * np.pi, abs=1e-10)
-
-
 @pytest.mark.parametrize("make, error, says", [
     (lambda: geometry.SupportFunction2D(np.ones(62)), ValueError,
      "support function needs an even grid of >= 64 samples"),

@@ -206,7 +206,7 @@ def _reference_psi_grad(psi, y):
 
 def _reference_closed_flow_value(u, psi, t, p):
     """The closed-form quadratic flow value, shifting p - t*b by broadcasting."""
-    Minv = np.linalg.inv(np.linalg.inv(u.params["A"]) + t * psi.B)
+    Minv = np.linalg.inv(np.linalg.inv(u.hess(np.zeros(2))) + t * psi.B)
     tb = t * psi.b
     const = u._value(np.zeros((1, 2)))[0] - t * psi.c
     q = p - tb
@@ -328,12 +328,13 @@ def _reference_inv_2x2(H):
 @given(st.one_of(st.integers(0, 3), st.integers(4, 3000)), st.integers(0, 2**32 - 1),
        st.sampled_from([0.0, 0.05, 0.5]))
 def test_2x2_solve_inverse_and_spd_test_keep_the_stacked_bytes(m, seed, zeros):
-    # _solve_2x2, _inv_2x2 and _spd_2x2 go through the entry-wise helpers that
-    # _flow_newton calls on its Jacobian and dual Hessian entries
+    # the entry-wise helpers that both Newton solves call on the entries of a
+    # stack keep the bytes of the stacked forms, and so does _inv_2x2
     rng = np.random.default_rng(seed)
     H = _signed_zeros(rng, rng.standard_normal((m, 2, 2)), zeros)
     rhs = _signed_zeros(rng, rng.standard_normal((m, 2)), zeros)
+    h = measure._entries(H)
     with np.errstate(divide="ignore", invalid="ignore"):
-        _same_bits(_reference_solve_2x2(H, rhs), measure._solve_2x2(H, rhs))
+        _same_bits(_reference_solve_2x2(H, rhs), measure._solve_entries(*h, rhs))
         _same_bits(_reference_inv_2x2(H), measure._inv_2x2(H))
-    assert np.array_equal(_reference_spd_2x2(H), measure._spd_2x2(H))
+    assert np.array_equal(_reference_spd_2x2(H), measure._spd_entries(*h))

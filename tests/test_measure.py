@@ -365,10 +365,10 @@ def _reference_conjugate_newton(u, y):
             break
         keep = ~done
         idx, zi, yi, g = idx[keep], zi[keep], yi[keep], g[keep]
-        H = u._hess(zi)
-        if not measure._spd_2x2(H).all():
+        h = measure._entries(u._hess(zi))
+        if not measure._spd_entries(*h).all():
             raise NotConvexPotential("Hessian lost positive definiteness during conjugation")
-        d = -measure._solve_2x2(H, g)
+        d = -measure._solve_entries(*h, g)
         q0 = u._value(zi) - measure._dot2(yi, zi)
         gd = measure._dot2(g, d)
         floor = 1e-14 * (np.abs(q0) + 1.0)
@@ -416,7 +416,7 @@ def _reference_flow_newton(u, psi, t, x):
         det = J[:, 0, 0] * J[:, 1, 1] - J[:, 0, 1] * J[:, 1, 0]
         if np.any(np.abs(det) < 1e-14):
             raise FlowNotConvex("flow Jacobian became singular; t is past the window")
-        d = -measure._solve_2x2(J, R)
+        d = -measure._solve_entries(*measure._entries(J), R)
         phi0 = 0.5 * err[keep] ** 2
         floor = 0.5 * (1e-14 * scale) ** 2
         step = np.ones(len(idx))
@@ -436,7 +436,7 @@ def _reference_flow_newton(u, psi, t, x):
             f"flow Newton failed to converge for {int(active.sum())} point(s)")
     y = u._grad(z)
     Hdual = measure._inv_2x2(u._hess(z)) + t * psi.hess(y)
-    if not measure._spd_2x2(Hdual).all():
+    if not measure._spd_entries(*measure._entries(Hdual)).all():
         raise FlowNotConvex("u* + t*psi is not strictly convex at the maximizer")
     val = measure._dot2(x - z, y) + u._value(z) - t * psi.value(y)
     return val, y, measure._inv_2x2(Hdual)

@@ -1,9 +1,14 @@
+import warnings
+
 import numpy as np
 import numpy.testing as npt
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from convexlab import flow, forms, geometry, measure, pde, quad
-from convexlab.errors import CoercivityFailure, ZeroMean
+from convexlab.acceptance import disk_power_oracle
+from convexlab.errors import CoercivityFailure, NonFiniteIntegral, ZeroMean
 from convexlab.suite import random_boundary_field
 
 
@@ -13,10 +18,6 @@ def disk_solution_oracle(R):
     muK = 2 * np.pi * (1 - np.exp(-R * R / 2))
     H = 1.0 / R - R
     return 1.0 / (muBd / muK - H)
-
-
-def disk_power_oracle(R):
-    return 1.0 - (1.0 / R - R) * (np.exp(R * R / 2) - 1.0) / R
 
 
 def test_assembly_gaussian_disk_structure(disk1, gaussian):
@@ -71,6 +72,21 @@ def test_assembly_reports_a_gram_matrix_that_is_not_positive_definite(gaussian):
         pde.assemble(geometry.disk(40.0), gaussian)
 
 
+def test_a_p_that_overflows_raises_instead_of_returning_inf(gaussian):
+    # on the gaussian disk of radius 38, int rho_bar dmu = 1.7e-313 and
+    # mu(K) / int rho_bar dmu overflows; at 37 p is finite (1.9e297), at 39
+    # the Gram matrix is no longer positive definite
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")  # no numpy overflow warning either
+        assert pde.concavity_power(geometry.disk(37.0), gaussian) < np.inf
+        for solve in (pde.concavity_power, pde.solve_report):
+            with pytest.raises(NonFiniteIntegral, match=r"^p = mu\(K\) / int rho_bar dmu = "
+                               r"6\.28319 / 1\.72928e-313 is not finite$"):
+                solve(geometry.disk(38.0), gaussian)
+    with pytest.raises(CoercivityFailure):
+        pde.concavity_power(geometry.disk(39.0), gaussian)
+
+
 def test_basis_nesting(ellipse21, quad14):
     g8 = pde.assemble(ellipse21, quad14, N=8).G
     g16 = pde.assemble(ellipse21, quad14, N=16).G
@@ -95,6 +111,21 @@ def test_scalar_equation_oracle_for_disks(R, gaussian):
     rep = pde.solve_report(body, gaussian)
     npt.assert_allclose(rep["rho_bar"].values, disk_solution_oracle(R), atol=1e-9)
     assert rep["p"] == pytest.approx(disk_power_oracle(R), abs=1e-9)
+
+
+@settings(max_examples=8, deadline=None)
+@given(d0=st.floats(0.6, 1.6), d1=st.floats(0.6, 1.6), shear=st.floats(-0.6, 0.6),
+       R=st.floats(0.3, 2.0))
+def test_affine_image_of_a_gaussian_disk_keeps_its_power(d0, d1, shear, R):
+    # x -> Sx maps S^{-1}B_R with the weight e^{-<S^T S x, x>/2} onto B_R with
+    # the gaussian weight times a constant, and p is scale-free: an oracle on
+    # ellipses of any axes and tilt
+    S = np.array([[1.0, shear], [0.0, 1.0]]) @ np.diag([d0, d1])
+    theta = geometry.disk(1.0).theta_grid
+    nu = np.column_stack([np.cos(theta), np.sin(theta)])
+    body = geometry.SupportFunction2D(R * np.linalg.norm(nu @ np.linalg.inv(S), axis=1))
+    p = pde.concavity_power(body, measure.quadratic_potential(S.T @ S), N=48)
+    assert p == pytest.approx(disk_power_oracle(R), rel=1e-12)
 
 
 def test_concavity_power_small_disk_limit(gaussian):
