@@ -14,6 +14,7 @@ from .errors import (
     ConvexLabError,
     CoercivityFailure,
     FlowNotConvex,
+    InvalidInput,
     LebesgueModeRestriction,
     NewtonDivergence,
     NonFiniteIntegral,

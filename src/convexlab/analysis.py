@@ -27,7 +27,7 @@ from itertools import chain
 
 import numpy as np
 
-from .errors import CoercivityFailure, PinchingUndeclared
+from .errors import CoercivityFailure, InvalidInput, PinchingUndeclared
 from .forms import form_I
 from .geometry import minkowski_combine, wulff_perturb
 from .measure import _hgg
@@ -177,7 +177,7 @@ def interpolation_constant(system, sample_size=1000, seed=11):
     """
     sizes = [int(n) for n in np.atleast_1d(sample_size)]
     if min(sizes) < 0:
-        raise ValueError("sample_size must be >= 0")
+        raise InvalidInput("sample_size must be >= 0")
     rng = np.random.default_rng(seed)
     draws, w = max(sizes), _decay_weights(system.dim)
     blocks = (rng.standard_normal((min(_SCAN_BLOCK, draws - i), system.dim)) * w
@@ -199,7 +199,7 @@ def bm_check(bodyK, bodyL, u, p, t_nodes=21, Q=DEFAULT_Q, local_probe=False,
              N=DEFAULT_N):
     """Slack of the p-power concavity along the Minkowski segment K -> L."""
     if p <= 0:
-        raise ValueError("p must be positive")
+        raise InvalidInput("p must be positive")
     t_nodes = np.linspace(0.0, 1.0, t_nodes) if np.isscalar(t_nodes) else np.asarray(t_nodes)
     muK = _mu(bodyK, u, Q)
     muL = _mu(bodyL, u, Q)
@@ -234,7 +234,7 @@ def local_concavity_fd(body, u, f, p, Q=DEFAULT_Q):
     p = 0 is the log-concavity limit and tests log mu instead.
     """
     if p < 0:
-        raise ValueError("p must be nonnegative")
+        raise InvalidInput("p must be nonnegative")
 
     def g(t):
         body_t = wulff_perturb(body, f, t) if t else body
@@ -254,9 +254,9 @@ def reformulation_check(body, u, N=DEFAULT_N, Q=DEFAULT_Q):
     hypotheses; n = 2 makes the threshold 1/2).
     """
     if not body.is_even:
-        raise ValueError("reformulation check requires an origin-symmetric body")
+        raise InvalidInput("reformulation check requires an origin-symmetric body")
     if not u.is_even:
-        raise ValueError("reformulation check requires an even potential")
+        raise InvalidInput("reformulation check requires an even potential")
     rep = solve_report(body, u, N=N, Q=Q)
     rho_bar = rep["rho_bar"]
     moment = radial_moment_field(u)
@@ -295,9 +295,9 @@ def pinching_bounds(body, u, N=DEFAULT_N, Q=DEFAULT_Q):
         raise PinchingUndeclared(
             "pinching bounds need declared constants k1 <= k2 on the potential")
     if not body.is_even:
-        raise ValueError("pinching bounds require an origin-symmetric body")
+        raise InvalidInput("pinching bounds require an origin-symmetric body")
     if not u.is_even:
-        raise ValueError("pinching bounds require an even potential")
+        raise InvalidInput("pinching bounds require an even potential")
     k1, k2 = u.pinching
     r = k2 / k1
     flat, wmu, Hinv = _bl_nodes(body, u, Q)

@@ -1,17 +1,27 @@
-"""Exception hierarchy for contract violations and numerical failures."""
+"""Exception hierarchy: every error raised on purpose is a ``ConvexLabError``.
+
+Bad input (a radius <= 0, p <= 0, a body that is not origin-symmetric where one
+is required) raises ``InvalidInput``, also a ``ValueError``: the CLI's exit 2.
+A numerical failure raises another subclass: exit 3.  A plain ``ValueError``
+marks an internal contract break (an integrand of the wrong shape), a bug.
+"""
 
 
 def _check_descriptor(what, kind, desc, reads):
-    """ValueError unless kind is a key of reads and reads[kind] names every key of desc."""
+    """InvalidInput unless kind is a key of reads and reads[kind] names every key of desc."""
     if kind not in reads:
-        raise ValueError(f"unknown {what} kind {kind!r}; expected one of {', '.join(reads)}")
+        raise InvalidInput(f"unknown {what} kind {kind!r}; expected one of {', '.join(reads)}")
     stray = sorted(set(desc) - set(reads[kind]))
     if stray:
-        raise ValueError(f"keys {stray} do not apply to {what} kind {kind!r}")
+        raise InvalidInput(f"keys {stray} do not apply to {what} kind {kind!r}")
 
 
 class ConvexLabError(Exception):
     """Base class for all library-specific errors."""
+
+
+class InvalidInput(ConvexLabError, ValueError):
+    """An argument the library rejects as outside its domain."""
 
 
 class NotStrictlyConvex(ConvexLabError):
@@ -64,7 +74,7 @@ class ZeroMean(ConvexLabError):
     """Rayleigh quotient requested for a field with vanishing mean."""
 
 
-class PinchingUndeclared(ConvexLabError):
+class PinchingUndeclared(InvalidInput):
     """A pinched-Hessian bound was requested without declared constants."""
 
 
@@ -77,5 +87,5 @@ class NonFiniteIntegral(ConvexLabError):
     potential, or p = mu(K) / int rho_bar dmu overflowing on a large gaussian disk)."""
 
 
-class ConfigError(ConvexLabError):
+class ConfigError(InvalidInput):
     """Invalid experiment configuration."""

@@ -31,7 +31,7 @@ from dataclasses import dataclass, replace
 
 import numpy as np
 
-from .errors import FlowNotConvex, OriginOutside, PerturbationTooLarge
+from .errors import FlowNotConvex, InvalidInput, OriginOutside, PerturbationTooLarge
 from .forms import InteriorField, _boundary_field, form_BL, form_I, form_P
 from .geometry import gauge_angle, wulff_perturb
 from .measure import _dot2, _hgg, flow_potential
@@ -62,9 +62,9 @@ class FlowConfig:
 
     def __post_init__(self):
         if not (isinstance(self.n_t, numbers.Integral) and self.n_t >= 3):
-            raise ValueError(f"n_t must be an integer >= 3, got {self.n_t!r}")
+            raise InvalidInput(f"n_t must be an integer >= 3, got {self.n_t!r}")
         if not (isinstance(self.eps, numbers.Real) and 0 < self.eps < np.inf):
-            raise ValueError(f"eps must be finite and > 0, got {self.eps!r}")
+            raise InvalidInput(f"eps must be finite and > 0, got {self.eps!r}")
 
     def t_grid(self):
         return np.linspace(-self.eps, self.eps, self.n_t)

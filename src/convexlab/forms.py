@@ -31,6 +31,7 @@ from dataclasses import dataclass, field
 import numpy as np
 
 from . import spectral
+from .errors import InvalidInput
 from .measure import _dot2, _hgg
 from .quad import (DEFAULT_Q, _bl_nodes, _boundary_weight, _hmu, _mu, _node_values,
                    boundary_integral, interior_integral)
@@ -60,9 +61,9 @@ class BoundaryField:
     def __init__(self, values, dvalues=None):
         self.values = np.asarray(values, dtype=float).copy()
         if self.values.ndim != 1:
-            raise ValueError("boundary field must be a 1-D sample array")
+            raise InvalidInput("boundary field must be a 1-D sample array")
         if not np.all(np.isfinite(self.values)):
-            raise ValueError("boundary field samples must be finite")
+            raise InvalidInput("boundary field samples must be finite")
         self.M = self.values.size
         self._d1 = None if dvalues is None else np.asarray(dvalues, dtype=float).copy()
         self._coeffs = None

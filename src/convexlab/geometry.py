@@ -19,8 +19,8 @@ from functools import cached_property, lru_cache
 import numpy as np
 
 from . import spectral
-from .errors import (ConvexLabError, NotStrictlyConvex, OriginOutside, PerturbationTooLarge,
-                     _check_descriptor)
+from .errors import (ConvexLabError, InvalidInput, NotStrictlyConvex, OriginOutside,
+                     PerturbationTooLarge, _check_descriptor)
 
 __all__ = [
     "SupportFunction2D",
@@ -68,9 +68,9 @@ class SupportFunction2D:
     def __init__(self, values, descriptor=None, validate=True):
         values = np.asarray(values, dtype=float).copy()
         if values.ndim != 1 or values.size < 64 or values.size % 2:
-            raise ValueError("support function needs an even grid of >= 64 samples")
+            raise InvalidInput("support function needs an even grid of >= 64 samples")
         if not np.all(np.isfinite(values)):
-            raise ValueError("support function samples must be finite")
+            raise InvalidInput("support function samples must be finite")
         values.flags.writeable = False
         self.values = values
         self.M = values.size
@@ -173,7 +173,7 @@ class BoundaryPoint:
 
 def disk(radius=1.0, M=DEFAULT_M):
     if radius <= 0:
-        raise ValueError("disk radius must be positive")
+        raise InvalidInput("disk radius must be positive")
     vals = np.full(M, float(radius))
     return SupportFunction2D(vals, descriptor={"kind": "disk", "radius": float(radius)})
 
@@ -181,7 +181,7 @@ def disk(radius=1.0, M=DEFAULT_M):
 def ellipse(a, b, M=DEFAULT_M):
     """Ellipse x^2/a^2 + y^2/b^2 <= 1; h = sqrt(a^2 cos^2 + b^2 sin^2)."""
     if a <= 0 or b <= 0:
-        raise ValueError("ellipse semi-axes must be positive")
+        raise InvalidInput("ellipse semi-axes must be positive")
     t = spectral.grid(M)
     vals = np.sqrt((a * np.cos(t)) ** 2 + (b * np.sin(t)) ** 2)
     return SupportFunction2D(vals, descriptor={"kind": "ellipse", "a": float(a), "b": float(b)})
@@ -217,7 +217,7 @@ def hull_body(points, smoothing=0.15, M=DEFAULT_M, recenter=True):
     """
     pts = np.asarray(points, dtype=float).reshape(-1, 2)
     if len(pts) < 3:
-        raise ValueError("hull_body needs at least 3 points")
+        raise InvalidInput("hull_body needs at least 3 points")
     raw = (_frame(M)[1] @ pts.T).max(axis=1)
     c = spectral.coefficients(raw)
     k = np.arange(len(c))
@@ -239,8 +239,8 @@ def make_body(descriptor, M=DEFAULT_M):
     """Build a body from a descriptor dict (CLI entry point).
 
     Kinds: ``disk`` (radius), ``ellipse`` (a, b), ``fourier`` (c0, cos, sin).
-    Lengths default to 1 and harmonics to none.  An unknown kind, or a key
-    the kind does not read, raises ValueError.
+    Lengths default to 1 and harmonics to none.  An unknown kind, a key the
+    kind does not read, or a length <= 0 raises InvalidInput.
     """
     desc = dict(descriptor)
     kind = desc.pop("kind", None)
@@ -292,7 +292,7 @@ def minkowski_combine(bodyK, bodyL, t):
     if bodyK.M != bodyL.M:
         raise ValueError("bodies live on different grids")
     if not 0.0 <= t <= 1.0:
-        raise ValueError("t must lie in [0, 1]")
+        raise InvalidInput("t must lie in [0, 1]")
     # arranged as h_K + t*(h_L - h_K): bit-identical with the Wulff path
     vals = bodyK.values + float(t) * (bodyL.values - bodyK.values)
     return SupportFunction2D(
@@ -340,7 +340,7 @@ def gauge_angle(body, x, newton_steps=20, tol=1e-12):
     if x.shape[-1:] != (2,):
         raise ValueError("gauge needs points of shape (..., 2)")
     if not np.all(np.isfinite(x)):
-        raise ValueError("gauge of a non-finite point")
+        raise InvalidInput("gauge of a non-finite point")
     X = x.reshape(-1, 2)
     g_grid = np.matmul(body.normals_grid[None], X[:, :, None])[..., 0] / body.values
     j = np.argmax(g_grid, axis=1)

@@ -19,15 +19,8 @@ and the dual perturbation psi = alpha*u* read that Potential.
 
 import numpy as np
 
-from .errors import (
-    ConvexLabError,
-    FlowNotConvex,
-    LebesgueModeRestriction,
-    NewtonDivergence,
-    NotConvexPotential,
-    PinchingViolation,
-    _check_descriptor,
-)
+from .errors import (ConvexLabError, FlowNotConvex, InvalidInput, LebesgueModeRestriction,
+                     NewtonDivergence, NotConvexPotential, PinchingViolation, _check_descriptor)
 from .geometry import boundary_point
 
 __all__ = [
@@ -184,7 +177,7 @@ class Potential:
         self._hess = hess
         self.is_even = bool(is_even)
         if pinching is not None and (None in pinching or not 0 < pinching[0] <= pinching[1]):
-            raise ValueError(f"pinching needs both constants with 0 < k1 <= k2, got {pinching}")
+            raise InvalidInput(f"pinching needs both constants with 0 < k1 <= k2, got {pinching}")
         self.pinching = None if pinching is None else (float(pinching[0]), float(pinching[1]))
         self.descriptor = descriptor or {"kind": kind}
 
@@ -320,8 +313,9 @@ def make_potential(descriptor):
 
     Kinds: ``gaussian``, ``quadratic`` (A, required), ``even-quartic`` (eps,
     default 0) and ``zero``.  Each kind takes ``pinching`` = (k1, k2), which
-    replaces its own constants.  An unknown kind, or a key the kind does not
-    read, raises ValueError.
+    replaces its own constants.  An unknown kind, a key the kind does not
+    read, a quadratic without A or a pinching that breaks 0 < k1 <= k2
+    raises InvalidInput.
     """
     desc = dict(descriptor)
     kind = desc.pop("kind", None)
@@ -329,7 +323,7 @@ def make_potential(descriptor):
     _check_descriptor("potential", kind, desc, {"gaussian": (), "quadratic": ("A",),
                                                 "even-quartic": ("eps",), "zero": ()})
     if kind == "quadratic" and "A" not in desc:
-        raise ValueError("a quadratic potential needs its matrix A")
+        raise InvalidInput("a quadratic potential needs its matrix A")
     u = {"gaussian": gaussian_potential, "zero": zero_potential,
          "quadratic": lambda: quadratic_potential(desc["A"]),
          "even-quartic": lambda: even_quartic_potential(desc.get("eps", 0.0))}[kind]()
@@ -570,7 +564,7 @@ class QuadraticPerturbation:
     def __init__(self, B=None, b=None, c=0.0):
         self.B = np.zeros((2, 2)) if B is None else np.asarray(B, dtype=float).reshape(2, 2)
         if not np.allclose(self.B, self.B.T, atol=1e-12):
-            raise ValueError("quadratic perturbation needs a symmetric matrix")
+            raise InvalidInput("quadratic perturbation needs a symmetric matrix")
         self.b = np.zeros(2) if b is None else np.asarray(b, dtype=float).reshape(2)
         self.c = float(c)
         self.is_even = bool(np.all(self.b == 0.0) and self.c == 0.0)
@@ -602,7 +596,7 @@ class ConjugatePerturbation:
     def __init__(self, u, alpha):
         u.require_strictly_convex("psi = alpha * u*")
         if alpha < 0:
-            raise ValueError("alpha must be >= 0")
+            raise InvalidInput("alpha must be >= 0")
         self.base = u
         self.alpha = float(alpha)
         self.is_even = u.is_even

@@ -35,7 +35,8 @@ from functools import cached_property
 import numpy as np
 
 from . import spectral
-from .errors import CoercivityFailure, LebesgueModeRestriction, NonFiniteIntegral, ZeroMean
+from .errors import (CoercivityFailure, InvalidInput, LebesgueModeRestriction,
+                     NonFiniteIntegral, ZeroMean)
 from .forms import BoundaryField, InteriorField, _boundary_field, form_P
 from .measure import _dot2, verify_pinching
 from .quad import (DEFAULT_Q, _boundary_measure, _boundary_weight, _hmu, _mu, boundary_integral,
@@ -118,10 +119,10 @@ def assemble(body, u, N=DEFAULT_N, Q=DEFAULT_Q, even_only=False):
     is attempted and the solve is refused.
     """
     if N < 4:
-        raise ValueError("basis order N must be >= 4")
+        raise InvalidInput("basis order N must be >= 4")
     if 2 * N >= body.M:
-        raise ValueError(f"basis order N = {N} needs 2N < M = {body.M}: the grid "
-                         "cannot tell the top harmonics apart")
+        raise InvalidInput(f"basis order N = {N} needs 2N < M = {body.M}: the grid "
+                           "cannot tell the top harmonics apart")
     if u.pinching is not None:
         pts, _ = interior_nodes(body, Q)
         verify_pinching(u, body.boundary_grid)

@@ -11,7 +11,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from convexlab import cli, flow, measure
+from convexlab import analysis, cli, flow, measure
 from convexlab.errors import ConfigError
 
 
@@ -337,14 +337,18 @@ def test_bounds_reads_the_declared_pinching(tmp_path):
                                        "potential.kind = zero\n"])
 def test_bounds_without_declared_pinching_is_config_error(tmp_path, capsys, monkeypatch,
                                                           potential):
-    # refused before any assembly: the config lacks two keys, nothing numerical failed
-    monkeypatch.setattr(cli, "pinching_bounds", None)
+    # pinching_bounds refuses before any assembly: the config lacks two keys,
+    # nothing numerical failed
+    def never(*args, **kwargs):
+        raise AssertionError("pinching_bounds assembled before refusing")
+
+    monkeypatch.setattr(analysis, "concavity_power", never)
+    monkeypatch.setattr(analysis, "_bl_nodes", never)
     path = write(tmp_path / "b.cfg", DISK + potential)
     out = tmp_path / "o"
     assert cli.main(["bounds", "--config", path, "--out", str(out)]) == 2
     assert capsys.readouterr().err.strip() == (
-        "config error: potential: bounds requires the pinching constants "
-        "potential.k1 and potential.k2")
+        "config error: pinching bounds need declared constants k1 <= k2 on the potential")
     assert not (out / "report.json").exists()
 
 
@@ -511,13 +515,13 @@ def test_csv_of_numpy_scalars_and_of_python_floats_are_the_same_bytes(tmp_path):
 
 
 def test_bounds_refuses_a_body_that_is_not_symmetric(tmp_path, capsys):
-    # pinching_bounds would raise a bare ValueError after the body was built
+    # pinching_bounds raises InvalidInput, which the CLI reports as a config error
     path = write(tmp_path / "b.cfg", "body.kind = fourier\nbody.c0 = 1.0\nbody.cos2 = 0.15\n"
                                      "body.sin3 = 0.05\n" + GAUSSIAN)
     out = tmp_path / "o"
     assert cli.main(["bounds", "--config", path, "--out", str(out)]) == 2
     assert capsys.readouterr().err.strip() == (
-        "config error: body: bounds requires an origin-symmetric body")
+        "config error: pinching bounds require an origin-symmetric body")
     assert not out.exists()
 
 
@@ -639,3 +643,15 @@ def test_body_construction_checks_reach_the_exit_status(tmp_path, capsys, body, 
     err = capsys.readouterr().err
     assert err.strip() == says
     assert not (out / "report.json").exists()
+
+
+def test_an_internal_value_error_is_not_a_config_error(tmp_path, monkeypatch):
+    # only InvalidInput is bad input; a plain ValueError is a bug and keeps its traceback
+    def broken(*args, **kwargs):
+        raise ValueError("boom")
+
+    monkeypatch.setattr(cli, "make_body", broken)
+    out = tmp_path / "o"
+    with pytest.raises(ValueError, match="^boom$"):
+        cli.main(["solve", "--config", write(tmp_path / "s.cfg", SOLVE_CFG), "--out", str(out)])
+    assert not out.exists()

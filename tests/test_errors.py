@@ -1,0 +1,83 @@
+import numpy as np
+import pytest
+
+from convexlab import analysis, flow, forms, geometry, measure, pde, quad
+from convexlab.errors import ConvexLabError, InvalidInput
+
+DISK = geometry.disk(1.0)
+BLOB = geometry.fourier_body(1.0, cos={2: 0.15}, sin={3: 0.05})
+GAUSSIAN = measure.gaussian_potential()
+SHIFTED = measure.translate_potential(GAUSSIAN, [0.3, 0.0])  # keeps (1, 1), not even
+
+
+@pytest.mark.parametrize("call, says", [
+    (lambda: analysis.interpolation_constant(
+        pde.assemble(geometry.disk(1.0, M=64), GAUSSIAN, N=4, Q=16), sample_size=-1),
+     "sample_size must be >= 0"),
+    (lambda: analysis.bm_check(DISK, DISK, GAUSSIAN, 0), "p must be positive"),
+    (lambda: analysis.local_concavity_fd(DISK, GAUSSIAN, forms.BoundaryField(DISK.values), -1),
+     "p must be nonnegative"),
+    (lambda: analysis.reformulation_check(BLOB, GAUSSIAN),
+     "reformulation check requires an origin-symmetric body"),
+    (lambda: analysis.reformulation_check(DISK, SHIFTED),
+     "reformulation check requires an even potential"),
+    (lambda: analysis.pinching_bounds(DISK, measure.zero_potential()),
+     "pinching bounds need declared constants k1 <= k2 on the potential"),
+    (lambda: analysis.pinching_bounds(BLOB, GAUSSIAN),
+     "pinching bounds require an origin-symmetric body"),
+    (lambda: analysis.pinching_bounds(DISK, SHIFTED), "pinching bounds require an even potential"),
+    (lambda: geometry.SupportFunction2D(np.ones(62)),
+     "support function needs an even grid of >= 64 samples"),
+    (lambda: geometry.SupportFunction2D(np.r_[np.ones(63), np.nan]),
+     "support function samples must be finite"),
+    (lambda: geometry.disk(-1), "disk radius must be positive"),
+    (lambda: geometry.ellipse(0, 1), "ellipse semi-axes must be positive"),
+    (lambda: geometry.hull_body([[0.0, 0.0], [1.0, 0.0]]), "hull_body needs at least 3 points"),
+    (lambda: geometry.minkowski_combine(DISK, DISK, 2), "t must lie in [0, 1]"),
+    (lambda: geometry.gauge(DISK, [np.nan, 0.0]), "gauge of a non-finite point"),
+    (lambda: measure.make_potential({"kind": "gaussian", "pinching": (2.0, 1.0)}),
+     "pinching needs both constants with 0 < k1 <= k2, got (2.0, 1.0)"),
+    (lambda: measure.make_potential({"kind": "quadratic"}),
+     "a quadratic potential needs its matrix A"),
+    (lambda: measure.QuadraticPerturbation([[1.0, 2.0], [0.0, 1.0]]),
+     "quadratic perturbation needs a symmetric matrix"),
+    (lambda: measure.ConjugatePerturbation(GAUSSIAN, -1), "alpha must be >= 0"),
+    (lambda: flow.FlowConfig(f=None, n_t=2), "n_t must be an integer >= 3, got 2"),
+    (lambda: flow.FlowConfig(f=None, eps=-1), "eps must be finite and > 0, got -1"),
+    (lambda: forms.BoundaryField(np.ones((2, 64))), "boundary field must be a 1-D sample array"),
+    (lambda: forms.BoundaryField([1.0, np.inf]), "boundary field samples must be finite"),
+    (lambda: pde.assemble(DISK, GAUSSIAN, N=3), "basis order N must be >= 4"),
+    (lambda: pde.assemble(DISK, GAUSSIAN, N=200),
+     "basis order N = 200 needs 2N < M = 256: the grid cannot tell the top harmonics apart"),
+    (lambda: geometry.make_body({"kind": "triangle"}),
+     "unknown body kind 'triangle'; expected one of disk, ellipse, fourier"),
+    (lambda: geometry.make_body({"kind": "disk", "a": 2.0}),
+     "keys ['a'] do not apply to body kind 'disk'"),
+], ids=["sample-size", "bm-p", "fd-p", "reformulation-body", "reformulation-potential",
+        "pinching-undeclared", "pinching-body", "pinching-potential", "support-grid",
+        "support-finite", "disk-radius", "ellipse-axes", "hull-points", "minkowski-t",
+        "gauge-nan", "pinching-constants", "quadratic-without-A", "asymmetric-B",
+        "negative-alpha", "flow-n_t", "flow-eps", "field-1-d", "field-finite", "N-below-4",
+        "N-above-grid", "unknown-kind", "stray-key"])
+def test_bad_input_is_invalid_input_and_value_error(call, says):
+    # the CLI maps InvalidInput to exit 2; callers catching ValueError still work
+    with pytest.raises(InvalidInput) as info:
+        call()
+    assert isinstance(info.value, ValueError) and isinstance(info.value, ConvexLabError)
+    assert str(info.value) == says
+
+
+@pytest.mark.parametrize("call, says", [
+    (lambda: forms.form_P(DISK, GAUSSIAN, DISK.values, DISK.values),
+     "expected a BoundaryField, got ndarray"),
+    (lambda: quad.boundary_integral(DISK, GAUSSIAN, np.ones(128)),
+     "boundary integrand does not match the body grid"),
+    (lambda: geometry.gauge(DISK, np.ones(3)), "gauge needs points of shape (..., 2)"),
+    (lambda: measure.conjugate_flow(GAUSSIAN, None, 0.0, np.zeros(2), method="exact"),
+     "unknown flow method 'exact': expected 'auto', 'newton' or 'closed'"),
+], ids=["forms-raw-array", "quad-grid", "gauge-shape", "flow-method"])
+def test_contract_break_stays_a_plain_value_error(call, says):
+    # a caller's bug, not bad input: the CLI lets it leave as a traceback
+    with pytest.raises(ValueError) as info:
+        call()
+    assert type(info.value) is ValueError and str(info.value) == says

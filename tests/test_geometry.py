@@ -6,7 +6,8 @@ from hypothesis import strategies as st
 from hypothesis.extra import numpy as hnp
 
 from convexlab import geometry, spectral, suite
-from convexlab.errors import NotStrictlyConvex, OriginOutside, PerturbationTooLarge
+from convexlab.errors import (InvalidInput, NotStrictlyConvex, OriginOutside,
+                              PerturbationTooLarge)
 from convexlab.forms import BoundaryField
 
 
@@ -300,17 +301,17 @@ def test_evenness_flag(disk1, ellipse21, blob, peanut):
 
 
 @pytest.mark.parametrize("make, error, says", [
-    (lambda: geometry.SupportFunction2D(np.ones(62)), ValueError,
+    (lambda: geometry.SupportFunction2D(np.ones(62)), InvalidInput,
      "support function needs an even grid of >= 64 samples"),
-    (lambda: geometry.SupportFunction2D(np.ones(65)), ValueError,
+    (lambda: geometry.SupportFunction2D(np.ones(65)), InvalidInput,
      "support function needs an even grid of >= 64 samples"),
-    (lambda: geometry.SupportFunction2D(np.ones((2, 64))), ValueError,
+    (lambda: geometry.SupportFunction2D(np.ones((2, 64))), InvalidInput,
      "support function needs an even grid of >= 64 samples"),
-    (lambda: geometry.SupportFunction2D(np.r_[np.ones(63), np.inf]), ValueError,
+    (lambda: geometry.SupportFunction2D(np.r_[np.ones(63), np.inf]), InvalidInput,
      "support function samples must be finite"),
-    (lambda: geometry.ellipse(0.0, 1.0), ValueError, "ellipse semi-axes must be positive"),
-    (lambda: geometry.ellipse(1.0, -2.0), ValueError, "ellipse semi-axes must be positive"),
-    (lambda: geometry.hull_body([[0.0, 0.0], [1.0, 0.0]]), ValueError,
+    (lambda: geometry.ellipse(0.0, 1.0), InvalidInput, "ellipse semi-axes must be positive"),
+    (lambda: geometry.ellipse(1.0, -2.0), InvalidInput, "ellipse semi-axes must be positive"),
+    (lambda: geometry.hull_body([[0.0, 0.0], [1.0, 0.0]]), InvalidInput,
      "hull_body needs at least 3 points"),
     # three copies of one point: h is a pure first harmonic, so h + h'' is
     # rounding noise at every smoothing
@@ -326,11 +327,11 @@ def test_evenness_flag(disk1, ellipse21, blob, peanut):
     (lambda: geometry.minkowski_combine(geometry.disk(1.0), geometry.disk(1.0, M=128), 0.5),
      ValueError, "bodies live on different grids"),
     (lambda: geometry.minkowski_combine(geometry.disk(1.0), geometry.disk(2.0), 1.5),
-     ValueError, "t must lie in [0, 1]"),
+     InvalidInput, "t must lie in [0, 1]"),
     (lambda: geometry.minkowski_combine(geometry.disk(1.0), geometry.disk(2.0), -0.1),
-     ValueError, "t must lie in [0, 1]"),
+     InvalidInput, "t must lie in [0, 1]"),
     (lambda: geometry.minkowski_combine(geometry.disk(1.0), geometry.disk(2.0), np.nan),
-     ValueError, "t must lie in [0, 1]"),
+     InvalidInput, "t must lie in [0, 1]"),
 ], ids=["M-62", "M-odd", "2-d", "non-finite", "ellipse-a-0", "ellipse-b-negative",
         "hull-2-points", "hull-one-point", "hull-origin", "fourier-point", "wulff-grid",
         "minkowski-grids", "minkowski-t-above", "minkowski-t-below", "minkowski-t-nan"])

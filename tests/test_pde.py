@@ -9,7 +9,7 @@ from hypothesis import strategies as st
 from convexlab import flow, forms, geometry, measure, pde, quad
 from convexlab.acceptance import disk_power_oracle
 from convexlab.errors import CoercivityFailure, NonFiniteIntegral, ZeroMean
-from convexlab.suite import random_boundary_field
+from convexlab.suite import random_boundary_field, standard_bodies
 
 
 def disk_solution_oracle(R):
@@ -158,6 +158,17 @@ def test_lebesgue_support_function_identity(disk1, ellipse21, blob, lebesgue):
     for body in (disk1, ellipse21, blob):
         out = pde.apply_L(body, lebesgue, forms.BoundaryField(body.values))
         npt.assert_allclose(out.values, 1.0, atol=1e-9)
+
+
+@pytest.mark.parametrize("body", standard_bodies().values(), ids=standard_bodies().keys())
+def test_lebesgue_power_on_the_quotient_by_first_harmonics_is_one_half(body, lebesgue):
+    # u == 0: G is singular only along cos and sin (translations).  Off them,
+    # p = mu(K) / (m'.c) with G'c = m' is 1/2, the Brunn-Minkowski equality
+    # case, on every body; assemble's B scaled by 1 + 1e-6 moves it by ~5e-7
+    system = pde.assemble(body, lebesgue, N=32)
+    keep = np.r_[0, 3:system.dim]
+    c = np.linalg.solve(system.G[np.ix_(keep, keep)], system.m[keep])
+    assert abs(system.muK / (system.m[keep] @ c) - 0.5) <= 1e-13
 
 
 def test_weak_strong_consistency(ellipse21, quad14, rng):
