@@ -33,12 +33,15 @@ checks (``acceptance``), so their tolerances and failure messages are shared.
 """
 
 import argparse
+import ctypes
+import functools
 import json
 import math
 import os
 import re
 import sys
 import tempfile
+from pathlib import Path
 
 import numpy as np
 
@@ -151,7 +154,7 @@ def parse_config(path, command):
     """
     cfg, written = {}, {}
     try:
-        lines = open(path, encoding="utf-8").read().splitlines()
+        lines = Path(path).read_text(encoding="utf-8").splitlines()
     except OSError as exc:
         raise ConfigError(f"cannot read config {path}: {exc}") from exc
     for ln, line in enumerate(lines, 1):
@@ -422,9 +425,28 @@ _COMMANDS = {"solve": _cmd_solve, "forms-check": _cmd_forms_check, "flow": _cmd_
              "scan": _cmd_scan, "all": _cmd_all}
 
 
+@functools.cache
+def _keep_heap():
+    """Keep freed memory in this process's heap: glibc's mallopt, set once.
+
+    By default glibc maps numpy's 128-256 KB temporaries and trims the heap's
+    top, so every solve faults its pages in again.  With no mmap below 16 MiB
+    and no trim below 64 MiB, freed buffers are reused.  A C library without
+    mallopt is left as it is.  Set by ``run``, never at import.
+    """
+    try:
+        mallopt = ctypes.CDLL(None).mallopt
+    except (OSError, AttributeError, TypeError):
+        return
+    mallopt.argtypes, mallopt.restype = (ctypes.c_int, ctypes.c_int), ctypes.c_int
+    mallopt(-3, 16 << 20)  # M_MMAP_THRESHOLD
+    mallopt(-1, 64 << 20)  # M_TRIM_THRESHOLD
+
+
 def run(command, config_path=None, out_dir="convexlab-out", seed=None, quad_m=None,
         modes=None):
     """Run one command; returns the exit status (artifacts land in out_dir)."""
+    _keep_heap()
     if command not in _COMMANDS:
         raise ConfigError(f"unknown command {command!r}")
     if config_path is None and command != "all":

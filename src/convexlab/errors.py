@@ -78,8 +78,8 @@ class PinchingUndeclared(InvalidInput):
     """A pinched-Hessian bound was requested without declared constants."""
 
 
-class PinchingViolation(ConvexLabError):
-    """Declared Hessian pinching fails at a quadrature node."""
+class PinchingViolation(InvalidInput):
+    """Declared Hessian pinching fails at a quadrature node: the declaration is bad input."""
 
 
 class NonFiniteIntegral(ConvexLabError):

@@ -314,8 +314,8 @@ def make_potential(descriptor):
     Kinds: ``gaussian``, ``quadratic`` (A, required), ``even-quartic`` (eps,
     default 0) and ``zero``.  Each kind takes ``pinching`` = (k1, k2), which
     replaces its own constants.  An unknown kind, a key the kind does not
-    read, a quadratic without A or a pinching that breaks 0 < k1 <= k2
-    raises InvalidInput.
+    read, a quadratic without A, a pinching that breaks 0 < k1 <= k2 or any
+    pinching on ``zero`` raises InvalidInput.
     """
     desc = dict(descriptor)
     kind = desc.pop("kind", None)
@@ -324,6 +324,8 @@ def make_potential(descriptor):
                                                 "even-quartic": ("eps",), "zero": ()})
     if kind == "quadratic" and "A" not in desc:
         raise InvalidInput("a quadratic potential needs its matrix A")
+    if kind == "zero" and pinching is not None:
+        raise InvalidInput("the zero potential's Hessian 0 is below any declared k1 > 0")
     u = {"gaussian": gaussian_potential, "zero": zero_potential,
          "quadratic": lambda: quadratic_potential(desc["A"]),
          "even-quartic": lambda: even_quartic_potential(desc.get("eps", 0.0))}[kind]()

@@ -28,3 +28,6 @@ def test_abtime_times_one_call_of_two_checkouts(tmp_path):
     assert re.fullmatch(r"change better in [0-2]/2 reps", lines[1])
     ratio = re.fullmatch(r"median ratio change/parent: (\S+) \(quartiles \S+, \S+\)", lines[2])
     assert ratio and float(ratio.group(1)) > 0.0
+    faults = re.fullmatch(r"minor faults per rep: parent median (\S+), change median (\S+)",
+                          lines[3])
+    assert faults and all(float(n) >= 0.0 for n in faults.groups())

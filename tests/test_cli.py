@@ -1,9 +1,11 @@
+import gc
 import importlib.util
 import json
 import math
 import re
 import runpy
 import sys
+import warnings
 from pathlib import Path
 
 import numpy as np
@@ -91,17 +93,15 @@ def test_command_without_config_flag_is_config_error(tmp_path, capsys):
     assert not out.exists()
 
 
-def test_numerical_failure_exit_code(tmp_path):
-    # declared pinching that the quartic Hessian violates on the nodes
-    cfg = write(tmp_path / "pinch.cfg", """
-body.kind = disk
-body.radius = 1.0
-potential.kind = even-quartic
-potential.eps = 0.1
-potential.k1 = 5.0
-potential.k2 = 5.0
-""")
-    assert cli.main(["solve", "--config", cfg, "--out", str(tmp_path / "o")]) == 3
+def test_numerical_failure_exit_code(tmp_path, capsys):
+    # e^{-R^2/2} underflows on the boundary of the gaussian disk of radius 40, so the
+    # Gram matrix is singular: a numerical failure, where a broken pinching is bad input
+    cfg = write(tmp_path / "big.cfg", "body.kind = disk\nbody.radius = 40\n" + GAUSSIAN
+                + "potential.k1 = 1\npotential.k2 = 1\n")
+    out = tmp_path / "o"
+    assert cli.main(["bounds", "--config", cfg, "--out", str(out)]) == 3
+    assert capsys.readouterr().err.startswith("numerical failure: CoercivityFailure: ")
+    assert not out.exists()
 
 
 def test_forms_check_command(tmp_path):
@@ -350,6 +350,40 @@ def test_bounds_without_declared_pinching_is_config_error(tmp_path, capsys, monk
     assert capsys.readouterr().err.strip() == (
         "config error: pinching bounds need declared constants k1 <= k2 on the potential")
     assert not (out / "report.json").exists()
+
+
+ELLIPSE = "body.kind = ellipse\nbody.a = 2\nbody.b = 1\n"
+
+
+@pytest.mark.parametrize("command, text, says", [
+    ("bounds", ELLIPSE + "potential.kind = even-quartic\npotential.eps = 0\n"
+     "potential.k1 = 1.5\npotential.k2 = 2\n",
+     "config error: min Hessian eigenvalue 1 < declared k1 = 1.5"),
+    ("bounds", ELLIPSE + "potential.kind = zero\npotential.k1 = 1.5\npotential.k2 = 2\n",
+     "config error: potential: the zero potential's Hessian 0 is below any declared k1 > 0"),
+    ("solve", DISK + "potential.kind = even-quartic\npotential.eps = 0.1\n"
+     "potential.k1 = 5\npotential.k2 = 5\n",
+     "config error: min Hessian eigenvalue 1.4 < declared k1 = 5"),
+], ids=["bounds-even-quartic", "bounds-zero", "solve-even-quartic"])
+def test_a_pinching_the_potential_breaks_is_config_error(tmp_path, capsys, command, text, says):
+    # a declaration the potential's Hessian contradicts is bad input, not a numerical
+    # failure; zero is refused by make_potential before its Hessian 0 is inverted
+    path = write(tmp_path / "b.cfg", text)
+    out = tmp_path / "o"
+    with warnings.catch_warnings():
+        warnings.simplefilter("error", RuntimeWarning)
+        assert cli.main([command, "--config", path, "--out", str(out)]) == 2
+    assert capsys.readouterr().err.strip() == says
+    assert not (out / "report.json").exists()
+
+
+def test_parse_config_closes_its_file(tmp_path):
+    path = write(tmp_path / "s.cfg", SOLVE_CFG)
+    with warnings.catch_warnings(record=True) as caught:
+        warnings.simplefilter("always")
+        cli.parse_config(path, "solve")
+        gc.collect()
+    assert not [w for w in caught if issubclass(w.category, ResourceWarning)]
 
 
 def test_every_benchmark_config_parses(tmp_path):

@@ -39,6 +39,11 @@ SHIFTED = measure.translate_potential(GAUSSIAN, [0.3, 0.0])  # keeps (1, 1), not
      "pinching needs both constants with 0 < k1 <= k2, got (2.0, 1.0)"),
     (lambda: measure.make_potential({"kind": "quadratic"}),
      "a quadratic potential needs its matrix A"),
+    (lambda: measure.make_potential({"kind": "zero", "pinching": (0.5, 8)}),
+     "the zero potential's Hessian 0 is below any declared k1 > 0"),
+    (lambda: measure.verify_pinching(measure.even_quartic_potential(0.0, pinching=(1.5, 2.0)),
+                                     np.zeros((1, 2))),
+     "min Hessian eigenvalue 1 < declared k1 = 1.5"),
     (lambda: measure.QuadraticPerturbation([[1.0, 2.0], [0.0, 1.0]]),
      "quadratic perturbation needs a symmetric matrix"),
     (lambda: measure.ConjugatePerturbation(GAUSSIAN, -1), "alpha must be >= 0"),
@@ -56,9 +61,9 @@ SHIFTED = measure.translate_potential(GAUSSIAN, [0.3, 0.0])  # keeps (1, 1), not
 ], ids=["sample-size", "bm-p", "fd-p", "reformulation-body", "reformulation-potential",
         "pinching-undeclared", "pinching-body", "pinching-potential", "support-grid",
         "support-finite", "disk-radius", "ellipse-axes", "hull-points", "minkowski-t",
-        "gauge-nan", "pinching-constants", "quadratic-without-A", "asymmetric-B",
-        "negative-alpha", "flow-n_t", "flow-eps", "field-1-d", "field-finite", "N-below-4",
-        "N-above-grid", "unknown-kind", "stray-key"])
+        "gauge-nan", "pinching-constants", "quadratic-without-A", "zero-pinching",
+        "pinching-broken", "asymmetric-B", "negative-alpha", "flow-n_t", "flow-eps", "field-1-d",
+        "field-finite", "N-below-4", "N-above-grid", "unknown-kind", "stray-key"])
 def test_bad_input_is_invalid_input_and_value_error(call, says):
     # the CLI maps InvalidInput to exit 2; callers catching ValueError still work
     with pytest.raises(InvalidInput) as info:

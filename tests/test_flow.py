@@ -3,8 +3,10 @@ import collections
 import numpy as np
 import numpy.testing as npt
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
-from convexlab import flow, forms, geometry, measure, pde, quad, spectral
+from convexlab import flow, forms, geometry, measure, pde, quad, spectral, suite
 from convexlab.errors import PerturbationTooLarge
 from convexlab.flow import FlowConfig
 
@@ -367,3 +369,29 @@ def test_bodies_on_one_grid_share_the_grid_constants(blob):
     assert blob.theta_grid.tobytes() == t.tobytes()
     assert blob.normals_grid.tobytes() == np.stack([np.cos(t), np.sin(t)], axis=1).tobytes()
     assert blob.tangents_grid.tobytes() == np.stack([-np.sin(t), np.cos(t)], axis=1).tobytes()
+
+
+BODIES = suite.standard_bodies()
+CONVEX = {k: u for k, u in suite.standard_potentials().items() if k != "zero"}
+
+
+@settings(max_examples=40, deadline=None, derandomize=True, database=None)
+@given(body=st.sampled_from(sorted(BODIES)), potential=st.sampled_from(sorted(CONVEX)),
+       alpha=st.floats(0.1, 2.0))
+def test_scaling_pair_and_homothety_flow_obey_the_varentropy_law(body, potential, alpha):
+    # The homothety flow K_t = (1 + t) K, u_t = (1 + t) u(x / (1 + t)) has
+    # S''(0) = Var - n with Var = Var_{mu|K}(u), and mu(K) S''(0) = -(P + BL - 2I)
+    # gives the scaling pair (alpha h, alpha u*(grad u)) the mean slack
+    # alpha^2 mu(K) (n - Var) / 2.  n - Var > 0 is the varentropy bound of the
+    # log-concave mu|K, which is why criteria 4b and 5c read red.
+    K, u = BODIES[body], CONVEX[potential]
+    muK = quad.interior_integral(K, u)
+    on_nodes = u.value(quad.interior_nodes(K)[0])
+    var = (quad.interior_integral(K, u, on_nodes ** 2) / muK
+           - (quad.interior_integral(K, u, on_nodes) / muK) ** 2)
+    assert 2.0 - var > 0.0
+    slack = forms.check_mean_form(K, u, *forms.equality_witness(K, u, alpha)).slack_mean
+    assert slack == pytest.approx(alpha ** 2 * muK * (2.0 - var) / 2.0, rel=1e-12)
+    d = flow.shape_derivatives(K, u, forms.BoundaryField(K.values),
+                               measure.ConjugatePerturbation(u, 1.0))
+    assert d["S2"] == pytest.approx(var - 2.0, rel=1e-12)

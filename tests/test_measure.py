@@ -34,9 +34,9 @@ def test_quadratic_pinching_and_rejection():
         measure.quadratic_potential([[1.0, 0.5], [0.0, 1.0]])  # not symmetric
 
 
-def test_gradient_consistency_of_builtins(gaussian, quad14, quartic, rng):
+def test_gradient_consistency_of_builtins(gaussian, quad14, quartic, lebesgue, rng):
     pts = rng.normal(size=(50, 2))
-    for u in (gaussian, quad14, quartic):
+    for u in (gaussian, quad14, quartic, lebesgue):
         eg, eh = measure.gradient_consistency(u, pts)
         assert eg < 1e-6 and eh < 1e-6
 
@@ -323,9 +323,9 @@ def test_make_potential_rejects_what_its_kind_does_not_read(desc, says):
     {"kind": "gaussian"},
     {"kind": "quadratic", "A": [[1, 0], [0, 4]]},
     {"kind": "even-quartic", "eps": 0.1},
-    {"kind": "zero"},
 ], ids=lambda desc: desc["kind"])
 def test_make_potential_takes_pinching_for_every_kind(desc):
+    # but zero's: its Hessian 0 is below any k1 > 0 (tests/test_errors.py)
     u = measure.make_potential({**desc, "pinching": (0.5, 8)})
     assert u.pinching == (0.5, 8.0)
     plain = measure.make_potential(desc)

@@ -8,7 +8,7 @@ quantity.  Criteria 4a and 5a, the two slow ones, are left out of the table.
 
 import pytest
 
-from convexlab import acceptance, forms, pde, quad
+from convexlab import acceptance, flow, forms, pde, quad
 
 
 def _scaled(factor):
@@ -32,6 +32,8 @@ MUTANTS = {
     # H_mu as pde reads it scales assemble's B (and the strong form's H_mu term)
     "galerkin-B": (pde, "_hmu", _scaled(1 + 1e-6), ("2", "6", "8")),
     "form-BL": (forms, "form_BL", _scaled(1 + 1e-3), ("4c",)),
+    # the flow's cross-module oracle reads BL where flow binds it
+    "flow-form-BL": (flow, "form_BL", _scaled(1 + 1e-3), ("5d",)),
 }
 
 

@@ -10,9 +10,12 @@ share its numpy, its BLAS, its allocator and the host's state of the moment.
 SETUP runs once per checkout (untimed) and STMT is timed, each with ``cl``
 bound to that checkout's package and ``np`` to numpy; SETUP's names are
 visible to STMT.  Each repetition runs STMT once on either side, parent
-first on even repetitions, so a drift of the host's speed falls on both.  The script prints the median of the per-repetition ratios
-change/parent, with its quartiles, and the median times.  For example, the
-Newton-backed flow potential on the blob's 8,192 quadrature nodes::
+first on even repetitions, so a drift of the host's speed falls on both.
+The script prints the median of the per-repetition ratios change/parent,
+with its quartiles, the median times and, on a fourth line, the median count
+of minor page faults (``ru_minflt``) per repetition on either side.  For
+example, the Newton-backed flow potential on the blob's 8,192 quadrature
+nodes::
 
     python tools/abtime.py ../parent . --reps 30 \\
         --setup "u = cl.suite.standard_potentials()['quartic']
@@ -22,11 +25,15 @@ Newton-backed flow potential on the blob's 8,192 quadrature nodes::
 
 Process-level timings of two checkouts (perfbench pairs) also carry offsets
 that the code under test does not explain; interleaving within one process
-leaves those out.
+leaves those out.  For the same reason a process-global setting, such as the
+allocator thresholds that ``cli.run`` sets through ``mallopt``, applies to
+both checkouts at once: this script and ``tools/bitcheck.py`` cannot compare
+a change to one, and only perfbench runs in separate processes can.
 """
 
 import argparse
 import importlib.util
+import resource
 import statistics
 import sys
 import time
@@ -50,13 +57,16 @@ def load(root, name):
 
 
 def _clock(code, namespace):
+    """(seconds, minor page faults) of one run of code."""
+    faults = resource.getrusage(resource.RUSAGE_SELF).ru_minflt
     start = time.perf_counter()
     exec(code, namespace)
-    return time.perf_counter() - start
+    elapsed = time.perf_counter() - start
+    return elapsed, resource.getrusage(resource.RUSAGE_SELF).ru_minflt - faults
 
 
 def compare(parent, change, setup, stmt, reps):
-    """Per-repetition times (parent, change) of ``stmt``, interleaved."""
+    """Per-repetition (seconds, minor faults) of ``stmt``, as pairs (parent, change)."""
     code = compile(stmt, "<stmt>", "exec")
     spaces = []
     for root, name in ((parent, "convexlab_parent"), (change, "convexlab_change")):
@@ -64,14 +74,14 @@ def compare(parent, change, setup, stmt, reps):
         exec(setup, namespace)
         exec(code, namespace)  # warm-up, untimed
         spaces.append(namespace)
-    times = []
+    runs = []
     for k in range(reps):
         order = (0, 1) if k % 2 == 0 else (1, 0)
-        pair = [0.0, 0.0]
+        pair = [None, None]
         for side in order:
             pair[side] = _clock(code, spaces[side])
-        times.append(tuple(pair))
-    return times
+        runs.append(tuple(pair))
+    return runs
 
 
 def main(argv=None):
@@ -84,7 +94,8 @@ def main(argv=None):
     args = parser.parse_args(argv)
     if args.reps < 1:
         parser.error("--reps must be >= 1")
-    times = compare(args.parent, args.change, args.setup, args.stmt, args.reps)
+    runs = compare(args.parent, args.change, args.setup, args.stmt, args.reps)
+    times = [(a[0], b[0]) for a, b in runs]
     ratios = [b / a for a, b in times]
     q = statistics.quantiles(ratios, n=4) if len(ratios) > 1 else ratios * 3
     print(f"parent median {statistics.median(a for a, _ in times):.6g} s, "
@@ -93,6 +104,8 @@ def main(argv=None):
     print(f"change better in {sum(r < 1.0 for r in ratios)}/{len(ratios)} reps")
     print(f"median ratio change/parent: {statistics.median(ratios):.4f} "
           f"(quartiles {q[0]:.4f}, {q[2]:.4f})")
+    print(f"minor faults per rep: parent median {statistics.median(a[1] for a, _ in runs):g}, "
+          f"change median {statistics.median(b[1] for _, b in runs):g}")
     return 0
 
 
