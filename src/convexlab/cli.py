@@ -51,9 +51,10 @@ from .errors import (ConfigError, ConvexLabError, InvalidInput, LebesgueModeRest
                      NotConvexPotential, NotStrictlyConvex)
 from .flow import FlowConfig, mean_form_from_flow
 from .forms import BoundaryField
-from .geometry import make_body
+from .geometry import DEFAULT_M, make_body
 from .measure import ConjugatePerturbation, QuadraticPerturbation, make_potential
-from .pde import assemble, concavity_power, solve_report
+from .pde import DEFAULT_N, assemble, concavity_power, solve_report
+from .quad import DEFAULT_Q
 
 __all__ = ["main", "run"]
 
@@ -282,19 +283,8 @@ def _atomic_write(path, text):
 
 
 def _write_csv(path, header, rows):
-    lines = [",".join(header)]
-    for row in rows:
-        lines.append(",".join(_json_token(v).strip('"') for v in row))
+    lines = [",".join(header)] + [",".join(f"{v:.15g}" for v in row) for row in rows]
     _atomic_write(path, "\n".join(lines) + "\n")
-
-
-def _strip_timing(obj):
-    if isinstance(obj, dict):
-        return {k: _strip_timing(v) for k, v in obj.items()
-                if k not in ("elapsed", "time_limit")}
-    if isinstance(obj, (list, tuple)):
-        return [_strip_timing(v) for v in obj]
-    return obj
 
 
 # -- commands ---------------------------------------------------------------------
@@ -322,7 +312,7 @@ def _cmd_solve(cfg, ctx):
 def _cmd_forms_check(cfg, ctx):
     body = _build_body(cfg, ctx["M"])
     u = _build_potential(cfg)
-    pairs = cfg.get("forms.pairs", 200)
+    pairs = cfg.get("forms.pairs", acceptance.PAIRS)
     worst_mean, worst_mult, failures = acceptance.random_pairs_check(
         body, u, pairs, ctx["seed"], ctx["Q"])
     results = {"pairs": pairs, "min_relative_mean_slack": worst_mean,
@@ -335,8 +325,8 @@ def _cmd_flow(cfg, ctx):
     u = _build_potential(cfg)
     f = _build_flow_field(cfg, ctx["M"])
     psi = _build_psi(cfg, u)
-    fc = FlowConfig(f=f, psi=psi, eps=cfg.get("flow.eps", 0.1),
-                    n_t=cfg.get("flow.points", 21))
+    fc = FlowConfig(f=f, psi=psi, eps=cfg.get("flow.eps", FlowConfig.eps),
+                    n_t=cfg.get("flow.points", FlowConfig.n_t))
     tab, failures = acceptance.concavity_check(body, u, fc, ctx["Q"])
     d, fd_failures = acceptance.shape_derivative_check(body, u, f, psi, ctx["Q"])
     failures += fd_failures
@@ -400,7 +390,7 @@ def _cmd_bounds(cfg, ctx):
 
 def _cmd_scan(cfg, ctx):
     u = _build_potential(cfg)
-    radii = cfg.get("scan.radii", [0.25, 0.5, 1.0, 1.5, 2.0, 3.0])
+    radii = cfg.get("scan.radii", acceptance.SCAN_RADII)
     rows, failures = acceptance.disk_scan(u, radii, ctx["M"], ctx["N"], ctx["Q"])
     results = {"radii": [r[0] for r in rows], "p": [r[1] for r in rows],
                "oracle": [r[2] for r in rows]}
@@ -409,7 +399,9 @@ def _cmd_scan(cfg, ctx):
 
 
 def _cmd_all(cfg, ctx):
-    records = acceptance.run_all(ids=cfg.get("accept.ids"))
+    # the records less their wall-clock keys, so that a report's bytes are reproducible
+    records = [{k: v for k, v in rec.items() if k not in ("elapsed", "time_limit")}
+               for rec in acceptance.run_all(ids=cfg.get("accept.ids"))]
     failures = []
     for rec in records:
         status = "PASS" if rec["passed"] else "FAIL"
@@ -454,8 +446,8 @@ def run(command, config_path=None, out_dir="convexlab-out", seed=None, quad_m=No
     cfg, written = ({}, {}) if config_path is None else parse_config(config_path, command)
     flags = {"quad.M": quad_m, "pde.N": modes, "seed": seed}
     cfg.update({k: _read(command, k, v) for k, v in flags.items() if v is not None})
-    ctx = {"M": cfg.get("quad.M", 256), "Q": cfg.get("quad.Q", 32),
-           "N": cfg.get("pde.N", 16), "seed": cfg.get("seed", 0)}
+    ctx = {"M": cfg.get("quad.M", DEFAULT_M), "Q": cfg.get("quad.Q", DEFAULT_Q),
+           "N": cfg.get("pde.N", DEFAULT_N), "seed": cfg.get("seed", 0)}
     if ctx["M"] % 2:
         raise ConfigError("quad.M must be even")
     if ctx["N"] >= ctx["M"] / 2:  # a command that reads no pde.N keeps 16 < 64 / 2
@@ -466,7 +458,7 @@ def run(command, config_path=None, out_dir="convexlab-out", seed=None, quad_m=No
         "config": {k: written[k] for k in sorted(written)},
         "overrides": {"quad.M": ctx["M"], "quad.Q": ctx["Q"], "pde.N": ctx["N"]},
         "seed": ctx["seed"],
-        "results": _strip_timing(results),
+        "results": results,
         "failures": failures,
         "passed": not failures,
     }

@@ -258,10 +258,10 @@ def equality_witness(body, u, alpha, x0=(0.0, 0.0), z=0.0):
     phi is built through Young's identity u*(grad u(y)) = <y, grad u(y)> - u(y)
     with y = x - x0, so no numerical conjugate enters.
 
-    Note: direct computation shows this pair does NOT saturate the mean-form
-    inequality for alpha > 0 (its slack equals alpha^2 (n - Var_{mu|K}(u + ...))
-    type quantities and is strictly positive on generic data); the genuinely
-    saturating family is the translation one, see translation_witness().
+    Note: this pair does NOT saturate the mean-form inequality for alpha > 0: at
+    x0 = 0 its mean slack is alpha^2 mu(K) (n - Var_{mu|K}(u)) / 2 > 0 (varentropy
+    bound), and at x0 != 0 a cross term, not yet derived, enters.  The saturating
+    family is the translation one, see translation_witness().
     """
     u.require_strictly_convex("the scaling equality witness")
     alpha = float(alpha)

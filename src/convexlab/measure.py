@@ -407,8 +407,8 @@ def verify_pinching(u, points):
         raise ConvexLabError("no points to check the declared pinching at")
     h00, h01, h10, h11 = _entries(u._hess(pts))
     tr = h00 + h11
-    det = _det(h00, h01, h10, h11)
-    lam_min = 0.5 * (tr - np.sqrt(np.maximum(tr**2 - 4 * det, 0.0)))
+    with np.errstate(invalid="ignore"):  # a non-finite Hessian is refused below
+        lam_min = 0.5 * (tr - np.sqrt(np.maximum(tr**2 - 4 * _det(h00, h01, h10, h11), 0.0)))
     # negated comparisons, so that a NaN Hessian fails instead of passing
     if not lam_min.min() >= k1 - PINCHING_TOL:
         raise PinchingViolation(
@@ -738,13 +738,19 @@ def _flow_newton(u, psi, t, x, hess=True):
     return val, y, _stack(*_inv_entries(a00, a01, a10, a11))
 
 
-def _flow_time(u, t):
-    """t as a float, once u and t are checked: a NaN or infinite t raises."""
+def _flow_selection(u, psi, t, method="auto"):
+    """(closed-form value, grad, hess or None for Newton, t), checked as conjugate_flow says."""
+    if method not in ("auto", "newton", "closed"):
+        raise ValueError(f"unknown flow method {method!r}: expected 'auto', 'newton' "
+                         "or 'closed'")
     u.require_strictly_convex("the conjugate flow")
     t = float(t)
     if not np.isfinite(t):
         raise ConvexLabError(f"the conjugate flow needs a finite t, got t = {t}")
-    return t
+    closed = None if method == "newton" else _flow_closed_form(u, psi, t)
+    if closed is None and method == "closed":
+        raise ValueError("no closed-form path for this (u, psi) pair")
+    return closed, t
 
 
 def conjugate_flow(u, psi, t, x, method="auto"):
@@ -752,42 +758,22 @@ def conjugate_flow(u, psi, t, x, method="auto"):
 
     ``method`` is "auto" (closed form when available, Newton otherwise),
     "newton", or "closed" (raises if no closed form applies); any other
-    value raises ValueError.
+    value raises ValueError.  u must be strictly convex and t finite.
     """
-    if method not in ("auto", "newton", "closed"):
-        raise ValueError(f"unknown flow method {method!r}: expected 'auto', 'newton' "
-                         "or 'closed'")
-    t = _flow_time(u, t)
+    closed, t = _flow_selection(u, psi, t, method)
     flat, lead = _flatten(x)
-    closed = None if method == "newton" else _flow_closed_form(u, psi, t)
-    if closed is not None:
-        value, grad, hess = closed
-        val, g, H = value(flat), grad(flat), hess(flat)
-    elif method == "closed":
-        raise ValueError("no closed-form path for this (u, psi) pair")
-    else:
-        val, g, H = _flow_newton(u, psi, t, flat)
+    val, g, H = [f(flat) for f in closed] if closed else _flow_newton(u, psi, t, flat)
     return val.reshape(lead), g.reshape(lead + (2,)), H.reshape(lead + (2, 2))
 
 
 def flow_potential(u, psi, t):
     """The flowed potential u_t = (u* + t*psi)* wrapped as a Potential."""
-    t = _flow_time(u, t)
-    closed = _flow_closed_form(u, psi, t)
-    if closed is not None:
-        value, grad, hess = closed
-    else:
-        def value(p):
-            return _flow_newton(u, psi, t, p, hess=False)[0]
-
-        def grad(p):
-            return _flow_newton(u, psi, t, p, hess=False)[1]
-
-        def hess(p):
-            return _flow_newton(u, psi, t, p)[2]
-
-    even = u.is_even and psi.is_even
-    return Potential("flow", value, grad, hess, is_even=even,
+    closed, t = _flow_selection(u, psi, t)
+    # Newton-backed callables skip the Hessian's inversion where they drop it
+    value, grad, hess = closed or (lambda p: _flow_newton(u, psi, t, p, hess=False)[0],
+                                   lambda p: _flow_newton(u, psi, t, p, hess=False)[1],
+                                   lambda p: _flow_newton(u, psi, t, p)[2])
+    return Potential("flow", value, grad, hess, is_even=u.is_even and psi.is_even,
                      descriptor={"kind": "flow", "base": u.descriptor,
                                  "psi": psi.descriptor, "t": t})
 

@@ -10,7 +10,7 @@ import functools
 import numpy as np
 
 from .forms import BoundaryField, InteriorField
-from .geometry import disk, ellipse, fourier_body
+from .geometry import DEFAULT_M, disk, ellipse, fourier_body
 from .measure import (
     _qform,
     even_quartic_potential,
@@ -29,7 +29,7 @@ __all__ = [
 FIELD_ORDER, FIELD_DECAY = 6, 2.0  # harmonics and falloff of random_boundary_field
 
 
-def standard_bodies(M=256):
+def standard_bodies(M=DEFAULT_M):
     return {
         "disk1": disk(1.0, M=M),
         "disk05": disk(0.5, M=M),

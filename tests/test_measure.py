@@ -1,3 +1,5 @@
+import warnings
+
 import numpy as np
 import numpy.testing as npt
 import pytest
@@ -179,6 +181,22 @@ def test_unknown_flow_method_raises(gaussian, entry):
         entry(gaussian, psi, 0.05, np.zeros((2, 2)), method="clsoed")
 
 
+@pytest.mark.parametrize("entry", [
+    lambda u, psi, t: measure.conjugate_flow(u, psi, t, np.zeros((2, 2))),
+    measure.flow_potential,
+], ids=["conjugate_flow", "flow_potential"])
+def test_flow_entries_refuse_a_nan_t_and_the_zero_potential_alike(gaussian, lebesgue, entry):
+    psi = measure.QuadraticPerturbation(B=[[0.3, 0.1], [0.1, 0.2]])
+    with pytest.raises(ConvexLabError, match=r"^the conjugate flow needs a finite t, "
+                                             r"got t = nan$") as info:
+        entry(gaussian, psi, np.nan)
+    assert type(info.value) is ConvexLabError
+    # the potential is checked before t
+    with pytest.raises(LebesgueModeRestriction, match="^the conjugate flow requires a "
+                                                      "strictly convex potential; u == 0"):
+        entry(lebesgue, psi, np.nan)
+
+
 def test_flow_derivative_formulas(gaussian, rng):
     x = rng.normal(size=(8, 2))
     # psi = u*: u'_0(x) = -u*(grad u(x)) = -|x|^2/2
@@ -256,8 +274,11 @@ def test_pinching_verification_rejects_non_finite_hessian(bad, rng):
     pts = rng.normal(size=(40, 2))
     u = measure.Potential("broken", lambda p: np.zeros(len(p)), lambda p: np.zeros(p.shape),
                           lambda p: np.full((len(p), 2, 2), bad), pinching=(1.0, 2.0))
-    with pytest.raises(PinchingViolation):
-        measure.verify_pinching(u, pts)
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")  # the refusal is the only signal, no numpy warning
+        with pytest.raises(PinchingViolation, match=r"^min Hessian eigenvalue nan < declared "
+                                                    r"k1 = 1$"):
+            measure.verify_pinching(u, pts)
 
 
 def test_translate_and_shift(gaussian, rng):

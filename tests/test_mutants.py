@@ -8,7 +8,7 @@ quantity.  Criteria 4a and 5a, the two slow ones, are left out of the table.
 
 import pytest
 
-from convexlab import acceptance, flow, forms, pde, quad
+from convexlab import acceptance, analysis, flow, forms, pde, quad
 
 
 def _scaled(factor):
@@ -34,6 +34,8 @@ MUTANTS = {
     "form-BL": (forms, "form_BL", _scaled(1 + 1e-3), ("4c",)),
     # the flow's cross-module oracle reads BL where flow binds it
     "flow-form-BL": (flow, "form_BL", _scaled(1 + 1e-3), ("5d",)),
+    # criterion 9's moments are far inside their limits, so only a gross change shows
+    "pinching-moment": (analysis, "_hgg", _scaled(2.5), ("9",)),
 }
 
 
