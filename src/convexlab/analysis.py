@@ -23,6 +23,7 @@ three spectral constants read an assembled ``pde.PoincareSystem``:
 """
 
 from dataclasses import dataclass, field
+from functools import lru_cache
 from itertools import chain
 
 import numpy as np
@@ -111,7 +112,8 @@ def lambda1(system):
 
 
 def coercivity_constant(system):
-    """C = smallest eigenvalue of the pencil (G, S); positive iff coercive."""
+    """C = smallest eigenvalue of the pencil (G, S); positive iff coercive (G > 0 needs u != 0)."""
+    system.potential.require_strictly_convex("the coercivity constant")
     import scipy.linalg  # here, not at module level: forms-check and flow never load it
     eigs = scipy.linalg.eigh(system.G, system.S, eigvals_only=True)
     return float(eigs[0])
@@ -143,11 +145,13 @@ def coercivity_report(system, seed=7):
             "bound_holds": bool(ratio.max() <= 1.0 / np.sqrt(C) * (1 + 1e-12))}
 
 
+@lru_cache(maxsize=16)
 def _decay_weights(dim, decay=2.0):
-    """Weight 1/(1+k^decay) on the pair (cos k, sin k) of the basis, 1 on e_0."""
+    """Weight 1/(1+k^decay) on the pair (cos k, sin k) of the basis, 1 on e_0; read-only."""
     w = np.ones(dim)
     for k in range(1, (dim - 1) // 2 + 1):
         w[2 * k - 1:2 * k + 1] = 1.0 / (1.0 + float(k) ** decay)
+    w.flags.writeable = False
     return w
 
 

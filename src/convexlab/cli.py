@@ -45,10 +45,10 @@ from pathlib import Path
 
 import numpy as np
 
-from . import acceptance
+from . import acceptance, spectral
 from .analysis import bm_check, interpolation_constant, pinching_bounds, reformulation_check
-from .errors import (ConfigError, ConvexLabError, InvalidInput, LebesgueModeRestriction,
-                     NotConvexPotential, NotStrictlyConvex)
+from .errors import (ConfigError, ConvexLabError, InvalidInput, NotConvexPotential,
+                     NotStrictlyConvex)
 from .flow import FlowConfig, mean_form_from_flow
 from .forms import BoundaryField
 from .geometry import DEFAULT_M, make_body
@@ -181,7 +181,7 @@ def _construct(what, make, *args):
     """make(*args), with the constructor's rejection of the config as a ConfigError."""
     try:
         return make(*args)
-    except (InvalidInput, NotConvexPotential, NotStrictlyConvex, LebesgueModeRestriction) as exc:
+    except (InvalidInput, NotConvexPotential, NotStrictlyConvex) as exc:
         raise ConfigError(f"{what}: {exc}") from exc
 
 
@@ -221,7 +221,7 @@ def _build_psi(cfg, u):
 
 
 def _build_flow_field(cfg, M):
-    t = 2.0 * np.pi * np.arange(M) / M
+    t = spectral.grid(M)
     sec = _section(cfg, "flow.f")
     vals = np.full(M, sec.pop("c0", 0.0))
     for k, v in sec.items():  # in file order, which fixes the rounding

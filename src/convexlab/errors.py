@@ -50,8 +50,8 @@ class NotConvexPotential(ConvexLabError):
     """Hessian of the potential fails to be symmetric positive definite."""
 
 
-class LebesgueModeRestriction(ConvexLabError):
-    """Operation undefined for the zero potential (Lebesgue mode)."""
+class LebesgueModeRestriction(InvalidInput):
+    """A strictly convex operation asked of the zero potential (Lebesgue mode): bad input."""
 
 
 class NewtonDivergence(ConvexLabError):

@@ -32,7 +32,7 @@ from dataclasses import dataclass, replace
 import numpy as np
 
 from .errors import FlowNotConvex, InvalidInput, OriginOutside, PerturbationTooLarge
-from .forms import InteriorField, _boundary_field, form_BL, form_I, form_P
+from .forms import InteriorField, _boundary_field, check_mean_form
 from .geometry import gauge_angle, wulff_perturb
 from .measure import _dot2, _hgg, flow_potential
 from .quad import (DEFAULT_Q, _boundary_weight, _hmu, _mu, boundary_integral,
@@ -49,6 +49,8 @@ __all__ = [
     "mean_form_from_flow",
     "psi_composed_field",
 ]
+
+MAX_HALVINGS = 12  # of eps in select_epsilon's window search
 
 
 @dataclass(frozen=True)
@@ -84,20 +86,15 @@ def marginal_value(body, u, f, psi, t, Q=DEFAULT_Q):
     return _mu(body_t, u_t, Q)
 
 
-def select_epsilon(body, u, cfg, Q=DEFAULT_Q, max_halvings=12):
-    """Shrink eps until both flow legs are admissible at the grid endpoints.
+def select_epsilon(body, u, cfg, Q=DEFAULT_Q):
+    """Halve eps until both flow legs are admissible at +-eps; return (cfg, I(-eps), I(+eps)).
 
     Admissibility is an interval around t = 0 for both checks (convexity of
     h + t*f is linear in t; convexity of u* + t*psi holds on an interval), so
     testing the endpoints suffices.
     """
-    return _select_epsilon(body, u, cfg, Q, max_halvings)[0]
-
-
-def _select_epsilon(body, u, cfg, Q=DEFAULT_Q, max_halvings=12):
-    """select_epsilon's config with the marginals I(-eps) and I(+eps) it found."""
     eps = float(cfg.eps)
-    for _ in range(max_halvings):
+    for _ in range(MAX_HALVINGS):
         try:
             hi = marginal_value(body, u, cfg.f, cfg.psi, +eps, Q)
             lo = marginal_value(body, u, cfg.f, cfg.psi, -eps, Q)
@@ -105,7 +102,7 @@ def _select_epsilon(body, u, cfg, Q=DEFAULT_Q, max_halvings=12):
         except (PerturbationTooLarge, FlowNotConvex, OriginOutside):
             eps *= 0.5
     raise PerturbationTooLarge(
-        f"no admissible window found after {max_halvings} halvings of eps")
+        f"no admissible window found after {MAX_HALVINGS} halvings of eps")
 
 
 def vector_field_X(body, f, t, x):
@@ -133,7 +130,7 @@ def marginal_S(body, u, cfg, Q=DEFAULT_Q):
     Returns a dict with the grid, the marginal, S = log I, the centered
     second differences of S, and the resolved eps.
     """
-    cfg, lo, hi = _select_epsilon(body, u, cfg, Q)
+    cfg, lo, hi = select_epsilon(body, u, cfg, Q)
     t_grid = cfg.t_grid()  # its ends are -eps and +eps exactly
     I_vals = np.array([lo] + [marginal_value(body, u, cfg.f, cfg.psi, t, Q)
                               for t in t_grid[1:-1]] + [hi])
@@ -197,18 +194,15 @@ def mean_form_from_flow(body, u, f, psi, Q=DEFAULT_Q, derivatives=None):
     """Cross-module oracle: S''(0) I(0) must equal -(P + BL - 2I).
 
     The left side comes from the flow's explicit derivatives with rho = f(nu)
-    and phi = psi(grad u); the right side from the bilinear-form module.
+    and phi = psi(grad u); the right side from ``forms.check_mean_form``.
     ``derivatives`` takes a ``shape_derivatives(body, u, f, psi, Q)`` result
     already at hand, which is then not computed again.
     """
     d = derivatives if derivatives is not None else shape_derivatives(body, u, f, psi, Q=Q)
     lhs = d["I2"] - d["I1"] ** 2 / d["I0"]  # = S''(0) * I(0)
     phi = psi_composed_field(u, psi) if psi is not None else InteriorField.constant(0.0)
-    P = form_P(body, u, f, f, Q=Q)
-    BL = form_BL(body, u, phi, phi, Q=Q)
-    I = form_I(body, u, f, phi, Q=Q)
-    rhs = -(P + BL - 2.0 * I)
-    scale = max(abs(P), abs(BL), 1.0)
-    return {"flow_side": lhs, "forms_side": rhs, "P": P, "BL": BL, "I": I,
-            "mismatch": abs(lhs - rhs), "scale": scale,
-            "passed": bool(abs(lhs - rhs) <= 1e-7 * scale)}
+    rep = check_mean_form(body, u, f, phi, Q=Q)
+    rhs = -(rep.P + rep.BL - 2.0 * rep.I)
+    return {"flow_side": lhs, "forms_side": rhs, "P": rep.P, "BL": rep.BL, "I": rep.I,
+            "mismatch": abs(lhs - rhs), "scale": rep.scale,
+            "passed": bool(abs(lhs - rhs) <= 1e-7 * rep.scale)}

@@ -31,7 +31,7 @@ from dataclasses import dataclass, field
 import numpy as np
 
 from . import spectral
-from .errors import InvalidInput
+from .errors import InvalidInput, NonFiniteIntegral
 from .measure import _dot2, _hgg
 from .quad import (DEFAULT_Q, _bl_nodes, _boundary_weight, _hmu, _mu, _node_values,
                    boundary_integral, interior_integral)
@@ -207,15 +207,20 @@ def form_BL(body, u, phi0, phi1, Q=DEFAULT_Q):
     same = phi1 is phi0
     step = 1e-5 * 2.0 * float(body.values.max())  # gradient fallback: 1e-5 * diameter
     flat, wmu, Hinv = _bl_nodes(body, u, Q)
-    g0 = _interior_field(phi0).gradient(flat, step=step)
-    g1 = g0 if same else _interior_field(phi1).gradient(flat, step=step)
-    grad_term = float(np.sum(wmu * _hgg(Hinv, g0, g1)))
-    v0 = _node_values(body, phi0, Q)
-    v1 = v0 if same else _node_values(body, phi1, Q)
-    prod_term = float(np.sum(wmu * v0 * v1))
-    m0 = float(np.sum(wmu * v0))
-    m1 = m0 if same else float(np.sum(wmu * v1))
-    return grad_term - prod_term + m0 * m1 / _mu(body, u, Q)
+    with np.errstate(invalid="ignore", over="ignore"):  # a non-finite value raises below
+        g0 = _interior_field(phi0).gradient(flat, step=step)
+        g1 = g0 if same else _interior_field(phi1).gradient(flat, step=step)
+        grad_term = float(np.sum(wmu * _hgg(Hinv, g0, g1)))
+        v0 = _node_values(body, phi0, Q)
+        v1 = v0 if same else _node_values(body, phi1, Q)
+        prod_term = float(np.sum(wmu * v0 * v1))
+        m0 = float(np.sum(wmu * v0))
+        m1 = m0 if same else float(np.sum(wmu * v1))
+        val = grad_term - prod_term + m0 * m1 / _mu(body, u, Q)
+    if not np.isfinite(val):
+        names = phi0.descriptor if same else (phi0.descriptor, phi1.descriptor)
+        raise NonFiniteIntegral(f"BL form of {names!r} against {u!r} is {val}")
+    return val
 
 
 def form_I(body, u, rho, phi, Q=DEFAULT_Q):

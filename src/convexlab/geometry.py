@@ -121,16 +121,6 @@ class SupportFunction2D:
         """Boundary points x(theta_j), shape (M, 2)."""
         return self.values[:, None] * self.normals_grid + self.d1_grid[:, None] * self.tangents_grid
 
-    @property
-    def m1(self):
-        """Minimal curvature min 1/r over the grid."""
-        return float((1.0 / self.radius_grid).min())
-
-    @property
-    def m2(self):
-        """Maximal curvature max 1/r over the grid."""
-        return float((1.0 / self.radius_grid).max())
-
     @cached_property
     def is_even(self):
         half = np.roll(self.values, self.M // 2)
@@ -145,10 +135,6 @@ class SupportFunction2D:
         ``order`` is one order or a sequence of them, as in spectral.evaluate.
         """
         return spectral.evaluate(self._coeffs, self.M, theta, order)
-
-    def radius(self, theta):
-        h0, h2 = self.h(theta, (0, 2))
-        return h0 + h2
 
     def require_interior_origin(self):
         if self.values.min() <= 0.0:

@@ -5,10 +5,9 @@ configurations so that reported numbers are reproducible; all randomness goes
 through explicitly seeded generators.
 """
 
-import functools
-
 import numpy as np
 
+from .analysis import random_coefficients
 from .forms import BoundaryField, InteriorField
 from .geometry import DEFAULT_M, disk, ellipse, fourier_body
 from .measure import (
@@ -18,6 +17,7 @@ from .measure import (
     quadratic_potential,
     zero_potential,
 )
+from .spectral import _grid_basis
 
 __all__ = [
     "standard_bodies",
@@ -26,7 +26,7 @@ __all__ = [
     "random_interior_field",
 ]
 
-FIELD_ORDER, FIELD_DECAY = 6, 2.0  # harmonics and falloff of random_boundary_field
+FIELD_ORDER = 6  # harmonics of random_boundary_field
 
 
 def standard_bodies(M=DEFAULT_M):
@@ -54,26 +54,12 @@ def standard_potentials():
     }
 
 
-@functools.lru_cache(maxsize=16)
-def _harmonics(M):
-    """Weights and read-only rows of harmonics k = 1..FIELD_ORDER on the M-point grid.
-
-    Rows 2k-2 and 2k-1 hold cos k*theta and sin k*theta, each weighted 1/(1+k^FIELD_DECAY).
-    """
-    t = 2.0 * np.pi * np.arange(M) / M
-    ks = range(1, FIELD_ORDER + 1)
-    weights = tuple(1.0 / (1.0 + float(k) ** FIELD_DECAY) for k in ks for _ in range(2))
-    rows = np.array([trig(k * t) for k in ks for trig in (np.cos, np.sin)])
-    rows.flags.writeable = False
-    return weights, rows
-
-
 def random_boundary_field(rng, M):
-    """Smooth random field: harmonics k <= FIELD_ORDER, 1/(1+k^FIELD_DECAY) falloff."""
-    weights, rows = _harmonics(M)
-    vals = np.full(M, rng.standard_normal())
-    for w, row in zip(weights, rows):
-        vals += w * rng.standard_normal() * row
+    """Smooth random field: ``random_coefficients`` on the basis rows k <= FIELD_ORDER."""
+    c = random_coefficients(rng, 2 * FIELD_ORDER + 1).tolist()
+    vals = np.full(M, c[0])
+    for ck, row in zip(c[1:], _grid_basis(FIELD_ORDER, M)[0][1:]):
+        vals += ck * row
     return BoundaryField(vals)
 
 

@@ -377,6 +377,30 @@ def test_a_pinching_the_potential_breaks_is_config_error(tmp_path, capsys, comma
     assert not (out / "report.json").exists()
 
 
+_SOLVE_REFUSAL = ("config error: the Euler-Lagrange solve needs a strictly convex potential; "
+                  "for u == 0 the form has translation null directions")
+_ZERO_REFUSAL = ("config error: {} requires a strictly convex potential; u == 0 is only "
+                 "admitted for the boundary forms P and I and the operator L")
+
+
+@pytest.mark.parametrize("command, body, says", [
+    ("solve", ELLIPSE, _SOLVE_REFUSAL),
+    ("forms-check", ELLIPSE, _ZERO_REFUSAL.format("the interior variance form")),
+    ("scan", "", _SOLVE_REFUSAL),
+    ("spectral", ELLIPSE, _ZERO_REFUSAL.format("the coercivity constant")),
+], ids=["solve", "forms-check", "scan", "spectral"])
+def test_a_strictly_convex_operation_on_the_zero_potential_is_config_error(
+        tmp_path, capsys, command, body, says):
+    # u == 0 leaves G singular and the BL form undefined: bad input, not a false FAIL
+    path = write(tmp_path / "z.cfg", body + "potential.kind = zero\n")
+    out = tmp_path / "o"
+    with warnings.catch_warnings():
+        warnings.simplefilter("error", RuntimeWarning)
+        assert cli.main([command, "--config", path, "--out", str(out)]) == 2
+    assert capsys.readouterr().err.strip() == says
+    assert not (out / "report.json").exists()
+
+
 def test_parse_config_closes_its_file(tmp_path):
     path = write(tmp_path / "s.cfg", SOLVE_CFG)
     with warnings.catch_warnings(record=True) as caught:

@@ -115,13 +115,10 @@ def test_every_exit_keeps_the_report_contract(command, entries):
         results = report["results"]
         # documented: lambda1 = inf with its note, lambda1_restricted = inf where the
         # non-constant energy block is nonpositive, scan's oracle (scan.csv's
-        # closed_form) = nan without a closed form, and the zero potential's
-        # stability constant = nan, whose run exits 1
+        # closed_form) = nan without a closed form
         documented = {("lambda1_restricted", "inf"), ("oracle", "nan")}
         if "note_lambda1" in results:
             documented.add(("lambda1", "inf"))
-        if cfg.get("potential.kind") == "zero" and status == 1:
-            documented.add(("stability_constant", "nan"))
         assert set(_non_finite(results)) <= documented
         for table in out.glob("*.csv"):
             rows = csv.DictReader(table.read_text().splitlines())

@@ -8,6 +8,8 @@ DISK = geometry.disk(1.0)
 BLOB = geometry.fourier_body(1.0, cos={2: 0.15}, sin={3: 0.05})
 GAUSSIAN = measure.gaussian_potential()
 SHIFTED = measure.translate_potential(GAUSSIAN, [0.3, 0.0])  # keeps (1, 1), not even
+ZERO, SMALL_DISK = measure.zero_potential(), geometry.disk(1.0, M=64)
+PHI = forms.InteriorField.coordinate(0)
 
 
 @pytest.mark.parametrize("call, says", [
@@ -58,12 +60,22 @@ SHIFTED = measure.translate_potential(GAUSSIAN, [0.3, 0.0])  # keeps (1, 1), not
      "unknown body kind 'triangle'; expected one of disk, ellipse, fourier"),
     (lambda: geometry.make_body({"kind": "disk", "a": 2.0}),
      "keys ['a'] do not apply to body kind 'disk'"),
+    (lambda: forms.form_BL(DISK, ZERO, PHI, PHI),
+     "the interior variance form requires a strictly convex potential; u == 0 is only "
+     "admitted for the boundary forms P and I and the operator L"),
+    (lambda: analysis.coercivity_constant(pde.assemble(SMALL_DISK, ZERO, N=4, Q=16)),
+     "the coercivity constant requires a strictly convex potential; u == 0 is only "
+     "admitted for the boundary forms P and I and the operator L"),
+    (lambda: pde.solve_rho_bar(pde.assemble(SMALL_DISK, ZERO, N=4, Q=16)),
+     "the Euler-Lagrange solve needs a strictly convex potential; "
+     "for u == 0 the form has translation null directions"),
 ], ids=["sample-size", "bm-p", "fd-p", "reformulation-body", "reformulation-potential",
         "pinching-undeclared", "pinching-body", "pinching-potential", "support-grid",
         "support-finite", "disk-radius", "ellipse-axes", "hull-points", "minkowski-t",
         "gauge-nan", "pinching-constants", "quadratic-without-A", "zero-pinching",
         "pinching-broken", "asymmetric-B", "negative-alpha", "flow-n_t", "flow-eps", "field-1-d",
-        "field-finite", "N-below-4", "N-above-grid", "unknown-kind", "stray-key"])
+        "field-finite", "N-below-4", "N-above-grid", "unknown-kind", "stray-key",
+        "lebesgue-form", "lebesgue-coercivity", "lebesgue-solve"])
 def test_bad_input_is_invalid_input_and_value_error(call, says):
     # the CLI maps InvalidInput to exit 2; callers catching ValueError still work
     with pytest.raises(InvalidInput) as info:

@@ -280,13 +280,14 @@ def test_cross_module_identity_trivial_and_equality(disk1, gaussian):
 
 def test_epsilon_halving(disk1, gaussian):
     f = field(lambda t: np.cos(2 * t))   # inadmissible at t = 0.5, fine at 0.25
-    cfg = flow.select_epsilon(disk1, gaussian, FlowConfig(f=f, psi=None, eps=0.5, n_t=5))
+    cfg, lo, hi = flow.select_epsilon(disk1, gaussian, FlowConfig(f=f, psi=None, eps=0.5, n_t=5))
     assert cfg.eps == 0.25
-    bad = forms.BoundaryField.from_function(lambda t: 10 * np.cos(2 * t), disk1.M)
-    with pytest.raises(PerturbationTooLarge):
-        flow.select_epsilon(disk1, gaussian,
-                            FlowConfig(f=bad, psi=None, eps=1.0, n_t=5),
-                            max_halvings=3)
+    assert (lo, hi) == tuple(flow.marginal_value(disk1, gaussian, f, None, t)
+                             for t in (-0.25, 0.25))
+    # 1 - 3e6 eps cos 2t < 0 somewhere for every eps >= 2^-12
+    bad = forms.BoundaryField.from_function(lambda t: 1e6 * np.cos(2 * t), disk1.M)
+    with pytest.raises(PerturbationTooLarge, match="after 12 halvings"):
+        flow.select_epsilon(disk1, gaussian, FlowConfig(f=bad, psi=None, eps=1.0, n_t=5))
 
 
 def test_rho_bar_direction_criticality(disk05, gaussian):

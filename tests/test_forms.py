@@ -8,8 +8,8 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 from hypothesis.extra import numpy as hnp
 
-from convexlab import flow, forms, geometry, measure, pde, quad, suite
-from convexlab.errors import LebesgueModeRestriction, OriginOutside
+from convexlab import flow, forms, geometry, measure, pde, quad, spectral, suite
+from convexlab.errors import LebesgueModeRestriction, NonFiniteIntegral, OriginOutside
 from convexlab.suite import random_boundary_field, random_interior_field
 
 
@@ -467,7 +467,7 @@ def _per_call_boundary_field(rng, M):
     t = 2.0 * np.pi * np.arange(M) / M
     vals = np.full(M, rng.standard_normal())
     for k in range(1, suite.FIELD_ORDER + 1):
-        w = 1.0 / (1.0 + float(k) ** suite.FIELD_DECAY)
+        w = 1.0 / (1.0 + float(k) ** 2.0)
         vals += w * rng.standard_normal() * np.cos(k * t)
         vals += w * rng.standard_normal() * np.sin(k * t)
     return vals
@@ -481,10 +481,11 @@ def test_random_boundary_field_matches_the_per_call_formula_bytes(M):
             assert (random_boundary_field(rng, M).values.tobytes()
                     == _per_call_boundary_field(ref, M).tobytes())
         assert rng.random() == ref.random()  # and the same number of draws
-    _, rows = suite._harmonics(M)
-    assert suite._harmonics(M)[1] is rows and rows.shape == (2 * suite.FIELD_ORDER, M)
+    rows = spectral._grid_basis(suite.FIELD_ORDER, M)[0]
+    assert spectral._grid_basis(suite.FIELD_ORDER, M)[0] is rows
+    assert rows.shape == (2 * suite.FIELD_ORDER + 1, M)
     with pytest.raises(ValueError, match="read-only"):
-        rows[0, 0] = 0.0
+        rows[1, 0] = 0.0
 
 
 def test_mean_form_check_evaluates_phi_once_per_point_set(ellipse21, quad14):
@@ -504,6 +505,19 @@ def test_mean_form_check_evaluates_phi_once_per_point_set(ellipse21, quad14):
             forms.form_BL(ellipse21, quad14, base, base, Q=24),
             forms.form_I(ellipse21, quad14, rho, base, Q=24))
     assert [x.hex() for x in (rep.P, rep.BL, rep.I)] == [x.hex() for x in want]
+
+
+@pytest.mark.filterwarnings("error::RuntimeWarning")
+def test_a_non_finite_BL_form_raises_instead_of_a_false_falsification(ellipse21, quad14):
+    # finite values, a gradient that is infinite where x or y > 1.5: BL = inf - inf
+    phi = forms.InteriorField(lambda p: p[..., 0].copy(),
+                              lambda p: np.where(p > 1.5, np.inf, 0.0),
+                              descriptor={"kind": "blow-up"})
+    rho = forms.BoundaryField(np.ones(ellipse21.M))
+    for call in (lambda: forms.form_BL(ellipse21, quad14, phi, phi),
+                 lambda: forms.check_mean_form(ellipse21, quad14, rho, phi)):
+        with pytest.raises(NonFiniteIntegral, match="BL form of .*'blow-up'.* is nan"):
+            call()
 
 
 @pytest.mark.filterwarnings("error::RuntimeWarning")

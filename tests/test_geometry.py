@@ -25,8 +25,9 @@ def test_ellipse_support_function(ellipse21):
 
 def test_curvature_extremes(ellipse21):
     # curvature of the 2x1 ellipse ranges over [b/a^2, a/b^2] = [1/4, 2]
-    assert ellipse21.m1 == pytest.approx(0.25, abs=1e-9)
-    assert ellipse21.m2 == pytest.approx(2.0, abs=1e-9)
+    curvature = 1.0 / ellipse21.radius_grid
+    assert float(curvature.min()) == pytest.approx(0.25, abs=1e-9)
+    assert float(curvature.max()) == pytest.approx(2.0, abs=1e-9)
 
 
 def test_ellipse_curvature_radius_at_zero(ellipse21):
@@ -35,7 +36,7 @@ def test_ellipse_curvature_radius_at_zero(ellipse21):
     d = 1e-4
     r_fd = h(0.0) + (h(d) - 2 * h(0.0) + h(-d)) / d**2
     assert abs(r_fd - 0.5) < 1e-6  # b^2/a
-    assert abs(ellipse21.radius(0.0) - 0.5) < 1e-9
+    assert abs(geometry.boundary_point(ellipse21, 0.0).r - 0.5) < 1e-9
 
 
 def test_fourier_convexity_acceptance_threshold():
