@@ -7,9 +7,11 @@ quantity.  Every criterion is accounted for: a row's red criterion, a knowingly
 red one, or one of the two exempt slow ones (see ``EXEMPT``).
 """
 
+from dataclasses import replace
+
 import pytest
 
-from convexlab import acceptance, analysis, forms, geometry, pde, quad
+from convexlab import acceptance, analysis, flow, forms, geometry, pde, quad
 
 
 def _scaled(factor):
@@ -21,6 +23,14 @@ def _scaled_weights(build):
     def mutant(body, Q):
         pts, weights = build(body, Q)
         return pts, weights * (1 + 1e-6)
+    return mutant
+
+
+def _scaled_report_BL(check):
+    """A forms report whose BL is scaled by 1 + 1e-3, the slacks left as they were."""
+    def mutant(*args, **kwargs):
+        rep = check(*args, **kwargs)
+        return replace(rep, BL=rep.BL * (1 + 1e-3))
     return mutant
 
 
@@ -51,6 +61,8 @@ MUTANTS = {
     "galerkin-B": (pde, "_hmu", _scaled(1 + 1e-6), ("2", "6", "8")),
     # the flow's cross-module oracle reads BL through forms.check_mean_form
     "form-BL": (forms, "form_BL", _scaled(1 + 1e-3), ("4c", "5d")),
+    # the BL that the flow's oracle takes from the report, where flow binds check_mean_form
+    "flow-form-BL": (flow, "check_mean_form", _scaled_report_BL, ("5d",)),
     "even-only-power": (acceptance, "concavity_power", _scaled(1 + 1e-6), ("7",)),
     # criterion 9's moments are far inside their limits, so only a gross change shows
     "pinching-moment": (analysis, "_hgg", _scaled(2.5), ("9",)),
