@@ -146,18 +146,18 @@ def coercivity_report(system, seed=7):
 
 
 @lru_cache(maxsize=16)
-def _decay_weights(dim, decay=2.0):
-    """Weight 1/(1+k^decay) on the pair (cos k, sin k) of the basis, 1 on e_0; read-only."""
+def _decay_weights(dim):
+    """Weight 1/(1+k^2) on the pair (cos k, sin k) of the basis, 1 on e_0; read-only."""
     w = np.ones(dim)
     for k in range(1, (dim - 1) // 2 + 1):
-        w[2 * k - 1:2 * k + 1] = 1.0 / (1.0 + float(k) ** decay)
+        w[2 * k - 1:2 * k + 1] = 1.0 / (1.0 + float(k) ** 2.0)
     w.flags.writeable = False
     return w
 
 
-def random_coefficients(rng, dim, decay=2.0):
-    """Coefficient vector with 1/(1+k^decay) falloff (smooth random field)."""
-    return rng.standard_normal(dim) * _decay_weights(dim, decay)
+def random_coefficients(rng, dim):
+    """Coefficient vector with 1/(1+k^2) falloff (smooth random field)."""
+    return rng.standard_normal(dim) * _decay_weights(dim)
 
 
 _SCAN_BLOCK = 4096  # draws per block of the interpolation-constant scan
@@ -202,8 +202,8 @@ def interpolation_constant(system, sample_size=1000, seed=11):
 def bm_check(bodyK, bodyL, u, p, t_nodes=21, Q=DEFAULT_Q, local_probe=False,
              N=DEFAULT_N):
     """Slack of the p-power concavity along the Minkowski segment K -> L."""
-    if p <= 0:
-        raise InvalidInput("p must be positive")
+    if not 0 < p < np.inf:  # negated, so that NaN fails too
+        raise InvalidInput(f"p must be finite and positive, got {p}")
     t_nodes = np.linspace(0.0, 1.0, t_nodes) if np.isscalar(t_nodes) else np.asarray(t_nodes)
     muK = _mu(bodyK, u, Q)
     muL = _mu(bodyL, u, Q)
@@ -237,8 +237,8 @@ def local_concavity_fd(body, u, f, p, Q=DEFAULT_Q):
 
     p = 0 is the log-concavity limit and tests log mu instead.
     """
-    if p < 0:
-        raise InvalidInput("p must be nonnegative")
+    if not 0 <= p < np.inf:
+        raise InvalidInput(f"p must be finite and nonnegative, got {p}")
 
     def g(t):
         body_t = wulff_perturb(body, f, t) if t else body

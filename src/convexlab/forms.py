@@ -69,9 +69,8 @@ class BoundaryField:
         self._coeffs = None
 
     @classmethod
-    def from_function(cls, fn, M, dfn=None):
-        t = spectral.grid(M)
-        return cls(fn(t), None if dfn is None else dfn(t))
+    def from_function(cls, fn, M):
+        return cls(fn(spectral.grid(M)))
 
     @classmethod
     def constant(cls, c, M):

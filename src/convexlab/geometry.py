@@ -46,6 +46,7 @@ DEFAULT_M = 256
 CONVEXITY_RTOL = 1e-8
 
 EVENNESS_TOL = 1e-12
+HULL_SMOOTHING = 0.15  # hull_body's first damping width, widened 1.5x until convex
 
 
 @lru_cache(maxsize=16)
@@ -173,8 +174,8 @@ def ellipse(a, b, M=DEFAULT_M):
     return SupportFunction2D(vals, descriptor={"kind": "ellipse", "a": float(a), "b": float(b)})
 
 
-def fourier_body(c0, cos=None, sin=None, M=DEFAULT_M, recenter=True):
-    """Body with h = c0 + sum_k a_k cos(k t) + b_k sin(k t).
+def fourier_body(c0, cos=None, sin=None, M=DEFAULT_M):
+    """Body with h = c0 + sum_k a_k cos(k t) + b_k sin(k t), centred.
 
     Rejects coefficient lists whose h + h'' dips below the convexity floor.
     """
@@ -189,17 +190,16 @@ def fourier_body(c0, cos=None, sin=None, M=DEFAULT_M, recenter=True):
     desc = {"kind": "fourier", "c0": float(c0),
             "cos": {int(k): float(v) for k, v in cos.items()},
             "sin": {int(k): float(v) for k, v in sin.items()}}
-    body = SupportFunction2D(vals, descriptor=desc)
-    return center(body) if recenter else body
+    return center(SupportFunction2D(vals, descriptor=desc))
 
 
-def hull_body(points, smoothing=0.15, M=DEFAULT_M, recenter=True):
-    """Smoothed support function of the convex hull of a point cloud.
+def hull_body(points, M=DEFAULT_M):
+    """Smoothed support function of the convex hull of a point cloud, centred.
 
     The raw hull support h(theta) = max_i <p_i, nu(theta)> is piecewise
-    smooth; its Fourier modes are damped by exp(-(smoothing*k)^2/2) until the
-    result is strictly convex.  Raises NotStrictlyConvex if no admissible
-    smoothing is found before the shape degenerates.
+    smooth; its Fourier modes are damped by exp(-(smoothing*k)^2/2), widening
+    smoothing from HULL_SMOOTHING, until the result is strictly convex.  Raises
+    NotStrictlyConvex if none is admissible before the shape degenerates.
     """
     pts = np.asarray(points, dtype=float).reshape(-1, 2)
     if len(pts) < 3:
@@ -207,14 +207,12 @@ def hull_body(points, smoothing=0.15, M=DEFAULT_M, recenter=True):
     raw = (_frame(M)[1] @ pts.T).max(axis=1)
     c = spectral.coefficients(raw)
     k = np.arange(len(c))
-    sigma = float(smoothing)
+    sigma = HULL_SMOOTHING
     for _ in range(12):
         vals = np.fft.irfft(c * np.exp(-0.5 * (sigma * k) ** 2), n=M)
         try:
-            body = SupportFunction2D(
-                vals, descriptor={"kind": "hull", "n_points": len(pts), "smoothing": sigma}
-            )
-            return center(body) if recenter else body
+            return center(SupportFunction2D(
+                vals, descriptor={"kind": "hull", "n_points": len(pts), "smoothing": sigma}))
         except NotStrictlyConvex:
             sigma *= 1.5
     raise NotStrictlyConvex(0.0, float((vals + spectral.grid_derivative(vals, 2)).min()),

@@ -21,7 +21,6 @@ import numpy as np
 
 from .errors import (ConvexLabError, FlowNotConvex, InvalidInput, LebesgueModeRestriction,
                      NewtonDivergence, NotConvexPotential, PinchingViolation, _check_descriptor)
-from .geometry import boundary_point
 
 __all__ = [
     "Potential",
@@ -236,6 +235,8 @@ def gaussian_potential():
 def quadratic_potential(A):
     """u = <Ax, x> / 2 for symmetric positive definite A."""
     A = np.asarray(A, dtype=float).reshape(2, 2)
+    if not np.abs(A).max() < np.inf:  # negated, so that NaN fails too
+        raise InvalidInput(f"quadratic potential needs a finite A, got {A.tolist()}")
     if not np.allclose(A, A.T, atol=1e-12):
         raise NotConvexPotential("quadratic potential needs a symmetric matrix")
     eigs = np.linalg.eigvalsh(A)
@@ -256,12 +257,12 @@ def quadratic_potential(A):
                      descriptor={"kind": "quadratic", "A": A.tolist()})
 
 
-def even_quartic_potential(eps, pinching=None):
+def even_quartic_potential(eps):
     """u = |x|^2/2 + eps*|x|^4 for eps >= 0.
 
     No global upper Hessian bound exists for eps > 0, so pinching stays
-    undeclared unless supplied explicitly (it is then checked on quadrature
-    nodes, not globally).
+    undeclared; ``make_potential`` attaches one, which is then checked on
+    quadrature nodes, not globally.
     """
     eps = float(eps)
     if not 0 <= eps < np.inf:
@@ -289,7 +290,6 @@ def even_quartic_potential(eps, pinching=None):
         return out
 
     return Potential("even-quartic", value, grad, hess, is_even=True,
-                     pinching=pinching,
                      descriptor={"kind": "even-quartic", "eps": eps})
 
 
@@ -338,6 +338,8 @@ def make_potential(descriptor):
 def translate_potential(u, v):
     """Potential x -> u(x - v); pinching survives, evenness generally not."""
     v = np.asarray(v, dtype=float).reshape(2)
+    if not np.abs(v).max() < np.inf:
+        raise InvalidInput(f"translate_potential needs a finite v, got {v.tolist()}")
 
     def value(p):
         return u._value(p - v)
@@ -361,6 +363,8 @@ def shift_potential(u, const):
     Lebesgue-mode restrictions (its Hessian is still singular).
     """
     const = float(const)
+    if not abs(const) < np.inf:
+        raise InvalidInput(f"shift_potential needs a finite const, got {const}")
 
     def value(p):
         return u._value(p) + const
@@ -565,10 +569,13 @@ class QuadraticPerturbation:
 
     def __init__(self, B=None, b=None, c=0.0):
         self.B = np.zeros((2, 2)) if B is None else np.asarray(B, dtype=float).reshape(2, 2)
-        if not np.allclose(self.B, self.B.T, atol=1e-12):
-            raise InvalidInput("quadratic perturbation needs a symmetric matrix")
         self.b = np.zeros(2) if b is None else np.asarray(b, dtype=float).reshape(2)
         self.c = float(c)
+        for name, v in (("B", self.B), ("b", self.b), ("c", self.c)):
+            if not np.abs(v).max() < np.inf:
+                raise InvalidInput(f"quadratic perturbation needs a finite {name}")
+        if not np.allclose(self.B, self.B.T, atol=1e-12):
+            raise InvalidInput("quadratic perturbation needs a symmetric matrix")
         self.is_even = bool(np.all(self.b == 0.0) and self.c == 0.0)
         self.descriptor = {"kind": "quadratic", "B": self.B.tolist(),
                            "b": self.b.tolist(), "c": self.c}
@@ -597,8 +604,8 @@ class ConjugatePerturbation:
 
     def __init__(self, u, alpha):
         u.require_strictly_convex("psi = alpha * u*")
-        if alpha < 0:
-            raise InvalidInput("alpha must be >= 0")
+        if not 0 <= alpha < np.inf:
+            raise InvalidInput(f"alpha must be finite and >= 0, got {alpha}")
         self.base = u
         self.alpha = float(alpha)
         self.is_even = u.is_even
@@ -801,13 +808,6 @@ def flow_derivatives(u, psi, t, x, method="auto"):
 # -- weighted mean curvature ------------------------------------------------------
 
 
-def weighted_mean_curvature(body, u, theta=None):
-    """H_mu = 1/r(theta) - <grad u(x(theta)), nu(theta)> (planar tr(II) = 1/r).
-
-    With theta None, returns the grid values.
-    """
-    if theta is None:
-        kappa = 1.0 / body.radius_grid
-        return kappa - _dot2(u.grad(body.boundary_grid), body.normals_grid)
-    bp = boundary_point(body, theta)
-    return 1.0 / bp.r - float(u.grad(bp.x) @ bp.nu)
+def weighted_mean_curvature(body, u):
+    """H_mu = 1/r(theta) - <grad u(x(theta)), nu(theta)> (planar tr(II) = 1/r) on the grid."""
+    return 1.0 / body.radius_grid - _dot2(u.grad(body.boundary_grid), body.normals_grid)

@@ -254,9 +254,9 @@ def rayleigh(body, u, rho, Q=DEFAULT_Q):
     return float(_mu(body, u, Q) * form_P(body, u, rho, rho, Q=Q) / mean**2)
 
 
-def solve_report(body, u, N=DEFAULT_N, Q=DEFAULT_Q, even_only=False):
-    """Full solve: rho_bar, p, strong residual, and conditioning data."""
-    system = assemble(body, u, N=N, Q=Q, even_only=even_only)
+def solve_report(body, u, N=DEFAULT_N, Q=DEFAULT_Q):
+    """Full solve on the full basis: rho_bar, p, strong residual, and conditioning data."""
+    system = assemble(body, u, N=N, Q=Q)
     rho_bar = solve_rho_bar(system)
     mc = system.m @ rho_bar.galerkin_coeffs
     p = _power(system, mc)

@@ -456,9 +456,9 @@ def test_one_job_evaluates_the_boundary_measure_once(tmp_path, monkeypatch, comm
     calls = []
     weight, hmu = measure.Potential.weight, measure.weighted_mean_curvature
 
-    def counted_hmu(body, u, theta=None):
+    def counted_hmu(body, u):
         calls.append("H_mu")
-        return hmu(body, u, theta)
+        return hmu(body, u)
 
     def counted_weight(u, points):
         calls.append(np.shape(points))

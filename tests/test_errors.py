@@ -10,15 +10,16 @@ GAUSSIAN = measure.gaussian_potential()
 SHIFTED = measure.translate_potential(GAUSSIAN, [0.3, 0.0])  # keeps (1, 1), not even
 ZERO, SMALL_DISK = measure.zero_potential(), geometry.disk(1.0, M=64)
 PHI = forms.InteriorField.coordinate(0)
+X = np.array([[0.2, 0.1], [0.3, -0.4]])
 
 
 @pytest.mark.parametrize("call, says", [
     (lambda: analysis.interpolation_constant(
         pde.assemble(geometry.disk(1.0, M=64), GAUSSIAN, N=4, Q=16), sample_size=-1),
      "sample_size must be >= 0"),
-    (lambda: analysis.bm_check(DISK, DISK, GAUSSIAN, 0), "p must be positive"),
+    (lambda: analysis.bm_check(DISK, DISK, GAUSSIAN, 0), "p must be finite and positive, got 0"),
     (lambda: analysis.local_concavity_fd(DISK, GAUSSIAN, forms.BoundaryField(DISK.values), -1),
-     "p must be nonnegative"),
+     "p must be finite and nonnegative, got -1"),
     (lambda: analysis.reformulation_check(BLOB, GAUSSIAN),
      "reformulation check requires an origin-symmetric body"),
     (lambda: analysis.reformulation_check(DISK, SHIFTED),
@@ -43,12 +44,13 @@ PHI = forms.InteriorField.coordinate(0)
      "a quadratic potential needs its matrix A"),
     (lambda: measure.make_potential({"kind": "zero", "pinching": (0.5, 8)}),
      "the zero potential's Hessian 0 is below any declared k1 > 0"),
-    (lambda: measure.verify_pinching(measure.even_quartic_potential(0.0, pinching=(1.5, 2.0)),
-                                     np.zeros((1, 2))),
+    (lambda: measure.verify_pinching(
+        measure.make_potential({"kind": "even-quartic", "eps": 0.0, "pinching": (1.5, 2.0)}),
+        np.zeros((1, 2))),
      "min Hessian eigenvalue 1 < declared k1 = 1.5"),
     (lambda: measure.QuadraticPerturbation([[1.0, 2.0], [0.0, 1.0]]),
      "quadratic perturbation needs a symmetric matrix"),
-    (lambda: measure.ConjugatePerturbation(GAUSSIAN, -1), "alpha must be >= 0"),
+    (lambda: measure.ConjugatePerturbation(GAUSSIAN, -1), "alpha must be finite and >= 0, got -1"),
     (lambda: flow.FlowConfig(f=None, n_t=2), "n_t must be an integer >= 3, got 2"),
     (lambda: flow.FlowConfig(f=None, eps=-1), "eps must be finite and > 0, got -1"),
     (lambda: forms.BoundaryField(np.ones((2, 64))), "boundary field must be a 1-D sample array"),
@@ -69,13 +71,39 @@ PHI = forms.InteriorField.coordinate(0)
     (lambda: pde.solve_rho_bar(pde.assemble(SMALL_DISK, ZERO, N=4, Q=16)),
      "the Euler-Lagrange solve needs a strictly convex potential; "
      "for u == 0 the form has translation null directions"),
+    # non-finite parameters, refused where they enter instead of giving NaN downstream
+    (lambda: measure.conjugate_flow(GAUSSIAN, measure.QuadraticPerturbation(b=[np.nan, 0.0]),
+                                    0.1, X),
+     "quadratic perturbation needs a finite b"),
+    (lambda: measure.conjugate_flow(GAUSSIAN, measure.QuadraticPerturbation(c=np.nan), 0.1, X),
+     "quadratic perturbation needs a finite c"),
+    (lambda: measure.flow_derivatives(GAUSSIAN, measure.QuadraticPerturbation(c=np.nan), 0.1, X),
+     "quadratic perturbation needs a finite c"),
+    (lambda: measure.QuadraticPerturbation(B=[[np.inf, 0.0], [0.0, 0.0]]),
+     "quadratic perturbation needs a finite B"),
+    (lambda: measure.ConjugatePerturbation(GAUSSIAN, np.nan),
+     "alpha must be finite and >= 0, got nan"),
+    (lambda: measure.ConjugatePerturbation(GAUSSIAN, np.inf),
+     "alpha must be finite and >= 0, got inf"),
+    (lambda: measure.translate_potential(GAUSSIAN, [np.nan, 0.0]),
+     "translate_potential needs a finite v, got [nan, 0.0]"),
+    (lambda: measure.shift_potential(GAUSSIAN, np.nan),
+     "shift_potential needs a finite const, got nan"),
+    (lambda: analysis.bm_check(DISK, DISK, GAUSSIAN, np.nan),
+     "p must be finite and positive, got nan"),
+    (lambda: analysis.local_concavity_fd(DISK, GAUSSIAN, forms.BoundaryField(DISK.values), np.nan),
+     "p must be finite and nonnegative, got nan"),
+    (lambda: measure.quadratic_potential([[np.inf, 0.0], [0.0, 1.0]]),
+     "quadratic potential needs a finite A, got [[inf, 0.0], [0.0, 1.0]]"),
 ], ids=["sample-size", "bm-p", "fd-p", "reformulation-body", "reformulation-potential",
         "pinching-undeclared", "pinching-body", "pinching-potential", "support-grid",
         "support-finite", "disk-radius", "ellipse-axes", "hull-points", "minkowski-t",
         "gauge-nan", "pinching-constants", "quadratic-without-A", "zero-pinching",
         "pinching-broken", "asymmetric-B", "negative-alpha", "flow-n_t", "flow-eps", "field-1-d",
         "field-finite", "N-below-4", "N-above-grid", "unknown-kind", "stray-key",
-        "lebesgue-form", "lebesgue-coercivity", "lebesgue-solve"])
+        "lebesgue-form", "lebesgue-coercivity", "lebesgue-solve", "flow-b-nan", "flow-c-nan",
+        "flow-derivatives-c-nan", "psi-B-inf", "alpha-nan", "alpha-inf", "translate-nan",
+        "shift-nan", "bm-p-nan", "fd-p-nan", "quadratic-A-inf"])
 def test_bad_input_is_invalid_input_and_value_error(call, says):
     # the CLI maps InvalidInput to exit 2; callers catching ValueError still work
     with pytest.raises(InvalidInput) as info:

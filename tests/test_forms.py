@@ -273,8 +273,8 @@ def test_interior_field_fd_gradient_fallback(disk1, gaussian):
 
 def test_boundary_field_analytic_derivative_consistency(rng):
     M = 256
-    f = forms.BoundaryField.from_function(lambda t: np.sin(3 * t),
-                                          M, dfn=lambda t: 3 * np.cos(3 * t))
+    t = spectral.grid(M)
+    f = forms.BoundaryField(np.sin(3 * t), 3 * np.cos(3 * t))
     spectral_only = forms.BoundaryField.from_function(lambda t: np.sin(3 * t), M)
     npt.assert_allclose(f.deriv(), spectral_only.deriv(), atol=1e-6)
 
@@ -641,7 +641,7 @@ def test_stored_entries_die_with_their_body_and_potential():
 
 
 def test_origin_outside_raises_on_every_call(gaussian):
-    body = geometry.fourier_body(1.0, cos={1: 1.5}, recenter=False)  # unit disk at (1.5, 0)
+    body = geometry.SupportFunction2D(1.0 + 1.5 * np.cos(spectral.grid(256)))  # disk at (1.5, 0)
     rng = np.random.default_rng(6)
     rho, phi = random_boundary_field(rng, body.M), random_interior_field(rng)
     for _ in range(3):

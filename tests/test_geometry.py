@@ -282,7 +282,7 @@ def test_make_body_rejects_keys_its_kind_does_not_read(desc, key):
 
 def test_hull_body_is_valid_and_contains_centroid(rng):
     pts = rng.normal(size=(40, 2))
-    body = geometry.hull_body(pts, smoothing=0.2)
+    body = geometry.hull_body(pts)
     assert body.radius_grid.min() > 0
     assert body.values.min() > 0  # centered, origin interior
 
@@ -343,8 +343,9 @@ def test_geometry_input_checks_name_the_problem(make, error, says):
 
 
 def test_hull_body_widens_its_smoothing_until_strictly_convex():
-    # a triangle's hull smoothed at 0.15 dips below the convexity floor
-    # between its corners; one widening by 1.5 gives a strictly convex body
-    body = geometry.hull_body([[1.0, 0.0], [-0.5, 0.8], [-0.5, -0.8]], smoothing=0.15)
-    assert body.descriptor["smoothing"] == 0.15 * 1.5
+    # a triangle's hull smoothed at HULL_SMOOTHING = 0.15 dips below the
+    # convexity floor between its corners; one widening by 1.5 gives a
+    # strictly convex body
+    body = geometry.hull_body([[1.0, 0.0], [-0.5, 0.8], [-0.5, -0.8]])
+    assert body.descriptor["smoothing"] == geometry.HULL_SMOOTHING * 1.5
     assert body.radius_grid.min() > geometry.CONVEXITY_RTOL * body.radius_grid.max()

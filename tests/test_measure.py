@@ -243,17 +243,14 @@ def test_weighted_mean_curvature(disk1, gaussian, lebesgue):
                         0.5 - 2.0, atol=1e-12)
     npt.assert_allclose(measure.weighted_mean_curvature(disk1, lebesgue), 1.0,
                         atol=1e-12)
-    # pointwise variant agrees with the grid
-    assert measure.weighted_mean_curvature(d2, gaussian, theta=0.3) == pytest.approx(
-        -1.5, abs=1e-10)
 
 
 def test_pinching_verification(quartic, rng):
     pts = rng.normal(size=(40, 2))
-    wrong = measure.even_quartic_potential(0.1, pinching=(1.0, 1.0))
+    wrong = measure.make_potential({"kind": "even-quartic", "eps": 0.1, "pinching": (1.0, 1.0)})
     with pytest.raises(PinchingViolation):
         measure.verify_pinching(wrong, pts * 3.0)
-    ok = measure.even_quartic_potential(0.0, pinching=(1.0, 1.0))
+    ok = measure.make_potential({"kind": "even-quartic", "eps": 0.0, "pinching": (1.0, 1.0)})
     measure.verify_pinching(ok, pts)  # no raise
 
 
