@@ -33,7 +33,7 @@ from .forms import form_I
 from .geometry import minkowski_combine, wulff_perturb
 from .measure import _hgg
 from .pde import DEFAULT_N, concavity_power, radial_moment_field, solve_report
-from .quad import DEFAULT_Q, _bl_nodes, _mu, boundary_integral, interior_integral
+from .quad import DEFAULT_Q, _context, _mu, boundary_integral, interior_integral
 
 __all__ = [
     "BMReport",
@@ -179,6 +179,8 @@ def interpolation_constant(system, sample_size=1000, seed=11):
     gemv and dot kernels of ``c @ A @ c``: bit-identical to a per-field loop,
     where one ``(C @ A * C).sum(1)`` would take gemm and round apart.
     """
+    if not all(float(n).is_integer() for n in np.atleast_1d(sample_size)):
+        raise InvalidInput(f"sample_size must be an integer, got {sample_size!r}")
     sizes = [int(n) for n in np.atleast_1d(sample_size)]
     if min(sizes) < 0:
         raise InvalidInput("sample_size must be >= 0")
@@ -304,9 +306,9 @@ def pinching_bounds(body, u, N=DEFAULT_N, Q=DEFAULT_Q):
         raise InvalidInput("pinching bounds require an even potential")
     k1, k2 = u.pinching
     r = k2 / k1
-    flat, wmu, Hinv = _bl_nodes(body, u, Q)
-    g = u.grad(flat)
-    moment = float(np.sum(wmu * _hgg(Hinv, g, g))) / _mu(body, u, Q)
+    c = _context(body, u, Q, bl=True)
+    g = u.grad(c.flat)
+    moment = float(np.sum(c.wmu * _hgg(c.hinv, g, g))) / c.muK
     p = concavity_power(body, u, N=N, Q=Q)
     tol = 1e-9
     checks = {

@@ -283,7 +283,8 @@ def _atomic_write(path, text):
 
 
 def _write_csv(path, header, rows):
-    lines = [",".join(header)] + [",".join(f"{v:.15g}" for v in row) for row in rows]
+    fmt = ",".join(["{:.15g}"] * len(header))
+    lines = [",".join(header)] + [fmt.format(*row) for row in rows]
     _atomic_write(path, "\n".join(lines) + "\n")
 
 

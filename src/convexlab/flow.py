@@ -34,7 +34,7 @@ import numpy as np
 from .errors import FlowNotConvex, InvalidInput, OriginOutside, PerturbationTooLarge
 from .forms import InteriorField, _boundary_field, check_mean_form
 from .geometry import gauge_angle, wulff_perturb
-from .measure import _dot2, _hgg, flow_potential
+from .measure import _dot2, _entries, _hgg, flow_potential
 from .quad import (DEFAULT_Q, _boundary_weight, _hmu, _mu, boundary_integral,
                    interior_integral, interior_nodes)
 
@@ -177,7 +177,7 @@ def shape_derivatives(body, u, f, psi=None, Q=DEFAULT_Q):
         psi_int = interior_integral(body, u, phi_nodes, Q=Q)
         psi_sq = interior_integral(body, u, phi_nodes ** 2, Q=Q)
         g = psi.grad(du)
-        psi_grad = interior_integral(body, u, _hgg(u.hess(pts), g, g), Q=Q)
+        psi_grad = interior_integral(body, u, _hgg(_entries(u.hess(pts)), g, g), Q=Q)
         psi_bd = psi.value(u.grad(body.boundary_grid))
 
     f_bd = boundary_integral(body, u, f.values)

@@ -17,13 +17,13 @@ Two inequalities are checked:  <r,f>_I <= (P + BL)/2  (mean form) and
 
 What depends only on (K, u, Q), namely e^{-u} on the boundary and at the
 interior nodes, H_mu, mu(K) and (del^2 u)^{-1} at the nodes, is evaluated
-once by ``quad`` and read from it by every later pair on the same (K, u, Q).
-The same store keeps an interior field's values at the nodes per live
-(K, field, Q); fields, like bodies and potentials, do not change after
-construction.  So a pair pays only for its own fields, once each:
-``check_mean_form`` evaluates phi once on the interior nodes, where BL and I's
-interior mean share the values, once on the boundary grid, and its gradient
-once on the nodes.
+once by ``quad`` and read by each form from one record of its store,
+``quad._context``, on every later pair on the same (K, u, Q).  The same
+store keeps an interior field's values at the nodes per live (K, field, Q);
+fields, like bodies and potentials, do not change after construction.  So a
+pair pays only for its own fields, once each: ``check_mean_form`` evaluates
+phi once on the interior nodes, where BL and I's interior mean share the
+values, once on the boundary grid, and its gradient once on the nodes.
 """
 
 from dataclasses import dataclass, field
@@ -33,8 +33,7 @@ import numpy as np
 from . import spectral
 from .errors import InvalidInput, NonFiniteIntegral
 from .measure import _dot2, _hgg
-from .quad import (DEFAULT_Q, _bl_nodes, _boundary_weight, _hmu, _mu, _node_values,
-                   boundary_integral, interior_integral)
+from .quad import DEFAULT_Q, _boundary_sum, _context, _node_values, interior_integral
 
 __all__ = [
     "BoundaryField",
@@ -191,12 +190,12 @@ def form_P(body, u, rho0, rho1, Q=DEFAULT_Q):
     same = rho1 is rho0
     d0 = _boundary_field(rho0, body.M).deriv()
     d1 = d0 if same else _boundary_field(rho1, body.M).deriv()
-    grad_term = float(np.sum(d0 * d1 * _boundary_weight(body, u)) * 2.0 * np.pi / body.M)
-    curv_term = boundary_integral(body, u, _hmu(body, u) * rho0.values * rho1.values)
-    muK = _mu(body, u, Q)
-    m0 = boundary_integral(body, u, rho0.values)
-    m1 = m0 if same else boundary_integral(body, u, rho1.values)
-    mean_term = m0 * m1 / muK
+    c = _context(body, u, Q)
+    grad_term = float((d0 * d1 * c.weight).sum() * 2.0 * np.pi / body.M)
+    curv_term = _boundary_sum(u, c.measure, c.hmu * rho0.values * rho1.values)
+    m0 = _boundary_sum(u, c.measure, rho0.values)
+    m1 = m0 if same else _boundary_sum(u, c.measure, rho1.values)
+    mean_term = m0 * m1 / c.muK
     return grad_term - curv_term + mean_term
 
 
@@ -205,17 +204,18 @@ def form_BL(body, u, phi0, phi1, Q=DEFAULT_Q):
     u.require_strictly_convex("the interior variance form")
     same = phi1 is phi0
     step = 1e-5 * 2.0 * float(body.values.max())  # gradient fallback: 1e-5 * diameter
-    flat, wmu, Hinv = _bl_nodes(body, u, Q)
+    c = _context(body, u, Q, bl=True)
     with np.errstate(invalid="ignore", over="ignore"):  # a non-finite value raises below
-        g0 = _interior_field(phi0).gradient(flat, step=step)
-        g1 = g0 if same else _interior_field(phi1).gradient(flat, step=step)
-        grad_term = float(np.sum(wmu * _hgg(Hinv, g0, g1)))
-        v0 = _node_values(body, phi0, Q)
-        v1 = v0 if same else _node_values(body, phi1, Q)
-        prod_term = float(np.sum(wmu * v0 * v1))
-        m0 = float(np.sum(wmu * v0))
-        m1 = m0 if same else float(np.sum(wmu * v1))
-        val = grad_term - prod_term + m0 * m1 / _mu(body, u, Q)
+        g0 = _interior_field(phi0).gradient(c.flat, step=step)
+        g1 = g0 if same else _interior_field(phi1).gradient(c.flat, step=step)
+        grad_term = float((c.wmu * _hgg(c.hinv, g0, g1)).sum())
+        v0 = _node_values(body, phi0, c.flat)
+        v1 = v0 if same else _node_values(body, phi1, c.flat)
+        wv0 = c.wmu * v0  # read by the product and the mean term
+        prod_term = float((wv0 * v1).sum())
+        m0 = float(wv0.sum())
+        m1 = m0 if same else float((c.wmu * v1).sum())
+        val = grad_term - prod_term + m0 * m1 / c.muK
     if not np.isfinite(val):
         names = phi0.descriptor if same else (phi0.descriptor, phi1.descriptor)
         raise NonFiniteIntegral(f"BL form of {names!r} against {u!r} is {val}")
@@ -226,10 +226,10 @@ def form_I(body, u, rho, phi, Q=DEFAULT_Q):
     """Interaction form <rho, phi>_I between boundary and interior fields."""
     r = _boundary_field(rho, body.M)
     phi_on_boundary = _interior_field(phi).value(body.boundary_grid)
-    muK = _mu(body, u, Q)
+    c = _context(body, u, Q)
     phi_int = interior_integral(body, u, phi, Q=Q)
-    cross = boundary_integral(body, u, r.values * phi_on_boundary)
-    means = boundary_integral(body, u, r.values) * phi_int / muK
+    cross = _boundary_sum(u, c.measure, r.values * phi_on_boundary)
+    means = _boundary_sum(u, c.measure, r.values) * phi_int / c.muK
     return cross - means
 
 

@@ -319,6 +319,8 @@ def gauge_angle(body, x, newton_steps=20, tol=1e-12):
     stack rounds some entries differently), and the powers of h go through
     libm's pow as the scalar ``**`` does (np.power's SIMD loop does not).
     """
+    if not (isinstance(newton_steps, (int, np.integer)) and newton_steps >= 0):
+        raise InvalidInput(f"newton_steps must be an integer >= 0, got {newton_steps!r}")
     body.require_interior_origin()
     x = np.asarray(x, dtype=float)
     if x.shape[-1:] != (2,):

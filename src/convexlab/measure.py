@@ -57,8 +57,8 @@ def _flatten(points):
 
 
 def _entries(H):
-    """The entries h00, h01, h10, h11 of an (m, 2, 2) stack, as (m,) views."""
-    return H[:, 0, 0], H[:, 0, 1], H[:, 1, 0], H[:, 1, 1]
+    """The entries h00, h01, h10, h11 of a (..., 2, 2) stack, as views."""
+    return H[..., 0, 0], H[..., 0, 1], H[..., 1, 0], H[..., 1, 1]
 
 
 def _det(h00, h01, h10, h11):
@@ -108,16 +108,17 @@ def _inv_2x2(H):
 # field gradients do: an operation broadcast along the trailing axis makes
 # numpy's inner loop run over that axis, of length 2.  So the potentials'
 # gradients and Hessians, the quadratic psi's gradient and _newton's trial
-# points are written a column at a time, _qform reads contiguous copies of
-# its columns, and _flow_newton forms its Jacobian I + t psi'' u'' and the
-# dual Hessian as four (m,) entries with the operands of _inv_2x2 and of
-# the stacked product _matmul_2x2 in tests/test_kernels.py in their order,
-# never as an (m, 2, 2) stack read back entry by entry; a quadratic psi's
-# Hessian enters as the scalars of B.  _dot2, _qform and the quartic's
-# gradient factor accumulate in place (``+=``, ``*=``): the same operation on
-# the same operands, one temporary fewer.  The quadratic psi's gradient keeps
-# ``flat @ B.T`` on the transposed view: a contiguous copy of B.T is faster,
-# but BLAS then rounds a one-row product another way.
+# points are written a column at a time, _qform and _hgg read contiguous
+# copies of their point columns, _hgg takes H as four entries (quad stores
+# (del^2 u)^{-1} as contiguous rows), and _flow_newton forms its Jacobian
+# I + t psi'' u'' and the dual Hessian as four (m,) entries with the operands
+# of _inv_2x2 and of the stacked product _matmul_2x2 in tests/test_kernels.py
+# in their order, never as an (m, 2, 2) stack read back entry by entry; a
+# quadratic psi's Hessian enters as the scalars of B.  _dot2, _qform, _hgg and
+# the quartic's gradient factor accumulate in place (``+=``, ``*=``): the same
+# operation on the same operands, one temporary fewer.  The quadratic psi's
+# gradient keeps ``flat @ B.T`` on the transposed view: a contiguous copy of
+# B.T is faster, but BLAS then rounds a one-row product another way.
 
 
 def _dot2(a, b):
@@ -147,18 +148,26 @@ def _qform(p, A, q):
     return t00
 
 
-def _hgg(H, a, b):
-    """einsum("ijk,ik,ij->i", H, a, b), i.e. <H a, b> per point.
+def _hgg(h, a, b):
+    """einsum("ijk,ik,ij->i", H, a, b), i.e. <H a, b> per point, from H's entries h.
 
-    Any leading shape.  Exact for a C-ordered H stack only: with an F-ordered
-    H, einsum sums k outer and j inner, and the result moves by an ulp.
+    h = (h00, h01, h10, h11), e.g. ``_entries(H)``, has the leading shape of a
+    and b (no broadcasting: the products are in place).  Exact for a C-ordered
+    H: with an F-ordered H, einsum sums k outer and j inner, moving an ulp.
     """
-    a0, a1, b0, b1 = a[..., 0], a[..., 1], b[..., 0], b[..., 1]
-    t00, t01 = H[..., 0, 0] * a0 * b0, H[..., 0, 1] * a1 * b0
-    t10, t11 = H[..., 1, 0] * a0 * b1, H[..., 1, 1] * a1 * b1
+    h00, h01, h10, h11 = h
+    a0, a1 = a[..., 0].copy(), a[..., 1].copy()
+    b0, b1 = (a0, a1) if b is a else (b[..., 0].copy(), b[..., 1].copy())
+    t00, t01, t10, t11 = h00 * a0, h01 * a1, h10 * a0, h11 * a1
+    t00 *= b0
+    t01 *= b0
+    t10 *= b1
+    t11 *= b1
     if t00.size == 1:
         return 0.0 + ((t00 + t01) + (t10 + t11))
-    return 0.0 + t00 + t01 + t10 + t11
+    for t in (0.0, t01, t10, t11):
+        t00 += t
+    return t00
 
 
 class Potential:
@@ -801,7 +810,7 @@ def flow_derivatives(u, psi, t, x, method="auto"):
     first = -psi.value(flatg)
     gp = psi.grad(flatg)
     Hf = H.reshape(-1, 2, 2)
-    second = _hgg(Hf, gp, gp)
+    second = _hgg(_entries(Hf), gp, gp)
     return first.reshape(lead), second.reshape(lead)
 
 

@@ -19,19 +19,20 @@ namely the interior nodes and weights, e^{-u} at the nodes and on the boundary
 grid, e^{-u}*r, H_mu, mu(K), and BL's weights and (del^2 u)^{-1} at the nodes;
 and an interior field's values at the nodes, per (body, field, Q).  Each is
 computed once and read by ``forms``, ``pde``, ``flow`` and ``analysis``
-through the private readers below.  The stored arrays are read-only and are
+through the private readers below (the forms through one record per (body,
+u, Q), with (del^2 u)^{-1} as contiguous columns).  The arrays are read-only,
 held through weak references to the body and to the potential or field, so
-they go when either object does.  A boundary or interior result that is not
-finite raises ``NonFiniteIntegral``.
+they go when either object does.  A non-finite result raises NonFiniteIntegral.
 """
 
 import functools
 import weakref
+from collections import namedtuple
 
 import numpy as np
 
-from .errors import NonFiniteIntegral
-from .measure import _inv_2x2, weighted_mean_curvature
+from .errors import InvalidInput, NonFiniteIntegral
+from .measure import _entries, _inv_entries, weighted_mean_curvature
 
 __all__ = ["boundary_integral", "interior_integral", "interior_nodes"]
 
@@ -60,7 +61,8 @@ def _shared(body, u, key, build):
     if value is None:
         value = build()
         for a in value if isinstance(value, tuple) else (value,):
-            a.flags.writeable = False
+            if isinstance(a, np.ndarray):
+                a.flags.writeable = False
         table[key] = value
     return value
 
@@ -88,24 +90,35 @@ def _node_weight(body, u, pts):
 
 def _mu(body, u, Q):
     """mu(K) = interior_integral(body, u, 1.0, Q), kept as a 0-d array."""
-    return float(_shared(body, u, ("muK", int(Q)),
+    return float(_shared(body, u, ("muK", Q),
                          lambda: np.array(interior_integral(body, u, 1.0, Q))))
 
 
-def _node_values(body, phi, Q):
-    """The interior field phi's values at the (Q*M, 2) interior nodes."""
-    flat = interior_nodes(body, Q)[0].reshape(-1, 2)
+def _node_values(body, phi, flat):
+    """The interior field phi's values at the (Q*M, 2) interior nodes ``flat``."""
     return _shared(body, phi, ("values", len(flat)), lambda: phi.value(flat))
 
 
-def _bl_nodes(body, u, Q):
-    """The (Q*M, 2) interior nodes, the mu-weights there and (del^2 u)^{-1} there."""
-    pts, wts = interior_nodes(body, Q)
-    flat = pts.reshape(-1, 2)
-    wmu, Hinv = _shared(body, u, ("BL", len(pts)), lambda: (
-        (wts * _node_weight(body, u, pts)).reshape(-1),
-        _inv_2x2(u.hess(flat).reshape(-1, 2, 2))))
-    return flat, wmu, Hinv
+# What the forms read on one (body, u, Q): e^{-u}, e^{-u} r and H_mu on the
+# boundary grid, mu(K), the flat nodes, their weights and e^{-u} there; and,
+# only if asked for (P and I hold for u == 0 too), BL's flat mu-weights and
+# (del^2 u)^{-1} as a (4, Q*M) array of contiguous columns h00, h01, h10, h11.
+_Context = namedtuple("_Context", "weight measure hmu muK flat weights node_weight wmu hinv",
+                      defaults=(None, None))
+
+
+def _context(body, u, Q, bl=False):
+    """The _Context of (body, u, Q), with BL's part if bl, in one store lookup."""
+    def build():
+        pts, weights = interior_nodes(body, Q)
+        if bl:
+            c = _context(body, u, Q)
+            return c._replace(wmu=(weights * c.node_weight).reshape(-1),
+                              hinv=np.stack(_inv_entries(*_entries(u.hess(c.flat)))))
+        return _Context(_boundary_weight(body, u), _boundary_measure(body, u), _hmu(body, u),
+                        _mu(body, u, Q), pts.reshape(-1, 2), weights, _node_weight(body, u, pts))
+
+    return _shared(body, u, ("context", Q, bl), build)
 
 
 def _field_on_grid(g, body):
@@ -118,13 +131,17 @@ def _field_on_grid(g, body):
     return vals
 
 
-def boundary_integral(body, u, g=1.0):
-    """Integral of g over the boundary of K against mu."""
-    vals = _field_on_grid(g, body)
-    val = float(np.sum(vals * _boundary_measure(body, u)) * 2.0 * np.pi / body.M)
+def _boundary_sum(u, measure, vals):
+    """The boundary integral of the grid values vals against the density measure."""
+    val = float((vals * measure).sum() * 2.0 * np.pi / measure.size)
     if not np.isfinite(val):
         raise NonFiniteIntegral(f"boundary integral against {u!r} is {val}")
     return val
+
+
+def boundary_integral(body, u, g=1.0):
+    """Integral of g over the boundary of K against mu."""
+    return _boundary_sum(u, _boundary_measure(body, u), _field_on_grid(g, body))
 
 
 @functools.lru_cache(maxsize=16)
@@ -143,10 +160,11 @@ def interior_nodes(body, Q=DEFAULT_Q):
 
     Returns read-only (points, weights) with points of shape (Q, M, 2); the
     weights include the Jacobian s*h*r and both quadrature weights, so that
-    int_K F dx = sum(weights * F(points)).
+    int_K F dx = sum(weights * F(points)).  Q must be an integer >= 1.
     """
     body.require_interior_origin()
-    Q = int(Q)
+    if not (isinstance(Q, (int, np.integer)) and Q >= 1):
+        raise InvalidInput(f"quadrature order Q must be an integer >= 1, got {Q!r}")
     return _shared(body, None, ("nodes", Q), lambda: _build_nodes(body, Q))
 
 
@@ -175,13 +193,13 @@ def interior_integral(body, u, g=1.0, Q=DEFAULT_Q):
             raise ValueError("interior integrand does not match the quadrature nodes")
         vals = g
     elif isinstance(g, InteriorField):
-        vals = _node_values(body, g, Q).reshape(pts.shape[:-1])
+        vals = _node_values(body, g, pts.reshape(-1, 2)).reshape(pts.shape[:-1])
     elif np.isscalar(g):
         vals = np.full(pts.shape[:-1], float(g))
     else:
         raise ValueError("interior integrand must be a scalar, an InteriorField or "
                          f"node values, not {type(g).__name__}")
-    val = float(np.sum(weights * vals * w))
+    val = float((weights * vals * w).sum())
     if not np.isfinite(val):
         name = "node values" if isinstance(g, np.ndarray) else repr(getattr(g, "descriptor", g))
         raise NonFiniteIntegral(f"interior integral of {name} against {u!r} is {val}")

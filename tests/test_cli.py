@@ -343,7 +343,7 @@ def test_bounds_without_declared_pinching_is_config_error(tmp_path, capsys, monk
         raise AssertionError("pinching_bounds assembled before refusing")
 
     monkeypatch.setattr(analysis, "concavity_power", never)
-    monkeypatch.setattr(analysis, "_bl_nodes", never)
+    monkeypatch.setattr(analysis, "_context", never)
     path = write(tmp_path / "b.cfg", DISK + potential)
     out = tmp_path / "o"
     assert cli.main(["bounds", "--config", path, "--out", str(out)]) == 2

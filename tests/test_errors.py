@@ -95,6 +95,19 @@ X = np.array([[0.2, 0.1], [0.3, -0.4]])
      "p must be finite and nonnegative, got nan"),
     (lambda: measure.quadratic_potential([[np.inf, 0.0], [0.0, 1.0]]),
      "quadratic potential needs a finite A, got [[inf, 0.0], [0.0, 1.0]]"),
+    # a count that range() or int() would take in silently or turn into a bare ValueError
+    (lambda: geometry.gauge_angle(DISK, [0.3, 0.1], newton_steps=-1),
+     "newton_steps must be an integer >= 0, got -1"),
+    (lambda: analysis.bm_check(DISK, DISK, GAUSSIAN, 0.5, Q=0),
+     "quadrature order Q must be an integer >= 1, got 0"),
+    (lambda: analysis.bm_check(DISK, DISK, GAUSSIAN, 0.5, Q=2.5),
+     "quadrature order Q must be an integer >= 1, got 2.5"),
+    (lambda: analysis.interpolation_constant(
+        pde.assemble(geometry.disk(1.0, M=64), GAUSSIAN, N=4, Q=16), sample_size=np.nan),
+     "sample_size must be an integer, got nan"),
+    (lambda: analysis.interpolation_constant(
+        pde.assemble(geometry.disk(1.0, M=64), GAUSSIAN, N=4, Q=16), sample_size=2.5),
+     "sample_size must be an integer, got 2.5"),
 ], ids=["sample-size", "bm-p", "fd-p", "reformulation-body", "reformulation-potential",
         "pinching-undeclared", "pinching-body", "pinching-potential", "support-grid",
         "support-finite", "disk-radius", "ellipse-axes", "hull-points", "minkowski-t",
@@ -103,7 +116,8 @@ X = np.array([[0.2, 0.1], [0.3, -0.4]])
         "field-finite", "N-below-4", "N-above-grid", "unknown-kind", "stray-key",
         "lebesgue-form", "lebesgue-coercivity", "lebesgue-solve", "flow-b-nan", "flow-c-nan",
         "flow-derivatives-c-nan", "psi-B-inf", "alpha-nan", "alpha-inf", "translate-nan",
-        "shift-nan", "bm-p-nan", "fd-p-nan", "quadratic-A-inf"])
+        "shift-nan", "bm-p-nan", "fd-p-nan", "quadratic-A-inf", "gauge-newton-negative",
+        "Q-zero", "Q-fraction", "sample-size-nan", "sample-size-fraction"])
 def test_bad_input_is_invalid_input_and_value_error(call, says):
     # the CLI maps InvalidInput to exit 2; callers catching ValueError still work
     with pytest.raises(InvalidInput) as info:

@@ -222,7 +222,7 @@ def test_shape_derivatives_evaluate_u_once_per_point_set(blob, quartic, monkeypa
 
     def carre(pts):
         g = psi.grad(quartic.grad(pts))
-        return measure._hgg(quartic.hess(pts), g, g)
+        return measure._hgg(measure._entries(quartic.hess(pts)), g, g)
 
     integrals = [quad.interior_integral(blob, quartic, g) for g in (
         phi, forms.InteriorField(lambda p: phi.value(p) ** 2), forms.InteriorField(carre))]

@@ -8,7 +8,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 from hypothesis.extra import numpy as hnp
 
-from convexlab import flow, forms, geometry, measure, pde, quad, spectral, suite
+from convexlab import analysis, flow, forms, geometry, measure, pde, quad, spectral, suite
 from convexlab.errors import LebesgueModeRestriction, NonFiniteIntegral, OriginOutside
 from convexlab.suite import random_boundary_field, random_interior_field
 
@@ -360,7 +360,7 @@ def _ref_form_BL(body, u, phi0, phi1, Q):
     Hinv = measure._inv_2x2(u.hess(flat).reshape(-1, 2, 2))
     g0 = phi0.gradient(flat, step=step)
     g1 = g0 if phi1 is phi0 else phi1.gradient(flat, step=step)
-    grad_term = float(np.sum(wmu * measure._hgg(Hinv, g0, g1)))
+    grad_term = float(np.sum(wmu * measure._hgg(measure._entries(Hinv), g0, g1)))
     v0 = phi0.value(flat)
     v1 = v0 if phi1 is phi0 else phi1.value(flat)
     prod_term = float(np.sum(wmu * v0 * v1))
@@ -428,6 +428,39 @@ def test_forms_match_the_unshared_reference_bytes(bname, pname, Q, seed, fd):
             continue
         assert [float(x).hex() for x in (rep.P, rep.BL, rep.I, rep.slack_mean, rep.slack_mult)] \
             == [float(x).hex() for x in (P, BL, I, 0.5 * (P + BL) - I, P * BL - I * I)]
+
+
+def _ref_pinching_moment(body, u, Q):
+    """M = (1/mu(K)) int_K <(del^2 u)^{-1} grad u, grad u> dmu from a fresh stack."""
+    pts, wts = _ref_nodes(body, Q)
+    flat = pts.reshape(-1, 2)
+    wmu = (wts * u.weight(pts)).reshape(-1)
+    Hinv = measure._inv_2x2(u.hess(flat).reshape(-1, 2, 2))
+    g = u.grad(flat)
+    muK, _ = _ref_interior_integral(body, u, None, Q)
+    return float(np.sum(wmu * measure._hgg(measure._entries(Hinv), g, g))) / muK
+
+
+@settings(max_examples=20, deadline=None)
+@given(bname=st.sampled_from(sorted(name for name, body in suite.standard_bodies().items()
+                                    if body.is_even)),
+       pname=st.sampled_from(sorted(name for name, u in suite.standard_potentials().items()
+                                    if u.pinching is not None)),
+       Q=st.sampled_from([16, 24, 32]))
+def test_pinching_moment_matches_the_unshared_reference_bytes(bname, pname, Q):
+    # analysis.pinching_bounds reads BL's store, (del^2 u)^{-1} as four columns
+    def fresh():
+        return suite.standard_bodies()[bname], suite.standard_potentials()[pname]
+
+    def moment(body, u):
+        return analysis.pinching_bounds(body, u, Q=Q)["moment"]
+
+    want = _bits(_ref_pinching_moment, *fresh(), Q)
+    assert _bits(moment, *fresh()) == want
+    # twice on one (body, u): the first call fills the store, the second reads it
+    body, u = fresh()
+    for _ in range(2):
+        assert _bits(moment, body, u) == want
 
 
 # -- one pair's own fields: the suite's draws and check_mean_form's evaluations ---
@@ -545,13 +578,20 @@ def _counted(u):
                              count("hess", u._hess)), calls
 
 
-def _arrays(table):
-    return [a for v in table.values() for a in (v if isinstance(v, tuple) else (v,))]
+def _arrays(*tables):
+    """The arrays the store tables hold, each once; records searched through."""
+    found = {}
+    for table in tables:
+        for v in table.values():
+            for a in v if isinstance(v, tuple) else (v,):
+                if isinstance(a, np.ndarray):
+                    found.setdefault(id(a), a)
+    return list(found.values())
 
 
 def _stored_arrays(body):
     own, per_u = quad._SHARED[body]
-    return [a for table in (own, *per_u.values()) for a in _arrays(table)]
+    return _arrays(own, *per_u.values())
 
 
 def test_pairs_on_one_body_potential_and_Q_evaluate_u_once():
@@ -591,8 +631,10 @@ def test_stored_arrays_are_read_only(quartic):
     forms.check_mean_form(body, quartic, random_boundary_field(rng, body.M),
                           random_interior_field(rng), Q=16)
     arrays = _stored_arrays(body)
-    assert len(arrays) == 9  # nodes, weights; boundary e^{-u}, its r multiple, H_mu;
-    for a in arrays:         # e^{-u} at the nodes, mu(K); BL's weights, inverse Hessians
+    # nodes, weights; boundary e^{-u}, its r multiple, H_mu; e^{-u} at the nodes,
+    # mu(K); the flat nodes; BL's weights and the columns of (del^2 u)^{-1}
+    assert len(arrays) == 10
+    for a in arrays:
         with pytest.raises(ValueError, match="read-only"):
             a.flat[0] = 0.0
 
@@ -611,7 +653,7 @@ def test_field_values_are_stored_once_per_body_field_and_Q_and_die_with_the_fiel
     # the flat evaluation gives the bytes of one on the (Q, M, 2) stack
     stack = quad.interior_nodes(body, 24)[0]
     assert first == quad.interior_integral(body, u, base.value(stack), Q=24)
-    stored = quad._node_values(body, phi, 24)
+    stored = quad._node_values(body, phi, stack.reshape(-1, 2))
     assert calls == [(24 * body.M, 2), (16 * body.M, 2)]
     with pytest.raises(ValueError, match="read-only"):
         stored[0] = 0.0
@@ -629,9 +671,11 @@ def test_stored_entries_die_with_their_body_and_potential():
                           random_interior_field(rng))
     own, per_u = quad._SHARED[body]
     body_refs = [weakref.ref(a) for a in _arrays(own)]
-    u_refs = [weakref.ref(a) for a in _arrays(per_u[u])]
+    # u's records also hold the body's weights, which live on with the body
+    u_refs = [weakref.ref(a) for a in _arrays(per_u[u])
+              if not any(a is b for b in _arrays(own))]
     del own, per_u
-    assert len(body_refs) == 2 and len(u_refs) == 7
+    assert len(body_refs) == 2 and len(u_refs) == 8
     del u
     gc.collect()
     assert all(r() is None for r in u_refs) and all(r() is not None for r in body_refs)

@@ -104,10 +104,15 @@ def test_qform_matches_einsum(data):
 @given(stacks())
 def test_hgg_matches_einsum(data):
     p, q, H, _, _, _ = data
-    _same_bits(np.einsum("...ij,...j,...i->...", H, p, q), _hgg(H, p, q))
-    _same_bits(np.einsum("...ij,...j,...i->...", H, p, p), _hgg(H, p, p))
+    h = measure._entries(H)
+    _same_bits(np.einsum("...ij,...j,...i->...", H, p, q), _hgg(h, p, q))
+    _same_bits(np.einsum("...ij,...j,...i->...", H, p, p), _hgg(h, p, p))
+    # the entries as contiguous rows of one array, as quad stores (del^2 u)^{-1}
+    columns = np.stack(h)
+    _same_bits(np.einsum("...ij,...j,...i->...", H, p, q), _hgg(columns, p, q))
+    _same_bits(np.einsum("...ij,...j,...i->...", H, p, p), _hgg(columns, p, p))
     if p.ndim == 2:
-        _same_bits(np.einsum("ijk,ik,ij->i", H, p, q), _hgg(H, p, q))
+        _same_bits(np.einsum("ijk,ik,ij->i", H, p, q), _hgg(h, p, q))
 
 
 @settings(max_examples=60, deadline=None)
@@ -130,10 +135,12 @@ def test_tiny_stacks_match_einsum(lead):
         p, q = rng.standard_normal(lead + (2,)), rng.standard_normal(lead + (2,))
         H, A = rng.standard_normal(lead + (2, 2)), rng.standard_normal((2, 2))
         _same_bits(np.einsum("...i,ij,...j->...", p, A, q), _qform(p, A, q))
-        _same_bits(np.einsum("...ij,...j,...i->...", H, p, q), _hgg(H, p, q))
+        h = measure._entries(H)
+        _same_bits(np.einsum("...ij,...j,...i->...", H, p, q), _hgg(h, p, q))
+        _same_bits(np.einsum("...ij,...j,...i->...", H, p, q), _hgg(np.stack(h), p, q))
         if len(lead) == 1:
             _same_bits(np.einsum("ij,jk,ik->i", p, A, q), _qform(p, A, q))
-            _same_bits(np.einsum("ijk,ik,ij->i", H, p, q), _hgg(H, p, q))
+            _same_bits(np.einsum("ijk,ik,ij->i", H, p, q), _hgg(h, p, q))
 
 
 def test_hgg_order_contract_is_c_order():
@@ -144,12 +151,12 @@ def test_hgg_order_contract_is_c_order():
     a = rng.standard_normal((1000, 2))
     b = rng.standard_normal((1000, 2))
     expected = np.einsum("ijk,ik,ij->i", H, a, b)
-    _same_bits(expected, _hgg(H, a, b))
-    _same_bits(expected, _hgg(np.asfortranarray(H), a, b))
+    _same_bits(expected, _hgg(measure._entries(H), a, b))
+    _same_bits(expected, _hgg(measure._entries(np.asfortranarray(H)), a, b))
     moved = np.einsum("ijk,ik,ij->i", np.asfortranarray(H), a, b)
     assert not np.array_equal(moved, expected)
     # only the summation order moved: the two differ by rounding of the terms
-    size = _hgg(np.abs(H), np.abs(a), np.abs(b))
+    size = _hgg(measure._entries(np.abs(H)), np.abs(a), np.abs(b))
     assert np.all(np.abs(moved - expected) <= 1e-15 * size)
 
 

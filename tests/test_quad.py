@@ -5,7 +5,7 @@ import numpy as np
 import pytest
 
 from convexlab import quad
-from convexlab.forms import BoundaryField, InteriorField
+from convexlab.forms import BoundaryField, InteriorField, check_mean_form
 from convexlab.geometry import ellipse, fourier_body
 from convexlab.measure import zero_potential
 
@@ -121,6 +121,21 @@ def test_only_quad_touches_the_store():
              if {getattr(node, k, None) for k in ("id", "attr", "name")}
              & {"_shared", "_SHARED"}}
     assert users == {"quad.py"}
+
+
+def test_a_fractional_Q_is_refused_after_its_integer_part_is_stored(gaussian):
+    # the stored mu(K) and forms record of Q = 2 must not answer for Q = 2.5
+    from convexlab.errors import InvalidInput
+
+    body = ellipse(2.0, 1.0)
+    rho, phi = BoundaryField(np.ones(body.M)), InteriorField.coordinate(0)
+    quad._mu(body, gaussian, 2)
+    quad._context(body, gaussian, 2, bl=True)
+    for call in (lambda: quad._mu(body, gaussian, 2.5),
+                 lambda: quad.interior_integral(body, gaussian, 1.0, Q=2.5),
+                 lambda: check_mean_form(body, gaussian, rho, phi, Q=2.5)):
+        with pytest.raises(InvalidInput, match="Q must be an integer >= 1, got 2.5"):
+            call()
 
 
 def test_non_finite_integral_names_the_integrand(disk1, gaussian):
