@@ -25,7 +25,9 @@ computation shows the homothety log-marginal has S''(0) = Var_{mu|K}(u) - n
 and, at x0 = 0, the scaling pair's mean slack is
 alpha^2 mu(K) (n - Var_{mu|K}(u)) / 2; mu|K is log-concave with potential u
 on K, so both are nonzero by the varentropy bound Var_{mu|K}(u) < n.  At
-x0 != 0 a cross term, not yet derived, enters the slack.  The translation
+x0 != 0 that law holds for phi_c = alpha (u*(grad u) + <x0, grad u>) + z, and
+the witness's phi = phi_c + dphi adds BL(phi_c, dphi) + BL(dphi, dphi)/2 -
+I(rho, dphi) to the slack (``forms.equality_witness``).  The translation
 family does saturate the inequality and is verified as a control (4c, 5c-control).
 """
 

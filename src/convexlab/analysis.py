@@ -182,6 +182,8 @@ def interpolation_constant(system, sample_size=1000, seed=11):
     if not all(float(n).is_integer() for n in np.atleast_1d(sample_size)):
         raise InvalidInput(f"sample_size must be an integer, got {sample_size!r}")
     sizes = [int(n) for n in np.atleast_1d(sample_size)]
+    if not sizes:
+        raise InvalidInput("sample_size must name at least one size")
     if min(sizes) < 0:
         raise InvalidInput("sample_size must be >= 0")
     rng = np.random.default_rng(seed)

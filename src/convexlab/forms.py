@@ -262,10 +262,13 @@ def equality_witness(body, u, alpha, x0=(0.0, 0.0), z=0.0):
     phi is built through Young's identity u*(grad u(y)) = <y, grad u(y)> - u(y)
     with y = x - x0, so no numerical conjugate enters.
 
-    Note: this pair does NOT saturate the mean-form inequality for alpha > 0: at
-    x0 = 0 its mean slack is alpha^2 mu(K) (n - Var_{mu|K}(u)) / 2 > 0 (varentropy
-    bound), and at x0 != 0 a cross term, not yet derived, enters.  The saturating
-    family is the translation one, see translation_witness().
+    Note: this pair does NOT saturate the mean-form inequality for alpha > 0.
+    Its rho with phi_c = alpha (u*(grad u) + <x0, grad u>) + z, the scaling pair
+    plus the translation pair, has the mean slack alpha^2 mu(K) (n - Var_{mu|K}(u))
+    / 2 > 0 (varentropy bound) at every x0.  With dphi = phi - phi_c, which is 0
+    at x0 = 0, this pair's slack exceeds that by BL(phi_c, dphi) + BL(dphi, dphi)/2
+    - I(rho, dphi).  The saturating family is the translation one, see
+    translation_witness().
     """
     u.require_strictly_convex("the scaling equality witness")
     alpha = float(alpha)

@@ -3,18 +3,20 @@
 A Potential bundles vectorized callables for u, its gradient, and its Hessian.
 On top of it this module provides the numerical Fenchel-Legendre conjugate
 u*(y), the conjugate flow u_t = (u* + t*psi)* for a C^2 dual perturbation psi,
-the first and second t-derivatives of u_t, and the weighted mean curvature
-H_mu = tr(II) - <grad u, nu> of a body's boundary.  One damped Newton loop
-runs both solves, grad u(z) = y and z + t*grad psi(grad u(z)) = x; each gives
-it only its residual, its Newton direction and its line-search test.
+and the weighted mean curvature H_mu = tr(II) - <grad u, nu> of a body's
+boundary.  One damped Newton loop runs both solves, grad u(z) = y and
+z + t*grad psi(grad u(z)) = x; each gives it only its residual, its Newton
+direction and its line-search test.
 
 All evaluation is pure; points may be passed with any leading shape (..., 2).
-u* is solved in one place, ``conjugate_potential(u)``: its value, gradient
-and Hessian share one conjugate Newton solve per point set, and it keeps the
-solves of the last two point sets it saw, keyed on the exact bytes of the
-points, so a quadrature cloud and a boundary grid read in turn are solved
-once each and every result keeps the bits of a fresh solve.  ``conjugate``
-and the dual perturbation psi = alpha*u* read that Potential.
+u* is solved in one place, ``conjugate_potential(u)``, and a u_t without a
+closed form in ``flow_potential``.  The value, gradient and Hessian of either
+share one Newton solve per point set: each keeps the solves of the last two
+point sets it saw, keyed on the exact bytes of the points, so a quadrature
+cloud and a boundary grid read in turn are solved once each and every result
+keeps the bits of a fresh solve.  ``conjugate`` and the dual perturbation
+psi = alpha*u* read conjugate_potential, and ``conjugate_flow`` reads
+flow_potential.
 """
 
 import numpy as np
@@ -39,7 +41,6 @@ __all__ = [
     "ConjugatePerturbation",
     "conjugate_flow",
     "flow_potential",
-    "flow_derivatives",
     "weighted_mean_curvature",
 ]
 
@@ -110,8 +111,8 @@ def _inv_2x2(H):
 # gradients and Hessians, the quadratic psi's gradient and _newton's trial
 # points are written a column at a time, _qform and _hgg read contiguous
 # copies of their point columns, _hgg takes H as four entries (quad stores
-# (del^2 u)^{-1} as contiguous rows), and _flow_newton forms its Jacobian
-# I + t psi'' u'' and the dual Hessian as four (m,) entries with the operands
+# (del^2 u)^{-1} as contiguous rows), and _flow_newton's Jacobian
+# I + t psi'' u'' and _dual_hess_entries' A are four (m,) entries with the operands
 # of _inv_2x2 and of the stacked product _matmul_2x2 in tests/test_kernels.py
 # in their order, never as an (m, 2, 2) stack read back entry by entry; a
 # quadratic psi's Hessian enters as the scalars of B.  _dot2, _qform, _hgg and
@@ -533,38 +534,42 @@ def conjugate(u, y):
     return ustar.value(y), ustar.grad(y)
 
 
-def conjugate_potential(u):
-    """u* wrapped as a Potential (hess u* = (hess u)^{-1} at the solve point).
+def _solved_potential(kind, solve, hess, is_even, descriptor):
+    """A Potential whose value, gradient and Hessian share one solve per point set.
 
-    One _conjugate_newton per point set, as the module docstring says; signed
-    zeros key apart.  Conjugating it again recovers u: the involution check.
+    ``solve(p)`` gives (value, gradient, *rest) on an (m, 2) stack p, and
+    ``hess(*solved)`` the Hessian from that tuple.  The solves of the last two
+    point sets read are kept read-only, keyed on the exact bytes of the points
+    (signed zeros key apart); value and grad hand out fresh copies.
     """
-    u.require_strictly_convex("the Legendre conjugate")
-    solves = {}  # bytes of y -> read-only (u*(y), z), least recently used first
+    solves = {}  # bytes of p -> read-only solve, least recently used first
 
-    def solve(y):
-        key = y.tobytes()
-        pair = solves.pop(key, None)
-        if pair is None:
-            pair = _conjugate_newton(u, y)
-            for a in pair:
+    def solved(p):
+        key = p.tobytes()
+        out = solves.pop(key, None)
+        if out is None:
+            out = solve(p)
+            for a in out:
                 a.flags.writeable = False
             if len(solves) == 2:
                 del solves[next(iter(solves))]
-        solves[key] = pair
-        return pair
+        solves[key] = out
+        return out
 
-    def value(p):
-        return solve(p)[0].copy()
+    return Potential(kind, lambda p: solved(p)[0].copy(), lambda p: solved(p)[1].copy(),
+                     lambda p: hess(*solved(p)), is_even=is_even, descriptor=descriptor)
 
-    def grad(p):
-        return solve(p)[1].copy()
 
-    def hess(p):
-        return _inv_2x2(u._hess(solve(p)[1]))
+def conjugate_potential(u):
+    """u* wrapped as a Potential (hess u* = (hess u)^{-1} at the solve point).
 
-    return Potential("conjugate", value, grad, hess, is_even=u.is_even,
-                     descriptor={"kind": "conjugate", "base": u.descriptor})
+    One _conjugate_newton per point set, as the module docstring says.
+    Conjugating it again recovers u: the involution check.
+    """
+    u.require_strictly_convex("the Legendre conjugate")
+    return _solved_potential("conjugate", lambda y: _conjugate_newton(u, y),
+                             lambda val, z: _inv_2x2(u._hess(z)), u.is_even,
+                             {"kind": "conjugate", "base": u.descriptor})
 
 
 # -- dual perturbations psi -------------------------------------------------------
@@ -700,15 +705,21 @@ def _psi_hess_entries(psi, y):
     return _entries(psi.hess(y))
 
 
-def _flow_newton(u, psi, t, x, hess=True):
-    """Evaluate the flow by solving z + t*grad psi(grad u(z)) = x.
+def _dual_hess_entries(u, psi, t, y, z):
+    """The entries of A = (u''(z))^{-1} + t psi''(y), the Hessian of u* + t*psi at y."""
+    i00, i01, i10, i11 = _inv_entries(*_entries(u._hess(z)))
+    p00, p01, p10, p11 = _psi_hess_entries(psi, y)
+    return i00 + t * p00, i01 + t * p01, i10 + t * p10, i11 + t * p11
+
+
+def _flow_newton(u, psi, t, x):
+    """Solve z + t*grad psi(grad u(z)) = x; returns (u_t(x), grad u_t(x), z).
 
     This is the stationarity condition of sup_y <x,y> - u*(y) - t*psi(y)
-    after the substitution y = grad u(z); the maximizer is y = grad u(z).  An
-    accepted line search's grad u and residual seed the next iteration.
-    Returns the value, gradient and Hessian of u_t at x; with ``hess`` false the
-    Hessian is None, and the convexity of u* + t*psi at the maximizer is checked
-    all the same.
+    after the substitution y = grad u(z); the maximizer is y = grad u(z) =
+    grad u_t(x).  An accepted line search's grad u and residual seed the next
+    iteration.  Raises FlowNotConvex unless u* + t*psi is strictly convex at
+    the maximizer.
     """
     def residual(z, x):
         y = u._grad(z)
@@ -742,20 +753,17 @@ def _flow_newton(u, psi, t, x, hess=True):
     floor = 0.5 * (1e-14 * scale) ** 2
     z = _newton("flow Newton", x, np.full(len(x), NEWTON_TOL * scale), residual, direction)
     y = u._grad(z)
-    # the Hessian A = (u''(z))^{-1} + t psi''(y) of u* + t*psi at y, entry by entry
-    i00, i01, i10, i11 = _inv_entries(*_entries(u._hess(z)))
-    p00, p01, p10, p11 = _psi_hess_entries(psi, y)
-    a00, a01, a10, a11 = i00 + t * p00, i01 + t * p01, i10 + t * p10, i11 + t * p11
-    if not _spd_entries(a00, a01, a10, a11).all():
+    if not _spd_entries(*_dual_hess_entries(u, psi, t, y, z)).all():
         raise FlowNotConvex("u* + t*psi is not strictly convex at the maximizer")
-    val = _dot2(x - z, y) + u._value(z) - t * psi.value(y)
-    if not hess:
-        return val, y, None
-    return val, y, _stack(*_inv_entries(a00, a01, a10, a11))
+    return _dot2(x - z, y) + u._value(z) - t * psi.value(y), y, z
 
 
-def _flow_selection(u, psi, t, method="auto"):
-    """(closed-form value, grad, hess or None for Newton, t), checked as conjugate_flow says."""
+def _flow_potential(u, psi, t, method):
+    """u_t = (u* + t*psi)* as a Potential, by ``method`` as conjugate_flow says.
+
+    The Newton-backed u_t shares one _flow_newton per point set, as
+    conjugate_potential shares its solve, and its Hessian is A^{-1}.
+    """
     if method not in ("auto", "newton", "closed"):
         raise ValueError(f"unknown flow method {method!r}: expected 'auto', 'newton' "
                          "or 'closed'")
@@ -766,7 +774,14 @@ def _flow_selection(u, psi, t, method="auto"):
     closed = None if method == "newton" else _flow_closed_form(u, psi, t)
     if closed is None and method == "closed":
         raise ValueError("no closed-form path for this (u, psi) pair")
-    return closed, t
+    is_even = u.is_even and psi.is_even
+    descriptor = {"kind": "flow", "base": u.descriptor, "psi": psi.descriptor, "t": t}
+    if closed:
+        return Potential("flow", *closed, is_even=is_even, descriptor=descriptor)
+    return _solved_potential(
+        "flow", lambda x: _flow_newton(u, psi, t, x),
+        lambda val, y, z: _stack(*_inv_entries(*_dual_hess_entries(u, psi, t, y, z))),
+        is_even, descriptor)
 
 
 def conjugate_flow(u, psi, t, x, method="auto"):
@@ -776,42 +791,13 @@ def conjugate_flow(u, psi, t, x, method="auto"):
     "newton", or "closed" (raises if no closed form applies); any other
     value raises ValueError.  u must be strictly convex and t finite.
     """
-    closed, t = _flow_selection(u, psi, t, method)
-    flat, lead = _flatten(x)
-    val, g, H = [f(flat) for f in closed] if closed else _flow_newton(u, psi, t, flat)
-    return val.reshape(lead), g.reshape(lead + (2,)), H.reshape(lead + (2, 2))
+    u_t = _flow_potential(u, psi, t, method)
+    return u_t.value(x), u_t.grad(x), u_t.hess(x)
 
 
 def flow_potential(u, psi, t):
     """The flowed potential u_t = (u* + t*psi)* wrapped as a Potential."""
-    closed, t = _flow_selection(u, psi, t)
-    # Newton-backed callables skip the Hessian's inversion where they drop it
-    value, grad, hess = closed or (lambda p: _flow_newton(u, psi, t, p, hess=False)[0],
-                                   lambda p: _flow_newton(u, psi, t, p, hess=False)[1],
-                                   lambda p: _flow_newton(u, psi, t, p)[2])
-    return Potential("flow", value, grad, hess, is_even=u.is_even and psi.is_even,
-                     descriptor={"kind": "flow", "base": u.descriptor,
-                                 "psi": psi.descriptor, "t": t})
-
-
-def flow_derivatives(u, psi, t, x, method="auto"):
-    """Pointwise t-derivatives of the flow:
-
-        u_t'(x)  = -psi(grad u_t(x))
-        u_t''(x) = +<hess u_t(x) grad psi(grad u_t(x)), grad psi(grad u_t(x))>
-
-    The second derivative is nonnegative by structure: u_t(x) is a supremum
-    of affine functions of t, hence convex in t.  (Differentiating the
-    stationarity condition grad u*(y) + t grad psi(y) = x gives
-    dy/dt = -hess u_t(x) grad psi(y) and u_t'' = -<grad psi, dy/dt>.)
-    """
-    _, g, H = conjugate_flow(u, psi, t, x, method=method)
-    flatg, lead = _flatten(g)
-    first = -psi.value(flatg)
-    gp = psi.grad(flatg)
-    Hf = H.reshape(-1, 2, 2)
-    second = _hgg(_entries(Hf), gp, gp)
-    return first.reshape(lead), second.reshape(lead)
+    return _flow_potential(u, psi, t, "auto")
 
 
 # -- weighted mean curvature ------------------------------------------------------

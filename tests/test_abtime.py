@@ -16,7 +16,7 @@ def test_abtime_times_one_call_of_two_checkouts(tmp_path):
     setup = ("u = cl.measure.even_quartic_potential(0.1)\n"
              "psi = cl.measure.QuadraticPerturbation(B=[[0.3, 0.1], [0.1, 0.2]])\n"
              "x = np.linspace(-0.5, 0.5, 10).reshape(5, 2)")
-    stmt = ("val = cl.measure._flow_newton(u, psi, 0.05, x, hess=False)[0]\n"
+    stmt = ("val = cl.measure._flow_newton(u, psi, 0.05, x)[0]\n"
             "assert cl.__name__ in ('convexlab_parent', 'convexlab_change')")
     done = subprocess.run([sys.executable, str(ROOT / "tools" / "abtime.py"), str(ROOT),
                            str(ROOT), "--reps", "2", "--setup", setup, "--stmt", stmt],

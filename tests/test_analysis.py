@@ -8,7 +8,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from convexlab import analysis, forms, geometry, measure, pde, suite
-from convexlab.errors import CoercivityFailure, PinchingUndeclared
+from convexlab.errors import CoercivityFailure, InvalidInput, PinchingUndeclared
 
 
 def test_lambda1_gaussian_unit_disk_is_infinite(disk1, gaussian):
@@ -405,8 +405,13 @@ def test_interpolation_constant_draws_in_blocks(monkeypatch):
     assert _hex(sups) == _hex(_reference_interpolation_constant(system, (250, 120, 0), seed=9))
 
 
-def test_argument_checks_raise_before_any_work(disk1, gaussian):
+def test_argument_checks_raise_before_any_work(disk1, gaussian, monkeypatch):
     system = pde.assemble(disk1, gaussian, N=4)
+    monkeypatch.setattr(analysis.np.random, "default_rng", lambda seed: pytest.fail("drew"))
+    with pytest.raises(InvalidInput, match="^sample_size must name at least one size$") as info:
+        analysis.interpolation_constant(system, sample_size=[])
+    assert type(info.value) is InvalidInput  # InvalidInput is itself a ValueError
+    monkeypatch.undo()
     with pytest.raises(ValueError, match="^sample_size must be >= 0$"):
         analysis.interpolation_constant(system, sample_size=-1)
     with pytest.raises(ValueError, match="^sample_size must be >= 0$"):

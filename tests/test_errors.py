@@ -77,7 +77,7 @@ X = np.array([[0.2, 0.1], [0.3, -0.4]])
      "quadratic perturbation needs a finite b"),
     (lambda: measure.conjugate_flow(GAUSSIAN, measure.QuadraticPerturbation(c=np.nan), 0.1, X),
      "quadratic perturbation needs a finite c"),
-    (lambda: measure.flow_derivatives(GAUSSIAN, measure.QuadraticPerturbation(c=np.nan), 0.1, X),
+    (lambda: measure.flow_potential(GAUSSIAN, measure.QuadraticPerturbation(c=np.nan), 0.1),
      "quadratic perturbation needs a finite c"),
     (lambda: measure.QuadraticPerturbation(B=[[np.inf, 0.0], [0.0, 0.0]]),
      "quadratic perturbation needs a finite B"),
@@ -115,7 +115,7 @@ X = np.array([[0.2, 0.1], [0.3, -0.4]])
         "pinching-broken", "asymmetric-B", "negative-alpha", "flow-n_t", "flow-eps", "field-1-d",
         "field-finite", "N-below-4", "N-above-grid", "unknown-kind", "stray-key",
         "lebesgue-form", "lebesgue-coercivity", "lebesgue-solve", "flow-b-nan", "flow-c-nan",
-        "flow-derivatives-c-nan", "psi-B-inf", "alpha-nan", "alpha-inf", "translate-nan",
+        "flow-potential-c-nan", "psi-B-inf", "alpha-nan", "alpha-inf", "translate-nan",
         "shift-nan", "bm-p-nan", "fd-p-nan", "quadratic-A-inf", "gauge-newton-negative",
         "Q-zero", "Q-fraction", "sample-size-nan", "sample-size-fraction"])
 def test_bad_input_is_invalid_input_and_value_error(call, says):

@@ -6,7 +6,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from convexlab import flow, forms, geometry, measure, pde, quad, spectral, suite
+from convexlab import acceptance, flow, forms, geometry, measure, pde, quad, spectral, suite
 from convexlab.errors import PerturbationTooLarge
 from convexlab.flow import FlowConfig
 
@@ -376,23 +376,67 @@ BODIES = suite.standard_bodies()
 CONVEX = {k: u for k, u in suite.standard_potentials().items() if k != "zero"}
 
 
-@settings(max_examples=40, deadline=None, derandomize=True, database=None)
-@given(body=st.sampled_from(sorted(BODIES)), potential=st.sampled_from(sorted(CONVEX)),
-       alpha=st.floats(0.1, 2.0))
-def test_scaling_pair_and_homothety_flow_obey_the_varentropy_law(body, potential, alpha):
-    # The homothety flow K_t = (1 + t) K, u_t = (1 + t) u(x / (1 + t)) has
-    # S''(0) = Var - n with Var = Var_{mu|K}(u), and mu(K) S''(0) = -(P + BL - 2I)
-    # gives the scaling pair (alpha h, alpha u*(grad u)) the mean slack
-    # alpha^2 mu(K) (n - Var) / 2.  n - Var > 0 is the varentropy bound of the
-    # log-concave mu|K, which is why criteria 4b and 5c read red.
-    K, u = BODIES[body], CONVEX[potential]
+def _law_pair(K, u, alpha, x0, z):
+    """The witness's rho with phi_c = alpha (u*(grad u) + <x0, grad u>) + z.
+
+    phi_c is the scaling pair's phi plus alpha times the translation pair's,
+    and the translation pair lies in the kernel of the mean form.
+    """
+    rho = forms.equality_witness(K, u, alpha, x0, z)[0]
+    return rho, (forms.equality_witness(K, u, alpha, (0.0, 0.0), z)[1]
+                 + alpha * forms.translation_witness(K, u, x0)[1])
+
+
+def _varentropy_slack(K, u, alpha):
+    """alpha^2 mu(K) (n - Var_{mu|K}(u)) / 2 by quadrature, with n - Var."""
     muK = quad.interior_integral(K, u)
     on_nodes = u.value(quad.interior_nodes(K)[0])
     var = (quad.interior_integral(K, u, on_nodes ** 2) / muK
            - (quad.interior_integral(K, u, on_nodes) / muK) ** 2)
-    assert 2.0 - var > 0.0
+    return alpha ** 2 * muK * (2.0 - var) / 2.0, 2.0 - var
+
+
+@settings(max_examples=40, deadline=None, derandomize=True, database=None)
+@given(body=st.sampled_from(sorted(BODIES)), potential=st.sampled_from(sorted(CONVEX)),
+       alpha=st.floats(0.1, 2.0), x0=st.tuples(st.floats(-0.3, 0.3), st.floats(-0.3, 0.3)),
+       z=st.floats(-3.0, 3.0))
+def test_scaling_pair_and_homothety_flow_obey_the_varentropy_law(body, potential, alpha, x0, z):
+    # The homothety flow K_t = (1 + t) K, u_t = (1 + t) u(x / (1 + t)) has
+    # S''(0) = Var - n with Var = Var_{mu|K}(u), and mu(K) S''(0) = -(P + BL - 2I)
+    # gives the scaling pair (alpha h, alpha u*(grad u)) the mean slack
+    # alpha^2 mu(K) (n - Var) / 2.  n - Var > 0 is the varentropy bound of the
+    # log-concave mu|K, which is why criteria 4b and 5c read red.  Adding the
+    # translation pair by x0, and a constant z to phi, leaves the slack as it is.
+    K, u = BODIES[body], CONVEX[potential]
+    law, gap = _varentropy_slack(K, u, alpha)
+    assert gap > 0.0
     slack = forms.check_mean_form(K, u, *forms.equality_witness(K, u, alpha)).slack_mean
-    assert slack == pytest.approx(alpha ** 2 * muK * (2.0 - var) / 2.0, rel=1e-12)
+    assert slack == pytest.approx(law, rel=1e-12)
+    slack = forms.check_mean_form(K, u, *_law_pair(K, u, alpha, x0, z)).slack_mean
+    assert slack == pytest.approx(law, rel=1e-12)
     d = flow.shape_derivatives(K, u, forms.BoundaryField(K.values),
                                measure.ConjugatePerturbation(u, 1.0))
-    assert d["S2"] == pytest.approx(var - 2.0, rel=1e-12)
+    assert d["S2"] == pytest.approx(-gap, rel=1e-12)
+
+
+@pytest.mark.parametrize("row", acceptance._cases(acceptance._WITNESS_SETTINGS),
+                         ids=lambda row: f"{row[0]}-{row[1]}-{row[4]}")
+def test_scaling_witness_misses_the_law_by_its_excess_on_4b_rows(row):
+    # 4b's phi = alpha u*(grad u(x - x0)) + z differs from phi_c by dphi, so its
+    # mean slack is the law's plus BL(phi_c, dphi) + BL(dphi, dphi)/2 - I(rho, dphi),
+    # which is positive where alpha > 0 and x0 != 0, and 0 elsewhere
+    _, _, K, u, alpha, x0, z = row
+    Q = acceptance.Q
+    rho, phi = forms.equality_witness(K, u, alpha, x0, z)
+    _, phi_c = _law_pair(K, u, alpha, x0, z)
+    dphi = phi + (-1.0) * phi_c
+    excess = (forms.form_BL(K, u, phi_c, dphi, Q=Q) + 0.5 * forms.form_BL(K, u, dphi, dphi, Q=Q)
+              - forms.form_I(K, u, rho, dphi, Q=Q))
+    rep = forms.check_mean_form(K, u, rho, phi, Q=Q)
+    law = forms.check_mean_form(K, u, rho, phi_c, Q=Q).slack_mean
+    assert abs(law - _varentropy_slack(K, u, alpha)[0]) <= 1e-14 * rep.scale
+    assert abs(rep.slack_mean - law - excess) <= 1e-14 * rep.scale
+    if alpha > 0 and any(x0):
+        assert excess > 1e-3 * rep.scale
+    else:
+        assert abs(excess) <= 1e-15 * rep.scale

@@ -41,10 +41,10 @@ def test_warm_flow_solves_reuse_the_heap_without_page_faults(fresh_cache):
     x = quad.interior_nodes(suite.standard_bodies()["blob"])[0].reshape(-1, 2)
     psi = measure.QuadraticPerturbation(B=[[0.3, 0.1], [0.1, 0.2]], b=[0.1, -0.05])
     assert x.shape == (8192, 2)
-    measure._flow_newton(u, psi, 0.05, x, hess=False)  # warm-up
+    measure._flow_newton(u, psi, 0.05, x)  # warm-up
     before = resource.getrusage(resource.RUSAGE_SELF).ru_minflt
     for _ in range(5):
-        measure._flow_newton(u, psi, 0.05, x, hess=False)
+        measure._flow_newton(u, psi, 0.05, x)
     # about 2,000 faults with glibc's defaults
     assert resource.getrusage(resource.RUSAGE_SELF).ru_minflt - before < 50
 

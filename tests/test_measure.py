@@ -173,7 +173,26 @@ def test_closed_flow_method_without_a_closed_form_raises(quartic):
         measure.conjugate_flow(quartic, psi, 0.05, np.zeros((2, 2)), method="closed")
 
 
-@pytest.mark.parametrize("entry", [measure.conjugate_flow, measure.flow_derivatives])
+def flow_derivatives(u, psi, t, x, method="auto"):
+    """Pointwise t-derivatives of the flow:
+
+        u_t'(x)  = -psi(grad u_t(x))
+        u_t''(x) = +<hess u_t(x) grad psi(grad u_t(x)), grad psi(grad u_t(x))>
+
+    The second derivative is nonnegative by structure: u_t(x) is a supremum
+    of affine functions of t, hence convex in t.  (Differentiating the
+    stationarity condition grad u*(y) + t grad psi(y) = x gives
+    dy/dt = -hess u_t(x) grad psi(y) and u_t'' = -<grad psi, dy/dt>.)
+    """
+    _, g, H = measure.conjugate_flow(u, psi, t, x, method=method)
+    flatg, lead = measure._flatten(g)
+    first = -psi.value(flatg)
+    gp = psi.grad(flatg)
+    second = measure._hgg(measure._entries(H.reshape(-1, 2, 2)), gp, gp)
+    return first.reshape(lead), second.reshape(lead)
+
+
+@pytest.mark.parametrize("entry", [measure.conjugate_flow, flow_derivatives])
 def test_unknown_flow_method_raises(gaussian, entry):
     psi = measure.QuadraticPerturbation(B=[[0.3, 0.1], [0.1, 0.2]])
     with pytest.raises(ValueError, match="^unknown flow method 'clsoed': expected 'auto', "
@@ -201,13 +220,13 @@ def test_flow_derivative_formulas(gaussian, rng):
     x = rng.normal(size=(8, 2))
     # psi = u*: u'_0(x) = -u*(grad u(x)) = -|x|^2/2
     psi = measure.ConjugatePerturbation(gaussian, 1.0)
-    d1, d2 = measure.flow_derivatives(gaussian, psi, 0.0, x)
+    d1, d2 = flow_derivatives(gaussian, psi, 0.0, x)
     npt.assert_allclose(d1, -0.5 * (x**2).sum(axis=1), atol=1e-12)
     # psi linear <b, .>: u_t = u(x - t b), so u''_0 = <hess u b, b> = +|b|^2
     # for the gaussian (t-convexity of the flow forces the + sign)
     b = np.array([0.7, -0.2])
     psi_lin = measure.QuadraticPerturbation(b=b)
-    _, d2lin = measure.flow_derivatives(gaussian, psi_lin, 0.0, x)
+    _, d2lin = flow_derivatives(gaussian, psi_lin, 0.0, x)
     npt.assert_allclose(d2lin, b @ b, atol=1e-12)
 
 
@@ -222,7 +241,7 @@ def test_flow_derivatives_match_finite_differences(ukind, psikind, gaussian,
         psi = measure.ConjugatePerturbation(u, 0.5)
     x = rng.normal(size=(6, 2)) * 0.7
     t0 = 0.05
-    d1, d2 = measure.flow_derivatives(u, psi, t0, x)
+    d1, d2 = flow_derivatives(u, psi, t0, x)
     h = 1e-4
     vp, _, _ = measure.conjugate_flow(u, psi, t0 + h, x)
     vm, _, _ = measure.conjugate_flow(u, psi, t0 - h, x)
@@ -460,6 +479,13 @@ def _reference_flow_newton(u, psi, t, x):
     return val, y, measure._inv_2x2(Hdual)
 
 
+def _flow_newton_with_hessian(u, psi, t, x):
+    """_flow_newton's value and gradient, and hess u_t = A^{-1} from its y and z."""
+    val, y, z = measure._flow_newton(u, psi, t, x)
+    return val, y, measure._stack(*measure._inv_entries(
+        *measure._dual_hess_entries(u, psi, t, y, z)))
+
+
 def _outcome(fn, *args):
     """The bytes of every output array, or the type and message of the error."""
     try:
@@ -517,7 +543,7 @@ def test_flow_newton_matches_reference_bytes(pot, n, seed, radius, t, dual):
         base = _POTENTIALS["quad_mixed" if pot == "gaussian" else "gaussian"]
         psi = measure.ConjugatePerturbation(base, 0.8)
     x = _cloud(seed, n, radius)
-    got = _outcome(measure._flow_newton, u, psi, t, x)
+    got = _outcome(_flow_newton_with_hessian, u, psi, t, x)
     if n == 0:
         assert got == [np.zeros(0).tobytes(), np.zeros((0, 2)).tobytes(),
                        np.zeros((0, 2, 2)).tobytes()]
@@ -545,7 +571,7 @@ def test_flow_newton_with_a_conjugate_psi_matches_reference_bytes(pot, n, seed, 
         x[1::4] = [-0.0, 0.0]
     want = _outcome(_reference_flow_newton, u, psi, t, x) if n else [
         np.zeros(0).tobytes(), np.zeros((0, 2)).tobytes(), np.zeros((0, 2, 2)).tobytes()]
-    assert _outcome(measure._flow_newton, u, psi, t, x) == want
+    assert _outcome(_flow_newton_with_hessian, u, psi, t, x) == want
     if lead is not None and n % lead[0] == 0 and not isinstance(want, tuple):
         stacked = x.reshape(lead[0], -1, 2)
         got = measure.flow_potential(u, psi, t).value(stacked)
@@ -566,7 +592,7 @@ def test_flow_newton_keeps_signed_zeros_on_the_axes_bytes(pot, t):
         (-zero, r), (zero, -r), (r, -zero), (-r, zero), (-zero, -r), (-r, -zero))])
     for b in ([0.0, 0.1], [0.1, 0.0], [0.0, -0.0]):
         psi = measure.QuadraticPerturbation(B=[[0.3, 0.0], [0.0, 0.2]], b=b)
-        assert (_outcome(measure._flow_newton, u, psi, t, x)
+        assert (_outcome(_flow_newton_with_hessian, u, psi, t, x)
                 == _outcome(_reference_flow_newton, u, psi, t, x))
 
 
@@ -630,7 +656,7 @@ def test_flow_newton_recovers_after_an_exhausted_line_search(rng):
     x = rng.normal(size=(40, 2)) * 0.6
     u = _misfit_quad14(_at_rows(x), -1e6)
     assert _line_search_passes(u, x)[0] >= 60
-    got = _outcome(measure._flow_newton, u, _PSI, _T, x)
+    got = _outcome(_flow_newton_with_hessian, u, _PSI, _T, x)
     assert got == _outcome(_reference_flow_newton, u, _PSI, _T, x)
     assert len(got) == 3  # every point converged
 
@@ -645,7 +671,7 @@ def test_flow_newton_one_straggler_matches_reference_bytes(rng):
         x = rng.normal(size=(20, 2)) * 0.6
         u = _misfit_quad14(_at_rows(x[rng.integers(20)][None]), 3.0, t=1.0)
         assert _line_search_passes(u, x, t=1.0) == [2, 1]
-        assert (_outcome(measure._flow_newton, u, _PSI, 1.0, x)
+        assert (_outcome(_flow_newton_with_hessian, u, _PSI, 1.0, x)
                 == _outcome(_reference_flow_newton, u, _PSI, 1.0, x))
 
 
@@ -662,7 +688,7 @@ def test_newton_straggler_runs_alone_matches_reference_bytes(rng):
         edge = far_point[0] - 1.2
         u = _misfit_quad14(lambda p: p[:, 0] > edge, 0.5, t=1.0)
         assert _line_search_passes(u, x, t=1.0) == [1, 1, 1]
-        assert (_outcome(measure._flow_newton, u, _PSI, 1.0, x)
+        assert (_outcome(_flow_newton_with_hessian, u, _PSI, 1.0, x)
                 == _outcome(_reference_flow_newton, u, _PSI, 1.0, x))
 
         def hess(p):
@@ -701,7 +727,7 @@ def test_newton_divergence_counts_the_stuck_points(rng):
     stuck = int((x[:, 0] > 0).sum())
     u = _misfit_quad14(lambda p: p[:, 0] > 0, -1e6)
     assert max(_line_search_passes(u, x)) >= 60
-    got = _outcome(measure._flow_newton, u, _PSI, _T, x)
+    got = _outcome(_flow_newton_with_hessian, u, _PSI, _T, x)
     assert got == ("NewtonDivergence", f"flow Newton failed to converge for {stuck} point(s)")
     assert got == _outcome(_reference_flow_newton, u, _PSI, _T, x)
 
@@ -725,7 +751,7 @@ def test_flow_newton_evaluates_fewer_gradient_rows(blob, quartic):
         return quartic._grad(p)
 
     counted = measure.Potential("even-quartic", quartic._value, grad, quartic._hess)
-    new = measure._flow_newton(counted, _PSI, _T, x)
+    new = _flow_newton_with_hessian(counted, _PSI, _T, x)
     new_rows, rows[:] = sum(rows), []
     ref = _reference_flow_newton(counted, _PSI, _T, x)
     assert [a.tobytes() for a in new] == [a.tobytes() for a in ref]
@@ -738,7 +764,7 @@ def test_newton_flow_path_on_empty_input(quartic):
     val, g, H = measure.conjugate_flow(quartic, psi, 0.05, empty)
     assert val.shape == (0,) and g.shape == (0, 2) and H.shape == (0, 2, 2)
     assert measure.flow_potential(quartic, psi, 0.05).value(empty).shape == (0,)
-    d1, d2 = measure.flow_derivatives(quartic, psi, 0.05, empty)
+    d1, d2 = flow_derivatives(quartic, psi, 0.05, empty)
     assert d1.shape == d2.shape == (0,)
 
 
@@ -781,7 +807,7 @@ def test_flow_rejects_non_finite_t_before_any_work(gaussian, quartic, disk1, mon
     if psi is not None:  # with psi = None only the Wulff shape sees t
         calls += [lambda: measure.conjugate_flow(u, psi, bad, x),
                   lambda: measure.flow_potential(u, psi, bad),
-                  lambda: measure.flow_derivatives(u, psi, bad, x)]
+                  lambda: flow_derivatives(u, psi, bad, x)]
     for call in calls:
         with pytest.raises(ConvexLabError, match=rf"finite t, got t = {float(bad)}$") as info:
             call()
@@ -797,7 +823,7 @@ def test_flow_closed_form_names_non_finite_rows(gaussian, quartic, bad, path):
                                              r"point\(s\), the first .* at row 1"):
         measure.conjugate_flow(u, psi, 0.1, x)
     with pytest.raises(ConvexLabError, match="non-finite"):
-        measure.flow_derivatives(u, psi, 0.1, x, method="closed")
+        flow_derivatives(u, psi, 0.1, x, method="closed")
     # the flowed potential's own callables follow the same policy
     u_t = measure.flow_potential(u, psi, 0.1)
     for evaluate in (u_t.value, u_t.grad, u_t.hess):
@@ -837,34 +863,46 @@ def _signed_zero_sets(seed):
 @settings(max_examples=40, deadline=None)
 @given(reads=st.lists(st.tuples(st.integers(0, 2), st.sampled_from(["value", "grad", "hess"]),
                                  st.booleans()), min_size=1, max_size=12),
-       seed=st.integers(0, 2**32 - 1), owner=st.sampled_from(["psi", "conjugate potential"]))
+       seed=st.integers(0, 2**32 - 1),
+       owner=st.sampled_from(["psi", "conjugate potential", "flow potential"]))
 def test_conjugate_reads_match_fresh_solves_bytes(reads, seed, owner):
     # value/grad/hess on interleaved point sets, flat or stacked (q, m, 2):
     # each read has the bytes of a fresh solve, and a set is solved again only
     # after two other sets have been read since it was last read
     base, alpha = _QUARTIC, 0.7
     sets = _signed_zero_sets(seed)
+    fresh_conjugate = measure._conjugate_newton
+
+    def fresh_reads(y):
+        val, z = fresh_conjugate(base, y)
+        return alpha * val, alpha * z, alpha * measure._inv_2x2(base._hess(z))
+
+    name = "_conjugate_newton"
     if owner == "psi":
         reader = measure.ConjugatePerturbation(base, alpha)
-    else:
+    elif owner == "conjugate potential":
         reader, alpha = measure.conjugate_potential(base), 1.0
+    else:  # the quartic's u_t has no closed form: it reads _flow_newton
+        reader, name = measure.flow_potential(base, _PSI, _T), "_flow_newton"
+
+        def fresh_reads(y):
+            return _reference_flow_newton(base, _PSI, _T, y)
+
     solves, recent = [], []
-    fresh = measure._conjugate_newton
+    fresh = getattr(measure, name)
 
-    def counted(u, y):
-        solves.append(y.tobytes())
-        return fresh(u, y)
+    def counted(*args):
+        solves.append(args[-1].tobytes())
+        return fresh(*args)
 
-    measure._conjugate_newton = counted
+    setattr(measure, name, counted)
     try:
         expected_solves = 0
         for k, method, stacked in reads:
             y = sets[k]
             lead = (3, len(y) // 3) if stacked else (len(y),)
             got = getattr(reader, method)(y.reshape(lead + (2,)))
-            val, z = fresh(base, y)
-            want = {"value": alpha * val, "grad": alpha * z,
-                    "hess": alpha * measure._inv_2x2(base._hess(z))}[method]
+            want = dict(zip(("value", "grad", "hess"), fresh_reads(y)))[method]
             assert got.shape == want.reshape(lead + want.shape[1:]).shape
             assert got.tobytes() == want.tobytes()
             if k in recent:
@@ -874,18 +912,21 @@ def test_conjugate_reads_match_fresh_solves_bytes(reads, seed, owner):
             recent = (recent + [k])[-2:]
             assert len(solves) == expected_solves
     finally:
-        measure._conjugate_newton = fresh
+        setattr(measure, name, fresh)
 
 
 def test_conjugate_potential_hands_out_its_own_arrays(quartic, rng):
+    # and so does the Newton-backed flow potential, which keeps its solves alike
     y = rng.normal(size=(5, 2))
-    ustar = measure.conjugate_potential(quartic)
-    first = ustar.value(y)
-    first += 1.0
-    assert ustar.value(y).tobytes() == measure._conjugate_newton(quartic, y)[0].tobytes()
-    g = ustar.grad(y)
-    g[:] = 0.0
-    assert ustar.grad(y).tobytes() == measure._conjugate_newton(quartic, y)[1].tobytes()
+    for reader, solve in ((measure.conjugate_potential(quartic), measure._conjugate_newton),
+                          (measure.flow_potential(quartic, _PSI, _T),
+                           lambda u, y: measure._flow_newton(u, _PSI, _T, y))):
+        first = reader.value(y)
+        first += 1.0
+        assert reader.value(y).tobytes() == solve(quartic, y)[0].tobytes()
+        g = reader.grad(y)
+        g[:] = 0.0
+        assert reader.grad(y).tobytes() == solve(quartic, y)[1].tobytes()
 
 
 @settings(max_examples=30, deadline=None)
@@ -894,18 +935,30 @@ def test_conjugate_potential_hands_out_its_own_arrays(quartic, rng):
 # two draws where the solve raises: FlowNotConvex, then NewtonDivergence
 @example(pot="quartic", n=13, seed=1, radius=1.5, t=-0.0625)
 @example(pot="quartic", n=34, seed=2, radius=1.5, t=-0.0625)
-def test_flow_newton_without_hessian_keeps_value_and_gradient_bytes(pot, n, seed, radius, t):
-    # the same bytes where the solve succeeds, the same error where it raises
+def test_value_grad_and_hess_of_one_point_set_run_one_flow_newton_bytes(pot, n, seed, radius,
+                                                                         t):
+    # the Newton-backed u_t reads one solve for all three, with the reference's
+    # bytes; where the solve raises, each read raises the reference's error
     u = _POTENTIALS[pot]
     x = _cloud(seed, n, radius)
+    u_t = measure._flow_potential(u, _PSI, t, "newton")
+    calls, fresh = [], measure._flow_newton
 
-    def without_hessian(*args):
-        val, y, H = measure._flow_newton(*args, hess=False)
-        assert H is None
-        return val, y
+    def counted(*args):
+        calls.append(args)
+        return fresh(*args)
 
-    want = _outcome(measure._flow_newton, u, _PSI, t, x)
-    assert _outcome(without_hessian, u, _PSI, t, x) == want[:2]
+    measure._flow_newton = counted
+    try:
+        got = [_outcome(lambda: [getattr(u_t, m)(x)]) for m in ("value", "grad", "hess")]
+    finally:
+        measure._flow_newton = fresh
+    want = _outcome(_reference_flow_newton, u, _PSI, t, x) if n else [
+        np.zeros(0).tobytes(), np.zeros((0, 2)).tobytes(), np.zeros((0, 2, 2)).tobytes()]
+    if isinstance(want, tuple):
+        assert got == [want] * 3 and len(calls) == 3
+    else:
+        assert got == [[b] for b in want] and len(calls) == 1
 
 
 @pytest.mark.parametrize("scale, says", [
@@ -919,7 +972,7 @@ def test_flow_newton_names_the_lost_convexity(gaussian, scale, says):
     psi = measure.QuadraticPerturbation(B=scale * np.eye(2))
     x = np.array([[0.2, 0.1], [-0.3, 0.4]])
     for evaluate in (lambda: measure.conjugate_flow(gaussian, psi, 1.0, x, method="newton"),
-                     lambda: measure._flow_newton(gaussian, psi, 1.0, x, hess=False)):
+                     lambda: measure._flow_newton(gaussian, psi, 1.0, x)):
         with pytest.raises(FlowNotConvex) as info:
             evaluate()
         assert str(info.value) == says

@@ -21,7 +21,7 @@ nodes::
         --setup "u = cl.suite.standard_potentials()['quartic']
     x = cl.quad.interior_nodes(cl.suite.standard_bodies()['blob'])[0].reshape(-1, 2)
     psi = cl.measure.QuadraticPerturbation(B=[[0.3, 0.1], [0.1, 0.2]], b=[0.1, -0.05])" \\
-        --stmt "cl.measure._flow_newton(u, psi, 0.05, x, hess=False)"
+        --stmt "cl.measure._flow_newton(u, psi, 0.05, x)"
 
 Process-level timings of two checkouts (perfbench pairs) also carry offsets
 that the code under test does not explain; interleaving within one process
