@@ -42,7 +42,7 @@ print(f"gauge of {x} in the 2x1 ellipse: {cl.gauge(ellipse, x):.12f} "
       f"(sqrt(1/4 + 1) = {np.sqrt(1.25):.12f})")
 
 mid = cl.minkowski_combine(ellipse, disk, 0.5)
-print(f"(1/2)ellipse + (1/2)disk support at angle 0: {mid.h(0.0):.6f} (= 1.5)")
+print(f"(1/2)ellipse + (1/2)disk support at angle 0: {mid.eval(0.0):.6f} (= 1.5)")
 
 f = cl.BoundaryField.from_function(lambda t: np.cos(2 * t), disk.M)
 wulff = cl.wulff_perturb(disk, f, 0.2)

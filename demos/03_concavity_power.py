@@ -60,5 +60,5 @@ print(f"  int h dmu = 2 mu(K) - int <grad u, x> dmu : residual "
       f"{ids['integral_residual']:.2e}")
 
 lebesgue = cl.zero_potential()
-Lh = cl.apply_L(ellipse, lebesgue, cl.BoundaryField(ellipse.values))
+Lh = cl.apply_L(ellipse, lebesgue, ellipse)  # a body is a boundary field: L(h)
 print(f"  Lebesgue mode: ||L(h) - 1||_inf = {np.abs(Lh.values - 1).max():.2e}")

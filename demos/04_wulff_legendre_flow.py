@@ -69,7 +69,7 @@ psi_tr = cl.QuadraticPerturbation(b=x0, c=-0.3)
 d_tr = cl.shape_derivatives(disk, gaussian, f_tr, psi_tr)
 print(f"translation flow: S''(0) = {d_tr['S2']:+.2e}  (affine S: equality case)")
 
-f_h = cl.BoundaryField(disk.values.copy())
+f_h = disk  # f = h: a body is a boundary field
 psi_h = cl.ConjugatePerturbation(gaussian, 1.0)
 d_h = cl.shape_derivatives(disk, gaussian, f_h, psi_h)
 muK = d_h["I0"]

@@ -53,8 +53,6 @@ from .flow import (
     shape_derivatives,
 )
 from .forms import (
-    BoundaryField,
-    InteriorField,
     check_mean_form,
     equality_witness,
     form_BL,
@@ -65,7 +63,8 @@ from .forms import (
 from .geometry import disk
 from .measure import ConjugatePerturbation, QuadraticPerturbation
 from .pde import assemble, concavity_power, solve_report, support_identity_check
-from .quad import interior_integral
+from .quad import InteriorField, interior_integral
+from .spectral import BoundaryField
 from .suite import (
     random_boundary_field,
     random_interior_field,
@@ -356,9 +355,8 @@ def criterion_5c():
     translation one, checked as the control below.
     """
     [(_, _, body, u)] = _cases([("disk1", "gaussian")])
-    f = BoundaryField(body.values.copy())
     psi = ConjugatePerturbation(u, 1.0)
-    d = shape_derivatives(body, u, f, psi, Q=Q)
+    d = shape_derivatives(body, u, body, psi, Q=Q)  # f = h
     # independent oracle: Var_{mu|K}(u) - 2
     uval = InteriorField(lambda p: u.value(p))
     usq = InteriorField(lambda p: u.value(p) ** 2)

@@ -30,7 +30,8 @@ import numpy as np
 
 from .errors import CoercivityFailure, InvalidInput, PinchingUndeclared
 from .forms import form_I
-from .geometry import minkowski_combine, wulff_perturb
+from .flow import marginal_value
+from .geometry import minkowski_combine
 from .measure import _hgg
 from .pde import DEFAULT_N, concavity_power, radial_moment_field, solve_report
 from .quad import DEFAULT_Q, _context, _mu, boundary_integral, interior_integral
@@ -205,10 +206,16 @@ def interpolation_constant(system, sample_size=1000, seed=11):
 
 def bm_check(bodyK, bodyL, u, p, t_nodes=21, Q=DEFAULT_Q, local_probe=False,
              N=DEFAULT_N):
-    """Slack of the p-power concavity along the Minkowski segment K -> L."""
+    """Slack of the p-power concavity along the Minkowski segment K -> L at t_nodes
+    (a count of uniform nodes on [0, 1], or the t themselves)."""
     if not 0 < p < np.inf:  # negated, so that NaN fails too
         raise InvalidInput(f"p must be finite and positive, got {p}")
-    t_nodes = np.linspace(0.0, 1.0, t_nodes) if np.isscalar(t_nodes) else np.asarray(t_nodes)
+    if isinstance(t_nodes, (int, np.integer)) and t_nodes >= 1:
+        t_nodes = np.linspace(0.0, 1.0, t_nodes)
+    elif np.ndim(t_nodes) != 1 or not np.size(t_nodes):
+        raise InvalidInput("t_nodes must be an integer >= 1 or a non-empty sequence of t, "
+                           f"got {t_nodes!r}")
+    t_nodes = np.asarray(t_nodes)
     muK = _mu(bodyK, u, Q)
     muL = _mu(bodyL, u, Q)
     mus, slacks = [], []
@@ -245,8 +252,7 @@ def local_concavity_fd(body, u, f, p, Q=DEFAULT_Q):
         raise InvalidInput(f"p must be finite and nonnegative, got {p}")
 
     def g(t):
-        body_t = wulff_perturb(body, f, t) if t else body
-        mu = _mu(body_t, u, Q)
+        mu = marginal_value(body, u, f, None, t, Q)
         return np.log(mu) if p == 0 else mu**p
 
     h = CONCAVITY_FD_STEP

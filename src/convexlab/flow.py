@@ -32,11 +32,11 @@ from dataclasses import dataclass, replace
 import numpy as np
 
 from .errors import FlowNotConvex, InvalidInput, OriginOutside, PerturbationTooLarge
-from .forms import InteriorField, _boundary_field, check_mean_form
+from .forms import _boundary_field, check_mean_form
 from .geometry import gauge_angle, wulff_perturb
 from .measure import _dot2, _entries, _hgg, flow_potential
-from .quad import (DEFAULT_Q, _boundary_weight, _hmu, _mu, boundary_integral,
-                   interior_integral, interior_nodes)
+from .quad import (DEFAULT_Q, InteriorField, _boundary_weight, _hmu, _mu,
+                   boundary_integral, interior_integral, interior_nodes)
 
 __all__ = [
     "FlowConfig",

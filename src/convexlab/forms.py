@@ -24,16 +24,20 @@ fields, like bodies and potentials, do not change after construction.  So a
 pair pays only for its own fields, once each: ``check_mean_form`` evaluates
 phi once on the interior nodes, where BL and I's interior mean share the
 values, once on the boundary grid, and its gradient once on the nodes.
+
+The forms take a ``BoundaryField`` rho (``spectral``; a body is one) and an
+``InteriorField`` phi (``quad``); both are re-exported from here.
 """
 
 from dataclasses import dataclass, field
 
 import numpy as np
 
-from . import spectral
-from .errors import InvalidInput, NonFiniteIntegral
+from .errors import NonFiniteIntegral
 from .measure import _dot2, _hgg
-from .quad import DEFAULT_Q, _boundary_sum, _context, _node_values, interior_integral
+from .quad import (DEFAULT_Q, InteriorField, _boundary_sum, _context, _node_values,
+                   interior_integral)
+from .spectral import BoundaryField
 
 __all__ = [
     "BoundaryField",
@@ -48,110 +52,6 @@ __all__ = [
 ]
 
 SLACK_RTOL = 1e-9
-
-
-class BoundaryField:
-    """Scalar function on the boundary, parameterized by normal angle.
-
-    Stores grid samples; derivatives come from the trigonometric interpolant
-    unless analytic derivative samples are supplied.
-    """
-
-    def __init__(self, values, dvalues=None):
-        self.values = np.asarray(values, dtype=float).copy()
-        if self.values.ndim != 1:
-            raise InvalidInput("boundary field must be a 1-D sample array")
-        if not np.all(np.isfinite(self.values)):
-            raise InvalidInput("boundary field samples must be finite")
-        self.M = self.values.size
-        self._d1 = None if dvalues is None else np.asarray(dvalues, dtype=float).copy()
-        self._coeffs = None
-
-    @classmethod
-    def from_function(cls, fn, M):
-        return cls(fn(spectral.grid(M)))
-
-    @classmethod
-    def constant(cls, c, M):
-        return cls(np.full(M, float(c)), np.zeros(M))
-
-    def coeffs(self):
-        if self._coeffs is None:
-            self._coeffs = spectral.coefficients(self.values)
-        return self._coeffs
-
-    def deriv(self, order=1):
-        if order == 1 and self._d1 is not None:
-            return self._d1
-        return spectral.grid_derivative(self.values, order)
-
-    def eval(self, theta, order=0):
-        return spectral.evaluate(self.coeffs(), self.M, theta, order)
-
-    # linear structure (bilinearity tests build combinations)
-    def __add__(self, other):
-        return BoundaryField(self.values + np.asarray(getattr(other, "values", other)))
-
-    def __mul__(self, a):
-        return BoundaryField(self.values * float(a))
-
-    __rmul__ = __mul__
-
-
-class InteriorField:
-    """Scalar function on K given as a vectorized closure, optional gradient."""
-
-    def __init__(self, fn, grad=None, descriptor=None):
-        self._fn = fn
-        self._grad = grad
-        self.descriptor = descriptor or {"kind": "closure"}
-
-    @classmethod
-    def constant(cls, c):
-        c = float(c)
-        return cls(lambda p: np.full(p.shape[:-1], c),
-                   lambda p: np.zeros(p.shape),
-                   descriptor={"kind": "constant", "c": c})
-
-    @classmethod
-    def coordinate(cls, i):
-        e = np.zeros(2)
-        e[i] = 1.0
-        return cls(lambda p: p[..., i].copy(),
-                   lambda p: np.broadcast_to(e, p.shape).copy(),
-                   descriptor={"kind": "coordinate", "i": int(i)})
-
-    @property
-    def has_gradient(self):
-        return self._grad is not None
-
-    def value(self, points):
-        return np.asarray(self._fn(np.asarray(points, dtype=float)), dtype=float)
-
-    def gradient(self, points, step=1e-6):
-        """Analytic gradient, or central differences with the given step."""
-        pts = np.asarray(points, dtype=float)
-        if self._grad is not None:
-            return np.asarray(self._grad(pts), dtype=float)
-        out = np.empty(pts.shape)
-        for axis in range(2):
-            e = np.zeros(2)
-            e[axis] = step
-            out[..., axis] = (self._fn(pts + e) - self._fn(pts - e)) / (2.0 * step)
-        return out
-
-    def __add__(self, other):
-        g = None
-        if self._grad is not None and other._grad is not None:
-            g = lambda p, a=self._grad, b=other._grad: a(p) + b(p)
-        return InteriorField(lambda p, a=self._fn, b=other._fn: a(p) + b(p), g)
-
-    def __mul__(self, a):
-        a = float(a)
-        g = None if self._grad is None else (lambda p, f=self._grad: a * f(p))
-        return InteriorField(lambda p, f=self._fn: a * f(p), g)
-
-    __rmul__ = __mul__
 
 
 @dataclass

@@ -8,9 +8,11 @@ trigonometric interpolant:
     curvature radius r(theta) = h + h''          (> 0 iff strictly convex)
     arclength        ds = r(theta) dtheta
 
-Bodies are immutable after construction and every operation is pure.  The
-angle grid and the frame (nu, tau) on it depend on M alone, so all bodies on
-one grid share them as read-only arrays.
+A body is a ``spectral.BoundaryField``, so it passes wherever a boundary
+field is taken (the flow direction f = h, L applied to h).  Bodies are
+immutable after construction and every operation is pure.  The angle grid and
+the frame (nu, tau) on it depend on M alone, so all bodies on one grid share
+them as read-only arrays.
 """
 
 from dataclasses import dataclass
@@ -21,6 +23,7 @@ import numpy as np
 from . import spectral
 from .errors import (ConvexLabError, InvalidInput, NotStrictlyConvex, OriginOutside,
                      PerturbationTooLarge, _check_descriptor)
+from .spectral import BoundaryField
 
 __all__ = [
     "SupportFunction2D",
@@ -63,28 +66,23 @@ def _frame(M):
     return t, nu, tau
 
 
-class SupportFunction2D:
-    """Support function h of a planar body on the uniform angle grid."""
+class SupportFunction2D(BoundaryField):
+    """Support function h of a planar body: a BoundaryField with read-only values."""
+
+    _GRID_ERROR = "support function needs an even grid of >= 64 samples"
+    _FINITE_ERROR = "support function samples must be finite"
+    _MIN_M, _M_STEP = 64, 2
 
     def __init__(self, values, descriptor=None, validate=True):
-        values = np.asarray(values, dtype=float).copy()
-        if values.ndim != 1 or values.size < 64 or values.size % 2:
-            raise InvalidInput("support function needs an even grid of >= 64 samples")
-        if not np.all(np.isfinite(values)):
-            raise InvalidInput("support function samples must be finite")
-        values.flags.writeable = False
-        self.values = values
-        self.M = values.size
+        super().__init__(values)
+        self.values.flags.writeable = False
         self.descriptor = descriptor if descriptor is not None else {"kind": "custom"}
         if validate:
-            self._check_convexity()
-
-    def _check_convexity(self):
-        r = self.radius_grid
-        floor = CONVEXITY_RTOL * r.max()
-        j = int(np.argmin(r))
-        if r[j] < floor:
-            raise NotStrictlyConvex(self.theta_grid[j], r[j])
+            r = self.radius_grid
+            floor = CONVEXITY_RTOL * r.max()
+            j = int(np.argmin(r))
+            if r[j] < floor:
+                raise NotStrictlyConvex(self.theta_grid[j], r[j])
 
     # -- grid quantities ------------------------------------------------------
 
@@ -93,21 +91,9 @@ class SupportFunction2D:
         return _frame(self.M)[0]
 
     @cached_property
-    def _coeffs(self):
-        return spectral.coefficients(self.values)
-
-    @cached_property
-    def d1_grid(self):
-        return spectral.grid_derivative(self.values, 1)
-
-    @cached_property
-    def d2_grid(self):
-        return spectral.grid_derivative(self.values, 2)
-
-    @cached_property
     def radius_grid(self):
         """Radius of curvature r = h + h'' at the grid nodes."""
-        return self.values + self.d2_grid
+        return self.values + self.deriv(2)
 
     @property
     def normals_grid(self):
@@ -120,22 +106,13 @@ class SupportFunction2D:
     @cached_property
     def boundary_grid(self):
         """Boundary points x(theta_j), shape (M, 2)."""
-        return self.values[:, None] * self.normals_grid + self.d1_grid[:, None] * self.tangents_grid
+        return self.values[:, None] * self.normals_grid + self.deriv(1)[:, None] * self.tangents_grid
 
     @cached_property
     def is_even(self):
         half = np.roll(self.values, self.M // 2)
         tol = EVENNESS_TOL * max(1.0, float(np.abs(self.values).max()))
         return bool(np.abs(self.values - half).max() <= tol)
-
-    # -- pointwise evaluation -------------------------------------------------
-
-    def h(self, theta, order=0):
-        """Evaluate h (or angular derivatives) at arbitrary angles.
-
-        ``order`` is one order or a sequence of them, as in spectral.evaluate.
-        """
-        return spectral.evaluate(self._coeffs, self.M, theta, order)
 
     def require_interior_origin(self):
         if self.values.min() <= 0.0:
@@ -243,7 +220,7 @@ def make_body(descriptor, M=DEFAULT_M):
 def boundary_point(body, theta):
     """Boundary point, frame, and curvature radius at normal angle theta."""
     theta = float(theta) % (2.0 * np.pi)
-    h0, h1, h2 = (float(v) for v in body.h(theta, (0, 1, 2)))
+    h0, h1, h2 = (float(v) for v in body.eval(theta, (0, 1, 2)))
     nu = np.array([np.cos(theta), np.sin(theta)])
     tau = np.array([-np.sin(theta), np.cos(theta)])
     return BoundaryPoint(theta=theta, x=h0 * nu + h1 * tau, nu=nu, tau=tau, r=h0 + h2)
@@ -346,7 +323,7 @@ def gauge_angle(body, x, newton_steps=20, tol=1e-12):
         c, s = np.cos(th), np.sin(th)
         num = x0 * c + x1 * s
         num1 = -x0 * s + x1 * c
-        h0, h1, h2 = body.h(th, (0, 1, 2))
+        h0, h1, h2 = body.eval(th, (0, 1, 2))
         h0_2, h0_3 = np.float_power(h0, 2), np.float_power(h0, 3)
         g = num / h0
         g1 = num1 / h0 - num * h1 / h0_2

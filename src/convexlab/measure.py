@@ -112,7 +112,7 @@ def _inv_2x2(H):
 # points are written a column at a time, _qform and _hgg read contiguous
 # copies of their point columns, _hgg takes H as four entries (quad stores
 # (del^2 u)^{-1} as contiguous rows), and _flow_newton's Jacobian
-# I + t psi'' u'' and _dual_hess_entries' A are four (m,) entries with the operands
+# I + t psi'' u'' and its dual Hessian A are four (m,) entries with the operands
 # of _inv_2x2 and of the stacked product _matmul_2x2 in tests/test_kernels.py
 # in their order, never as an (m, 2, 2) stack read back entry by entry; a
 # quadratic psi's Hessian enters as the scalars of B.  _dot2, _qform, _hgg and
@@ -705,21 +705,15 @@ def _psi_hess_entries(psi, y):
     return _entries(psi.hess(y))
 
 
-def _dual_hess_entries(u, psi, t, y, z):
-    """The entries of A = (u''(z))^{-1} + t psi''(y), the Hessian of u* + t*psi at y."""
-    i00, i01, i10, i11 = _inv_entries(*_entries(u._hess(z)))
-    p00, p01, p10, p11 = _psi_hess_entries(psi, y)
-    return i00 + t * p00, i01 + t * p01, i10 + t * p10, i11 + t * p11
-
-
 def _flow_newton(u, psi, t, x):
-    """Solve z + t*grad psi(grad u(z)) = x; returns (u_t(x), grad u_t(x), z).
+    """Solve z + t*grad psi(grad u(z)) = x; returns (u_t(x), grad u_t(x), A).
 
     This is the stationarity condition of sup_y <x,y> - u*(y) - t*psi(y)
     after the substitution y = grad u(z); the maximizer is y = grad u(z) =
     grad u_t(x).  An accepted line search's grad u and residual seed the next
-    iteration.  Raises FlowNotConvex unless u* + t*psi is strictly convex at
-    the maximizer.
+    iteration.  A = (u''(z))^{-1} + t psi''(y), the Hessian of u* + t*psi at y,
+    comes as the (4, m) rows of its entries: u_t'' = A^{-1}.  Raises
+    FlowNotConvex unless A is positive definite at every point.
     """
     def residual(z, x):
         y = u._grad(z)
@@ -753,9 +747,12 @@ def _flow_newton(u, psi, t, x):
     floor = 0.5 * (1e-14 * scale) ** 2
     z = _newton("flow Newton", x, np.full(len(x), NEWTON_TOL * scale), residual, direction)
     y = u._grad(z)
-    if not _spd_entries(*_dual_hess_entries(u, psi, t, y, z)).all():
+    i00, i01, i10, i11 = _inv_entries(*_entries(u._hess(z)))
+    p00, p01, p10, p11 = _psi_hess_entries(psi, y)
+    A = np.stack([i00 + t * p00, i01 + t * p01, i10 + t * p10, i11 + t * p11])
+    if not _spd_entries(*A).all():
         raise FlowNotConvex("u* + t*psi is not strictly convex at the maximizer")
-    return _dot2(x - z, y) + u._value(z) - t * psi.value(y), y, z
+    return _dot2(x - z, y) + u._value(z) - t * psi.value(y), y, A
 
 
 def _flow_potential(u, psi, t, method):
@@ -780,8 +777,7 @@ def _flow_potential(u, psi, t, method):
         return Potential("flow", *closed, is_even=is_even, descriptor=descriptor)
     return _solved_potential(
         "flow", lambda x: _flow_newton(u, psi, t, x),
-        lambda val, y, z: _stack(*_inv_entries(*_dual_hess_entries(u, psi, t, y, z))),
-        is_even, descriptor)
+        lambda val, y, A: _stack(*_inv_entries(*A)), is_even, descriptor)
 
 
 def conjugate_flow(u, psi, t, x, method="auto"):

@@ -37,10 +37,11 @@ import numpy as np
 from . import spectral
 from .errors import (CoercivityFailure, InvalidInput, LebesgueModeRestriction,
                      NonFiniteIntegral, ZeroMean)
-from .forms import BoundaryField, InteriorField, _boundary_field, form_P
+from .forms import _boundary_field, form_P
 from .measure import _dot2, verify_pinching
-from .quad import (DEFAULT_Q, _boundary_measure, _boundary_weight, _hmu, _mu, boundary_integral,
-                   interior_integral, interior_nodes)
+from .quad import (DEFAULT_Q, InteriorField, _boundary_measure, _boundary_weight, _hmu, _mu,
+                   boundary_integral, interior_integral, interior_nodes)
+from .spectral import BoundaryField
 
 __all__ = [
     "PoincareSystem",
@@ -118,6 +119,8 @@ def assemble(body, u, N=DEFAULT_N, Q=DEFAULT_Q, even_only=False):
     translation equality cases of the unweighted inequality.  No factorization
     is attempted and the solve is refused.
     """
+    if not isinstance(N, (int, np.integer)):
+        raise InvalidInput(f"basis order N must be an integer, got {N!r}")
     if N < 4:
         raise InvalidInput("basis order N must be >= 4")
     if 2 * N >= body.M:
@@ -217,7 +220,7 @@ def support_identity_check(body, u, Q=DEFAULT_Q):
     moment = radial_moment_field(u)
     int_moment = interior_integral(body, u, moment, Q=Q)
     muK = _mu(body, u, Q)
-    lhs = apply_L(body, u, BoundaryField(body.values), Q=Q).values
+    lhs = apply_L(body, u, body, Q=Q).values
     rhs = 1.0 + _dot2(u.grad(xb), xb) - int_moment / muK
     scale_pw = max(1.0, float(np.abs(rhs).max()))
     resid_pointwise = float(np.abs(lhs - rhs).max())

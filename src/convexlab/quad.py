@@ -23,6 +23,9 @@ through the private readers below (the forms through one record per (body,
 u, Q), with (del^2 u)^{-1} as contiguous columns).  The arrays are read-only,
 held through weak references to the body and to the potential or field, so
 they go when either object does.  A non-finite result raises NonFiniteIntegral.
+
+``InteriorField``, a function on K given by a closure and an optional
+gradient, lives here with the integrals and the store that read it.
 """
 
 import functools
@@ -144,6 +147,62 @@ def boundary_integral(body, u, g=1.0):
     return _boundary_sum(u, _boundary_measure(body, u), _field_on_grid(g, body))
 
 
+class InteriorField:
+    """Scalar function on K given as a vectorized closure, optional gradient."""
+
+    def __init__(self, fn, grad=None, descriptor=None):
+        self._fn = fn
+        self._grad = grad
+        self.descriptor = descriptor or {"kind": "closure"}
+
+    @classmethod
+    def constant(cls, c):
+        c = float(c)
+        return cls(lambda p: np.full(p.shape[:-1], c),
+                   lambda p: np.zeros(p.shape),
+                   descriptor={"kind": "constant", "c": c})
+
+    @classmethod
+    def coordinate(cls, i):
+        e = np.zeros(2)
+        e[i] = 1.0
+        return cls(lambda p: p[..., i].copy(),
+                   lambda p: np.broadcast_to(e, p.shape).copy(),
+                   descriptor={"kind": "coordinate", "i": int(i)})
+
+    @property
+    def has_gradient(self):
+        return self._grad is not None
+
+    def value(self, points):
+        return np.asarray(self._fn(np.asarray(points, dtype=float)), dtype=float)
+
+    def gradient(self, points, step=1e-6):
+        """Analytic gradient, or central differences with the given step."""
+        pts = np.asarray(points, dtype=float)
+        if self._grad is not None:
+            return np.asarray(self._grad(pts), dtype=float)
+        out = np.empty(pts.shape)
+        for axis in range(2):
+            e = np.zeros(2)
+            e[axis] = step
+            out[..., axis] = (self._fn(pts + e) - self._fn(pts - e)) / (2.0 * step)
+        return out
+
+    def __add__(self, other):
+        g = None
+        if self._grad is not None and other._grad is not None:
+            g = lambda p, a=self._grad, b=other._grad: a(p) + b(p)
+        return InteriorField(lambda p, a=self._fn, b=other._fn: a(p) + b(p), g)
+
+    def __mul__(self, a):
+        a = float(a)
+        g = None if self._grad is None else (lambda p, f=self._grad: a * f(p))
+        return InteriorField(lambda p, f=self._fn: a * f(p), g)
+
+    __rmul__ = __mul__
+
+
 @functools.lru_cache(maxsize=16)
 def _radial_rule(Q):
     """Gauss-Legendre nodes s and weights sw on [0, 1], as read-only arrays."""
@@ -184,8 +243,6 @@ def interior_integral(body, u, g=1.0, Q=DEFAULT_Q):
     from the store, so a field integrated again on the same (body, Q), or
     already read by ``forms.form_BL``, is not evaluated again.
     """
-    from .forms import InteriorField
-
     pts, weights = interior_nodes(body, Q)
     w = _node_weight(body, u, pts)
     if isinstance(g, np.ndarray):

@@ -8,13 +8,19 @@ the interpolant (and its derivatives) at arbitrary angles, and the
 per-grid constants are built once each and shared as read-only arrays: the
 differentiation factors, which depend on (M, order) alone, and the Galerkin
 basis values and derivatives on the grid, which depend on (N, M) alone.
+``BoundaryField`` is a function held by its grid samples, whose coefficients,
+derivatives and values anywhere come from the functions here; a body's
+support function is one (``geometry.SupportFunction2D``).
 """
 
 import functools
 
 import numpy as np
 
+from .errors import InvalidInput
+
 __all__ = [
+    "BoundaryField",
     "grid",
     "coefficients",
     "grid_derivative",
@@ -113,3 +119,57 @@ def _grid_basis(N, M):
     E.flags.writeable = False
     D.flags.writeable = False
     return E, D
+
+
+class BoundaryField:
+    """Scalar function on the boundary, parameterized by normal angle.
+
+    Stores grid samples; derivatives come from the trigonometric interpolant
+    unless analytic derivative samples are supplied.
+    """
+
+    _GRID_ERROR = "boundary field must be a 1-D sample array"
+    _FINITE_ERROR = "boundary field samples must be finite"
+    _MIN_M, _M_STEP = 0, 1  # a grid is 1-D, >= _MIN_M samples, a multiple of _M_STEP
+
+    def __init__(self, values, dvalues=None):
+        values = np.asarray(values, dtype=float).copy()
+        if values.ndim != 1 or values.size < self._MIN_M or values.size % self._M_STEP:
+            raise InvalidInput(self._GRID_ERROR)
+        if not np.all(np.isfinite(values)):
+            raise InvalidInput(self._FINITE_ERROR)
+        self.values = values
+        self.M = values.size
+        self._d1 = None if dvalues is None else np.asarray(dvalues, dtype=float).copy()
+        self._coeffs = None
+
+    @classmethod
+    def from_function(cls, fn, M):
+        return cls(fn(grid(M)))
+
+    @staticmethod
+    def constant(c, M):
+        return BoundaryField(np.full(M, float(c)), np.zeros(M))
+
+    def coeffs(self):
+        if self._coeffs is None:
+            self._coeffs = coefficients(self.values)
+        return self._coeffs
+
+    def deriv(self, order=1):
+        if order == 1 and self._d1 is not None:
+            return self._d1
+        return grid_derivative(self.values, order)
+
+    def eval(self, theta, order=0):
+        """The interpolant or its derivatives at any angles; ``order`` as in ``evaluate``."""
+        return evaluate(self.coeffs(), self.M, theta, order)
+
+    # linear structure (bilinearity tests build combinations)
+    def __add__(self, other):
+        return BoundaryField(self.values + np.asarray(getattr(other, "values", other)))
+
+    def __mul__(self, a):
+        return BoundaryField(self.values * float(a))
+
+    __rmul__ = __mul__

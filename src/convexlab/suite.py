@@ -8,7 +8,6 @@ through explicitly seeded generators.
 import numpy as np
 
 from .analysis import random_coefficients
-from .forms import BoundaryField, InteriorField
 from .geometry import DEFAULT_M, disk, ellipse, fourier_body
 from .measure import (
     _qform,
@@ -17,7 +16,8 @@ from .measure import (
     quadratic_potential,
     zero_potential,
 )
-from .spectral import _grid_basis
+from .quad import InteriorField
+from .spectral import BoundaryField, _grid_basis
 
 __all__ = [
     "standard_bodies",

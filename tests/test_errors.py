@@ -108,6 +108,19 @@ X = np.array([[0.2, 0.1], [0.3, -0.4]])
     (lambda: analysis.interpolation_constant(
         pde.assemble(geometry.disk(1.0, M=64), GAUSSIAN, N=4, Q=16), sample_size=2.5),
      "sample_size must be an integer, got 2.5"),
+    (lambda: analysis.bm_check(DISK, DISK, GAUSSIAN, 0.5, t_nodes=0),
+     "t_nodes must be an integer >= 1 or a non-empty sequence of t, got 0"),
+    (lambda: analysis.bm_check(DISK, DISK, GAUSSIAN, 0.5, t_nodes=-1),
+     "t_nodes must be an integer >= 1 or a non-empty sequence of t, got -1"),
+    (lambda: analysis.bm_check(DISK, DISK, GAUSSIAN, 0.5, t_nodes=2.5),
+     "t_nodes must be an integer >= 1 or a non-empty sequence of t, got 2.5"),
+    (lambda: analysis.bm_check(DISK, DISK, GAUSSIAN, 0.5, t_nodes=[]),
+     "t_nodes must be an integer >= 1 or a non-empty sequence of t, got []"),
+    (lambda: analysis.bm_check(DISK, DISK, GAUSSIAN, 0.5, t_nodes=np.array(5)),
+     "t_nodes must be an integer >= 1 or a non-empty sequence of t, got array(5)"),
+    (lambda: pde.assemble(DISK, GAUSSIAN, N=4.5), "basis order N must be an integer, got 4.5"),
+    (lambda: pde.assemble(DISK, GAUSSIAN, N=16.0), "basis order N must be an integer, got 16.0"),
+    (lambda: pde.assemble(DISK, GAUSSIAN, N=np.nan), "basis order N must be an integer, got nan"),
 ], ids=["sample-size", "bm-p", "fd-p", "reformulation-body", "reformulation-potential",
         "pinching-undeclared", "pinching-body", "pinching-potential", "support-grid",
         "support-finite", "disk-radius", "ellipse-axes", "hull-points", "minkowski-t",
@@ -117,7 +130,9 @@ X = np.array([[0.2, 0.1], [0.3, -0.4]])
         "lebesgue-form", "lebesgue-coercivity", "lebesgue-solve", "flow-b-nan", "flow-c-nan",
         "flow-potential-c-nan", "psi-B-inf", "alpha-nan", "alpha-inf", "translate-nan",
         "shift-nan", "bm-p-nan", "fd-p-nan", "quadratic-A-inf", "gauge-newton-negative",
-        "Q-zero", "Q-fraction", "sample-size-nan", "sample-size-fraction"])
+        "Q-zero", "Q-fraction", "sample-size-nan", "sample-size-fraction", "bm-nodes-zero",
+        "bm-nodes-negative", "bm-nodes-fraction", "bm-nodes-empty", "bm-nodes-0-d", "N-fraction", "N-float",
+        "N-nan"])
 def test_bad_input_is_invalid_input_and_value_error(call, says):
     # the CLI maps InvalidInput to exit 2; callers catching ValueError still work
     with pytest.raises(InvalidInput) as info:

@@ -697,3 +697,52 @@ def test_origin_outside_raises_on_every_call(gaussian):
                      lambda: forms.check_mean_form(body, gaussian, rho, phi)):
             with pytest.raises(OriginOutside):
                 call()
+
+
+def _moved(v, k, reflect):
+    """Grid samples moved as h moves under x -> R S x: S = diag(1, -1) or Id,
+    R the turn by k grid steps (h_{SK}(theta) = h(-theta), h_{RK}(theta) =
+    h(theta - 2 pi k / M))."""
+    return np.roll(np.roll(v[::-1], 1) if reflect else v, k)
+
+
+def _moved_field(phi, T):
+    """phi o T^T, with gradient T grad phi(T^T x), for an orthogonal T."""
+    return forms.InteriorField(lambda p: phi.value(p @ T),
+                               lambda p: phi.gradient(p @ T) @ T.T)
+
+
+_ISOMETRIES = [(1, False), (5, False), (64, False), (0, True)]
+_SYMMETRY_CASES = ([(b, p, k, s) for b in ("ellipse21", "blob", "peanut")
+                    for p in ("quad14", "quad_mixed") for k, s in _ISOMETRIES]
+                   + [(b, "quartic", 64, False) for b in ("ellipse21", "blob", "peanut")])
+
+
+@pytest.mark.parametrize("bname, pname, k, reflect", _SYMMETRY_CASES)
+def test_forms_are_invariant_under_rotation_and_reflection(bname, pname, k, reflect):
+    # P, BL and I are quantities of (K, mu, rho, phi), so an isometry T that
+    # moves all four keeps each: K and rho move as h does, phi goes to phi o T^T
+    # and u(x) = <Ax, x>/2 to <T A T^T x, x>/2; the even quartic is invariant
+    # under quarter turns only.  These reach the off-diagonal Hessian entries
+    # of BL, quad_mixed and the frame's sin and cos, which disks never do
+    body, u = suite.standard_bodies()[bname], suite.standard_potentials()[pname]
+    a = 2.0 * np.pi * k / body.M
+    T = np.array([[np.cos(a), -np.sin(a)], [np.sin(a), np.cos(a)]])
+    if reflect:
+        T = T @ np.diag([1.0, -1.0])
+    K = geometry.SupportFunction2D(_moved(body.values, k, reflect))
+    if pname == "quartic":
+        v = u
+    else:
+        A = T @ u.hess(np.zeros(2)) @ T.T
+        v = measure.quadratic_potential(0.5 * (A + A.T))
+    rng = np.random.default_rng(1000 * k + 10 * reflect + len(bname + pname))
+    for _ in range(3):
+        rho, phi = random_boundary_field(rng, body.M), random_interior_field(rng)
+        rep = forms.check_mean_form(body, u, rho, phi)
+        moved = forms.check_mean_form(K, v, forms.BoundaryField(_moved(rho.values, k, reflect)),
+                                      _moved_field(phi, T))
+        # relative to the pair's scale: a small I is a difference of larger terms
+        scale = max(abs(rep.P), abs(rep.BL))
+        for name in ("P", "BL", "I"):
+            assert abs(getattr(moved, name) - getattr(rep, name)) <= 1e-12 * scale, name

@@ -104,7 +104,7 @@ def test_minkowski_combination(disk1, ellipse21):
     d3 = geometry.disk(3.0)
     npt.assert_allclose(geometry.minkowski_combine(disk1, d3, 0.5).values, 2.0)
     mid = geometry.minkowski_combine(ellipse21, disk1, 0.5)
-    assert mid.h(0.0) == pytest.approx(1.5, abs=1e-12)
+    assert mid.eval(0.0) == pytest.approx(1.5, abs=1e-12)
 
 
 def test_wulff_equals_minkowski_path(disk1, ellipse21):
@@ -175,7 +175,7 @@ def _scalar_gauge_angle(body, x, newton_steps=20, tol=1e-12):
     def objective(theta):
         c, s = np.cos(theta), np.sin(theta)
         num, num1 = x[0] * c + x[1] * s, -x[0] * s + x[1] * c
-        h0, h1, h2 = body.h(theta), body.h(theta, 1), body.h(theta, 2)
+        h0, h1, h2 = body.eval(theta), body.eval(theta, 1), body.eval(theta, 2)
         g1 = num1 / h0 - num * h1 / h0**2
         g2 = (-num / h0 - 2.0 * num1 * h1 / h0**2
               - num * h2 / h0**2 + 2.0 * num * h1**2 / h0**3)

@@ -480,10 +480,9 @@ def _reference_flow_newton(u, psi, t, x):
 
 
 def _flow_newton_with_hessian(u, psi, t, x):
-    """_flow_newton's value and gradient, and hess u_t = A^{-1} from its y and z."""
-    val, y, z = measure._flow_newton(u, psi, t, x)
-    return val, y, measure._stack(*measure._inv_entries(
-        *measure._dual_hess_entries(u, psi, t, y, z)))
+    """_flow_newton's value and gradient, and hess u_t = A^{-1} from its A."""
+    val, y, A = measure._flow_newton(u, psi, t, x)
+    return val, y, measure._stack(*measure._inv_entries(*A))
 
 
 def _outcome(fn, *args):
@@ -938,8 +937,12 @@ def test_conjugate_potential_hands_out_its_own_arrays(quartic, rng):
 def test_value_grad_and_hess_of_one_point_set_run_one_flow_newton_bytes(pot, n, seed, radius,
                                                                          t):
     # the Newton-backed u_t reads one solve for all three, with the reference's
-    # bytes; where the solve raises, each read raises the reference's error
-    u = _POTENTIALS[pot]
+    # bytes; where the solve raises, each read raises the reference's error.
+    # The Hessian comes from the solve's A: reading it takes no further u''
+    base = _POTENTIALS[pot]
+    hess_calls = []
+    u = measure.Potential(base.kind, base._value, base._grad,
+                          lambda p: hess_calls.append(len(p)) or base._hess(p))
     x = _cloud(seed, n, radius)
     u_t = measure._flow_potential(u, _PSI, t, "newton")
     calls, fresh = [], measure._flow_newton
@@ -950,15 +953,18 @@ def test_value_grad_and_hess_of_one_point_set_run_one_flow_newton_bytes(pot, n, 
 
     measure._flow_newton = counted
     try:
-        got = [_outcome(lambda: [getattr(u_t, m)(x)]) for m in ("value", "grad", "hess")]
+        got = [_outcome(lambda: [getattr(u_t, m)(x)]) for m in ("value", "grad")]
+        solved = len(hess_calls)
+        got.append(_outcome(lambda: [u_t.hess(x)]))
     finally:
         measure._flow_newton = fresh
-    want = _outcome(_reference_flow_newton, u, _PSI, t, x) if n else [
+    want = _outcome(_reference_flow_newton, base, _PSI, t, x) if n else [
         np.zeros(0).tobytes(), np.zeros((0, 2)).tobytes(), np.zeros((0, 2, 2)).tobytes()]
     if isinstance(want, tuple):
         assert got == [want] * 3 and len(calls) == 3
     else:
         assert got == [[b] for b in want] and len(calls) == 1
+        assert len(hess_calls) == solved
 
 
 @pytest.mark.parametrize("scale, says", [

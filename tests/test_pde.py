@@ -7,7 +7,7 @@ from hypothesis import assume, given, settings
 from hypothesis import strategies as st
 
 from convexlab import flow, forms, geometry, measure, pde, quad, spectral
-from convexlab.acceptance import disk_power_oracle
+from convexlab.acceptance import SCAN_RADII, disk_power_oracle
 from convexlab.errors import CoercivityFailure, NonFiniteIntegral, NotStrictlyConvex, ZeroMean
 from convexlab.suite import random_boundary_field, standard_bodies, standard_potentials
 
@@ -111,6 +111,21 @@ def test_scalar_equation_oracle_for_disks(R, gaussian):
     rep = pde.solve_report(body, gaussian)
     npt.assert_allclose(rep["rho_bar"].values, disk_solution_oracle(R), atol=1e-9)
     assert rep["p"] == pytest.approx(disk_power_oracle(R), abs=1e-9)
+
+
+def test_disk_power_oracle_matches_a_50_digit_evaluation():
+    # the closed form in double precision against mpmath at 50 digits, on
+    # criterion 2's radii, the golden scan's and seeded draws from perfbench's
+    # [0.25, 3.0]; the worst case is about 3e-15, at the small radii, where
+    # e^{R^2/2} - 1 starts to cancel
+    import mpmath
+
+    radii = [*SCAN_RADII, 0.3, 0.7, 1.0, 2.5, *np.random.default_rng(5).uniform(0.25, 3.0, 20)]
+    with mpmath.workdps(50):
+        for R in radii:
+            r = mpmath.mpf(R)
+            exact = 1 - (1 / r - r) * mpmath.expm1(r * r / 2) / r
+            assert disk_power_oracle(R) == pytest.approx(float(exact), rel=1e-13, abs=0.0), R
 
 
 @settings(max_examples=8, deadline=None)
