@@ -40,7 +40,6 @@ import math
 import os
 import re
 import sys
-import tempfile
 from pathlib import Path
 
 import numpy as np
@@ -123,15 +122,24 @@ _KEYS = {
 }
 
 
-def _read(command, key, value, where=""):
-    """value checked against the declaration of key for command."""
+@functools.lru_cache(maxsize=1024)
+def _declared(command, key):
+    """The type _KEYS declares for key under command, or None for an unknown key."""
     for pattern, read in _KEYS[command].items():
         if re.fullmatch(pattern, key):
-            try:
-                return read(value)
-            except ValueError as exc:
-                raise ConfigError(f"{where}{key} must be {exc}, got {value!r}") from None
-    raise ConfigError(f"{where}unknown key {key!r} for command {command!r}")
+            return read
+    return None
+
+
+def _read(command, key, value, where=""):
+    """value checked against the declaration of key for command."""
+    read = _declared(command, key)
+    if read is None:
+        raise ConfigError(f"{where}unknown key {key!r} for command {command!r}")
+    try:
+        return read(value)
+    except ValueError as exc:
+        raise ConfigError(f"{where}{key} must be {exc}, got {value!r}") from None
 
 
 def _parse_value(raw):
@@ -251,41 +259,50 @@ def _json_token(x):
     return json.dumps(str(x))
 
 
+@functools.lru_cache(maxsize=1024)
+def _json_key(key):
+    """A dict key as JSON text; reports repeat the same few keys."""
+    return json.dumps(key)
+
+
 def dumps(obj, indent=0):
     """JSON text with every float printed at 15 significant digits."""
-    pad = "  " * indent
-    inner = "  " * (indent + 1)
     if isinstance(obj, dict):
-        if not obj:
-            return "{}"
-        items = [f"{inner}{json.dumps(str(k))}: {dumps(v, indent + 1)}"
-                 for k, v in obj.items()]
-        return "{\n" + ",\n".join(items) + f"\n{pad}}}"
-    if isinstance(obj, (list, tuple, np.ndarray)):
-        seq = list(obj)
-        if not seq:
-            return "[]"
-        items = [f"{inner}{dumps(v, indent + 1)}" for v in seq]
-        return "[\n" + ",\n".join(items) + f"\n{pad}]"
-    return _json_token(obj)
+        brackets, keys, seq = "{}", [_json_key(str(k)) for k in obj], list(obj.values())
+    elif isinstance(obj, (list, tuple, np.ndarray)):
+        brackets, keys, seq = "[]", None, list(obj)
+    else:
+        return _json_token(obj)
+    if not seq:
+        return brackets
+    # a finite float, the commonest item, is formatted here rather than by a call
+    items = [f"{v:.15g}" if (type(v) is float or type(v) is np.float64) and math.isfinite(v)
+             else dumps(v, indent + 1) for v in seq]
+    if keys is not None:
+        items = [f"{k}: {v}" for k, v in zip(keys, items)]
+    inner = "  " * (indent + 1)
+    return (f"{brackets[0]}\n{inner}" + f",\n{inner}".join(items)
+            + f"\n{'  ' * indent}{brackets[1]}")
 
 
 def _atomic_write(path, text):
-    os.makedirs(os.path.dirname(path) or ".", exist_ok=True)
-    fd, tmp = tempfile.mkstemp(dir=os.path.dirname(path) or ".", suffix=".tmp")
+    """Write text to path through a temporary file beside it; the directory must exist."""
+    tmp = f"{path}.{os.getpid()}.tmp"
     try:
-        with os.fdopen(fd, "w", encoding="utf-8") as fh:
+        with open(tmp, "w", encoding="utf-8") as fh:
             fh.write(text)
         os.replace(tmp, path)
-    finally:
+    except BaseException:
         if os.path.exists(tmp):
             os.unlink(tmp)
+        raise
 
 
-def _write_csv(path, header, rows):
-    fmt = ",".join(["{:.15g}"] * len(header))
-    lines = [",".join(header)] + [fmt.format(*row) for row in rows]
-    _atomic_write(path, "\n".join(lines) + "\n")
+def _write_csv(path, header, columns):
+    """A table given as columns, each cell printed at 15 significant digits."""
+    table = np.column_stack(columns)
+    rows = (",".join(["%.15g"] * len(header)) + "\n") * len(table)
+    _atomic_write(path, ",".join(header) + "\n" + rows % tuple(table.ravel().tolist()))
 
 
 # -- commands ---------------------------------------------------------------------
@@ -305,8 +322,7 @@ def _cmd_solve(cfg, ctx):
                "strong_residual": rep["strong_residual"],
                "condition_estimate": rep["condition_estimate"],
                "muK": rep["muK"], "mu_boundary": rep["mu_boundary"]}
-    tables = {"rho_bar.csv": (("theta", "rho_bar"),
-                              list(zip(body.theta_grid, rep["rho_bar"].values)))}
+    tables = {"rho_bar.csv": (("theta", "rho_bar"), (body.theta_grid, rep["rho_bar"].values))}
     return results, tables, failures
 
 
@@ -339,8 +355,7 @@ def _cmd_flow(cfg, ctx):
     results = {"eps": tab["eps"], **d,
                "max_second_difference": tab["max_second_difference"],
                **({f"cross_{k}": v for k, v in cross.items() if k != "passed"})}
-    tables = {"marginal.csv": (("t", "I", "S"),
-                               list(zip(tab["t"], tab["I"], tab["S"])))}
+    tables = {"marginal.csv": (("t", "I", "S"), (tab["t"], tab["I"], tab["S"]))}
     return results, tables, failures
 
 
@@ -374,8 +389,7 @@ def _cmd_bm(cfg, ctx):
         results["reformulation"] = ref
         if not ref["passed"]:
             failures.append("reformulation identity or sign test failed")
-    tables = {"segment.csv": (("t", "mu", "slack"),
-                              list(zip(rep.t_nodes, rep.mu_values, rep.slacks)))}
+    tables = {"segment.csv": (("t", "mu", "slack"), (rep.t_nodes, rep.mu_values, rep.slacks))}
     return results, tables, failures
 
 
@@ -395,7 +409,8 @@ def _cmd_scan(cfg, ctx):
     rows, failures = acceptance.disk_scan(u, radii, ctx["M"], ctx["N"], ctx["Q"])
     results = {"radii": [r[0] for r in rows], "p": [r[1] for r in rows],
                "oracle": [r[2] for r in rows]}
-    tables = {"scan.csv": (("R", "p", "closed_form"), rows)}
+    tables = {"scan.csv": (("R", "p", "closed_form"),
+                           (results["radii"], results["p"], results["oracle"]))}
     return results, tables, failures
 
 
@@ -463,9 +478,10 @@ def run(command, config_path=None, out_dir="convexlab-out", seed=None, quad_m=No
         "failures": failures,
         "passed": not failures,
     }
+    os.makedirs(out_dir or ".", exist_ok=True)
     _atomic_write(os.path.join(out_dir, "report.json"), dumps(report) + "\n")
-    for name, (header, rows) in tables.items():
-        _write_csv(os.path.join(out_dir, name), header, rows)
+    for name, (header, columns) in tables.items():
+        _write_csv(os.path.join(out_dir, name), header, columns)
     for failure in failures:
         print(f"FAIL: {failure}", file=sys.stderr)
     print(f"{command}: {'pass' if not failures else 'FAIL'} "

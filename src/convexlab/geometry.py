@@ -67,7 +67,7 @@ def _frame(M):
 
 
 class SupportFunction2D(BoundaryField):
-    """Support function h of a planar body: a BoundaryField with read-only values."""
+    """Support function h of a planar body: a BoundaryField on an even grid of >= 64 samples."""
 
     _GRID_ERROR = "support function needs an even grid of >= 64 samples"
     _FINITE_ERROR = "support function samples must be finite"
@@ -75,7 +75,6 @@ class SupportFunction2D(BoundaryField):
 
     def __init__(self, values, descriptor=None, validate=True):
         super().__init__(values)
-        self.values.flags.writeable = False
         self.descriptor = descriptor if descriptor is not None else {"kind": "custom"}
         if validate:
             r = self.radius_grid

@@ -247,7 +247,7 @@ def quadratic_potential(A):
     A = np.asarray(A, dtype=float).reshape(2, 2)
     if not np.abs(A).max() < np.inf:  # negated, so that NaN fails too
         raise InvalidInput(f"quadratic potential needs a finite A, got {A.tolist()}")
-    if not np.allclose(A, A.T, atol=1e-12):
+    if not np.allclose(A, A.T, rtol=0.0, atol=1e-12):
         raise NotConvexPotential("quadratic potential needs a symmetric matrix")
     eigs = np.linalg.eigvalsh(A)
     if eigs[0] <= 0:
@@ -588,7 +588,7 @@ class QuadraticPerturbation:
         for name, v in (("B", self.B), ("b", self.b), ("c", self.c)):
             if not np.abs(v).max() < np.inf:
                 raise InvalidInput(f"quadratic perturbation needs a finite {name}")
-        if not np.allclose(self.B, self.B.T, atol=1e-12):
+        if not np.allclose(self.B, self.B.T, rtol=0.0, atol=1e-12):
             raise InvalidInput("quadratic perturbation needs a symmetric matrix")
         self.is_even = bool(np.all(self.b == 0.0) and self.c == 0.0)
         self.descriptor = {"kind": "quadratic", "B": self.B.tolist(),

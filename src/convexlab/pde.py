@@ -38,9 +38,10 @@ from . import spectral
 from .errors import (CoercivityFailure, InvalidInput, LebesgueModeRestriction,
                      NonFiniteIntegral, ZeroMean)
 from .forms import _boundary_field, form_P
-from .measure import _dot2, verify_pinching
-from .quad import (DEFAULT_Q, InteriorField, _boundary_measure, _boundary_weight, _hmu, _mu,
-                   boundary_integral, interior_integral, interior_nodes)
+from .measure import _dot2
+# interior_nodes is not called here, but perfbench's tracer test reads pde.interior_nodes
+from .quad import (DEFAULT_Q, InteriorField, _boundary_measure, _boundary_weight, _check_pinching,
+                   _hmu, _mu, boundary_integral, interior_integral, interior_nodes)  # noqa: F401
 from .spectral import BoundaryField
 
 __all__ = [
@@ -111,7 +112,7 @@ def assemble(body, u, N=DEFAULT_N, Q=DEFAULT_Q, even_only=False):
 
     ``even_only`` restricts the basis to {1, cos 2k, sin 2k} (the admissible
     perturbations of an origin-symmetric problem).  Declared Hessian pinching
-    is verified eagerly on all quadrature nodes.
+    is verified eagerly on all quadrature nodes, once per (body, u, Q).
 
     In Lebesgue mode (u == 0) the matrices are still assembled (they satisfy
     the elementary trig identities), but G is genuinely singular there: the
@@ -127,9 +128,7 @@ def assemble(body, u, N=DEFAULT_N, Q=DEFAULT_Q, even_only=False):
         raise InvalidInput(f"basis order N = {N} needs 2N < M = {body.M}: the grid "
                            "cannot tell the top harmonics apart")
     if u.pinching is not None:
-        pts, _ = interior_nodes(body, Q)
-        verify_pinching(u, body.boundary_grid)
-        verify_pinching(u, pts)
+        _check_pinching(body, u, Q)
 
     w_theta = 2.0 * np.pi / body.M
     wu = _boundary_weight(body, u)

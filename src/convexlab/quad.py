@@ -16,7 +16,8 @@ The radial Gauss-Legendre rule depends on Q alone, so it is built once per Q
 per process.  This module is the one owner of every value on the interior
 nodes and the boundary grid: what depends only on (body, Q) or (body, u, Q),
 namely the interior nodes and weights, e^{-u} at the nodes and on the boundary
-grid, e^{-u}*r, H_mu, mu(K), and BL's weights and (del^2 u)^{-1} at the nodes;
+grid, e^{-u}*r, H_mu, mu(K), BL's weights and (del^2 u)^{-1} at the nodes, and
+the passed check of u's declared pinching on the nodes and the boundary grid;
 and an interior field's values at the nodes, per (body, field, Q).  Each is
 computed once and read by ``forms``, ``pde``, ``flow`` and ``analysis``
 through the private readers below (the forms through one record per (body,
@@ -35,7 +36,7 @@ from collections import namedtuple
 import numpy as np
 
 from .errors import InvalidInput, NonFiniteIntegral
-from .measure import _entries, _inv_entries, weighted_mean_curvature
+from .measure import _entries, _inv_entries, verify_pinching, weighted_mean_curvature
 
 __all__ = ["boundary_integral", "interior_integral", "interior_nodes"]
 
@@ -95,6 +96,22 @@ def _mu(body, u, Q):
     """mu(K) = interior_integral(body, u, 1.0, Q), kept as a 0-d array."""
     return float(_shared(body, u, ("muK", Q),
                          lambda: np.array(interior_integral(body, u, 1.0, Q))))
+
+
+def _check_pinching(body, u, Q):
+    """Check u's declared pinching on the boundary grid and the nodes of (body, Q).
+
+    The check runs once per (body, u, Q).  Only a pass is stored, so a
+    violation raises PinchingViolation on every call.
+    """
+    pts, _ = interior_nodes(body, Q)
+
+    def build():
+        verify_pinching(u, body.boundary_grid)
+        verify_pinching(u, pts)
+        return True
+
+    _shared(body, u, ("pinching", Q), build)
 
 
 def _node_values(body, phi, flat):

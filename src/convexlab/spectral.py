@@ -124,8 +124,8 @@ def _grid_basis(N, M):
 class BoundaryField:
     """Scalar function on the boundary, parameterized by normal angle.
 
-    Stores grid samples; derivatives come from the trigonometric interpolant
-    unless analytic derivative samples are supplied.
+    Stores grid samples, read-only; derivatives come from the trigonometric
+    interpolant unless analytic derivative samples are supplied.
     """
 
     _GRID_ERROR = "boundary field must be a 1-D sample array"
@@ -138,6 +138,7 @@ class BoundaryField:
             raise InvalidInput(self._GRID_ERROR)
         if not np.all(np.isfinite(values)):
             raise InvalidInput(self._FINITE_ERROR)
+        values.flags.writeable = False  # coeffs() caches the FFT of these samples
         self.values = values
         self.M = values.size
         self._d1 = None if dvalues is None else np.asarray(dvalues, dtype=float).copy()

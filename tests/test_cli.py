@@ -62,6 +62,25 @@ def test_unknown_key_rejected(tmp_path):
     assert cli.main(["solve", "--config", cfg, "--out", str(tmp_path / "o")]) == 2
 
 
+def test_unknown_keys_leave_the_key_cache_at_its_bound(tmp_path, capsys):
+    path = tmp_path / "stray.cfg"
+    for i in range(5000):
+        path.write_text(f"body.kind = disk\nbody.stray{i} = 3\n", encoding="utf-8")
+        assert cli.main(["solve", "--config", str(path), "--out", str(tmp_path / "o")]) == 2
+    assert "unknown key 'body.stray4999'" in capsys.readouterr().err
+    info = cli._declared.cache_info()
+    assert info.currsize == info.maxsize < 5000
+
+
+def test_a_potential_matrix_asymmetric_in_its_sixth_digit_is_config_error(tmp_path, capsys):
+    path = write(tmp_path / "a.cfg", "body.kind = disk\npotential.kind = quadratic\n"
+                                     "potential.a = 2, 0.600001, 0.6, 1\n")
+    assert cli.main(["solve", "--config", path, "--out", str(tmp_path / "o")]) == 2
+    assert ("config error: potential: quadratic potential needs a symmetric matrix"
+            in capsys.readouterr().err)
+    assert not (tmp_path / "o").exists()
+
+
 def test_malformed_body_names_theta(tmp_path, capsys):
     cfg = write(tmp_path / "bad.cfg", """
 body.kind = fourier
@@ -561,13 +580,13 @@ def test_json_token_fast_path_keeps_the_type_checked_text(x):
 def test_csv_of_numpy_scalars_and_of_python_floats_are_the_same_bytes(tmp_path):
     values = np.array([0.1, -1 / 3, -0.0, 5e-324, 1e308, np.inf, -np.inf, np.nan, 2.0, 1e-7])
     grid = np.linspace(0.0, 2 * np.pi, values.size, endpoint=False)
-    tables = {"numpy": list(zip(grid, values, np.arange(values.size))),
-              "python": list(zip(grid.tolist(), values.tolist(), range(values.size)))}
-    assert type(tables["numpy"][0][1]) is np.float64 and type(tables["python"][0][1]) is float
+    tables = {"numpy": (grid, values, np.arange(values.size)),
+              "python": (grid.tolist(), values.tolist(), list(range(values.size)))}
+    assert type(tables["numpy"][1][0]) is np.float64 and type(tables["python"][1][0]) is float
     expected = "".join(",".join(_isinstance_json_token(v).strip('"') for v in row) + "\n"
-                       for row in tables["python"])
-    for name, rows in tables.items():
-        cli._write_csv(str(tmp_path / f"{name}.csv"), ("theta", "v", "k"), rows)
+                       for row in zip(*tables["python"]))
+    for name, columns in tables.items():
+        cli._write_csv(str(tmp_path / f"{name}.csv"), ("theta", "v", "k"), columns)
         assert (tmp_path / f"{name}.csv").read_text() == "theta,v,k\n" + expected
     assert (tmp_path / "numpy.csv").read_bytes() == (tmp_path / "python.csv").read_bytes()
 

@@ -2,7 +2,7 @@ import numpy as np
 import pytest
 
 from convexlab import analysis, flow, forms, geometry, measure, pde, quad
-from convexlab.errors import ConvexLabError, InvalidInput
+from convexlab.errors import ConvexLabError, InvalidInput, NotConvexPotential
 
 DISK = geometry.disk(1.0)
 BLOB = geometry.fourier_body(1.0, cos={2: 0.15}, sin={3: 0.05})
@@ -155,3 +155,16 @@ def test_contract_break_stays_a_plain_value_error(call, says):
     with pytest.raises(ValueError) as info:
         call()
     assert type(info.value) is ValueError and str(info.value) == says
+
+
+@pytest.mark.parametrize("call, error, says", [
+    (lambda: measure.quadratic_potential([[2.0, 0.6 + 1e-6], [0.6, 1.0]]), NotConvexPotential,
+     "quadratic potential needs a symmetric matrix"),
+    (lambda: measure.QuadraticPerturbation(B=[[0.3, 0.1 + 1e-6], [0.1, 0.2]]), InvalidInput,
+     "quadratic perturbation needs a symmetric matrix"),
+], ids=["quadratic-A-asymmetric-1e-6", "psi-B-asymmetric-1e-6"])
+def test_a_matrix_asymmetric_beyond_1e_12_is_refused(call, error, says):
+    # np.allclose's default rtol of 1e-5 would let these through: atol 1e-12 is the bound
+    with pytest.raises(error) as info:
+        call()
+    assert str(info.value) == says

@@ -1,3 +1,4 @@
+import sys
 import warnings
 
 import numpy as np
@@ -8,7 +9,8 @@ from hypothesis import strategies as st
 
 from convexlab import flow, forms, geometry, measure, pde, quad, spectral
 from convexlab.acceptance import SCAN_RADII, disk_power_oracle
-from convexlab.errors import CoercivityFailure, NonFiniteIntegral, NotStrictlyConvex, ZeroMean
+from convexlab.errors import (CoercivityFailure, NonFiniteIntegral, NotStrictlyConvex,
+                              PinchingViolation, ZeroMean)
 from convexlab.suite import random_boundary_field, standard_bodies, standard_potentials
 
 
@@ -370,3 +372,28 @@ def test_galerkin_power_matches_strong_form_collocation(body, potential):
     p = _collocation_power(K, u)
     for N, tol in ((16, 1e-9), (32, 1e-11), (64, 1e-11)):
         assert pde.concavity_power(K, u, N=N, Q=32) == pytest.approx(p, rel=tol)
+
+
+def test_assemble_checks_the_declared_pinching_once_per_body_potential_and_Q(monkeypatch):
+    # solve assembles at N and at N + 4: the nodes and the boundary grid are checked once
+    checked, real = [], measure.verify_pinching
+
+    def counted(u, points):
+        checked.append(np.shape(points))
+        return real(u, points)
+
+    for mod in [m for name, m in sys.modules.items() if name.startswith("convexlab")]:
+        if getattr(mod, "verify_pinching", None) is real:
+            monkeypatch.setattr(mod, "verify_pinching", counted)
+    body = geometry.ellipse(2.0, 1.0)
+    u = measure.quadratic_potential([[1.0, 0.0], [0.0, 4.0]])
+    assert u.pinching == (1.0, 4.0)
+    pde.assemble(body, u, N=8, Q=16)
+    pde.assemble(body, u, N=12, Q=16)
+    assert sorted(checked) == sorted([body.boundary_grid.shape,
+                                      quad.interior_nodes(body, 16)[0].shape])
+    # a violation is not stored: it raises on every assemble
+    broken = measure.make_potential({"kind": "even-quartic", "eps": 0.0, "pinching": (1.5, 2.0)})
+    for N in (8, 12):
+        with pytest.raises(PinchingViolation, match="declared k1 = 1.5"):
+            pde.assemble(body, broken, N=N, Q=16)

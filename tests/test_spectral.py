@@ -1,5 +1,6 @@
 import numpy as np
 import numpy.testing as npt
+import pytest
 from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
@@ -121,6 +122,15 @@ def test_basis_matrix_matches_per_k_loop_bytes(N, orders, grid, seed, size):
         assert got.tobytes() == _reference_basis_matrix(N, theta, order).tobytes()
     assert (spectral.basis_matrix(N, theta, orders[0]).tobytes()
             == _reference_basis_matrix(N, theta, orders[0]).tobytes())
+
+
+def test_a_fields_values_cannot_change_under_its_cached_fft():
+    # eval() caches the FFT of the samples; a write to them would leave it stale
+    f = spectral.BoundaryField(np.cos(spectral.grid(64)))
+    assert f.eval(0.0) == pytest.approx(1.0, abs=1e-14)
+    with pytest.raises(ValueError, match="read-only"):
+        f.values[0] += 1.0
+    assert f.values[0] == 1.0 and f.eval(0.0) == pytest.approx(1.0, abs=1e-14)
 
 
 def test_assemble_builds_the_basis_once():

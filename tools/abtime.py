@@ -23,6 +23,24 @@ nodes::
     psi = cl.measure.QuadraticPerturbation(B=[[0.3, 0.1], [0.1, 0.2]], b=[0.1, -0.05])" \\
         --stmt "cl.measure._flow_newton(u, psi, 0.05, x)"
 
+A whole benchmark pass is one statement too.  Pass 0 of perfbench's
+solve-sweep at seed 41, its 68 ``cli.run`` jobs writing their files into a
+temporary directory, on config files that this checkout's
+``perfbench/workloads.py`` writes once per side::
+
+    python tools/abtime.py ../parent . --reps 30 \\
+        --setup "import contextlib, io, sys, tempfile
+    sys.path[:0] = ['perfbench', 'src']
+    import workloads
+    out = tempfile.mkdtemp()
+    jobs = workloads.generate('solve-sweep', 41, 0, out)" \\
+        --stmt "with contextlib.redirect_stdout(io.StringIO()):
+        for i, job in enumerate(jobs):
+            cl.cli.run(job.command, job.config_path, f'{out}/{i:03d}', seed=job.seed)"
+
+Such a pass carries the CLI's fixed cost per command (config, report, file
+writes) with its numerical work, which a kernel statement leaves out.
+
 Process-level timings of two checkouts (perfbench pairs) also carry offsets
 that the code under test does not explain; interleaving within one process
 leaves those out.  For the same reason a process-global setting, such as the
