@@ -33,7 +33,8 @@ from .forms import form_I
 from .flow import marginal_value
 from .geometry import minkowski_combine
 from .measure import _hgg
-from .pde import DEFAULT_N, concavity_power, radial_moment_field, solve_report
+from .pde import (DEFAULT_N, _power, assemble, concavity_power, radial_moment_field,
+                  solve_rho_bar)
 from .quad import DEFAULT_Q, _context, _mu, boundary_integral, interior_integral
 
 __all__ = [
@@ -271,8 +272,9 @@ def reformulation_check(body, u, N=DEFAULT_N, Q=DEFAULT_Q):
         raise InvalidInput("reformulation check requires an origin-symmetric body")
     if not u.is_even:
         raise InvalidInput("reformulation check requires an even potential")
-    rep = solve_report(body, u, N=N, Q=Q)
-    rho_bar = rep["rho_bar"]
+    system = assemble(body, u, N=N, Q=Q)
+    rho_bar = solve_rho_bar(system)
+    p = _power(system, system.m @ rho_bar.galerkin_coeffs)
     moment = radial_moment_field(u)
     interaction = form_I(body, u, rho_bar, moment, Q=Q)
     moment_int = interior_integral(body, u, moment, Q=Q)
@@ -281,7 +283,6 @@ def reformulation_check(body, u, N=DEFAULT_N, Q=DEFAULT_Q):
     identity_scale = max(1.0, abs(lhs_identity), abs(interaction))
     identity_residual = abs(lhs_identity - interaction)
     quantity = interaction + moment_int
-    p = rep["p"]
     q_scale = max(1.0, abs(moment_int))
     if abs(p - 0.5) <= SIGN_DEAD_ZONE or abs(quantity) <= SIGN_DEAD_ZONE * q_scale:
         sign_consistent = True

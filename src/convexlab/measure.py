@@ -108,18 +108,18 @@ def _inv_2x2(H):
 # (m, 2) result is written a column at a time, as _solve_entries and the suite's
 # field gradients do: an operation broadcast along the trailing axis makes
 # numpy's inner loop run over that axis, of length 2.  So the potentials'
-# gradients and Hessians, the quadratic psi's gradient and _newton's trial
-# points are written a column at a time, _qform and _hgg read contiguous
-# copies of their point columns, _hgg takes H as four entries (quad stores
-# (del^2 u)^{-1} as contiguous rows), and _flow_newton's Jacobian
-# I + t psi'' u'' and its dual Hessian A are four (m,) entries with the operands
-# of _inv_2x2 and of the stacked product _matmul_2x2 in tests/test_kernels.py
-# in their order, never as an (m, 2, 2) stack read back entry by entry; a
-# quadratic psi's Hessian enters as the scalars of B.  _dot2, _qform, _hgg and
-# the quartic's gradient factor accumulate in place (``+=``, ``*=``): the same
-# operation on the same operands, one temporary fewer.  The quadratic psi's
-# gradient keeps ``flat @ B.T`` on the transposed view: a contiguous copy of
-# B.T is faster, but BLAS then rounds a one-row product another way.
+# gradients and Hessians, the quadratic psi's gradient, translate_potential's
+# p - v and _newton's trial points are written a column at a time, _qform and
+# _hgg read contiguous copies of their point columns, _hgg takes H as four
+# entries (quad stores (del^2 u)^{-1} as contiguous rows), and _flow_newton's
+# Jacobian I + t psi'' u'' and its dual Hessian A are four (m,) entries with the
+# operands of _inv_2x2 and of the stacked product _matmul_2x2 in
+# tests/test_kernels.py in their order, never as an (m, 2, 2) stack read back
+# entry by entry; a quadratic psi's Hessian enters as the scalars of B.  _dot2,
+# _qform, _hgg and the quartic's gradient factor accumulate in place (``+=``,
+# ``*=``): the same operation on the same operands, one temporary fewer.
+# _quadratic's gradient keeps ``p @ A.T`` on the transposed view: a contiguous
+# copy of A.T is faster, but BLAS then rounds a one-row product another way.
 
 
 def _dot2(a, b):
@@ -224,22 +224,26 @@ class Potential:
 # -- built-in potentials --------------------------------------------------------
 
 
+def _quadratic(A):
+    """(value, grad, hess) callables of <Ap, p>/2 for a symmetric (2, 2) array A."""
+    return (lambda p: 0.5 * _qform(p, A, p), lambda p: p @ A.T,
+            lambda p: np.broadcast_to(A, (len(p), 2, 2)).copy())
+
+
 def gaussian_potential():
-    """u = |x|^2 / 2; self-dual, pinching k1 = k2 = 1."""
+    """u = |x|^2 / 2; self-dual, pinching k1 = k2 = 1.
+
+    The Hessian is _quadratic's; value and gradient keep their own forms, as
+    ``p @ I.T`` would turn a -0.0 into +0.0 and cost the flows time.
+    """
     def value(p):
         return 0.5 * _dot2(p, p)
 
     def grad(p):
         return p.copy()
 
-    def hess(p):
-        out = np.zeros((len(p), 2, 2))
-        out[:, 0, 0] = 1.0
-        out[:, 1, 1] = 1.0
-        return out
-
-    return Potential("gaussian", value, grad, hess, is_even=True, pinching=(1.0, 1.0),
-                     descriptor={"kind": "gaussian"})
+    return Potential("gaussian", value, grad, _quadratic(np.eye(2))[2], is_even=True,
+                     pinching=(1.0, 1.0), descriptor={"kind": "gaussian"})
 
 
 def quadratic_potential(A):
@@ -252,17 +256,7 @@ def quadratic_potential(A):
     eigs = np.linalg.eigvalsh(A)
     if eigs[0] <= 0:
         raise NotConvexPotential(f"matrix eigenvalues {eigs} are not all positive")
-
-    def value(p):
-        return 0.5 * _qform(p, A, p)
-
-    def grad(p):
-        return p @ A.T
-
-    def hess(p):
-        return np.broadcast_to(A, (len(p), 2, 2)).copy()
-
-    return Potential("quadratic", value, grad, hess, is_even=True,
+    return Potential("quadratic", *_quadratic(A), is_even=True,
                      pinching=(eigs[0], eigs[1]),
                      descriptor={"kind": "quadratic", "A": A.tolist()})
 
@@ -351,17 +345,15 @@ def translate_potential(u, v):
     if not np.abs(v).max() < np.inf:
         raise InvalidInput(f"translate_potential needs a finite v, got {v.tolist()}")
 
-    def value(p):
-        return u._value(p - v)
-
-    def grad(p):
-        return u._grad(p - v)
-
-    def hess(p):
-        return u._hess(p - v)
+    def minus_v(p):
+        q = np.empty_like(p)
+        q[:, 0] = p[:, 0] - v[0]
+        q[:, 1] = p[:, 1] - v[1]
+        return q
 
     even = u.is_even and np.all(v == 0.0)
-    return Potential("zero" if u.is_zero else "translated", value, grad, hess, is_even=even,
+    return Potential("zero" if u.is_zero else "translated", lambda p: u._value(minus_v(p)),
+                     lambda p: u._grad(minus_v(p)), lambda p: u._hess(minus_v(p)), is_even=even,
                      pinching=u.pinching,
                      descriptor={"kind": "translated", "base": u.descriptor, "v": v.tolist()})
 
@@ -596,19 +588,19 @@ class QuadraticPerturbation:
 
     def value(self, y):
         flat, lead = _flatten(y)
-        out = 0.5 * _qform(flat, self.B, flat) + flat @ self.b + self.c
+        out = _quadratic(self.B)[0](flat) + flat @ self.b + self.c
         return out.reshape(lead)
 
     def grad(self, y):
         flat, lead = _flatten(y)
-        out = flat @ self.B.T
+        out = _quadratic(self.B)[1](flat)
         out[:, 0] += self.b[0]
         out[:, 1] += self.b[1]
         return out.reshape(lead + (2,))
 
     def hess(self, y):
         flat, lead = _flatten(y)
-        return np.broadcast_to(self.B, (len(flat), 2, 2)).reshape(lead + (2, 2)).copy()
+        return _quadratic(self.B)[2](flat).reshape(lead + (2, 2))
 
 
 class ConjugatePerturbation:
@@ -644,55 +636,27 @@ def _flow_closed_form(u, psi, t):
     """Closed-form (value, grad, hess) callables where the algebra allows.
 
     Returns None when no fast path applies.  Raises FlowNotConvex when the
-    requested t leaves the admissible window of the fast path.  The callables
-    name non-finite rows of their (m, 2) stacks, as the Newton path does.
+    requested t leaves the admissible window of the fast path.
     """
     if isinstance(psi, ConjugatePerturbation) and psi.base is u:
         s = 1.0 + t * psi.alpha
         if s <= 0:
             raise FlowNotConvex(f"1 + t*alpha = {s:.6g} <= 0")
-
-        def value(p):
-            _require_finite(p, "flow closed form")
-            return s * u._value(p / s)
-
-        def grad(p):
-            _require_finite(p, "flow closed form")
-            return u._grad(p / s)
-
-        def hess(p):
-            _require_finite(p, "flow closed form")
-            return u._hess(p / s) / s
-
-        return value, grad, hess
+        return (lambda p: s * u._value(p / s), lambda p: u._grad(p / s),
+                lambda p: u._hess(p / s) / s)
     if u.kind in ("gaussian", "quadratic") and isinstance(psi, QuadraticPerturbation):
-        A = u._hess(np.zeros((1, 2)))[0]
-        Mt = np.linalg.inv(A) + t * psi.B
+        Mt = np.linalg.inv(u._hess(np.zeros((1, 2)))[0]) + t * psi.B
         eigs = np.linalg.eigvalsh(Mt)
         if eigs[0] <= 0:
             raise FlowNotConvex(
                 f"A^{{-1}} + t*B has eigenvalues {eigs}; dual lost convexity")
-        Minv = np.linalg.inv(Mt)
-        tb = t * psi.b
-        # u = <Ax, x>/2 + u(0), possibly shifted, and (u + s)* = u* - s
-        const = u._value(np.zeros((1, 2)))[0] - t * psi.c
-
-        def value(p):
-            _require_finite(p, "flow closed form")
-            q = np.empty_like(p)
-            q[:, 0] = p[:, 0] - tb[0]
-            q[:, 1] = p[:, 1] - tb[1]
-            return 0.5 * _qform(q, Minv, q) + const
-
-        def grad(p):
-            _require_finite(p, "flow closed form")
-            return (p - tb) @ Minv.T
-
-        def hess(p):
-            _require_finite(p, "flow closed form")
-            return np.broadcast_to(Minv, (len(p), 2, 2)).copy()
-
-        return value, grad, hess
+        # u = <Ax, x>/2 + u(0), possibly shifted, so u* + t psi is the quadratic
+        # of Mt = A^{-1} + tB plus <tb, y> + tc - u(0), and its conjugate is the
+        # quadratic of Mt^{-1} translated by tb and shifted by u(0) - tc
+        u_t = shift_potential(translate_potential(
+            Potential("quadratic", *_quadratic(np.linalg.inv(Mt))), t * psi.b),
+            u._value(np.zeros((1, 2)))[0] - t * psi.c)
+        return u_t._value, u_t._grad, u_t._hess
     return None
 
 
@@ -759,7 +723,9 @@ def _flow_potential(u, psi, t, method):
     """u_t = (u* + t*psi)* as a Potential, by ``method`` as conjugate_flow says.
 
     The Newton-backed u_t shares one _flow_newton per point set, as
-    conjugate_potential shares its solve, and its Hessian is A^{-1}.
+    conjugate_potential shares its solve, and its Hessian is A^{-1}.  The
+    closed-form callables name non-finite rows of their (m, 2) stacks, as
+    the Newton path does.
     """
     if method not in ("auto", "newton", "closed"):
         raise ValueError(f"unknown flow method {method!r}: expected 'auto', 'newton' "
@@ -774,7 +740,12 @@ def _flow_potential(u, psi, t, method):
     is_even = u.is_even and psi.is_even
     descriptor = {"kind": "flow", "base": u.descriptor, "psi": psi.descriptor, "t": t}
     if closed:
-        return Potential("flow", *closed, is_even=is_even, descriptor=descriptor)
+        def guarded(f):
+            def call(p):
+                _require_finite(p, "flow closed form")
+                return f(p)
+            return call
+        return Potential("flow", *map(guarded, closed), is_even=is_even, descriptor=descriptor)
     return _solved_potential(
         "flow", lambda x: _flow_newton(u, psi, t, x),
         lambda val, y, A: _stack(*_inv_entries(*A)), is_even, descriptor)

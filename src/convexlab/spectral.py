@@ -41,7 +41,13 @@ def coefficients(values):
 
 @functools.lru_cache(maxsize=64)
 def _derivative_factor(M, order):
-    """(i k)^order for the rfft modes of M samples, as a read-only array."""
+    """(i k)^order for the rfft modes of M samples, as a read-only array.
+
+    ``order`` must be an integer >= 0: (i k)^-1 divides by zero at k = 0, and
+    a fractional power is no derivative.
+    """
+    if not (isinstance(order, (int, np.integer)) and order >= 0):
+        raise InvalidInput(f"derivative order must be an integer >= 0, got {order!r}")
     k = np.arange(M // 2 + 1, dtype=float)
     fac = (1j * k) ** order
     if order % 2 == 1 and M % 2 == 0:
@@ -70,6 +76,8 @@ def evaluate(coeffs, M, theta, order=0):
     for all of them, and a list with one array per order comes back.
     """
     theta = np.asarray(theta, dtype=float)
+    if not np.isfinite(theta).all():
+        raise InvalidInput("the interpolant needs finite angles")
     orders = order if np.ndim(order) else [order]
     k = np.arange(len(coeffs))
     # weights: DC and (even-M) Nyquist count once, interior modes twice
@@ -125,7 +133,8 @@ class BoundaryField:
     """Scalar function on the boundary, parameterized by normal angle.
 
     Stores grid samples, read-only; derivatives come from the trigonometric
-    interpolant unless analytic derivative samples are supplied.
+    interpolant unless analytic derivative samples are supplied, which must
+    be finite and of the values' shape and are stored read-only too.
     """
 
     _GRID_ERROR = "boundary field must be a 1-D sample array"
@@ -141,7 +150,14 @@ class BoundaryField:
         values.flags.writeable = False  # coeffs() caches the FFT of these samples
         self.values = values
         self.M = values.size
-        self._d1 = None if dvalues is None else np.asarray(dvalues, dtype=float).copy()
+        if dvalues is not None:
+            dvalues = np.asarray(dvalues, dtype=float).copy()
+            if dvalues.shape != values.shape:
+                raise InvalidInput("boundary field derivative samples must match its values")
+            if not np.all(np.isfinite(dvalues)):
+                raise InvalidInput("boundary field derivative samples must be finite")
+            dvalues.flags.writeable = False
+        self._d1 = dvalues
         self._coeffs = None
 
     @classmethod

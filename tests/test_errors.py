@@ -1,7 +1,7 @@
 import numpy as np
 import pytest
 
-from convexlab import analysis, flow, forms, geometry, measure, pde, quad
+from convexlab import analysis, flow, forms, geometry, measure, pde, quad, spectral
 from convexlab.errors import ConvexLabError, InvalidInput, NotConvexPotential
 
 DISK = geometry.disk(1.0)
@@ -121,6 +121,22 @@ X = np.array([[0.2, 0.1], [0.3, -0.4]])
     (lambda: pde.assemble(DISK, GAUSSIAN, N=4.5), "basis order N must be an integer, got 4.5"),
     (lambda: pde.assemble(DISK, GAUSSIAN, N=16.0), "basis order N must be an integer, got 16.0"),
     (lambda: pde.assemble(DISK, GAUSSIAN, N=np.nan), "basis order N must be an integer, got nan"),
+    # derivative samples and interpolant arguments that gave NaN or a bare numpy error
+    (lambda: forms.BoundaryField(np.ones(64), np.ones(3)),
+     "boundary field derivative samples must match its values"),
+    (lambda: forms.BoundaryField(np.ones(64), np.r_[np.zeros(63), np.nan]),
+     "boundary field derivative samples must be finite"),
+    (lambda: geometry.boundary_point(geometry.ellipse(2.0, 1.0), np.nan),
+     "the interpolant needs finite angles"),
+    (lambda: DISK.eval(np.inf), "the interpolant needs finite angles"),
+    (lambda: spectral.evaluate(spectral.coefficients(np.ones(8)), 8, [0.0, -np.inf]),
+     "the interpolant needs finite angles"),
+    (lambda: forms.BoundaryField(DISK.values).deriv(-1),
+     "derivative order must be an integer >= 0, got -1"),
+    (lambda: forms.BoundaryField(DISK.values).eval(0.3, -1),
+     "derivative order must be an integer >= 0, got -1"),
+    (lambda: forms.BoundaryField(DISK.values).deriv(1.5),
+     "derivative order must be an integer >= 0, got 1.5"),
 ], ids=["sample-size", "bm-p", "fd-p", "reformulation-body", "reformulation-potential",
         "pinching-undeclared", "pinching-body", "pinching-potential", "support-grid",
         "support-finite", "disk-radius", "ellipse-axes", "hull-points", "minkowski-t",
@@ -132,7 +148,8 @@ X = np.array([[0.2, 0.1], [0.3, -0.4]])
         "shift-nan", "bm-p-nan", "fd-p-nan", "quadratic-A-inf", "gauge-newton-negative",
         "Q-zero", "Q-fraction", "sample-size-nan", "sample-size-fraction", "bm-nodes-zero",
         "bm-nodes-negative", "bm-nodes-fraction", "bm-nodes-empty", "bm-nodes-0-d", "N-fraction", "N-float",
-        "N-nan"])
+        "N-nan", "field-d-shape", "field-d-finite", "boundary-point-nan", "eval-inf",
+        "evaluate-minus-inf", "deriv-negative", "eval-order-negative", "deriv-fraction"])
 def test_bad_input_is_invalid_input_and_value_error(call, says):
     # the CLI maps InvalidInput to exit 2; callers catching ValueError still work
     with pytest.raises(InvalidInput) as info:

@@ -16,6 +16,7 @@ from convexlab.errors import (
     PinchingViolation,
 )
 from test_kernels import _matmul_2x2  # the stacked reference of the flow Jacobian
+from test_kernels import _same_bits, _signed_zeros
 
 
 def test_gaussian_basics(gaussian):
@@ -132,7 +133,38 @@ def test_flow_quadratic_closed_form(quad14, rng):
     q = x - t * np.array([0.2, -0.1])
     npt.assert_allclose(val, 0.5 * np.einsum("ij,jk,ik->i", q, Minv, q) - t * 0.3,
                         atol=1e-12)
+    npt.assert_allclose(g, np.einsum("jk,ik->ij", Minv, q), atol=1e-12)
     npt.assert_allclose(H, np.broadcast_to(Minv, (9, 2, 2)), atol=1e-12)
+
+
+def _reference_closed_quadratic_flow(u, psi, t, p):
+    """The quadratic closed form written out: (value, grad, hess) of u_t on an (m, 2) p."""
+    Minv = np.linalg.inv(np.linalg.inv(u._hess(np.zeros((1, 2)))[0]) + t * psi.B)
+    tb = t * psi.b
+    const = u._value(np.zeros((1, 2)))[0] - t * psi.c
+    q = np.empty_like(p)
+    q[:, 0] = p[:, 0] - tb[0]
+    q[:, 1] = p[:, 1] - tb[1]
+    return (0.5 * measure._qform(q, Minv, q) + const, (p - tb) @ Minv.T,
+            np.broadcast_to(Minv, (len(p), 2, 2)).copy())
+
+
+@pytest.mark.parametrize("t", [-0.15, 0.15])
+@pytest.mark.parametrize("shift", [None, 0.7])
+@pytest.mark.parametrize("name", ["gaussian", "quad14"])
+def test_closed_quadratic_flow_keeps_the_written_out_bytes(gaussian, quad14, name, shift, t):
+    u = {"gaussian": gaussian, "quad14": quad14}[name]
+    u = u if shift is None else measure.shift_potential(u, shift)
+    psi = measure.QuadraticPerturbation(B=[[0.4, 0.1], [0.1, 0.2]], b=[0.1, -0.3], c=0.3)
+    u_t = measure.flow_potential(u, psi, t)
+    rng = np.random.default_rng(36)
+    for m in (1, 2, 3, 257):  # _qform sums stacks of one or two rows apart
+        p = _signed_zeros(rng, rng.standard_normal((m, 2)), 0.2)
+        want = _reference_closed_quadratic_flow(u, psi, t, p)
+        for got, ref in zip((u_t.value(p), u_t.grad(p), u_t.hess(p)), want):
+            _same_bits(ref, got)
+        for got, ref in zip(measure.conjugate_flow(u, psi, t, p, method="closed"), want):
+            _same_bits(ref, got)
 
 
 def test_flow_newton_agrees_with_closed_form(gaussian, quad14, rng):
@@ -305,6 +337,18 @@ def test_translate_and_shift(gaussian, rng):
     assert not ut.is_even
     us = measure.shift_potential(gaussian, 2.0)
     npt.assert_allclose(us.value(pts), gaussian.value(pts) + 2.0, atol=1e-14)
+
+
+@pytest.mark.parametrize("v", [[0.3, -0.1], [0.0, -0.0], [-0.0, 0.25]])
+def test_translation_is_evaluation_at_p_minus_v_bytes(gaussian, quad14, quartic, v):
+    # the column-wise p - v of translate_potential rounds as the broadcast does
+    rng = np.random.default_rng(7)
+    p = _signed_zeros(rng, rng.standard_normal((3, 50, 2)), 0.3)
+    for u in (gaussian, quad14, quartic):
+        ut = measure.translate_potential(u, v)
+        q = p - np.asarray(v)
+        for method in ("value", "grad", "hess"):
+            _same_bits(getattr(u, method)(q), getattr(ut, method)(p))
 
 
 def test_shifted_flow_closed_form_keeps_constant(gaussian, quad14, rng):

@@ -133,6 +133,15 @@ def test_a_fields_values_cannot_change_under_its_cached_fft():
     assert f.values[0] == 1.0 and f.eval(0.0) == pytest.approx(1.0, abs=1e-14)
 
 
+def test_a_fields_derivative_samples_are_read_only():
+    # deriv() hands out the stored samples themselves, so a write would change the field
+    t = spectral.grid(64)
+    f = spectral.BoundaryField(np.cos(t), -np.sin(t))
+    with pytest.raises(ValueError, match="read-only"):
+        f.deriv()[:] *= 2.0
+    assert f.deriv().tobytes() == (-np.sin(t)).tobytes()
+
+
 def test_assemble_builds_the_basis_once():
     # the basis depends on (N, M) alone: two bodies on one grid share one read-only E and D
     from convexlab import geometry, measure, pde
