@@ -62,9 +62,9 @@ from .forms import (
 )
 from .geometry import disk
 from .measure import ConjugatePerturbation, QuadraticPerturbation
-from .pde import assemble, concavity_power, solve_report, support_identity_check
+from .pde import _solve, assemble, concavity_power, solve_report, support_identity_check
 from .quad import InteriorField, interior_integral
-from .spectral import BoundaryField
+from .spectral import BoundaryField, _harmonic
 from .suite import (
     random_boundary_field,
     random_interior_field,
@@ -437,13 +437,10 @@ def criterion_6():
 @_criterion("7", "even symmetry of the minimizer", 1.0, lambda: _matrix(_SYMMETRIC))
 def criterion_7(bname, pname, body, u):
     """Symmetry: odd harmonics of rho_bar vanish; even-only basis matches p."""
-    rep = solve_report(body, u, N=N, Q=Q)
-    coeffs = rep["rho_bar"].galerkin_coeffs
-    odd = [abs(coeffs[2 * k - 1]) for k in range(1, N + 1, 2)]
-    odd += [abs(coeffs[2 * k]) for k in range(1, N + 1, 2)]
-    odd_max = float(max(odd))
+    rho_bar, _, p = _solve(assemble(body, u, N=N, Q=Q))
+    odd_max = float(np.abs(rho_bar.galerkin_coeffs[_harmonic(2 * N + 1) % 2 == 1]).max())
     p_even = concavity_power(body, u, N=N, Q=Q, even_only=True)
-    dp = abs(p_even - rep["p"])
+    dp = abs(p_even - p)
     return odd_max <= 1e-10 and dp <= 1e-9, {
         "config": f"{bname}+{pname}", "max_odd_coefficient": odd_max, "p_even_minus_p": dp}
 

@@ -33,8 +33,7 @@ from .forms import form_I
 from .flow import marginal_value
 from .geometry import minkowski_combine
 from .measure import _hgg
-from .pde import (DEFAULT_N, _power, assemble, concavity_power, radial_moment_field,
-                  solve_rho_bar)
+from .pde import DEFAULT_N, _solve, assemble, concavity_power, radial_moment_field
 from .quad import DEFAULT_Q, _context, _mu, boundary_integral, interior_integral
 
 __all__ = [
@@ -272,9 +271,7 @@ def reformulation_check(body, u, N=DEFAULT_N, Q=DEFAULT_Q):
         raise InvalidInput("reformulation check requires an origin-symmetric body")
     if not u.is_even:
         raise InvalidInput("reformulation check requires an even potential")
-    system = assemble(body, u, N=N, Q=Q)
-    rho_bar = solve_rho_bar(system)
-    p = _power(system, system.m @ rho_bar.galerkin_coeffs)
+    rho_bar, _, p = _solve(assemble(body, u, N=N, Q=Q))
     moment = radial_moment_field(u)
     interaction = form_I(body, u, rho_bar, moment, Q=Q)
     moment_int = interior_integral(body, u, moment, Q=Q)

@@ -464,8 +464,6 @@ def run(command, config_path=None, out_dir="convexlab-out", seed=None, quad_m=No
     cfg.update({k: _read(command, k, v) for k, v in flags.items() if v is not None})
     ctx = {"M": cfg.get("quad.M", DEFAULT_M), "Q": cfg.get("quad.Q", DEFAULT_Q),
            "N": cfg.get("pde.N", DEFAULT_N), "seed": cfg.get("seed", 0)}
-    if ctx["M"] % 2:
-        raise ConfigError("quad.M must be even")
     if ctx["N"] >= ctx["M"] / 2:  # a command that reads no pde.N keeps 16 < 64 / 2
         raise ConfigError(f"pde.N must be < quad.M / 2 = {ctx['M'] // 2}")
     results, tables, failures = _COMMANDS[command](cfg, ctx)

@@ -153,10 +153,13 @@ def ellipse(a, b, M=DEFAULT_M):
 def fourier_body(c0, cos=None, sin=None, M=DEFAULT_M):
     """Body with h = c0 + sum_k a_k cos(k t) + b_k sin(k t), centred.
 
-    Rejects coefficient lists whose h + h'' dips below the convexity floor.
+    Rejects a harmonic K that is not an integer >= 1, and an h + h'' below the convexity floor.
     """
     cos = dict(cos or {})
     sin = dict(sin or {})
+    for k in (*cos, *sin):
+        if type(k) is bool or not isinstance(k, (int, np.integer)) or k < 1:
+            raise InvalidInput(f"fourier harmonic K must be an integer >= 1, got {k!r}")
     t = spectral.grid(M)
     vals = np.full(M, float(c0))
     for k, a in cos.items():

@@ -53,6 +53,8 @@ PINCHING_TOL = 1e-9  # slack of verify_pinching's eigenvalue and trace tests
 
 def _flatten(points):
     pts = np.asarray(points, dtype=float)
+    if pts.shape[-1:] != (2,):
+        raise ValueError(f"points must have shape (..., 2), got {pts.shape}")
     lead = pts.shape[:-1]
     return pts.reshape(-1, 2), lead
 

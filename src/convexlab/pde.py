@@ -59,14 +59,6 @@ __all__ = [
 DEFAULT_N = 16
 
 
-def _even_mask(N):
-    """Basis indices of {1, cos 2k, sin 2k}: functions even under x -> -x."""
-    idx = [0]
-    for k in range(2, N + 1, 2):
-        idx.extend([2 * k - 1, 2 * k])
-    return np.array(idx)
-
-
 @dataclass(frozen=True)
 class PoincareSystem:
     """Assembled Galerkin matrices of <.,.>_P on the trigonometric basis.
@@ -136,9 +128,9 @@ def assemble(body, u, N=DEFAULT_N, Q=DEFAULT_Q, even_only=False):
     hmu = _hmu(body, u)
 
     E, D = spectral._grid_basis(N, body.M)
-    if even_only:
-        mask = _even_mask(N)
-        E, D = E[mask], D[mask]
+    if even_only:  # {1, cos 2k, sin 2k}: the functions even under x -> -x
+        even = spectral._harmonic(2 * N + 1) % 2 == 0
+        E, D = E[even], D[even]
 
     A = (D * wu) @ D.T * w_theta
     B = (E * (hmu * wu * r)) @ E.T * w_theta
@@ -179,20 +171,21 @@ def solve_rho_bar(system):
     return field
 
 
-def _power(system, mc):
-    """p = mu(K) / mc for mc = int_dK rho_bar dmu; a p that is not finite raises."""
+def _solve(system):
+    """rho_bar, mc = int_dK rho_bar dmu and p = mu(K) / mc; a p that is not finite raises."""
+    rho_bar = solve_rho_bar(system)
+    mc = system.m @ rho_bar.galerkin_coeffs
     with np.errstate(over="ignore", divide="ignore", invalid="ignore"):
         p = float(system.muK / mc)
     if not np.isfinite(p):
         raise NonFiniteIntegral(
             f"p = mu(K) / int rho_bar dmu = {system.muK:.6g} / {mc:.6g} is not finite")
-    return p
+    return rho_bar, mc, p
 
 
 def concavity_power(body, u, N=DEFAULT_N, Q=DEFAULT_Q, even_only=False):
     """p(mu, K) = mu(K) / int_dK rho_bar dmu  (= mu(K) / <rho_bar, rho_bar>_P)."""
-    system = assemble(body, u, N=N, Q=Q, even_only=even_only)
-    return _power(system, system.m @ solve_rho_bar(system).galerkin_coeffs)
+    return _solve(assemble(body, u, N=N, Q=Q, even_only=even_only))[2]
 
 
 def apply_L(body, u, rho, Q=DEFAULT_Q):
@@ -259,9 +252,7 @@ def rayleigh(body, u, rho, Q=DEFAULT_Q):
 def solve_report(body, u, N=DEFAULT_N, Q=DEFAULT_Q):
     """Full solve on the full basis: rho_bar, p, strong residual, and conditioning data."""
     system = assemble(body, u, N=N, Q=Q)
-    rho_bar = solve_rho_bar(system)
-    mc = system.m @ rho_bar.galerkin_coeffs
-    p = _power(system, mc)
+    rho_bar, mc, p = _solve(system)
     strong = apply_L(body, u, rho_bar, Q=Q)
     residual = float(np.abs(strong.values - 1.0).max())
     return {

@@ -129,6 +129,14 @@ def _grid_basis(N, M):
     return E, D
 
 
+@functools.lru_cache(maxsize=8)
+def _harmonic(dim):
+    """Harmonic k of each of the first dim basis rows: 0, 1, 1, 2, 2, ..., read-only."""
+    k = (np.arange(dim) + 1) // 2
+    k.flags.writeable = False
+    return k
+
+
 class BoundaryField:
     """Scalar function on the boundary, parameterized by normal angle.
 

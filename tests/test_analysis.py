@@ -203,8 +203,9 @@ def test_reformulation_radius_scan(gaussian):
 def test_reformulation_sign_test_has_a_dead_zone_at_one_half(monkeypatch, disk1, gaussian):
     # on the unit gaussian disk the quantity is 2.47 > 0: a p just below 1/2
     # disagrees with its sign, while p = 1/2 itself sits in the dead zone
+    solve = analysis._solve
     for p, consistent in ((0.5, True), (0.5 - 1e-6, False)):
-        monkeypatch.setattr(analysis, "_power", lambda system, mc, p=p: p)
+        monkeypatch.setattr(analysis, "_solve", lambda system, p=p: (*solve(system)[:2], p))
         rep = analysis.reformulation_check(disk1, gaussian)
         assert rep["quantity"] > 0 and rep["p"] == p
         assert rep["sign_consistent"] is consistent

@@ -309,13 +309,16 @@ GAUSSIAN = "potential.kind = gaussian\n"
     ("solve", DISK + "potential.kind = quadratic\npotential.a = 1, 0, 0, 4\npotential.eps = 1\n",
      "keys ['eps'] do not apply to potential kind 'quadratic'"),
     ("flow", DISK + GAUSSIAN + "flow.psi.kind = cubic\n", "unknown flow.psi.kind 'cubic'"),
-    ("solve", DISK + GAUSSIAN + "quad.M = 129\n", "quad.M must be even"),
+    ("solve", DISK + GAUSSIAN + "quad.M = 129\n",
+     "body: support function needs an even grid of >= 64 samples"),
+    ("solve", "body.kind = fourier\nbody.sin0 = 0.3\n" + GAUSSIAN,
+     "body: fourier harmonic K must be an integer >= 1, got 0"),
     ("forms-check", DISK + GAUSSIAN + "pde.N = 16\n", "unknown key 'pde.N'"),
     ("flow", DISK + GAUSSIAN + "pde.N = 16\n", "unknown key 'pde.N'"),
 ], ids=["no-equals", "duplicate-key", "unknown-body-kind", "stray-body-key", "stray-body2-key",
         "harmonic-on-disk", "missing-potential-kind", "k1-without-k2", "k2-without-k1",
         "k1-above-k2", "zero-k1", "quadratic-without-a", "stray-gaussian-key",
-        "stray-quadratic-key", "unknown-psi-kind", "odd-M", "forms-check-N", "flow-N"])
+        "stray-quadratic-key", "unknown-psi-kind", "odd-M", "sin0", "forms-check-N", "flow-N"])
 def test_config_rejection_names_the_problem(tmp_path, capsys, command, text, says):
     path = write(tmp_path / "bad.cfg", text)
     out = tmp_path / "o"

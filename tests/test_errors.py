@@ -62,6 +62,14 @@ X = np.array([[0.2, 0.1], [0.3, -0.4]])
      "unknown body kind 'triangle'; expected one of disk, ellipse, fourier"),
     (lambda: geometry.make_body({"kind": "disk", "a": 2.0}),
      "keys ['a'] do not apply to body kind 'disk'"),
+    (lambda: geometry.fourier_body(1.0, cos={2.5: 0.1}),
+     "fourier harmonic K must be an integer >= 1, got 2.5"),
+    (lambda: geometry.fourier_body(1.0, cos={True: 0.1}),
+     "fourier harmonic K must be an integer >= 1, got True"),
+    (lambda: geometry.fourier_body(1.0, cos={"x": 0.1}),
+     "fourier harmonic K must be an integer >= 1, got 'x'"),
+    (lambda: geometry.fourier_body(1.0, sin={0: 0.3}),
+     "fourier harmonic K must be an integer >= 1, got 0"),
     (lambda: forms.form_BL(DISK, ZERO, PHI, PHI),
      "the interior variance form requires a strictly convex potential; u == 0 is only "
      "admitted for the boundary forms P and I and the operator L"),
@@ -142,7 +150,8 @@ X = np.array([[0.2, 0.1], [0.3, -0.4]])
         "support-finite", "disk-radius", "ellipse-axes", "hull-points", "minkowski-t",
         "gauge-nan", "pinching-constants", "quadratic-without-A", "zero-pinching",
         "pinching-broken", "asymmetric-B", "negative-alpha", "flow-n_t", "flow-eps", "field-1-d",
-        "field-finite", "N-below-4", "N-above-grid", "unknown-kind", "stray-key",
+        "field-finite", "N-below-4", "N-above-grid", "unknown-kind", "stray-key", "fourier-K-fraction",
+        "fourier-K-bool", "fourier-K-word", "fourier-sin0",
         "lebesgue-form", "lebesgue-coercivity", "lebesgue-solve", "flow-b-nan", "flow-c-nan",
         "flow-potential-c-nan", "psi-B-inf", "alpha-nan", "alpha-inf", "translate-nan",
         "shift-nan", "bm-p-nan", "fd-p-nan", "quadratic-A-inf", "gauge-newton-negative",
@@ -164,9 +173,15 @@ def test_bad_input_is_invalid_input_and_value_error(call, says):
     (lambda: quad.boundary_integral(DISK, GAUSSIAN, np.ones(128)),
      "boundary integrand does not match the body grid"),
     (lambda: geometry.gauge(DISK, np.ones(3)), "gauge needs points of shape (..., 2)"),
+    (lambda: measure.verify_pinching(GAUSSIAN, np.zeros((4, 3))),
+     "points must have shape (..., 2), got (4, 3)"),
+    (lambda: measure.gradient_consistency(GAUSSIAN, np.zeros((4, 3))),
+     "points must have shape (..., 2), got (4, 3)"),
+    (lambda: GAUSSIAN.value(np.zeros((2, 3))), "points must have shape (..., 2), got (2, 3)"),
     (lambda: measure.conjugate_flow(GAUSSIAN, None, 0.0, np.zeros(2), method="exact"),
      "unknown flow method 'exact': expected 'auto', 'newton' or 'closed'"),
-], ids=["forms-raw-array", "quad-grid", "gauge-shape", "flow-method"])
+], ids=["forms-raw-array", "quad-grid", "gauge-shape", "pinching-shape", "consistency-shape",
+        "value-shape", "flow-method"])
 def test_contract_break_stays_a_plain_value_error(call, says):
     # a caller's bug, not bad input: the CLI lets it leave as a traceback
     with pytest.raises(ValueError) as info:

@@ -297,6 +297,26 @@ BODIES, POTENTIALS = standard_bodies(), standard_potentials()
 _POWERS = {}  # (body, potential) -> p at N = Q = 32
 
 
+@pytest.mark.parametrize("N", [16, 44])
+@pytest.mark.parametrize("even_only", [False, True], ids=["full", "even"])
+def test_solve_gives_the_bits_of_the_written_out_steps(N, even_only):
+    # solve for rho_bar, integrate it against dmu, divide mu(K) by that
+    for bname, body in BODIES.items():
+        for pname, u in POTENTIALS.items():
+            if u.is_zero:
+                continue
+            system = pde.assemble(body, u, N=N, even_only=even_only)
+            rho_bar = pde.solve_rho_bar(system)
+            mc = system.m @ rho_bar.galerkin_coeffs
+            p = float(system.muK / mc)
+            got_rho, got_mc, got_p = pde._solve(system)
+            where = (bname, pname)
+            assert got_rho.values.tobytes() == rho_bar.values.tobytes(), where
+            assert got_rho.galerkin_coeffs.tobytes() == rho_bar.galerkin_coeffs.tobytes(), where
+            assert np.float64(got_mc).tobytes() == np.float64(mc).tobytes(), where
+            assert got_p.hex() == p.hex(), where
+
+
 def _isometry_image(body, u, k, reflect):
     """(K, u) moved by x -> R S x: S = diag(1, -1) or Id, R the turn by k grid steps.
 

@@ -154,11 +154,34 @@ def test_assemble_builds_the_basis_once():
     theta = one.body.theta_grid
     assert one.E.tobytes() == spectral.basis_matrix(12, theta, 0).tobytes()
     assert one.D.tobytes() == spectral.basis_matrix(12, theta, 1).tobytes()
-    # the even-only system keeps the masked rows
+    # the even-only system keeps the rows of even harmonic
     even = pde.assemble(geometry.ellipse(2.0, 1.0), u, N=12, even_only=True)
-    mask = pde._even_mask(12)
+    mask = spectral._harmonic(one.dim) % 2 == 0
     assert even.E.tobytes() == one.E[mask].tobytes()
     assert even.D.tobytes() == one.D[mask].tobytes()
+
+
+def _even_rows(N):
+    """Basis indices of {1, cos 2k, sin 2k}, written out."""
+    idx = [0]
+    for k in range(2, N + 1, 2):
+        idx.extend([2 * k - 1, 2 * k])
+    return idx
+
+
+def _odd_rows(N):
+    """Basis indices of {cos k, sin k} for odd k, written out."""
+    return ([2 * k - 1 for k in range(1, N + 1, 2)]
+            + [2 * k for k in range(1, N + 1, 2)])
+
+
+def test_harmonic_table_selects_the_written_out_rows():
+    for N in range(4, 45):
+        k = spectral._harmonic(2 * N + 1)
+        assert k is spectral._harmonic(2 * N + 1) and not k.flags.writeable
+        assert k[:5].tolist() == [0, 1, 1, 2, 2]
+        assert np.flatnonzero(k % 2 == 0).tolist() == _even_rows(N), N
+        assert np.flatnonzero(k % 2 == 1).tolist() == sorted(_odd_rows(N)), N
 
 
 def test_gauge_takes_one_evaluation_per_newton_iteration(monkeypatch):
