@@ -45,6 +45,7 @@ from .analysis import (
     pinching_bounds,
     reformulation_check,
 )
+from .errors import InvalidInput
 from .flow import (
     FlowConfig,
     marginal_value,
@@ -53,6 +54,7 @@ from .flow import (
     shape_derivatives,
 )
 from .forms import (
+    _pair_reports,
     check_mean_form,
     equality_witness,
     form_BL,
@@ -66,7 +68,7 @@ from .pde import _solve, assemble, concavity_power, solve_report, support_identi
 from .quad import InteriorField, interior_integral
 from .spectral import BoundaryField, _harmonic
 from .suite import (
-    random_boundary_field,
+    _random_pairs,
     random_interior_field,
     standard_bodies,
     standard_potentials,
@@ -149,14 +151,18 @@ def disk_scan(u, radii, M, N, Q):
 
 
 def random_pairs_check(body, u, pairs, seed, Q):
-    """Worst relative mean/mult slacks over seeded random pairs, and failures."""
-    rng = np.random.default_rng(seed)
+    """Worst relative mean/mult slacks over seeded random pairs, and failures.
+
+    pairs must be an integer >= 1.  All pairs are drawn first, then checked with
+    their boundary side in one stack (``forms._pair_reports``), each report bit
+    for bit ``check_mean_form``'s on its pair.
+    """
+    if isinstance(pairs, bool) or not (isinstance(pairs, (int, np.integer)) and pairs >= 1):
+        raise InvalidInput(f"pairs must be an integer >= 1, got {pairs!r}")
+    V, phis = _random_pairs(np.random.default_rng(seed), body.M, pairs)
     worst_mean, worst_mult = np.inf, np.inf
     failures = []
-    for i in range(pairs):
-        rho = random_boundary_field(rng, body.M)
-        phi = random_interior_field(rng)
-        rep = check_mean_form(body, u, rho, phi, Q=Q)
+    for i, rep in enumerate(_pair_reports(body, u, V, phis, Q)):
         worst_mean = min(worst_mean, rep.slack_mean / rep.scale)
         worst_mult = min(worst_mult, rep.slack_mult / rep.scale**2)
         if not (rep.passed_mean and rep.passed_mult):

@@ -233,8 +233,11 @@ def _build_flow_field(cfg, M):
     sec = _section(cfg, "flow.f")
     vals = np.full(M, sec.pop("c0", 0.0))
     for k, v in sec.items():  # in file order, which fixes the rounding
+        K = int(k[3:])
+        if K < 1:
+            raise ConfigError(f"flow.f: harmonic K must be an integer >= 1, got {K}")
         wave = np.cos if k.startswith("cos") else np.sin
-        vals += v * wave(int(k[3:]) * t)
+        vals += v * wave(K * t)
     return BoundaryField(vals)
 
 

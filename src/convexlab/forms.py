@@ -20,10 +20,13 @@ interior nodes, H_mu, mu(K) and (del^2 u)^{-1} at the nodes, is evaluated
 once by ``quad`` and read by each form from one record of its store,
 ``quad._context``, on every later pair on the same (K, u, Q).  The same
 store keeps an interior field's values at the nodes per live (K, field, Q);
-fields, like bodies and potentials, do not change after construction.  So a
-pair pays only for its own fields, once each: ``check_mean_form`` evaluates
-phi once on the interior nodes, where BL and I's interior mean share the
-values, once on the boundary grid, and its gradient once on the nodes.
+fields, like bodies and potentials, do not change after construction.  So
+``check_mean_form`` evaluates phi once on the interior nodes, where BL and
+I's interior mean share the values, once on the boundary grid, and its
+gradient once on the nodes.  P's and I's boundary sums are written once, for
+a stack of pairs as rows (one pair is the 1-D case), so ``_pair_reports``
+checks many pairs with one ``grid_derivative`` and one row sum per term,
+each row with the bits of its pair alone; BL and phi run pair by pair.
 
 The forms take a ``BoundaryField`` rho (``spectral``; a body is one) and an
 ``InteriorField`` phi (``quad``); both are re-exported from here.
@@ -35,9 +38,9 @@ import numpy as np
 
 from .errors import NonFiniteIntegral
 from .measure import _dot2, _hgg
-from .quad import (DEFAULT_Q, InteriorField, _boundary_sum, _context, _node_values,
-                   interior_integral)
-from .spectral import BoundaryField
+from .quad import (DEFAULT_Q, InteriorField, _boundary_sums, _context, _node_values,
+                   _require_finite_sums, interior_integral)
+from .spectral import BoundaryField, grid_derivative
 
 __all__ = [
     "BoundaryField",
@@ -85,18 +88,43 @@ def _interior_field(phi):
     return phi
 
 
+def _p_rows(c, V0, D0, V1, D1):
+    """<rho0, rho1>_P from grid values V and derivatives D, one pair or a stack of rows,
+    and the curvature and mean sums that the caller refuses if not finite."""
+    curv = _boundary_sums(c.measure, c.hmu * V0 * V1)
+    m0 = _boundary_sums(c.measure, V0)
+    m1 = m0 if V1 is V0 else _boundary_sums(c.measure, V1)
+    return _boundary_sums(c.weight, D0 * D1) - curv + m0 * m1 / c.muK, (curv, m0, m1)
+
+
+def _i_rows(c, V, B, m, phi_int):
+    """<rho, phi>_I from rho's grid values V and integral m, phi's boundary values B and
+    interior integral, as ``_p_rows``; and the cross sum, to be refused if not finite."""
+    cross = _boundary_sums(c.measure, V * B)
+    return cross - m * phi_int / c.muK, cross
+
+
+def _report(P, BL, I, bl_fd):
+    """The FormsReport of one pair's form values; bl_fd: BL took difference gradients."""
+    scale = max(abs(P), abs(BL), 1.0)
+    slack_mean = 0.5 * (P + BL) - I
+    slack_mult = P * BL - I * I
+    return FormsReport(
+        P=P, BL=BL, I=I,
+        slack_mean=slack_mean, slack_mult=slack_mult, scale=scale,
+        passed_mean=bool(slack_mean >= -SLACK_RTOL * scale),
+        passed_mult=bool(slack_mult >= -SLACK_RTOL * scale**2),
+        flags={"bl_gradient_fd": bl_fd},
+    )
+
+
 def form_P(body, u, rho0, rho1, Q=DEFAULT_Q):
     """Boundary form <rho0, rho1>_P (valid for the zero potential too)."""
-    same = rho1 is rho0
     d0 = _boundary_field(rho0, body.M).deriv()
-    d1 = d0 if same else _boundary_field(rho1, body.M).deriv()
-    c = _context(body, u, Q)
-    grad_term = float((d0 * d1 * c.weight).sum() * 2.0 * np.pi / body.M)
-    curv_term = _boundary_sum(u, c.measure, c.hmu * rho0.values * rho1.values)
-    m0 = _boundary_sum(u, c.measure, rho0.values)
-    m1 = m0 if same else _boundary_sum(u, c.measure, rho1.values)
-    mean_term = m0 * m1 / c.muK
-    return grad_term - curv_term + mean_term
+    d1 = d0 if rho1 is rho0 else _boundary_field(rho1, body.M).deriv()
+    P, sums = _p_rows(_context(body, u, Q), rho0.values, d0, rho1.values, d1)
+    _require_finite_sums(u, *sums)
+    return float(P)
 
 
 def form_BL(body, u, phi0, phi1, Q=DEFAULT_Q):
@@ -127,33 +155,46 @@ def form_I(body, u, rho, phi, Q=DEFAULT_Q):
     r = _boundary_field(rho, body.M)
     phi_on_boundary = _interior_field(phi).value(body.boundary_grid)
     c = _context(body, u, Q)
-    phi_int = interior_integral(body, u, phi, Q=Q)
-    cross = _boundary_sum(u, c.measure, r.values * phi_on_boundary)
-    means = _boundary_sum(u, c.measure, r.values) * phi_int / c.muK
-    return cross - means
+    m = _boundary_sums(c.measure, r.values)
+    I, cross = _i_rows(c, r.values, phi_on_boundary, m, interior_integral(body, u, phi, Q=Q))
+    _require_finite_sums(u, cross, m)
+    return float(I)
 
 
 def check_mean_form(body, u, rho, phi, Q=DEFAULT_Q):
     """Report on the mean and the multiplicative inequality for one (rho, phi).
 
-    BL and I's interior mean read one evaluation of phi on the interior nodes,
-    kept in ``quad``'s store for as long as phi lives.  The refusals come in
-    the standalone forms' order, P's, BL's, then I's, so a potential that is
-    not strictly convex is refused before any BL node work.
+    The refusals come in the forms' order, P's, BL's, then I's, so a potential
+    that is not strictly convex is refused before any BL node work.
     """
     P = form_P(body, u, rho, rho, Q=Q)
     BL = form_BL(body, u, phi, phi, Q=Q)
     I = form_I(body, u, rho, phi, Q=Q)
-    scale = max(abs(P), abs(BL), 1.0)
-    slack_mean = 0.5 * (P + BL) - I
-    slack_mult = P * BL - I * I
-    return FormsReport(
-        P=P, BL=BL, I=I,
-        slack_mean=slack_mean, slack_mult=slack_mult, scale=scale,
-        passed_mean=bool(slack_mean >= -SLACK_RTOL * scale),
-        passed_mult=bool(slack_mult >= -SLACK_RTOL * scale**2),
-        flags={"bl_gradient_fd": not phi.has_gradient},
-    )
+    return _report(P, BL, I, not phi.has_gradient)
+
+
+def _pair_reports(body, u, V, phis, Q=DEFAULT_Q):
+    """``check_mean_form`` of each pair (V[i], phis[i]), V a (pairs, M) stack of grid values.
+
+    phis[i] is set to None once pair i is done; refusals come in pair order.
+    """
+    c = _context(body, u, Q)
+    D = grid_derivative(V)
+    P, sums = _p_rows(c, V, D, V, D)
+    B, BL, phi_int, bl_fd = np.empty_like(V), np.empty(len(V)), np.empty(len(V)), []
+    try:
+        for i in range(len(V)):
+            _require_finite_sums(u, *(s[i] for s in sums))
+            phi, phis[i] = phis[i], None
+            BL[i] = form_BL(body, u, phi, phi, Q=Q)
+            B[i] = phi.value(body.boundary_grid)
+            phi_int[i] = interior_integral(body, u, phi, Q=Q)
+            bl_fd.append(not phi.has_gradient)
+    finally:  # the I of a pair that is done is refused before a later pair's refusal
+        done = len(bl_fd)
+        I, cross = _i_rows(c, V[:done], B[:done], sums[1][:done], phi_int[:done])
+        _require_finite_sums(u, *cross)
+    return [_report(*x) for x in zip(P.tolist(), BL.tolist(), I.tolist(), bl_fd)]
 
 
 def equality_witness(body, u, alpha, x0=(0.0, 0.0), z=0.0):

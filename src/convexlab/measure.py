@@ -416,7 +416,8 @@ def verify_pinching(u, points):
     h00, h01, h10, h11 = _entries(u._hess(pts))
     tr = h00 + h11
     with np.errstate(invalid="ignore"):  # a non-finite Hessian is refused below
-        lam_min = 0.5 * (tr - np.sqrt(np.maximum(tr**2 - 4 * _det(h00, h01, h10, h11), 0.0)))
+        # (h00 - h11)^2 + 4 h01 h10: tr^2 - 4 det without its cancellation at equal eigenvalues
+        lam_min = 0.5 * (tr - np.sqrt(np.maximum((h00 - h11) ** 2 + 4 * h01 * h10, 0.0)))
     # negated comparisons, so that a NaN Hessian fails instead of passing
     if not lam_min.min() >= k1 - PINCHING_TOL:
         raise PinchingViolation(

@@ -151,17 +151,24 @@ def _field_on_grid(g, body):
     return vals
 
 
-def _boundary_sum(u, measure, vals):
-    """The boundary integral of the grid values vals against the density measure."""
-    val = float((vals * measure).sum() * 2.0 * np.pi / measure.size)
-    if not np.isfinite(val):
-        raise NonFiniteIntegral(f"boundary integral against {u!r} is {val}")
-    return val
+def _boundary_sums(measure, vals):
+    """Boundary integrals of grid values vals against the density measure: of one field,
+    or of each row of a stack of fields with the bits of that field alone."""
+    return (vals * measure).sum(axis=-1) * 2.0 * np.pi / measure.size
+
+
+def _require_finite_sums(u, *sums):
+    """Refuse the first of the boundary integrals sums against u that is not finite."""
+    for val in sums:
+        if not np.isfinite(val):
+            raise NonFiniteIntegral(f"boundary integral against {u!r} is {val}")
 
 
 def boundary_integral(body, u, g=1.0):
     """Integral of g over the boundary of K against mu."""
-    return _boundary_sum(u, _boundary_measure(body, u), _field_on_grid(g, body))
+    val = _boundary_sums(_boundary_measure(body, u), _field_on_grid(g, body))
+    _require_finite_sums(u, val)
+    return float(val)
 
 
 class InteriorField:

@@ -54,13 +54,26 @@ def standard_potentials():
     }
 
 
+def _field_values(C, M):
+    """Grid values of the fields with basis coefficient rows C: c0, then + c_k E_k in order."""
+    E = _grid_basis(FIELD_ORDER, M)[0]
+    V = np.repeat(C[..., :1], M, axis=-1)
+    for k in range(1, len(E)):
+        V += C[..., k, None] * E[k]
+    return V
+
+
 def random_boundary_field(rng, M):
     """Smooth random field: ``random_coefficients`` on the basis rows k <= FIELD_ORDER."""
-    c = random_coefficients(rng, 2 * FIELD_ORDER + 1).tolist()
-    vals = np.full(M, c[0])
-    for ck, row in zip(c[1:], _grid_basis(FIELD_ORDER, M)[0][1:]):
-        vals += ck * row
-    return BoundaryField(vals)
+    return BoundaryField(_field_values(random_coefficients(rng, 2 * FIELD_ORDER + 1), M))
+
+
+def _random_pairs(rng, M, pairs):
+    """The (pairs, M) grid values and the fields of random pairs, unevaluated, drawn in
+    the stream order of alternate random_boundary_field and random_interior_field calls."""
+    C, phis = zip(*[(random_coefficients(rng, 2 * FIELD_ORDER + 1), random_interior_field(rng))
+                    for _ in range(pairs)])
+    return _field_values(np.array(C), M), list(phis)
 
 
 def random_interior_field(rng):

@@ -128,12 +128,12 @@ def test_registry_ids_names_and_budgets(records):
 
 def test_random_pairs_check_lists_each_failing_pair(monkeypatch, disk1, gaussian):
     def negative_slack(*args, **kwargs):
-        rep = check_mean_form(*args, **kwargs)
-        return dataclasses.replace(rep, slack_mean=-0.25, slack_mult=-1.5,
-                                   passed_mean=False, passed_mult=False)
+        return [dataclasses.replace(rep, slack_mean=-0.25, slack_mult=-1.5,
+                                    passed_mean=False, passed_mult=False)
+                for rep in pair_reports(*args, **kwargs)]
 
-    check_mean_form = acceptance.check_mean_form
-    monkeypatch.setattr(acceptance, "check_mean_form", negative_slack)
+    pair_reports = acceptance._pair_reports
+    monkeypatch.setattr(acceptance, "_pair_reports", negative_slack)
     _, _, failures = acceptance.random_pairs_check(disk1, gaussian, 2, 0, Q=8)
     assert failures == ["pair 0: mean slack -2.500e-01, mult slack -1.500e+00",
                         "pair 1: mean slack -2.500e-01, mult slack -1.500e+00"]

@@ -315,10 +315,15 @@ GAUSSIAN = "potential.kind = gaussian\n"
      "body: fourier harmonic K must be an integer >= 1, got 0"),
     ("forms-check", DISK + GAUSSIAN + "pde.N = 16\n", "unknown key 'pde.N'"),
     ("flow", DISK + GAUSSIAN + "pde.N = 16\n", "unknown key 'pde.N'"),
+    ("flow", DISK + GAUSSIAN + "flow.f.c0 = 0.1\nflow.f.sin0 = 0.3\n",
+     "flow.f: harmonic K must be an integer >= 1, got 0"),
+    ("flow", DISK + GAUSSIAN + "flow.f.cos0 = 0.1\n",
+     "flow.f: harmonic K must be an integer >= 1, got 0"),
 ], ids=["no-equals", "duplicate-key", "unknown-body-kind", "stray-body-key", "stray-body2-key",
         "harmonic-on-disk", "missing-potential-kind", "k1-without-k2", "k2-without-k1",
         "k1-above-k2", "zero-k1", "quadratic-without-a", "stray-gaussian-key",
-        "stray-quadratic-key", "unknown-psi-kind", "odd-M", "sin0", "forms-check-N", "flow-N"])
+        "stray-quadratic-key", "unknown-psi-kind", "odd-M", "sin0", "forms-check-N", "flow-N",
+        "flow-sin0", "flow-cos0"])
 def test_config_rejection_names_the_problem(tmp_path, capsys, command, text, says):
     path = write(tmp_path / "bad.cfg", text)
     out = tmp_path / "o"

@@ -1,7 +1,7 @@
 import numpy as np
 import pytest
 
-from convexlab import analysis, flow, forms, geometry, measure, pde, quad, spectral
+from convexlab import acceptance, analysis, flow, forms, geometry, measure, pde, quad, spectral
 from convexlab.errors import ConvexLabError, InvalidInput, NotConvexPotential
 
 DISK = geometry.disk(1.0)
@@ -145,6 +145,15 @@ X = np.array([[0.2, 0.1], [0.3, -0.4]])
      "derivative order must be an integer >= 0, got -1"),
     (lambda: forms.BoundaryField(DISK.values).deriv(1.5),
      "derivative order must be an integer >= 0, got 1.5"),
+    # pair counts that passed over nothing, ran one pair or ended in a bare TypeError
+    (lambda: acceptance.random_pairs_check(DISK, GAUSSIAN, 0, 0, 8),
+     "pairs must be an integer >= 1, got 0"),
+    (lambda: acceptance.random_pairs_check(DISK, GAUSSIAN, -3, 0, 8),
+     "pairs must be an integer >= 1, got -3"),
+    (lambda: acceptance.random_pairs_check(DISK, GAUSSIAN, 2.5, 0, 8),
+     "pairs must be an integer >= 1, got 2.5"),
+    (lambda: acceptance.random_pairs_check(DISK, GAUSSIAN, True, 0, 8),
+     "pairs must be an integer >= 1, got True"),
 ], ids=["sample-size", "bm-p", "fd-p", "reformulation-body", "reformulation-potential",
         "pinching-undeclared", "pinching-body", "pinching-potential", "support-grid",
         "support-finite", "disk-radius", "ellipse-axes", "hull-points", "minkowski-t",
@@ -158,7 +167,8 @@ X = np.array([[0.2, 0.1], [0.3, -0.4]])
         "Q-zero", "Q-fraction", "sample-size-nan", "sample-size-fraction", "bm-nodes-zero",
         "bm-nodes-negative", "bm-nodes-fraction", "bm-nodes-empty", "bm-nodes-0-d", "N-fraction", "N-float",
         "N-nan", "field-d-shape", "field-d-finite", "boundary-point-nan", "eval-inf",
-        "evaluate-minus-inf", "deriv-negative", "eval-order-negative", "deriv-fraction"])
+        "evaluate-minus-inf", "deriv-negative", "eval-order-negative", "deriv-fraction",
+        "pairs-zero", "pairs-negative", "pairs-fraction", "pairs-bool"])
 def test_bad_input_is_invalid_input_and_value_error(call, says):
     # the CLI maps InvalidInput to exit 2; callers catching ValueError still work
     with pytest.raises(InvalidInput) as info:

@@ -8,7 +8,8 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 from hypothesis.extra import numpy as hnp
 
-from convexlab import analysis, flow, forms, geometry, measure, pde, quad, spectral, suite
+from convexlab import (acceptance, analysis, flow, forms, geometry, measure, pde, quad, spectral,
+                       suite)
 from convexlab.errors import LebesgueModeRestriction, NonFiniteIntegral, OriginOutside
 from convexlab.suite import random_boundary_field, random_interior_field
 
@@ -562,6 +563,91 @@ def test_mean_form_check_refuses_lebesgue_before_any_node_work():
     with pytest.raises(LebesgueModeRestriction):
         forms.check_mean_form(body, u, random_boundary_field(rng, body.M),
                               random_interior_field(rng))
+
+
+# -- the random-pair check: every pair's boundary side in one stack ---------------
+
+
+def _per_pair_check(body, u, pairs, rng, Q):
+    """random_pairs_check written out: draw a pair, check_mean_form it, fold it in."""
+    worst_mean, worst_mult, failures = np.inf, np.inf, []
+    for i in range(pairs):
+        rho = random_boundary_field(rng, body.M)
+        phi = random_interior_field(rng)
+        rep = forms.check_mean_form(body, u, rho, phi, Q=Q)
+        worst_mean = min(worst_mean, rep.slack_mean / rep.scale)
+        worst_mult = min(worst_mult, rep.slack_mult / rep.scale**2)
+        if not (rep.passed_mean and rep.passed_mult):
+            failures.append(f"pair {i}: mean slack {rep.slack_mean:.3e}, "
+                            f"mult slack {rep.slack_mult:.3e}")
+    return worst_mean, worst_mult, failures
+
+
+def _field_tables(body):
+    """The store's tables of body that hold an interior field's node values."""
+    return [t for t in quad._SHARED[body][1].values()
+            if any(isinstance(k, tuple) and k[0] == "values" for k in t)]
+
+
+@pytest.mark.parametrize("seed", [42, 7])
+@pytest.mark.parametrize("pairs", [1, 2, 50])
+@pytest.mark.parametrize("bname, pname", [("disk1", "gaussian"), ("ellipse21", "quad14"),
+                                          ("blob", "quartic")])
+def test_random_pairs_check_matches_a_per_pair_loop_bytes(monkeypatch, bname, pname, pairs,
+                                                          seed):
+    # criterion 4a's configurations, on a fresh body so that the store holds only this check
+    body = suite.standard_bodies(acceptance.M)[bname]
+    u = suite.standard_potentials()[pname]
+    made, default_rng = [], np.random.default_rng
+    monkeypatch.setattr(np.random, "default_rng",
+                        lambda s: made.append(default_rng(s)) or made[-1])
+    form_BL, live = forms.form_BL, []
+
+    def logged_BL(*args, **kwargs):
+        live.append(len(_field_tables(body)))
+        return form_BL(*args, **kwargs)
+
+    monkeypatch.setattr(forms, "form_BL", logged_BL)
+    got = acceptance.random_pairs_check(body, u, pairs, seed, acceptance.Q)
+    # a pair's field is gone before the next pair's BL, and none outlives the check
+    assert live == [0] * pairs and _field_tables(body) == []
+    ref = default_rng(seed)
+    want = _per_pair_check(body, u, pairs, ref, acceptance.Q)
+    assert [x.hex() for x in got[:2]] == [x.hex() for x in want[:2]]
+    assert got[2] == want[2] == []
+    assert made[0].random() == ref.random()  # the same number of draws
+
+
+def test_random_pairs_check_lists_the_per_pair_loop_failures(monkeypatch):
+    # BL scaled by 0.05, looked up by name on both paths: some pairs fail, not all
+    body = suite.standard_bodies(acceptance.M)["ellipse21"]
+    u = suite.standard_potentials()["quad14"]
+    form_BL = forms.form_BL
+    monkeypatch.setattr(forms, "form_BL", lambda *args, **kwargs: 0.05 * form_BL(*args, **kwargs))
+    got = acceptance.random_pairs_check(body, u, 50, 3, acceptance.Q)
+    want = _per_pair_check(body, u, 50, np.random.default_rng(3), acceptance.Q)
+    assert 0 < len(want[2]) < 50
+    assert got[2] == want[2]
+    assert [x.hex() for x in got[:2]] == [x.hex() for x in want[:2]]
+
+
+@pytest.mark.filterwarnings("ignore::RuntimeWarning")
+def test_stacked_pairs_refuse_in_the_per_pair_order(gaussian):
+    # pair 0's I overflows on the boundary alone; pair 1's BL is nan.  One pair at a
+    # time, pair 0's refusal comes first, so the stacked check must raise it too.
+    body = geometry.disk(1.0)
+    zero = lambda p: np.zeros(p.shape)
+    huge = forms.InteriorField(lambda p: np.where(np.hypot(p[..., 0], p[..., 1]) > 0.999,
+                                                  1e308, 1.0), zero)
+    blow_up = forms.InteriorField(lambda p: p[..., 0].copy(),
+                                  lambda p: np.where(p > 0.5, np.inf, 0.0))
+    rho = forms.BoundaryField(np.ones(body.M))
+    with pytest.raises(NonFiniteIntegral, match="boundary integral against .* is inf"):
+        forms.check_mean_form(body, gaussian, rho, huge, Q=8)
+    with pytest.raises(NonFiniteIntegral, match="BL form of .* is nan"):
+        forms.check_mean_form(body, gaussian, rho, blow_up, Q=8)
+    with pytest.raises(NonFiniteIntegral, match="boundary integral against .* is inf"):
+        forms._pair_reports(body, gaussian, np.ones((2, body.M)), [huge, blow_up], Q=8)
 
 
 # -- the store's work, keys, write protection and lifetime ------------------------

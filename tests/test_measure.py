@@ -305,6 +305,17 @@ def test_pinching_verification(quartic, rng):
     measure.verify_pinching(ok, pts)  # no raise
 
 
+def test_pinching_verification_accepts_a_turned_isotropic_potential(rng):
+    # R R^T is the identity up to rounding, and so are the declared k1 and k2.
+    # tr^2 - 4 det cancelled to ~1e-15 there, and its square root put the
+    # smaller eigenvalue 1.6e-8 below k1: the potential failed its own pinching.
+    phi = 2.0 * np.pi * 41 / 256
+    R = np.array([[np.cos(phi), -np.sin(phi)], [np.sin(phi), np.cos(phi)]])
+    A = R @ R.T
+    measure.verify_pinching(measure.quadratic_potential(0.5 * (A + A.T)),
+                            rng.normal(size=(40, 2)))  # no raise
+
+
 def test_pinching_verification_rejects_empty_point_set(quad14):
     assert quad14.pinching is not None
     with pytest.raises(ConvexLabError, match="no points to check"):

@@ -7,7 +7,7 @@ import pytest
 from hypothesis import assume, given, settings
 from hypothesis import strategies as st
 
-from convexlab import flow, forms, geometry, measure, pde, quad, spectral
+from convexlab import analysis, flow, forms, geometry, measure, pde, quad, spectral
 from convexlab.acceptance import SCAN_RADII, disk_power_oracle
 from convexlab.errors import (CoercivityFailure, NonFiniteIntegral, NotStrictlyConvex,
                               PinchingViolation, ZeroMean)
@@ -346,6 +346,31 @@ def test_power_is_invariant_under_rotation_and_reflection(body, potential, k, re
         _POWERS[key] = pde.concavity_power(BODIES[body], POTENTIALS[potential], N=32, Q=32)
     K, u = _isometry_image(BODIES[body], POTENTIALS[potential], k, reflect)
     assert pde.concavity_power(K, u, N=32, Q=32) == pytest.approx(_POWERS[key], rel=1e-13)
+
+
+def _spectra(K, u):
+    """(lambda1, its restricted value, C) of the Galerkin system of (K, u) at N = 16."""
+    system = pde.assemble(K, u, N=16, Q=32)
+    return (*analysis.lambda1(system)[:2], analysis.coercivity_constant(system))
+
+
+_SPECTRA = {}  # (body, potential) -> _spectra of the unmoved pair
+
+
+@settings(max_examples=45, deadline=None, derandomize=True, database=None)
+@given(body=st.sampled_from(["ellipse21", "blob", "peanut"]),
+       potential=st.sampled_from(["gaussian", "quad14", "quad_mixed"]),
+       k=st.integers(1, 255), reflect=st.booleans())
+def test_lambda1_and_coercivity_are_invariant_under_rotation_and_reflection(body, potential, k,
+                                                                          reflect):
+    # a grid-step turn and theta -> -theta permute the grid quadrature exactly and map
+    # each harmonic pair (cos, sin) of the Galerkin span onto itself, so the pencils
+    # behind lambda1 and C keep their eigenvalues
+    key = (body, potential)
+    if key not in _SPECTRA:
+        _SPECTRA[key] = _spectra(BODIES[body], POTENTIALS[potential])
+    got = _spectra(*_isometry_image(BODIES[body], POTENTIALS[potential], k, reflect))
+    assert got == pytest.approx(_SPECTRA[key], rel=1e-12)
 
 
 @settings(max_examples=100, deadline=None, derandomize=True, database=None)
